@@ -86,7 +86,8 @@ class _Runner:
     def observe(self, positions, fitness):
         self.evaluations += len(fitness)
         i = int(np.argmin(fitness))
-        if fitness[i] < self.best_value:
+        # the first batch always sets a position, even if every value is inf
+        if self.best_position is None or fitness[i] < self.best_value:
             self.best_value = float(fitness[i])
             self.best_position = positions[i].copy()
 

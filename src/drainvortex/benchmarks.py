@@ -1,9 +1,32 @@
 """Benchmark catalog: classical test functions, constrained engineering
 designs, penalty wrapping, and a plugin registry.
 
-Objectives take a single point (shape (dim,)) and return a float. Constraints
-use the g(x) <= 0 convention. Noisy objectives additionally take the run's
-RngStream so noise stays inside the determinism contract.
+Objectives come under one of two contracts, declared by
+`ProblemSpec.vectorized`:
+
+- per point (the default): the objective takes one point of shape (dim,)
+  and returns a float, and `evaluate` calls it once per row;
+- vectorized: the objective and every constraint take a single point or a
+  batch of shape (n, dim), so a batch gives n values in one call and a
+  single point still gives its float. `evaluate` and the `penalize`
+  wrapper then make one call per batch. Every catalog problem is
+  vectorized.
+
+Constraints use the g(x) <= 0 convention. Noisy objectives additionally take
+the run's RngStream so noise stays inside the determinism contract; a
+vectorized one draws its n noise values as one block, which is the same
+stream as n scalar draws.
+
+Non-finite values: `evaluate` maps a NaN objective value to +inf, and is the
+only place that does. A NaN or +inf constraint value counts as the maximal
+violation.
+
+A catalog formula gives the same bits for a point alone as in a batch.
+Where it raises a single coordinate to a power it calls `_pow`
+(`np.float_power`), which calls the C library's pow per element, as numpy's
+float64 scalars do; numpy's array `**` kernel rounds some of those results
+differently. Powers the per-point formulas took of whole arrays keep array
+`**`.
 """
 
 from __future__ import annotations
@@ -43,6 +66,8 @@ class ProblemSpec:
     tags: tuple = ()
     # original objective when this spec is a penalty wrap of a constrained one
     raw_objective: Optional[Callable] = None
+    # objective and constraints also take (n, dim) batches, one row per point
+    vectorized: bool = False
 
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=float)
@@ -67,16 +92,34 @@ class ProblemSpec:
 
 
 def evaluate(problem: ProblemSpec, points: Array, rng: RngStream) -> Array:
-    """Evaluate rows of `points`; noisy objectives draw from `rng` per row."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty(len(pts))
-    if problem.noisy:
-        for i, x in enumerate(pts):
-            out[i] = problem.objective(x, rng)
+    """Objective values of the rows of `points`, with NaN mapped to +inf.
+
+    A vectorized spec gets the whole batch in one call, any other spec one
+    call per row. Noisy objectives draw from `rng` once per row, in row
+    order, either way.
+    """
+    # C order: numpy sums the rows of a Fortran-ordered batch in another
+    # order than it sums a lone point
+    pts = np.atleast_2d(np.ascontiguousarray(points, dtype=float))
+    args = (rng,) if problem.noisy else ()
+    if problem.vectorized:
+        out = np.array(problem.objective(pts, *args), dtype=float)
+        if out.shape != (len(pts),):
+            raise ValueError(
+                f"{problem.name}: a vectorized objective must return shape "
+                f"({len(pts)},), got {out.shape}"
+            )
     else:
+        out = np.empty(len(pts))
         for i, x in enumerate(pts):
-            out[i] = problem.objective(x)
+            out[i] = problem.objective(x, *args)
+    out[np.isnan(out)] = np.inf
     return out
+
+
+# x ** e per element through the C library's pow, rounded as a float64 scalar
+# power is (numpy's array ** kernel rounds some results differently)
+_pow = np.float_power
 
 
 # ---------------------------------------------------------------------------
@@ -85,59 +128,60 @@ def evaluate(problem: ProblemSpec, points: Array, rng: RngStream) -> Array:
 
 
 def _sphere(x):
-    return float(np.sum(x * x))
+    return np.sum(x * x, axis=-1)
 
 
 def _abs_sum_prod(x):
     a = np.abs(x)
-    return float(np.sum(a) + np.prod(a))
+    return np.sum(a, axis=-1) + np.prod(a, axis=-1)
 
 
 def _rotated_hyper_ellipsoid(x):
-    return float(np.sum(np.cumsum(x) ** 2))
+    return np.sum(np.cumsum(x, axis=-1) ** 2, axis=-1)
 
 
 def _max_abs(x):
-    return float(np.max(np.abs(x)))
+    return np.max(np.abs(x), axis=-1)
 
 
 def _rosenbrock(x):
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2))
+    head, tail = x[..., :-1], x[..., 1:]
+    return np.sum(100.0 * (tail - head**2) ** 2 + (head - 1.0) ** 2, axis=-1)
 
 
 def _step(x):
-    return float(np.sum(np.floor(x + 0.5) ** 2))
+    return np.sum(np.floor(x + 0.5) ** 2, axis=-1)
 
 
 def _noisy_quartic(x, rng: RngStream):
-    i = np.arange(1, x.size + 1)
-    return float(np.sum(i * x**4) + rng.random())
+    i = np.arange(1, x.shape[-1] + 1)
+    return np.sum(i * x**4, axis=-1) + rng.random(x.shape[:-1])
 
 
 _SCHWEFEL_PER_DIM = -418.9828872724338
 
 
 def _schwefel(x):
-    return float(-np.sum(x * np.sin(np.sqrt(np.abs(x)))))
+    return -np.sum(x * np.sin(np.sqrt(np.abs(x))), axis=-1)
 
 
 def _rastrigin(x):
-    return float(np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0))
+    return np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0, axis=-1)
 
 
 def _ackley(x):
-    d = x.size
-    return float(
-        -20.0 * np.exp(-0.2 * np.sqrt(np.sum(x * x) / d))
-        - np.exp(np.sum(np.cos(2.0 * np.pi * x)) / d)
+    d = x.shape[-1]
+    return (
+        -20.0 * np.exp(-0.2 * np.sqrt(np.sum(x * x, axis=-1) / d))
+        - np.exp(np.sum(np.cos(2.0 * np.pi * x), axis=-1) / d)
         + 20.0
         + np.e
     )
 
 
 def _griewank(x):
-    i = np.arange(1, x.size + 1)
-    return float(np.sum(x * x) / 4000.0 - np.prod(np.cos(x / np.sqrt(i))) + 1.0)
+    i = np.arange(1, x.shape[-1] + 1)
+    return np.sum(x * x, axis=-1) / 4000.0 - np.prod(np.cos(x / np.sqrt(i)), axis=-1) + 1.0
 
 
 def _bound_penalty(x, a, k, m):
@@ -147,27 +191,32 @@ def _bound_penalty(x, a, k, m):
     lo = x < -a
     out[hi] = k * (x[hi] - a) ** m
     out[lo] = k * (-x[lo] - a) ** m
-    return float(np.sum(out))
+    return np.sum(out, axis=-1)
 
 
 def _penalized_sine(x):
-    d = x.size
+    d = x.shape[-1]
     y = 1.0 + (x + 1.0) / 4.0
     core = (
-        10.0 * np.sin(np.pi * y[0]) ** 2
-        + np.sum((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[1:]) ** 2))
-        + (y[-1] - 1.0) ** 2
+        10.0 * _pow(np.sin(np.pi * y[..., 0]), 2)
+        + np.sum(
+            (y[..., :-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[..., 1:]) ** 2), axis=-1
+        )
+        + _pow(y[..., -1] - 1.0, 2)
     )
-    return float(np.pi / d * core + _bound_penalty(x, 10.0, 100.0, 4))
+    return np.pi / d * core + _bound_penalty(x, 10.0, 100.0, 4)
 
 
 def _penalized_flats(x):
+    first, last = x[..., 0], x[..., -1]
     core = (
-        np.sin(3.0 * np.pi * x[0]) ** 2
-        + np.sum((x[:-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * x[1:]) ** 2))
-        + (x[-1] - 1.0) ** 2 * (1.0 + np.sin(2.0 * np.pi * x[-1]) ** 2)
+        _pow(np.sin(3.0 * np.pi * first), 2)
+        + np.sum(
+            (x[..., :-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * x[..., 1:]) ** 2), axis=-1
+        )
+        + _pow(last - 1.0, 2) * (1.0 + _pow(np.sin(2.0 * np.pi * last), 2))
     )
-    return float(0.1 * core + _bound_penalty(x, 5.0, 100.0, 4))
+    return 0.1 * core + _bound_penalty(x, 5.0, 100.0, 4)
 
 
 # id -> (objective, lower, upper, f_true or None for per-dim, noisy)
@@ -208,6 +257,7 @@ def classical_scalable(fid: str, dim: int) -> ProblemSpec:
         f_true=f_true,
         noisy=noisy,
         tags=("classical", "scalable"),
+        vectorized=True,
     )
 
 
@@ -225,8 +275,8 @@ _FOXHOLE_A = np.array(
 
 
 def _foxholes(x):
-    denom = np.arange(1, 26) + np.sum((x[:, None] - _FOXHOLE_A) ** 6, axis=0)
-    return float(1.0 / (1.0 / 500.0 + np.sum(1.0 / denom)))
+    denom = np.arange(1, 26) + np.sum((x[..., :, None] - _FOXHOLE_A) ** 6, axis=-2)
+    return 1.0 / (1.0 / 500.0 + np.sum(1.0 / denom, axis=-1))
 
 
 _KOWALIK_A = np.array(
@@ -237,35 +287,40 @@ _KOWALIK_B = 1.0 / np.array([0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.
 
 def _kowalik(x):
     b = _KOWALIK_B
-    model = x[0] * (b * b + b * x[1]) / (b * b + b * x[2] + x[3])
-    return float(np.sum((_KOWALIK_A - model) ** 2))
+    # each coordinate as a column against the 11 data points
+    x1, x2, x3, x4 = x.T[..., None]
+    model = x1 * (b * b + b * x2) / (b * b + b * x3 + x4)
+    return np.sum((_KOWALIK_A - model) ** 2, axis=-1)
 
 
 def _six_hump_camel(x):
-    x1, x2 = x
-    return float(
-        4.0 * x1**2 - 2.1 * x1**4 + x1**6 / 3.0 + x1 * x2 - 4.0 * x2**2 + 4.0 * x2**4
+    x1, x2 = x.T
+    x1_2, x2_2 = _pow(x1, 2), _pow(x2, 2)
+    return (
+        4.0 * x1_2 - 2.1 * _pow(x1, 4) + _pow(x1, 6) / 3.0 + x1 * x2 - 4.0 * x2_2
+        + 4.0 * _pow(x2, 4)
     )
 
 
 def _branin(x):
-    x1, x2 = x
-    return float(
-        (x2 - 5.1 / (4.0 * np.pi**2) * x1**2 + 5.0 / np.pi * x1 - 6.0) ** 2
+    x1, x2 = x.T
+    return (
+        _pow(x2 - 5.1 / (4.0 * np.pi**2) * _pow(x1, 2) + 5.0 / np.pi * x1 - 6.0, 2)
         + 10.0 * (1.0 - 1.0 / (8.0 * np.pi)) * np.cos(x1)
         + 10.0
     )
 
 
 def _goldstein_price(x):
-    x1, x2 = x
-    a = 1.0 + (x1 + x2 + 1.0) ** 2 * (
-        19.0 - 14.0 * x1 + 3.0 * x1**2 - 14.0 * x2 + 6.0 * x1 * x2 + 3.0 * x2**2
+    x1, x2 = x.T
+    x1_2, x2_2 = _pow(x1, 2), _pow(x2, 2)
+    a = 1.0 + _pow(x1 + x2 + 1.0, 2) * (
+        19.0 - 14.0 * x1 + 3.0 * x1_2 - 14.0 * x2 + 6.0 * x1 * x2 + 3.0 * x2_2
     )
-    b = 30.0 + (2.0 * x1 - 3.0 * x2) ** 2 * (
-        18.0 - 32.0 * x1 + 12.0 * x1**2 + 48.0 * x2 - 36.0 * x1 * x2 + 27.0 * x2**2
+    b = 30.0 + _pow(2.0 * x1 - 3.0 * x2, 2) * (
+        18.0 - 32.0 * x1 + 12.0 * x1_2 + 48.0 * x2 - 36.0 * x1 * x2 + 27.0 * x2_2
     )
-    return float(a * b)
+    return a * b
 
 
 _HARTMANN_ALPHA = np.array([1.0, 1.2, 3.0, 3.2])
@@ -295,13 +350,13 @@ _HARTMANN6_P = 1e-4 * np.array(
 
 
 def _hartmann3(x):
-    inner = np.sum(_HARTMANN3_A * (x - _HARTMANN3_P) ** 2, axis=1)
-    return float(-np.sum(_HARTMANN_ALPHA * np.exp(-inner)))
+    inner = np.sum(_HARTMANN3_A * (x[..., None, :] - _HARTMANN3_P) ** 2, axis=-1)
+    return -np.sum(_HARTMANN_ALPHA * np.exp(-inner), axis=-1)
 
 
 def _hartmann6(x):
-    inner = np.sum(_HARTMANN6_A * (x - _HARTMANN6_P) ** 2, axis=1)
-    return float(-np.sum(_HARTMANN_ALPHA * np.exp(-inner)))
+    inner = np.sum(_HARTMANN6_A * (x[..., None, :] - _HARTMANN6_P) ** 2, axis=-1)
+    return -np.sum(_HARTMANN_ALPHA * np.exp(-inner), axis=-1)
 
 
 _SHEKEL_C = np.array(
@@ -318,8 +373,8 @@ _SHEKEL_B = 0.1 * np.array([1, 2, 2, 4, 4, 6, 3, 7, 5, 5], dtype=float)
 
 def _shekel(m):
     def fn(x):
-        d = np.sum((x[:, None] - _SHEKEL_C[:, :m]) ** 2, axis=0) + _SHEKEL_B[:m]
-        return float(-np.sum(1.0 / d))
+        d = np.sum((x[..., :, None] - _SHEKEL_C[:, :m]) ** 2, axis=-2) + _SHEKEL_B[:m]
+        return -np.sum(1.0 / d, axis=-1)
 
     return fn
 
@@ -354,6 +409,7 @@ def classical_fixed(fid: str) -> ProblemSpec:
         objective=fn,
         f_true=f_true,
         tags=("classical", "fixed"),
+        vectorized=True,
     )
 
 
@@ -363,7 +419,8 @@ def classical_fixed(fid: str) -> ProblemSpec:
 
 
 def _truss_objective(x):
-    return float((2.0 * math.sqrt(2.0) * x[0] + x[1]) * 100.0)
+    x1, x2 = x.T
+    return (2.0 * math.sqrt(2.0) * x1 + x2) * 100.0
 
 
 def _truss_constraints():
@@ -371,47 +428,50 @@ def _truss_constraints():
     rt2 = math.sqrt(2.0)
 
     def g1(x):
-        return (rt2 * x[0] + x[1]) / (rt2 * x[0] ** 2 + 2.0 * x[0] * x[1]) * P - sigma
+        x1, x2 = x.T
+        return (rt2 * x1 + x2) / (rt2 * _pow(x1, 2) + 2.0 * x1 * x2) * P - sigma
 
     def g2(x):
-        return x[1] / (rt2 * x[0] ** 2 + 2.0 * x[0] * x[1]) * P - sigma
+        x1, x2 = x.T
+        return x2 / (rt2 * _pow(x1, 2) + 2.0 * x1 * x2) * P - sigma
 
     def g3(x):
-        return 1.0 / (rt2 * x[1] + x[0]) * P - sigma
+        x1, x2 = x.T
+        return 1.0 / (rt2 * x2 + x1) * P - sigma
 
     return (g1, g2, g3)
 
 
 def _spring_objective(x):
-    d, D, n = x
-    return float((n + 2.0) * D * d * d)
+    d, D, n = x.T
+    return (n + 2.0) * D * d * d
 
 
 def _spring_constraints():
     def g1(x):
-        d, D, n = x
-        return 1.0 - D**3 * n / (71785.0 * d**4)
+        d, D, n = x.T
+        return 1.0 - _pow(D, 3) * n / (71785.0 * _pow(d, 4))
 
     def g2(x):
-        d, D, n = x
-        return (4.0 * D**2 - d * D) / (12566.0 * (D * d**3 - d**4)) + 1.0 / (
-            5108.0 * d**2
+        d, D, n = x.T
+        return (4.0 * _pow(D, 2) - d * D) / (12566.0 * (D * _pow(d, 3) - _pow(d, 4))) + 1.0 / (
+            5108.0 * _pow(d, 2)
         ) - 1.0
 
     def g3(x):
-        d, D, n = x
-        return 1.0 - 140.45 * d / (D**2 * n)
+        d, D, n = x.T
+        return 1.0 - 140.45 * d / (_pow(D, 2) * n)
 
     def g4(x):
-        d, D, n = x
+        d, D, n = x.T
         return (D + d) / 1.5 - 1.0
 
     return (g1, g2, g3, g4)
 
 
 def _weld_objective(x):
-    x1, x2, x3, x4 = x
-    return float(1.10471 * x1**2 * x2 + 0.04811 * x3 * x4 * (14.0 + x2))
+    x1, x2, x3, x4 = x.T
+    return 1.10471 * _pow(x1, 2) * x2 + 0.04811 * x3 * x4 * (14.0 + x2)
 
 
 def _weld_constraints():
@@ -419,36 +479,41 @@ def _weld_constraints():
     tau_max, sigma_max, delta_max = 13600.0, 30000.0, 0.25
 
     def tau(x):
-        x1, x2, x3, _ = x
+        x1, x2, x3, _ = x.T
         t1 = P / (math.sqrt(2.0) * x1 * x2)
         M = P * (L + x2 / 2.0)
-        R = math.sqrt(x2**2 / 4.0 + ((x1 + x3) / 2.0) ** 2)
-        J = 2.0 * math.sqrt(2.0) * x1 * x2 * (x2**2 / 12.0 + ((x1 + x3) / 2.0) ** 2)
+        x2_2, half_2 = _pow(x2, 2), _pow((x1 + x3) / 2.0, 2)
+        R = np.sqrt(x2_2 / 4.0 + half_2)
+        J = 2.0 * math.sqrt(2.0) * x1 * x2 * (x2_2 / 12.0 + half_2)
         t2 = M * R / J
-        return math.sqrt(t1**2 + 2.0 * t1 * t2 * x2 / (2.0 * R) + t2**2)
+        return np.sqrt(_pow(t1, 2) + 2.0 * t1 * t2 * x2 / (2.0 * R) + _pow(t2, 2))
 
     def g1(x):
         return tau(x) - tau_max
 
     def g2(x):
-        return 6.0 * P * L / (x[3] * x[2] ** 2) - sigma_max
+        x1, x2, x3, x4 = x.T
+        return 6.0 * P * L / (x4 * _pow(x3, 2)) - sigma_max
 
     def g3(x):
-        return x[0] - x[3]
+        x1, x2, x3, x4 = x.T
+        return x1 - x4
 
     def g4(x):
-        return 0.10471 * x[0] ** 2 + 0.04811 * x[2] * x[3] * (14.0 + x[1]) - 5.0
+        x1, x2, x3, x4 = x.T
+        return 0.10471 * _pow(x1, 2) + 0.04811 * x3 * x4 * (14.0 + x2) - 5.0
 
     def g5(x):
-        return 0.125 - x[0]
+        return 0.125 - x[..., 0]
 
     def g6(x):
-        return 4.0 * P * L**3 / (E * x[2] ** 3 * x[3]) - delta_max
+        x1, x2, x3, x4 = x.T
+        return 4.0 * P * L**3 / (E * _pow(x3, 3) * x4) - delta_max
 
     def g7(x):
-        x3, x4 = x[2], x[3]
+        x3, x4 = x[..., 2], x[..., 3]
         pc = (
-            4.013 * E * math.sqrt(x3**2 * x4**6 / 36.0) / L**2
+            4.013 * E * np.sqrt(_pow(x3, 2) * _pow(x4, 6) / 36.0) / L**2
             * (1.0 - x3 / (2.0 * L) * math.sqrt(E / (4.0 * G)))
         )
         return P - pc
@@ -457,82 +522,91 @@ def _weld_constraints():
 
 
 def _vessel_objective(x):
-    x1, x2, x3, x4 = x
-    return float(
+    x1, x2, x3, x4 = x.T
+    x1_2 = _pow(x1, 2)
+    return (
         0.6224 * x1 * x3 * x4
-        + 1.7781 * x2 * x3**2
-        + 3.1661 * x1**2 * x4
-        + 19.84 * x1**2 * x3
+        + 1.7781 * x2 * _pow(x3, 2)
+        + 3.1661 * x1_2 * x4
+        + 19.84 * x1_2 * x3
     )
 
 
 def _vessel_constraints():
     def g1(x):
-        return -x[0] + 0.0193 * x[2]
+        return -x[..., 0] + 0.0193 * x[..., 2]
 
     def g2(x):
-        return -x[1] + 0.00954 * x[2]
+        return -x[..., 1] + 0.00954 * x[..., 2]
 
     def g3(x):
-        return -math.pi * x[2] ** 2 * x[3] - 4.0 / 3.0 * math.pi * x[2] ** 3 + 1296000.0
+        x3, x4 = x[..., 2], x[..., 3]
+        return -math.pi * _pow(x3, 2) * x4 - 4.0 / 3.0 * math.pi * _pow(x3, 3) + 1296000.0
 
     def g4(x):
-        return x[3] - 240.0
+        return x[..., 3] - 240.0
 
     return (g1, g2, g3, g4)
 
 
 def _reducer_objective(x):
-    x1, x2, x3, x4, x5, x6, x7 = x
-    return float(
-        0.7854 * x1 * x2**2 * (3.3333 * x3**2 + 14.9334 * x3 - 43.0934)
-        - 1.508 * x1 * (x6**2 + x7**2)
-        + 7.4777 * (x6**3 + x7**3)
-        + 0.7854 * (x4 * x6**2 + x5 * x7**2)
+    x1, x2, x3, x4, x5, x6, x7 = x.T
+    x6_2, x7_2 = _pow(x6, 2), _pow(x7, 2)
+    return (
+        0.7854 * x1 * _pow(x2, 2) * (3.3333 * _pow(x3, 2) + 14.9334 * x3 - 43.0934)
+        - 1.508 * x1 * (x6_2 + x7_2)
+        + 7.4777 * (_pow(x6, 3) + _pow(x7, 3))
+        + 0.7854 * (x4 * x6_2 + x5 * x7_2)
     )
 
 
 def _reducer_constraints():
     def g1(x):
-        return 27.0 / (x[0] * x[1] ** 2 * x[2]) - 1.0
+        x1, x2, x3 = x[..., :3].T
+        return 27.0 / (x1 * _pow(x2, 2) * x3) - 1.0
 
     def g2(x):
-        return 397.5 / (x[0] * x[1] ** 2 * x[2] ** 2) - 1.0
+        x1, x2, x3 = x[..., :3].T
+        return 397.5 / (x1 * _pow(x2, 2) * _pow(x3, 2)) - 1.0
 
     def g3(x):
-        return 1.93 * x[3] ** 3 / (x[1] * x[2] * x[5] ** 4) - 1.0
+        _, x2, x3, x4, _, x6, _ = x.T
+        return 1.93 * _pow(x4, 3) / (x2 * x3 * _pow(x6, 4)) - 1.0
 
     def g4(x):
-        return 1.93 * x[4] ** 3 / (x[1] * x[2] * x[6] ** 4) - 1.0
+        _, x2, x3, _, x5, _, x7 = x.T
+        return 1.93 * _pow(x5, 3) / (x2 * x3 * _pow(x7, 4)) - 1.0
 
     def g5(x):
+        _, x2, x3, x4, _, x6, _ = x.T
         return (
-            math.sqrt((745.0 * x[3] / (x[1] * x[2])) ** 2 + 16.9e6)
-            / (110.0 * x[5] ** 3)
+            np.sqrt(_pow(745.0 * x4 / (x2 * x3), 2) + 16.9e6)
+            / (110.0 * _pow(x6, 3))
             - 1.0
         )
 
     def g6(x):
+        _, x2, x3, _, x5, _, x7 = x.T
         return (
-            math.sqrt((745.0 * x[4] / (x[1] * x[2])) ** 2 + 157.5e6)
-            / (85.0 * x[6] ** 3)
+            np.sqrt(_pow(745.0 * x5 / (x2 * x3), 2) + 157.5e6)
+            / (85.0 * _pow(x7, 3))
             - 1.0
         )
 
     def g7(x):
-        return x[1] * x[2] / 40.0 - 1.0
+        return x[..., 1] * x[..., 2] / 40.0 - 1.0
 
     def g8(x):
-        return 5.0 * x[1] / x[0] - 1.0
+        return 5.0 * x[..., 1] / x[..., 0] - 1.0
 
     def g9(x):
-        return x[0] / (12.0 * x[1]) - 1.0
+        return x[..., 0] / (12.0 * x[..., 1]) - 1.0
 
     def g10(x):
-        return (1.5 * x[5] + 1.9) / x[3] - 1.0
+        return (1.5 * x[..., 5] + 1.9) / x[..., 3] - 1.0
 
     def g11(x):
-        return (1.1 * x[6] + 1.9) / x[4] - 1.0
+        return (1.1 * x[..., 6] + 1.9) / x[..., 4] - 1.0
 
     return (g1, g2, g3, g4, g5, g6, g7, g8, g9, g10, g11)
 
@@ -583,6 +657,7 @@ def engineering_problem(name: str) -> ProblemSpec:
         objective=fn,
         constraints=cons(),
         tags=("engineering", "constrained"),
+        vectorized=True,
     )
 
 
@@ -603,16 +678,15 @@ class PenaltySpec:
 
 
 def _violation_amounts(constraints, x):
-    # non-finite constraint values count as maximal violation so boundary
-    # singularities cannot poison comparisons
-    out = []
+    """Each constraint's violation at `x` (a point, or a batch for a
+    vectorized spec), one row per constraint, clamped as min(max(v, 0), cap)
+    with NaN counted as inf: non-finite values are maximal violations, so
+    boundary singularities cannot poison comparisons. A zero keeps its sign,
+    as Python's max(-0.0, 0.0) keeps it (np.maximum would not)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for g in constraints:
-            v = float(g(x))
-            if math.isnan(v):
-                v = math.inf
-            out.append(min(max(v, 0.0), _VIOLATION_CAP))
-    return out
+        v = np.array([g(x) for g in constraints], dtype=float)
+        # fmin maps NaN to the cap
+        return np.where(v < 0.0, 0.0, np.fmin(v, _VIOLATION_CAP))
 
 
 def penalize(spec: ProblemSpec, penalty: PenaltySpec = PenaltySpec()) -> ProblemSpec:
@@ -620,7 +694,7 @@ def penalize(spec: ProblemSpec, penalty: PenaltySpec = PenaltySpec()) -> Problem
 
     Feasible points keep their raw objective value exactly; each unit of
     violation adds `penalty.coefficient`. Constraints stay attached for
-    feasibility reporting.
+    feasibility reporting. The wrap of a vectorized spec is vectorized too.
     """
     if not spec.constrained:
         raise ValueError(f"{spec.name}: penalize requires a constrained problem")
@@ -629,7 +703,11 @@ def penalize(spec: ProblemSpec, penalty: PenaltySpec = PenaltySpec()) -> Problem
     coeff = penalty.coefficient
 
     def penalized(x):
-        total = sum(_violation_amounts(constraints, x))
+        # one constraint at a time, left to right, as the per-point float sum
+        # added them: np.sum may add 8 or more terms in another order
+        total = 0.0
+        for v in _violation_amounts(constraints, x):
+            total = total + v
         return raw(x) + coeff * total
 
     return replace(
@@ -644,7 +722,7 @@ def feasibility(x, spec: ProblemSpec, tol: float = DEFAULT_FEASIBILITY_TOL):
     """(feasible, max_violation) for a point under a constrained spec."""
     if not spec.constrained:
         raise ValueError(f"{spec.name}: feasibility requires constraints")
-    worst = max(_violation_amounts(spec.constraints, np.asarray(x, dtype=float)))
+    worst = max(_violation_amounts(spec.constraints, np.asarray(x, dtype=float)).tolist())
     return worst <= tol, worst
 
 

@@ -14,6 +14,8 @@ from drainvortex.baselines import (
     _woa_spiral,
     run_pso,
 )
+from drainvortex.engine import DvoParams
+from drainvortex.engine import run as run_dvo
 from drainvortex.errors import ConfigError
 
 ALGORITHMS = sorted(BASELINES)
@@ -144,3 +146,41 @@ class TestPsoDetails:
         assert (record.best_position >= problem.lower).all()
         assert (record.best_position <= problem.upper).all()
         assert np.isfinite(record.trace).all()
+
+
+def run_any(algorithm, problem, seed):
+    if algorithm == "dvo":
+        return run_dvo(problem, DvoParams(n_agents=8, n_drains=3, iterations=25), seed=seed)
+    return BASELINES[algorithm](problem, small_config(algorithm), seed=seed)
+
+
+def per_point_spec(name, objective):
+    return benchmarks.ProblemSpec(
+        name=name, dim=2, lower=np.zeros(2), upper=np.ones(2), objective=objective
+    )
+
+
+class TestObjectiveContracts:
+    @pytest.mark.parametrize("algorithm", ["dvo"] + ALGORITHMS)
+    def test_nan_objective_gives_a_finite_best(self, algorithm):
+        # NaN on half the box: evaluate reads it as +inf, so no optimizer
+        # may crash on it or report it as its best
+        problem = per_point_spec(
+            "nan-half", lambda x: math.nan if x[0] > 0.5 else float(np.sum(x * x))
+        )
+        record = run_any(algorithm, problem, seed=8)
+        assert math.isfinite(record.best_value)
+        assert (record.best_position >= problem.lower).all()
+        assert (record.best_position <= problem.upper).all()
+        assert record.best_position[0] <= 0.5
+
+    @pytest.mark.parametrize("algorithm", ["dvo", "pso"])
+    def test_per_point_objective_gets_one_point_per_call(self, algorithm):
+        def objective(x):
+            if x.ndim != 1:
+                raise ValueError(f"a per-point objective got shape {x.shape}")
+            return float(np.sum(x * x))
+
+        record = run_any(algorithm, per_point_spec("per-point", objective), seed=2)
+        assert record.evaluations == 8 * 26
+        assert record.best_value == objective(record.best_position)

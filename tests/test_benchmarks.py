@@ -182,6 +182,12 @@ class TestEvaluate:
         out = evaluate(spec, points, RngStream(0))
         assert np.array_equal(out, [spec.objective(p) for p in points])
 
+    def test_memory_order_does_not_change_values(self):
+        spec = get_problem("F9", 30)
+        points = np.random.default_rng(3).uniform(spec.lower, spec.upper, (50, 30))
+        out = evaluate(spec, np.asfortranarray(points), RngStream(0))
+        assert out.tobytes() == np.array([spec.objective(p) for p in points]).tobytes()
+
     def test_single_point_promoted(self):
         spec = get_problem("F1", 2)
         out = evaluate(spec, np.array([3.0, 4.0]), RngStream(0))
@@ -192,14 +198,40 @@ class TestEvaluate:
         spec = get_problem("F7", 2)
         rng = RngStream(5)
         twin = RngStream(5)
-        evaluate(spec, np.zeros((4, 2)), rng)
-        twin.random(4)
+        out = evaluate(spec, np.zeros((4, 2)), rng)
+        # the quartic part vanishes at 0: the batch holds n scalar draws, in row order
+        assert out.tobytes() == np.array([twin.random() for _ in range(4)]).tobytes()
         assert rng.random() == twin.random()
 
     def test_noisy_rows_differ(self):
         spec = get_problem("F7", 2)
         out = evaluate(spec, np.zeros((3, 2)), RngStream(6))
         assert len(set(out)) == 3
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_nan_becomes_inf(self, vectorized):
+        spec = ProblemSpec(
+            name="toy-nan",
+            dim=1,
+            lower=np.array([-1.0]),
+            upper=np.array([1.0]),
+            objective=lambda x: np.where(x[..., 0] > 0.0, np.nan, x[..., 0]),
+            vectorized=vectorized,
+        )
+        out = evaluate(spec, np.array([[-0.5], [0.5], [-0.25]]), RngStream(0))
+        assert out.tolist() == [-0.5, math.inf, -0.25]
+
+    def test_vectorized_objective_must_return_one_value_per_row(self):
+        spec = ProblemSpec(
+            name="toy-scalar",
+            dim=2,
+            lower=np.zeros(2),
+            upper=np.ones(2),
+            objective=lambda x: float(np.sum(x)),
+            vectorized=True,
+        )
+        with pytest.raises(ValueError, match="shape"):
+            evaluate(spec, np.zeros((3, 2)), RngStream(0))
 
 
 class TestPenalty:
