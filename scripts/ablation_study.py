@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Component toggle study: the full engine against its seven reduced forms.
+"""Component toggle study: the full engine against its six reduced forms.
 
 Runs every dvo:* variant on a small mixed problem set and prints the
 per-case table plus signed-rank comparisons against the full engine.

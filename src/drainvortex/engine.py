@@ -12,6 +12,15 @@ Random draw order within one sweep is fixed and documented in `step`:
 switch uniforms, switch destinations (ascending agent index), far-field noise
 block, per-spiral-agent tangent then angle, splash-eligibility uniforms, core
 noise block, per-splash levy draws, then per-agent objective noise.
+
+The per-agent work is batched without changing that order or any bit of a
+record. Switch destinations are one uniform block, which is the same stream
+as one scalar draw per switching agent. The spiral keeps a Python loop that
+only draws (tangent normals, then the angle, agent by agent); projection and
+normalisation then run on the whole block, every dot product and norm being
+the same BLAS `ddot` that the per-agent `tangent_unit_vector` calls. A row
+that would need a tangent redraw rewinds the stream and replays the
+per-agent loop. Only the per-splash levy draws still run agent by agent.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from typing import Optional
 import numpy as np
 
 from . import benchmarks
+from . import rng as rng_module
 from .errors import ConfigError
 from .records import DEFAULT_CHECKPOINTS, RunRecord, build_record
 from .rng import LevyParams, RngStream, levy_step, tangent_unit_vector
@@ -169,7 +179,6 @@ ABLATION_VARIANTS = (
     "no_swirl",
     "no_adaptive_spiral",
     "no_splash",
-    "radial_only",
 )
 
 
@@ -189,8 +198,6 @@ def make_ablation_params(base: DvoParams, variant: str) -> DvoParams:
         return replace(base, adaptive_spiral=False)
     if variant == "no_splash":
         return replace(base, splash_prob=0.0)
-    if variant == "radial_only":
-        return replace(base, swirl=False)
     raise ConfigError(
         [f"unknown ablation variant {variant!r}; choose one of {ABLATION_VARIANTS}"]
     )
@@ -275,14 +282,16 @@ def stochastic_switch(assignment, probs, switch_prob, rng: RngStream):
     if k < 2 or switch_prob <= 0.0:
         return assignment
     out = np.array(assignment, dtype=int, copy=True)
-    u = rng.random(out.size)
-    for i in np.where(u < switch_prob)[0]:
-        w = probs.copy()
-        w[out[i]] = 0.0
-        cum = np.cumsum(w)
-        cum /= cum[-1]
-        cum[-1] = 1.0
-        out[i] = int(np.searchsorted(cum, rng.random(), side="right"))
+    movers = np.where(rng.random(out.size) < switch_prob)[0]
+    if movers.size:
+        w = np.tile(probs, (movers.size, 1))
+        w[np.arange(movers.size), out[movers]] = 0.0
+        cum = np.cumsum(w, axis=1)
+        cum = cum / cum[:, -1:]
+        cum[:, -1] = 1.0
+        # one uniform per mover in ascending order, drawn as one block; the
+        # count of cum <= v is searchsorted(cum, v, side="right")
+        out[movers] = (cum <= rng.random(movers.size)[:, None]).sum(axis=1)
     return out
 
 
@@ -341,6 +350,49 @@ def shrink_factor(radii, scale, params: DvoParams):
     return (1.0 - params.shrink_gain * c) * np.asarray(radii)
 
 
+def _row_dot(a, b):
+    """Dot product of each row pair; each is the BLAS ddot of a 1-D `a[i] @ b[i]`
+    (`einsum` and `norm(axis=1)` add in another order)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _row_norms(a):
+    """Euclidean norm of each row, bitwise equal to `np.linalg.norm(a[i])`."""
+    return np.sqrt(_row_dot(a, a))
+
+
+def _draw_tangents(radial, rng: RngStream):
+    """(tangents, angles): per row, `tangent_unit_vector(radial[i], rng)` and
+    then the angle `2 pi rng.random()`, with the same draws and bits.
+
+    Only the draws run row by row. If a row has no tangent on the first
+    draw (zero radial, projection below the floor, dimension below 2), the
+    stream is rewound and the per-row loop replayed, which redraws and
+    raises exactly as it always has.
+    """
+    m, d = radial.shape
+    tangents = np.empty((m, d))
+    u = np.empty(m)
+    if d >= 2:
+        scale = _row_norms(radial)
+        if scale.all():
+            start = rng.snapshot()
+            normal, uniform = rng.standard_normal, rng.random
+            for i in range(m):
+                normal(out=tangents[i])
+                u[i] = uniform()
+            unit = radial / scale[:, None]
+            t = tangents - _row_dot(tangents, unit)[:, None] * unit
+            norm = _row_norms(t)
+            if (norm >= rng_module._TANGENT_FLOOR).all():
+                return t / norm[:, None], 2.0 * math.pi * u
+            rng.restore(start)
+    for i in range(m):
+        tangents[i] = tangent_unit_vector(radial[i], rng)
+        u[i] = rng.random()
+    return tangents, 2.0 * math.pi * u
+
+
 def spiral_update(
     positions,
     targets,
@@ -359,21 +411,21 @@ def spiral_update(
     v_theta the capped swirl speed. With the swirl toggle off the tangential
     term is dropped. Draw order per agent: tangent direction, then angle;
     `angles`/`tangents` override the draws (for controlled evaluation).
+
+    Draws and bits are those of the per-agent loop: a Python loop only
+    draws, projection and normalisation run on the block with the same BLAS
+    `ddot`, and a degenerate row replays the per-agent loop.
     """
     positions = np.atleast_2d(positions)
     targets = np.atleast_2d(targets)
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    n, d = positions.shape
+    n = positions.shape[0]
 
     radial = (positions - targets) / (radii[:, None] + params.epsilon)
     use_swirl = params.swirl
     if use_swirl and tangents is None:
-        tangents = np.empty((n, d))
-        drawn_angles = np.empty(n)
-        for i in range(n):
-            tangents[i] = tangent_unit_vector(radial[i], rng)
-            drawn_angles[i] = 2.0 * math.pi * rng.random()
+        tangents, drawn_angles = _draw_tangents(radial, rng)
         if angles is None:
             angles = drawn_angles
     elif angles is None:
@@ -408,16 +460,19 @@ def clip_bounds(positions, bounds: Bounds):
     return np.clip(positions, bounds.lower, bounds.upper)
 
 
-def greedy_select(old_positions, old_fitness, new_positions, new_fitness, enabled: bool):
+def greedy_select(
+    old_positions, old_fitness, new_positions, new_fitness, enabled: bool, splashed=None
+):
     """Per-agent elitist acceptance.
 
     Returns (positions, fitness, improved). With the toggle on, an agent
-    keeps its old position unless the new one is strictly better; with it
+    keeps its old position unless the new one is strictly better or the
+    agent is marked in `splashed` (a splash is always accepted); with it
     off, the new position is always accepted.
     """
     improved = new_fitness < old_fitness
     if enabled:
-        keep_new = improved
+        keep_new = improved if splashed is None else improved | splashed
     else:
         keep_new = np.ones(np.shape(new_fitness), dtype=bool)
     positions = np.where(keep_new[:, None], new_positions, old_positions)
@@ -477,12 +532,10 @@ def step(state: DvoState, params: DvoParams, problem, bounds: Bounds, rng: RngSt
     )
     if params.switching:
         switched = stochastic_switch(assignment, probs, params.switch_prob, rng)
-        moved = switched != assignment
-        if moved.any():
-            rho = rho.copy()
-            for i in np.where(moved)[0]:
-                dist = float(np.linalg.norm(state.positions[i] - state.drains[switched[i]]))
-                rho[i] = min(dist / bounds.diameter, 1.0)
+        moved = np.where(switched != assignment)[0]
+        if moved.size:
+            dist = _row_norms(state.positions[moved] - state.drains[switched[moved]])
+            rho[moved] = np.minimum(dist / bounds.diameter, 1.0)
             assignment = switched
 
     phase = select_phase(rho, params.far_threshold, params.near_threshold)
@@ -522,15 +575,11 @@ def step(state: DvoState, params: DvoParams, problem, bounds: Bounds, rng: RngSt
     proposals = clip_bounds(proposals, bounds)
     new_fitness = benchmarks.evaluate(problem, proposals, rng)
 
-    improved = new_fitness < state.fitness
-    if params.greedy_update:
-        accept = improved | splashed
-    else:
-        accept = np.ones(n, dtype=bool)
+    positions, fitness, improved = greedy_select(
+        state.positions, state.fitness, proposals, new_fitness, params.greedy_update, splashed
+    )
     prev_positions = state.positions
     prev_fitness = state.fitness
-    positions = np.where(accept[:, None], proposals, state.positions)
-    fitness = np.where(accept, new_fitness, state.fitness)
 
     if params.forced_splash_replacement and splashed.any():
         # "forced": the splash also evicts the agent's old pool entry

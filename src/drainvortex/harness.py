@@ -181,7 +181,7 @@ def validate_config(config: ExperimentConfig) -> list:
 
 
 def expand_ablation(config: ExperimentConfig) -> ExperimentConfig:
-    """Replace the algorithm list with the eight dvo ablation variants.
+    """Replace the algorithm list with the seven dvo ablation variants.
 
     The base parameter block is taken from the first dvo entry (if any);
     re-expansion of an already expanded config is a no-op.
@@ -403,7 +403,8 @@ def _run_single(task) -> RunRecord:
         record = BASELINES[base_name](
             problem, cfg, seed, checkpoints=checkpoints, run_index=run_index
         )
-    if problem.constrained:
+    # build_record has checked feasibility at the default tolerance already
+    if problem.constrained and feasibility_tol != benchmarks.DEFAULT_FEASIBILITY_TOL:
         record.feasible, record.max_violation = benchmarks.feasibility(
             record.best_position, problem, tol=feasibility_tol
         )

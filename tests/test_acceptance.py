@@ -480,10 +480,10 @@ class TestComponentToggles:
         proc = _cli(["ablation", "--config", str(config_path), "--out", str(out)])
         assert proc.returncode == 0, proc.stderr
         loaded = load_result_set(out)
-        assert len(loaded.records) == 16
+        assert len(loaded.records) == 14
         names = {record.algorithm for record in loaded.records}
         assert names == {f"dvo:{variant}" for variant in ABLATION_VARIANTS}
-        assert len(names) == 8
+        assert len(names) == 7
 
     def test_single_drain_toggle_equals_explicit_setting(self):
         problem = get_problem("F9", dim=6)

@@ -444,6 +444,21 @@ class TestAcceptanceRules:
         assert np.array_equal(pos, new_pos)
         assert np.array_equal(fit, new_fit)
 
+    def test_splashed_agents_are_always_accepted(self):
+        old_pos = np.array([[0.0], [1.0], [2.0]])
+        new_pos = np.array([[5.0], [6.0], [7.0]])
+        old_fit = np.array([1.0, 4.0, 3.0])
+        new_fit = np.array([0.5, 8.0, 9.0])
+        splashed = np.array([False, True, False])
+        pos, fit, improved = greedy_select(old_pos, old_fit, new_pos, new_fit, True, splashed)
+        # the splash landed on a worse point and is still taken
+        assert list(improved) == [True, False, False]
+        assert np.array_equal(pos[:, 0], [5.0, 6.0, 2.0])
+        assert np.array_equal(fit, [0.5, 8.0, 3.0])
+        pos, fit, _ = greedy_select(old_pos, old_fit, new_pos, new_fit, False, splashed)
+        assert np.array_equal(pos, new_pos)
+        assert np.array_equal(fit, new_fit)
+
     def test_stagnation_rule_table(self):
         phase = np.array([Phase.FAR, Phase.SPIRAL, Phase.CORE, Phase.CORE, Phase.CORE], dtype=int)
         improved = np.array([False, False, False, True, False])
@@ -486,8 +501,7 @@ class TestParams:
         assert make_ablation_params(base, "no_swirl").swirl is False
         assert make_ablation_params(base, "no_adaptive_spiral").adaptive_spiral is False
         assert make_ablation_params(base, "no_splash").splash_prob == 0.0
-        assert make_ablation_params(base, "radial_only").swirl is False
-        assert len(ABLATION_VARIANTS) == 8
+        assert len(ABLATION_VARIANTS) == 7
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):

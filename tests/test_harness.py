@@ -4,6 +4,7 @@ isolation, persistence round-trips, table emitters, and the CLI."""
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -284,7 +285,7 @@ class TestAblationExpansion:
             }
         )
         names = config.algorithm_names()
-        assert len(names) == 8
+        assert len(names) == 7
         assert names[0] == "dvo:full"
         assert set(names) == {
             "dvo:full",
@@ -294,7 +295,6 @@ class TestAblationExpansion:
             "dvo:no_swirl",
             "dvo:no_adaptive_spiral",
             "dvo:no_splash",
-            "dvo:radial_only",
         }
         assert all(spec.params == {"n_drains": 4} for spec in config.algorithms)
 
@@ -375,6 +375,34 @@ class TestRunExperiment:
             assert record.f_true is None
             # penalized best is raw objective plus a nonnegative penalty
             assert record.best_value >= record.objective_value - 1e-9
+
+    def test_feasibility_rechecked_only_at_other_tolerance(self, monkeypatch):
+        real = benchmarks.feasibility
+        calls = []
+
+        def counting(x, spec, tol=benchmarks.DEFAULT_FEASIBILITY_TOL):
+            calls.append(tol)
+            return real(x, spec, tol=tol)
+
+        monkeypatch.setattr(benchmarks, "feasibility", counting)
+        config = tiny_config(problems=("tension_spring",), dimensions=(), iterations=3)
+        strict = run_experiment(config).records
+        # one check per constrained run, the one build_record makes
+        assert calls == [benchmarks.DEFAULT_FEASIBILITY_TOL] * 2
+        assert [r.feasible for r in strict] == [False, False]
+        violations = [r.max_violation for r in strict]
+        assert violations[0] < 0.5 < violations[1]
+
+        calls.clear()
+        loose = run_experiment(replace(config, feasibility_tol=0.5)).records
+        assert calls == [benchmarks.DEFAULT_FEASIBILITY_TOL, 0.5] * 2
+        assert [r.feasible for r in loose] == [True, False]
+        assert [r.max_violation for r in loose] == violations
+        spring = benchmarks.get_problem("tension_spring")
+        for record in loose:
+            assert (record.feasible, record.max_violation) == real(
+                record.best_position, spring, tol=0.5
+            )
 
     def test_dvo_variant_runs_through_harness(self):
         config = tiny_config(algorithms=(AlgorithmSpec("dvo:no_swirl"),))
@@ -664,9 +692,9 @@ class TestCli:
         config = self.write_config(tmp_path, algorithms=["dvo"], problems=["F16"], dimensions=[])
         out = tmp_path / "out"
         assert main(["ablation", "--config", str(config), "--out", str(out)]) == 0
-        assert "wrote 16 records" in capsys.readouterr().out
+        assert "wrote 14 records" in capsys.readouterr().out
         loaded = load_result_set(out)
-        assert len(set(r.algorithm for r in loaded.records)) == 8
+        assert len(set(r.algorithm for r in loaded.records)) == 7
 
     def test_missing_input_dir(self, tmp_path, capsys):
         assert main(["tables", "--in", str(tmp_path / "absent")]) == 1
@@ -689,7 +717,7 @@ class TestCli:
         assert "dvo" in out
         assert "pso" in out
         assert "dvo:no_swirl" in out
-        assert len(out) == 15
+        assert len(out) == 14
 
     def test_usage_errors_exit_two(self):
         with pytest.raises(SystemExit) as err:

@@ -48,6 +48,23 @@ class TestRngStream:
     def test_different_seeds_differ(self):
         assert not np.array_equal(RngStream(1).random(20), RngStream(2).random(20))
 
+    def test_normal_into_out_matches_sized_draw(self):
+        a, b = RngStream(8), RngStream(8)
+        block = np.empty((3, 7))
+        for row in block:
+            a.standard_normal(out=row)
+        assert block.tobytes() == b.standard_normal((3, 7)).tobytes()
+        assert a.random() == b.random()
+
+    def test_restore_rewinds_to_snapshot(self):
+        rng = RngStream(12)
+        rng.random(5)
+        mark = rng.snapshot()
+        first = (rng.standard_normal(9), rng.random(4))
+        rng.restore(mark)
+        again = (rng.standard_normal(9), rng.random(4))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(first, again))
+
     def test_uniform_bounds(self):
         u = RngStream(5).uniform(-3.0, 7.0, 1000)
         assert np.all(u >= -3.0) and np.all(u < 7.0)
