@@ -1,22 +1,24 @@
 """Baseline optimizers sharing the RunRecord contract: PSO, GWO, WOA, SCA,
-AOA (arithmetic), and EO. All use componentwise clipping, evaluate the full
-population every sweep (N*(T+1) evaluations), and record the best-so-far
-value after each sweep."""
+AOA (arithmetic), and EO. Each runs through `engine.run_optimizer` and
+supplies only its start function and per-sweep update. All use componentwise
+clipping, evaluate the full population every sweep (N*(T+1) evaluations), and
+report as best so far the first strict minimum over the evaluated batches."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from . import benchmarks
+from .engine import run_optimizer
+from .engine import selection_pressure as linear_ramp
 from .errors import ConfigError
-from .records import DEFAULT_CHECKPOINTS, RunRecord, build_record
-from .rng import RngStream
 
-Array = np.ndarray
+# records are built by `engine.run_optimizer`; `build_record` stays bound here
+# because the span tracer in perfbench/tracing.py patches `baselines.build_record`
+from .records import DEFAULT_CHECKPOINTS, build_record  # noqa: F401
 
 DEFAULT_PARAMS = {
     "pso": dict(w_start=0.9, w_end=0.4, c1=2.0, c2=2.0, v_frac=0.2),
@@ -56,95 +58,62 @@ class BaselineConfig:
         return {**defaults, **dict(self.params)}
 
 
-def _linear(start, end, t, total):
-    return start + (end - start) * t / (total - 1)
+class _BestSoFar:
+    """First strict minimum over the evaluated batches; the first batch
+    always sets a position, even if every value is inf."""
 
-
-def _init(problem, n, rng):
-    lo, hi = problem.lower, problem.upper
-    positions = lo + rng.random((n, lo.size)) * (hi - lo)
-    return positions, benchmarks.evaluate(problem, positions, rng)
-
-
-class _Runner:
-    """Shared bookkeeping: best-so-far tracking, trace, record assembly."""
-
-    def __init__(self, algorithm, problem, config: BaselineConfig, seed, checkpoints, run_index):
-        self.algorithm = algorithm
-        self.problem = problem
-        self.config = config
-        self.seed = seed
-        self.checkpoints = checkpoints
-        self.run_index = run_index
-        self.rng = RngStream(seed)
-        self.started = time.perf_counter()
-        self.trace = np.empty(config.iterations)
-        self.evaluations = 0
-        self.best_position = None
-        self.best_value = np.inf
+    def __init__(self, positions, fitness):
+        i = int(np.argmin(fitness))
+        self.position, self.value = positions[i].copy(), float(fitness[i])
 
     def observe(self, positions, fitness):
-        self.evaluations += len(fitness)
+        """Take one evaluated batch; returns the sweep's report for the driver."""
         i = int(np.argmin(fitness))
-        # the first batch always sets a position, even if every value is inf
-        if self.best_position is None or fitness[i] < self.best_value:
-            self.best_value = float(fitness[i])
-            self.best_position = positions[i].copy()
-
-    def record(self) -> RunRecord:
-        walltime_ms = (time.perf_counter() - self.started) * 1e3
-        return build_record(
-            algorithm=self.algorithm,
-            problem=self.problem,
-            run_index=self.run_index,
-            seed=self.seed,
-            best_position=self.best_position,
-            best_value=self.best_value,
-            trace=self.trace,
-            evaluations=self.evaluations,
-            walltime_ms=walltime_ms,
-            checkpoint_iters=self.checkpoints,
-        )
+        if fitness[i] < self.value:
+            self.position, self.value = positions[i].copy(), float(fitness[i])
+        return fitness.size, self.position, self.value
 
 
 def run_pso(problem, config, seed, checkpoints=DEFAULT_CHECKPOINTS, run_index=0):
     """Global-best PSO with linear inertia schedule and velocity clamping."""
     p = config.resolved()
     n, total = config.n_agents, config.iterations
-    state = _Runner("pso", problem, config, seed, checkpoints, run_index)
-    rng = state.rng
     lo, hi = problem.lower, problem.upper
     v_max = p["v_frac"] * (hi - lo)
 
-    positions, fitness = _init(problem, n, rng)
-    state.observe(positions, fitness)
-    velocity = np.zeros_like(positions)
-    pbest = positions.copy()
-    pbest_fit = fitness.copy()
-    g = int(np.argmin(pbest_fit))
-    gbest, gbest_fit = pbest[g].copy(), float(pbest_fit[g])
-
-    for t in range(total):
-        w = _linear(p["w_start"], p["w_end"], t, total)
-        r1 = rng.random((n, lo.size))
-        r2 = rng.random((n, lo.size))
-        velocity = (
-            w * velocity
-            + p["c1"] * r1 * (pbest - positions)
-            + p["c2"] * r2 * (gbest - positions)
-        )
-        velocity = np.clip(velocity, -v_max, v_max)
-        positions = np.clip(positions + velocity, lo, hi)
-        fitness = benchmarks.evaluate(problem, positions, state.rng)
-        state.observe(positions, fitness)
-        better = fitness < pbest_fit
-        pbest[better] = positions[better]
-        pbest_fit[better] = fitness[better]
+    def start(positions, fitness, rng):
+        so_far = _BestSoFar(positions, fitness)
+        velocity = np.zeros_like(positions)
+        pbest = positions.copy()
+        pbest_fit = fitness.copy()
         g = int(np.argmin(pbest_fit))
-        if pbest_fit[g] < gbest_fit:
-            gbest, gbest_fit = pbest[g].copy(), float(pbest_fit[g])
-        state.trace[t] = state.best_value
-    return state.record()
+        gbest, gbest_fit = pbest[g].copy(), float(pbest_fit[g])
+
+        def sweep(t):
+            nonlocal positions, velocity, gbest, gbest_fit
+            w = linear_ramp(t, total, p["w_start"], p["w_end"])
+            r1 = rng.random((n, lo.size))
+            r2 = rng.random((n, lo.size))
+            velocity = (
+                w * velocity
+                + p["c1"] * r1 * (pbest - positions)
+                + p["c2"] * r2 * (gbest - positions)
+            )
+            velocity = np.clip(velocity, -v_max, v_max)
+            positions = np.clip(positions + velocity, lo, hi)
+            fitness = benchmarks.evaluate(problem, positions, rng)
+            report = so_far.observe(positions, fitness)
+            better = fitness < pbest_fit
+            pbest[better] = positions[better]
+            pbest_fit[better] = fitness[better]
+            g = int(np.argmin(pbest_fit))
+            if pbest_fit[g] < gbest_fit:
+                gbest, gbest_fit = pbest[g].copy(), float(pbest_fit[g])
+            return report
+
+        return sweep
+
+    return run_optimizer(problem, start, n, total, seed, "pso", checkpoints, run_index)
 
 
 def run_gwo(problem, config, seed, checkpoints=DEFAULT_CHECKPOINTS, run_index=0):
@@ -154,29 +123,30 @@ def run_gwo(problem, config, seed, checkpoints=DEFAULT_CHECKPOINTS, run_index=0)
     """
     p = config.resolved()
     n, total = config.n_agents, config.iterations
-    state = _Runner("gwo", problem, config, seed, checkpoints, run_index)
-    rng = state.rng
     lo, hi = problem.lower, problem.upper
     d = lo.size
 
-    positions, fitness = _init(problem, n, rng)
-    state.observe(positions, fitness)
+    def start(positions, fitness, rng):
+        so_far = _BestSoFar(positions, fitness)
 
-    for t in range(total):
-        a = _linear(p["a_start"], p["a_end"], t, total)
-        leaders = positions[np.argsort(fitness, kind="stable")[:3]]
-        pulls = np.empty((3, n, d))
-        for j in range(3):
-            r1 = rng.random((n, d))
-            r2 = rng.random((n, d))
-            coeff_a = 2.0 * a * r1 - a
-            coeff_c = 2.0 * r2
-            pulls[j] = leaders[j] - coeff_a * np.abs(coeff_c * leaders[j] - positions)
-        positions = np.clip(pulls.mean(axis=0), lo, hi)
-        fitness = benchmarks.evaluate(problem, positions, state.rng)
-        state.observe(positions, fitness)
-        state.trace[t] = state.best_value
-    return state.record()
+        def sweep(t):
+            nonlocal positions, fitness
+            a = linear_ramp(t, total, p["a_start"], p["a_end"])
+            leaders = positions[np.argsort(fitness, kind="stable")[:3]]
+            pulls = np.empty((3, n, d))
+            for j in range(3):
+                r1 = rng.random((n, d))
+                r2 = rng.random((n, d))
+                coeff_a = 2.0 * a * r1 - a
+                coeff_c = 2.0 * r2
+                pulls[j] = leaders[j] - coeff_a * np.abs(coeff_c * leaders[j] - positions)
+            positions = np.clip(pulls.mean(axis=0), lo, hi)
+            fitness = benchmarks.evaluate(problem, positions, rng)
+            return so_far.observe(positions, fitness)
+
+        return sweep
+
+    return run_optimizer(problem, start, n, total, seed, "gwo", checkpoints, run_index)
 
 
 def _woa_spiral(positions, best, ell, pitch):
@@ -195,46 +165,45 @@ def run_woa(problem, config, seed, checkpoints=DEFAULT_CHECKPOINTS, run_index=0)
     """
     p = config.resolved()
     n, total = config.n_agents, config.iterations
-    state = _Runner("woa", problem, config, seed, checkpoints, run_index)
-    rng = state.rng
     lo, hi = problem.lower, problem.upper
     d = lo.size
 
-    positions, fitness = _init(problem, n, rng)
-    state.observe(positions, fitness)
-    leader = state.best_position.copy()
+    def start(positions, fitness, rng):
+        so_far = _BestSoFar(positions, fitness)
 
-    for t in range(total):
-        a = _linear(p["a_start"], p["a_end"], t, total)
-        branch = rng.random(n)
-        coeff_a = 2.0 * a * rng.random(n) - a
-        coeff_c = 2.0 * rng.random((n, d))
-        ell = rng.uniform(-1.0, 1.0, n)
-        partners = (rng.random(n) * n).astype(int)
+        def sweep(t):
+            nonlocal positions
+            leader = so_far.position
+            a = linear_ramp(t, total, p["a_start"], p["a_end"])
+            branch = rng.random(n)
+            coeff_a = 2.0 * a * rng.random(n) - a
+            coeff_c = 2.0 * rng.random((n, d))
+            ell = rng.uniform(-1.0, 1.0, n)
+            partners = (rng.random(n) * n).astype(int)
 
-        new_positions = np.empty_like(positions)
-        spiral = branch >= 0.5
-        if spiral.any():
-            new_positions[spiral] = _woa_spiral(
-                positions[spiral], leader, ell[spiral], p["spiral_pitch"]
-            )
-        chase = ~spiral
-        encircle = chase & (np.abs(coeff_a) < 1.0)
-        search = chase & ~encircle
-        if encircle.any():
-            gap = np.abs(coeff_c[encircle] * leader - positions[encircle])
-            new_positions[encircle] = leader - coeff_a[encircle, None] * gap
-        if search.any():
-            ref = positions[partners[search]]
-            gap = np.abs(coeff_c[search] * ref - positions[search])
-            new_positions[search] = ref - coeff_a[search, None] * gap
+            new_positions = np.empty_like(positions)
+            spiral = branch >= 0.5
+            if spiral.any():
+                new_positions[spiral] = _woa_spiral(
+                    positions[spiral], leader, ell[spiral], p["spiral_pitch"]
+                )
+            chase = ~spiral
+            encircle = chase & (np.abs(coeff_a) < 1.0)
+            search = chase & ~encircle
+            if encircle.any():
+                gap = np.abs(coeff_c[encircle] * leader - positions[encircle])
+                new_positions[encircle] = leader - coeff_a[encircle, None] * gap
+            if search.any():
+                ref = positions[partners[search]]
+                gap = np.abs(coeff_c[search] * ref - positions[search])
+                new_positions[search] = ref - coeff_a[search, None] * gap
 
-        positions = np.clip(new_positions, lo, hi)
-        fitness = benchmarks.evaluate(problem, positions, state.rng)
-        state.observe(positions, fitness)
-        leader = state.best_position.copy()
-        state.trace[t] = state.best_value
-    return state.record()
+            positions = np.clip(new_positions, lo, hi)
+            return so_far.observe(positions, benchmarks.evaluate(problem, positions, rng))
+
+        return sweep
+
+    return run_optimizer(problem, start, n, total, seed, "woa", checkpoints, run_index)
 
 
 def run_sca(problem, config, seed, checkpoints=DEFAULT_CHECKPOINTS, run_index=0):
@@ -244,35 +213,37 @@ def run_sca(problem, config, seed, checkpoints=DEFAULT_CHECKPOINTS, run_index=0)
     if n_elites < 1:
         raise ConfigError(["sca: n_elites must be >= 1"])
     n, total = config.n_agents, config.iterations
-    state = _Runner("sca", problem, config, seed, checkpoints, run_index)
-    rng = state.rng
     lo, hi = problem.lower, problem.upper
     d = lo.size
 
-    positions, fitness = _init(problem, n, rng)
-    state.observe(positions, fitness)
-    order = np.argsort(fitness, kind="stable")[:n_elites]
-    elites = positions[order].copy()
-    elite_fit = fitness[order].copy()
+    def start(positions, fitness, rng):
+        so_far = _BestSoFar(positions, fitness)
+        order = np.argsort(fitness, kind="stable")[:n_elites]
+        elites = positions[order].copy()
+        elite_fit = fitness[order].copy()
 
-    for t in range(total):
-        r1 = _linear(p["amplitude"], 0.0, t, total)
-        r2 = rng.uniform(0.0, 2.0 * np.pi, (n, d))
-        r3 = rng.uniform(0.0, 2.0, (n, d))
-        r4 = rng.random((n, d))
-        dest = elites[0]
-        gap = np.abs(r3 * dest - positions)
-        sin_move = positions + r1 * np.sin(r2) * gap
-        cos_move = positions + r1 * np.cos(r2) * gap
-        positions = np.clip(np.where(r4 < 0.5, sin_move, cos_move), lo, hi)
-        fitness = benchmarks.evaluate(problem, positions, state.rng)
-        state.observe(positions, fitness)
-        merged = np.concatenate([elites, positions], axis=0)
-        merged_fit = np.concatenate([elite_fit, fitness])
-        order = np.argsort(merged_fit, kind="stable")[:n_elites]
-        elites, elite_fit = merged[order].copy(), merged_fit[order].copy()
-        state.trace[t] = state.best_value
-    return state.record()
+        def sweep(t):
+            nonlocal positions, elites, elite_fit
+            r1 = linear_ramp(t, total, p["amplitude"], 0.0)
+            r2 = rng.uniform(0.0, 2.0 * np.pi, (n, d))
+            r3 = rng.uniform(0.0, 2.0, (n, d))
+            r4 = rng.random((n, d))
+            dest = elites[0]
+            gap = np.abs(r3 * dest - positions)
+            sin_move = positions + r1 * np.sin(r2) * gap
+            cos_move = positions + r1 * np.cos(r2) * gap
+            positions = np.clip(np.where(r4 < 0.5, sin_move, cos_move), lo, hi)
+            fitness = benchmarks.evaluate(problem, positions, rng)
+            report = so_far.observe(positions, fitness)
+            merged = np.concatenate([elites, positions], axis=0)
+            merged_fit = np.concatenate([elite_fit, fitness])
+            order = np.argsort(merged_fit, kind="stable")[:n_elites]
+            elites, elite_fit = merged[order].copy(), merged_fit[order].copy()
+            return report
+
+        return sweep
+
+    return run_optimizer(problem, start, n, total, seed, "sca", checkpoints, run_index)
 
 
 def run_aoa(problem, config, seed, checkpoints=DEFAULT_CHECKPOINTS, run_index=0):
@@ -280,35 +251,34 @@ def run_aoa(problem, config, seed, checkpoints=DEFAULT_CHECKPOINTS, run_index=0)
     gated by an accelerated schedule rising linearly over [0.1, 0.9]."""
     p = config.resolved()
     n, total = config.n_agents, config.iterations
-    state = _Runner("aoa", problem, config, seed, checkpoints, run_index)
-    rng = state.rng
     lo, hi = problem.lower, problem.upper
     d = lo.size
     eps = np.finfo(float).eps
     scaled = p["mu"] * (hi - lo) + lo
 
-    positions, fitness = _init(problem, n, rng)
-    state.observe(positions, fitness)
+    def start(positions, fitness, rng):
+        so_far = _BestSoFar(positions, fitness)
 
-    for t in range(total):
-        moa = _linear(p["moa_start"], p["moa_end"], t, total)
-        mop = 1.0 - (t / total) ** (1.0 / p["mop_power"])
-        best = state.best_position
-        r1 = rng.random((n, d))
-        r2 = rng.random((n, d))
-        r3 = rng.random((n, d))
-        explore = r1 > moa
-        div_move = best / (mop + eps) * scaled
-        mul_move = best * mop * scaled
-        sub_move = best - mop * scaled
-        add_move = best + mop * scaled
-        exploring = np.where(r2 < 0.5, div_move, mul_move)
-        exploiting = np.where(r3 < 0.5, sub_move, add_move)
-        positions = np.clip(np.where(explore, exploring, exploiting), lo, hi)
-        fitness = benchmarks.evaluate(problem, positions, state.rng)
-        state.observe(positions, fitness)
-        state.trace[t] = state.best_value
-    return state.record()
+        def sweep(t):
+            moa = linear_ramp(t, total, p["moa_start"], p["moa_end"])
+            mop = 1.0 - (t / total) ** (1.0 / p["mop_power"])
+            best = so_far.position
+            r1 = rng.random((n, d))
+            r2 = rng.random((n, d))
+            r3 = rng.random((n, d))
+            explore = r1 > moa
+            div_move = best / (mop + eps) * scaled
+            mul_move = best * mop * scaled
+            sub_move = best - mop * scaled
+            add_move = best + mop * scaled
+            exploring = np.where(r2 < 0.5, div_move, mul_move)
+            exploiting = np.where(r3 < 0.5, sub_move, add_move)
+            positions = np.clip(np.where(explore, exploring, exploiting), lo, hi)
+            return so_far.observe(positions, benchmarks.evaluate(problem, positions, rng))
+
+        return sweep
+
+    return run_optimizer(problem, start, n, total, seed, "aoa", checkpoints, run_index)
 
 
 def run_eo(problem, config, seed, checkpoints=DEFAULT_CHECKPOINTS, run_index=0):
@@ -317,50 +287,52 @@ def run_eo(problem, config, seed, checkpoints=DEFAULT_CHECKPOINTS, run_index=0):
     exponential mixing and an occasionally active generation term."""
     p = config.resolved()
     n, total = config.n_agents, config.iterations
-    state = _Runner("eo", problem, config, seed, checkpoints, run_index)
-    rng = state.rng
     lo, hi = problem.lower, problem.upper
     d = lo.size
 
-    positions, fitness = _init(problem, n, rng)
-    state.observe(positions, fitness)
-    order = np.argsort(fitness, kind="stable")[:4]
-    eq_positions = positions[order].copy()
-    eq_fitness = fitness[order].copy()
-    old_positions = positions.copy()
-    old_fitness = fitness.copy()
-
-    for t in range(total):
-        pool = np.concatenate([eq_positions, eq_positions.mean(axis=0, keepdims=True)])
-        t_relax = (1.0 - t / total) ** (p["a2"] * t / total)
-        picks = (rng.random(n) * len(pool)).astype(int)
-        ceq = pool[picks]
-        lam = rng.random((n, d))
-        r = rng.random((n, d))
-        mix = p["a1"] * np.sign(r - 0.5) * (np.exp(-lam * t_relax) - 1.0)
-        r1 = rng.random(n)
-        r2 = rng.random(n)
-        gcp = np.where(r2 >= p["gp"], 0.5 * r1, 0.0)[:, None]
-        g0 = gcp * (ceq - lam * positions)
-        positions = ceq + (positions - ceq) * mix + (g0 * mix / lam) * (1.0 - mix)
-        positions = np.clip(positions, lo, hi)
-        fitness = benchmarks.evaluate(problem, positions, state.rng)
-        state.observe(positions, fitness)
-
-        # running-best pool update (stable: earlier entries win ties)
-        merged = np.concatenate([eq_positions, positions], axis=0)
-        merged_fit = np.concatenate([eq_fitness, fitness])
-        order = np.argsort(merged_fit, kind="stable")[:4]
-        eq_positions, eq_fitness = merged[order].copy(), merged_fit[order].copy()
-
-        # particle memory: revert agents that got worse
-        worse = fitness > old_fitness
-        positions[worse] = old_positions[worse]
-        fitness[worse] = old_fitness[worse]
+    def start(positions, fitness, rng):
+        so_far = _BestSoFar(positions, fitness)
+        order = np.argsort(fitness, kind="stable")[:4]
+        eq_positions = positions[order].copy()
+        eq_fitness = fitness[order].copy()
         old_positions = positions.copy()
         old_fitness = fitness.copy()
-        state.trace[t] = state.best_value
-    return state.record()
+
+        def sweep(t):
+            nonlocal positions, eq_positions, eq_fitness, old_positions, old_fitness
+            pool = np.concatenate([eq_positions, eq_positions.mean(axis=0, keepdims=True)])
+            t_relax = (1.0 - t / total) ** (p["a2"] * t / total)
+            picks = (rng.random(n) * len(pool)).astype(int)
+            ceq = pool[picks]
+            lam = rng.random((n, d))
+            r = rng.random((n, d))
+            mix = p["a1"] * np.sign(r - 0.5) * (np.exp(-lam * t_relax) - 1.0)
+            r1 = rng.random(n)
+            r2 = rng.random(n)
+            gcp = np.where(r2 >= p["gp"], 0.5 * r1, 0.0)[:, None]
+            g0 = gcp * (ceq - lam * positions)
+            positions = ceq + (positions - ceq) * mix + (g0 * mix / lam) * (1.0 - mix)
+            positions = np.clip(positions, lo, hi)
+            fitness = benchmarks.evaluate(problem, positions, rng)
+            report = so_far.observe(positions, fitness)
+
+            # running-best pool update (stable: earlier entries win ties)
+            merged = np.concatenate([eq_positions, positions], axis=0)
+            merged_fit = np.concatenate([eq_fitness, fitness])
+            order = np.argsort(merged_fit, kind="stable")[:4]
+            eq_positions, eq_fitness = merged[order].copy(), merged_fit[order].copy()
+
+            # particle memory: revert agents that got worse
+            worse = fitness > old_fitness
+            positions[worse] = old_positions[worse]
+            fitness[worse] = old_fitness[worse]
+            old_positions = positions.copy()
+            old_fitness = fitness.copy()
+            return report
+
+        return sweep
+
+    return run_optimizer(problem, start, n, total, seed, "eo", checkpoints, run_index)
 
 
 BASELINES = {

@@ -21,7 +21,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute an experiment config")
     ablation = sub.add_parser(
-        "ablation", help="execute a config with the algorithm list expanded to the 8 dvo variants"
+        "ablation",
+        help="execute a config with the algorithm list expanded to the "
+        f"{len(engine.ABLATION_VARIANTS)} dvo variants",
     )
     for p in (run, ablation):
         p.add_argument("--config", required=True, help="path to a JSON experiment config")

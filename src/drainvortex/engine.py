@@ -1,4 +1,4 @@
-"""Drain-vortex optimizer.
+"""Drain-vortex optimizer and the run driver shared with the baselines.
 
 A population of agents flows toward a small set of elite "drains". Each agent
 is assigned a drain by a quality/proximity score, then moves by one of three
@@ -7,6 +7,12 @@ drift with noise, a shrinking swirl (spiral) around the drain, or a tight
 Gaussian core search. Core agents that stagnate too long are relaunched by a
 heavy-tailed splash around the best drain. Drains are refreshed each sweep
 from the elitist pool (current population, previous population, old drains).
+
+`run_optimizer` is the one run loop of dvo and of every baseline: it owns the
+seeded stream, the timer, the uniform initial population (drawn first, then
+evaluated), the evaluation count, the per-sweep trace and the record. An
+optimizer supplies a start function and a per-sweep update that reports the
+best so far; dvo reports the best drain after the elitist refresh.
 
 Random draw order within one sweep is fixed and documented in `step`:
 switch uniforms, switch destinations (ascending agent index), far-field noise
@@ -79,7 +85,9 @@ class Phase(IntEnum):
 @dataclass(frozen=True)
 class DvoParams:
     """Drain-vortex parameters. Defaults are the published configuration
-    plus this library's defaults for the free constants."""
+    plus this library's defaults for the free constants. Components with a
+    number are switched off through it (`switch_prob=0`, `splash_prob=0`,
+    `n_drains=1`, `residual_shrink=1.0`); only the others have a toggle."""
 
     n_agents: int = 30
     n_drains: int = 6
@@ -109,12 +117,8 @@ class DvoParams:
     splash_scale: float = 0.5
     epsilon: float = 1e-12
     # toggles
-    adaptive_spiral: bool = True
     swirl: bool = True
-    switching: bool = True
-    splash: bool = True
     greedy_update: bool = True
-    multi_vortex: bool = True
     forced_splash_replacement: bool = False
 
     def validate(self) -> None:
@@ -166,10 +170,6 @@ class DvoParams:
         if bad:
             raise ConfigError(bad)
 
-    @property
-    def effective_drains(self) -> int:
-        return self.n_drains if self.multi_vortex else 1
-
 
 ABLATION_VARIANTS = (
     "full",
@@ -191,11 +191,11 @@ def make_ablation_params(base: DvoParams, variant: str) -> DvoParams:
     if variant == "no_switch":
         return replace(base, switch_prob=0.0)
     if variant == "single_vortex":
-        return replace(base, n_drains=1, multi_vortex=False)
+        return replace(base, n_drains=1)
     if variant == "no_swirl":
         return replace(base, swirl=False)
     if variant == "no_adaptive_spiral":
-        return replace(base, adaptive_spiral=False)
+        return replace(base, residual_shrink=1.0)
     if variant == "no_splash":
         return replace(base, splash_prob=0.0)
     raise ConfigError(
@@ -234,7 +234,7 @@ def exploration_scale(t: int, total: int) -> float:
 
 
 def selection_pressure(t: int, total: int, start: float, end: float) -> float:
-    """Linear ramp between the pressure endpoints."""
+    """Linear ramp between the endpoints (also the baselines' schedules)."""
     return start + (end - start) * t / (total - 1)
 
 
@@ -342,11 +342,9 @@ def swirl_speed(rho, params: DvoParams):
 
 def shrink_factor(radii, scale, params: DvoParams):
     """Per-agent spiral shrink s in [0, r]; the contraction deepens as the
-    taper `scale` decays unless adaptive shrinking is disabled."""
-    if params.adaptive_spiral:
-        c = params.residual_shrink + (1.0 - params.residual_shrink) * scale / 2.0
-    else:
-        c = 1.0
+    taper `scale` decays, down to `residual_shrink` of its full strength
+    (1.0 keeps it fixed)."""
+    c = params.residual_shrink + (1.0 - params.residual_shrink) * scale / 2.0
     return (1.0 - params.shrink_gain * c) * np.asarray(radii)
 
 
@@ -492,13 +490,10 @@ def stagnation_update(stagnation, phase, improved, splashed):
 # ---------------------------------------------------------------------------
 
 
-def initialize(problem, params: DvoParams, bounds: Bounds, rng: RngStream) -> DvoState:
-    """Uniform population, evaluated, with the K best as initial drains."""
-    n = params.n_agents
-    k = params.effective_drains
-    positions = bounds.lower + rng.random((n, bounds.lower.size)) * bounds.span
-    fitness = benchmarks.evaluate(problem, positions, rng)
-    order = np.argsort(fitness, kind="stable")[:k]
+def initialize(positions, fitness, params: DvoParams) -> DvoState:
+    """State from the evaluated initial population; the K best agents are
+    the initial drains."""
+    order = np.argsort(fitness, kind="stable")[: params.n_drains]
     drains = positions[order].copy()
     drain_fitness = fitness[order].copy()
     return DvoState(
@@ -509,10 +504,10 @@ def initialize(problem, params: DvoParams, bounds: Bounds, rng: RngStream) -> Dv
         prev_fitness=fitness.copy(),
         drains=drains,
         drain_fitness=drain_fitness,
-        stagnation=np.zeros(n, dtype=int),
+        stagnation=np.zeros(fitness.size, dtype=int),
         best_position=drains[0].copy(),
         best_value=float(drain_fitness[0]),
-        evaluations=n,
+        evaluations=fitness.size,
     )
 
 
@@ -520,7 +515,7 @@ def step(state: DvoState, params: DvoParams, problem, bounds: Bounds, rng: RngSt
     """One sweep: schedules, assignment, switching, phase moves with splash,
     clip, evaluate, greedy selection, stagnation, elitist drain refresh."""
     n, d = state.positions.shape
-    k = params.effective_drains
+    k = params.n_drains
     scale = exploration_scale(state.t, params.iterations)
     pressure = selection_pressure(
         state.t, params.iterations, params.pressure_start, params.pressure_end
@@ -530,13 +525,12 @@ def step(state: DvoState, params: DvoParams, problem, bounds: Bounds, rng: RngSt
     assignment, rho = assign_drains(
         state.positions, state.drains, probs, bounds.diameter, params.epsilon
     )
-    if params.switching:
-        switched = stochastic_switch(assignment, probs, params.switch_prob, rng)
-        moved = np.where(switched != assignment)[0]
-        if moved.size:
-            dist = _row_norms(state.positions[moved] - state.drains[switched[moved]])
-            rho[moved] = np.minimum(dist / bounds.diameter, 1.0)
-            assignment = switched
+    switched = stochastic_switch(assignment, probs, params.switch_prob, rng)
+    moved = np.where(switched != assignment)[0]
+    if moved.size:
+        dist = _row_norms(state.positions[moved] - state.drains[switched[moved]])
+        rho[moved] = np.minimum(dist / bounds.diameter, 1.0)
+        assignment = switched
 
     phase = select_phase(rho, params.far_threshold, params.near_threshold)
     targets = state.drains[assignment]
@@ -561,7 +555,7 @@ def step(state: DvoState, params: DvoParams, problem, bounds: Bounds, rng: RngSt
         sigma0 = (
             params.core_radius if params.core_radius is not None else 0.1 * bounds.diameter
         )
-        if params.splash and params.splash_prob > 0.0:
+        if params.splash_prob > 0.0:
             eligible = core[state.stagnation[core] >= params.stay_limit]
             if eligible.size:
                 u = rng.random(eligible.size)
@@ -604,9 +598,58 @@ def step(state: DvoState, params: DvoParams, problem, bounds: Bounds, rng: RngSt
     state.phase = phase
     state.best_position = drains[0].copy()
     state.best_value = float(drain_fitness[0])
-    state.evaluations += n
+    state.evaluations += new_fitness.size
     state.t += 1
     return state
+
+
+# ---------------------------------------------------------------------------
+# the run driver
+# ---------------------------------------------------------------------------
+
+
+def initial_population(problem, n: int, rng: RngStream):
+    """(positions, fitness) of n points drawn uniformly in the box: the first
+    batch of every run."""
+    lower = problem.lower
+    positions = lower + rng.random((n, lower.size)) * (problem.upper - lower)
+    return positions, benchmarks.evaluate(problem, positions, rng)
+
+
+def run_optimizer(
+    problem, start, n_agents, iterations, seed, algorithm, checkpoints=DEFAULT_CHECKPOINTS, run_index=0
+) -> RunRecord:
+    """One seeded run of any optimizer, as a RunRecord.
+
+    `start(positions, fitness, rng)` receives the evaluated initial
+    population and the run's stream and returns the per-sweep update
+    `sweep(t)`. Each sweep returns (points it evaluated, best position, best
+    value) so far; the evaluation count sums the evaluated batches and the
+    trace keeps the best value after each sweep.
+    """
+    rng = RngStream(seed)
+    started = time.perf_counter()
+    positions, fitness = initial_population(problem, n_agents, rng)
+    sweep = start(positions, fitness, rng)
+    evaluations = fitness.size
+    trace = np.empty(iterations)
+    for t in range(iterations):
+        evaluated, best_position, best_value = sweep(t)
+        evaluations += evaluated
+        trace[t] = best_value
+    walltime_ms = (time.perf_counter() - started) * 1e3
+    return build_record(
+        algorithm=algorithm,
+        problem=problem,
+        run_index=run_index,
+        seed=seed,
+        best_position=best_position,
+        best_value=best_value,
+        trace=trace,
+        evaluations=evaluations,
+        walltime_ms=walltime_ms,
+        checkpoint_iters=checkpoints,
+    )
 
 
 def run(
@@ -617,26 +660,20 @@ def run(
     algorithm: str = "dvo",
     run_index: int = 0,
 ) -> RunRecord:
-    """Full drain-vortex run; N*(T+1) objective evaluations."""
+    """Full drain-vortex run through `run_optimizer`; N*(T+1) objective evaluations."""
     params.validate()
     bounds = Bounds.of(problem)
-    rng = RngStream(seed)
-    started = time.perf_counter()
-    state = initialize(problem, params, bounds, rng)
-    trace = np.empty(params.iterations)
-    for s in range(params.iterations):
-        step(state, params, problem, bounds, rng)
-        trace[s] = state.best_value
-    walltime_ms = (time.perf_counter() - started) * 1e3
-    return build_record(
-        algorithm=algorithm,
-        problem=problem,
-        run_index=run_index,
-        seed=seed,
-        best_position=state.best_position,
-        best_value=state.best_value,
-        trace=trace,
-        evaluations=state.evaluations,
-        walltime_ms=walltime_ms,
-        checkpoint_iters=checkpoints,
+
+    def start(positions, fitness, rng):
+        state = initialize(positions, fitness, params)
+
+        def sweep(t):
+            done = state.evaluations
+            step(state, params, problem, bounds, rng)
+            return state.evaluations - done, state.best_position, state.best_value
+
+        return sweep
+
+    return run_optimizer(
+        problem, start, params.n_agents, params.iterations, seed, algorithm, checkpoints, run_index
     )

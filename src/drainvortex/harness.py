@@ -88,40 +88,48 @@ class ExperimentConfig:
         return cases
 
 
-def _validate_algorithm(spec: AlgorithmSpec, n_agents: int, iterations: int) -> list:
-    """All problems with one algorithm entry (name, variant, parameters)."""
-    problems = []
-    name = spec.name
-    base = name.split(":", 1)[0]
+# dvo flags deleted because a numeric parameter already did their work
+_REPLACED_PARAMS = {
+    "switching": "switch_prob=0",
+    "splash": "splash_prob=0",
+    "multi_vortex": "n_drains=1",
+    "adaptive_spiral": "residual_shrink=1.0",
+}
+
+
+def _resolve_algorithm(name: str, params: dict, n_agents: int, iterations: int):
+    """The DvoParams (ablation variant applied) or BaselineConfig of one grid
+    algorithm; raises ConfigError listing every problem with the entry."""
+    base, _, variant = name.partition(":")
     if base == "dvo":
-        if ":" in name:
-            variant = name.split(":", 1)[1]
-            if variant not in engine.ABLATION_VARIANTS:
-                return [f"unknown dvo variant {variant!r}"]
+        if variant and variant not in engine.ABLATION_VARIANTS:
+            raise ConfigError([f"unknown dvo variant {variant!r}"])
+        replaced = [
+            f"dvo parameters: {key!r} was removed; {key}=false is {_REPLACED_PARAMS[key]}"
+            for key in params
+            if key in _REPLACED_PARAMS
+        ]
+        if replaced:
+            raise ConfigError(replaced)
         try:
-            merged = {"n_agents": n_agents, "iterations": iterations, **spec.params}
-            params = engine.DvoParams(**merged)
+            dvo = engine.DvoParams(**{"n_agents": n_agents, "iterations": iterations, **params})
+            dvo.validate()
         except TypeError as exc:
-            return [f"dvo parameters: {exc}"]
-        try:
-            params.validate()
+            raise ConfigError([f"dvo parameters: {exc}"]) from exc
         except ConfigError as exc:
-            problems.extend(f"dvo parameters: {p}" for p in exc.problems)
-    elif base in BASELINES:
-        overrides = dict(spec.params)
-        cfg = BaselineConfig(
-            algorithm=base,
-            n_agents=int(overrides.pop("n_agents", n_agents)),
-            iterations=int(overrides.pop("iterations", iterations)),
-            params=overrides,
-        )
-        try:
-            cfg.resolved()
-        except ConfigError as exc:
-            problems.extend(exc.problems)
-    else:
-        problems.append(f"unknown algorithm {name!r}")
-    return problems
+            raise ConfigError([f"dvo parameters: {p}" for p in exc.problems]) from exc
+        return engine.make_ablation_params(dvo, variant) if variant else dvo
+    if base not in BASELINES:
+        raise ConfigError([f"unknown algorithm {name!r}"])
+    overrides = dict(params)
+    config = BaselineConfig(
+        algorithm=base,
+        n_agents=int(overrides.pop("n_agents", n_agents)),
+        iterations=int(overrides.pop("iterations", iterations)),
+        params=overrides,
+    )
+    config.resolved()
+    return config
 
 
 def validate_config(config: ExperimentConfig) -> list:
@@ -148,7 +156,10 @@ def validate_config(config: ExperimentConfig) -> list:
     for name in sorted({n for n in names if names.count(n) > 1}):
         problems.append(f"duplicate algorithm {name!r}")
     for spec in config.algorithms:
-        problems.extend(_validate_algorithm(spec, config.n_agents, config.iterations))
+        try:
+            _resolve_algorithm(spec.name, spec.params, config.n_agents, config.iterations)
+        except ConfigError as exc:
+            problems.extend(exc.problems)
 
     if config.suite in ("custom", "ablation"):
         if not config.problems:
@@ -360,70 +371,58 @@ class ResultSet:
         return stats.compare(self, reference)
 
 
-def _run_single(task) -> RunRecord:
-    (
-        algorithm,
-        params,
-        problem_name,
-        dim,
-        n_agents,
-        iterations,
-        seed,
-        run_index,
-        checkpoints,
-        penalty_coeff,
-        feasibility_tol,
-    ) = task
-    problem = benchmarks.get_problem(problem_name, dim)
-    if problem.constrained:
-        problem = benchmarks.penalize(problem, benchmarks.PenaltySpec(penalty_coeff))
+@dataclass(frozen=True)
+class _Task:
+    """One run of the grid, as handed to a worker."""
 
-    base_name = algorithm.split(":", 1)[0]
-    if base_name == "dvo":
-        merged = {"n_agents": n_agents, "iterations": iterations, **params}
-        dvo_params = engine.DvoParams(**merged)
-        if ":" in algorithm:
-            dvo_params = engine.make_ablation_params(dvo_params, algorithm.split(":", 1)[1])
+    algorithm: str
+    settings: engine.DvoParams | BaselineConfig  # from _resolve_algorithm
+    problem: str
+    dim: int
+    seed: int
+    run_index: int
+    checkpoints: tuple
+    penalty_coeff: float
+    feasibility_tol: float
+
+
+def _run_single(task: _Task) -> RunRecord:
+    problem = benchmarks.get_problem(task.problem, task.dim)
+    if problem.constrained:
+        problem = benchmarks.penalize(problem, benchmarks.PenaltySpec(task.penalty_coeff))
+    settings = task.settings
+    if isinstance(settings, engine.DvoParams):
         record = engine.run(
             problem,
-            dvo_params,
-            seed=seed,
-            checkpoints=checkpoints,
-            algorithm=algorithm,
-            run_index=run_index,
+            settings,
+            seed=task.seed,
+            checkpoints=task.checkpoints,
+            algorithm=task.algorithm,
+            run_index=task.run_index,
         )
     else:
-        overrides = dict(params)
-        cfg = BaselineConfig(
-            algorithm=base_name,
-            n_agents=int(overrides.pop("n_agents", n_agents)),
-            iterations=int(overrides.pop("iterations", iterations)),
-            params=overrides,
-        )
-        record = BASELINES[base_name](
-            problem, cfg, seed, checkpoints=checkpoints, run_index=run_index
+        record = BASELINES[settings.algorithm](
+            problem, settings, task.seed, checkpoints=task.checkpoints, run_index=task.run_index
         )
     # build_record has checked feasibility at the default tolerance already
-    if problem.constrained and feasibility_tol != benchmarks.DEFAULT_FEASIBILITY_TOL:
+    if problem.constrained and task.feasibility_tol != benchmarks.DEFAULT_FEASIBILITY_TOL:
         record.feasible, record.max_violation = benchmarks.feasibility(
-            record.best_position, problem, tol=feasibility_tol
+            record.best_position, problem, tol=task.feasibility_tol
         )
     return record
 
 
-def _execute_task(task):
+def _execute_task(task: _Task):
     try:
         return ("ok", _run_single(task))
     except Exception as exc:  # noqa: BLE001 - failures become grid diagnostics
-        algorithm, _, problem_name, dim, *_rest = task
-        run_index = task[7]
         return (
             "fail",
             FailureRecord(
-                algorithm=algorithm,
-                problem=problem_name,
-                dim=dim,
-                run_index=run_index,
+                algorithm=task.algorithm,
+                problem=task.problem,
+                dim=task.dim,
+                run_index=task.run_index,
                 message=f"{type(exc).__name__}: {exc}",
             ),
         )
@@ -432,22 +431,21 @@ def _execute_task(task):
 def _task_grid(config: ExperimentConfig) -> list:
     tasks = []
     for spec in config.algorithms:
+        settings = _resolve_algorithm(spec.name, spec.params, config.n_agents, config.iterations)
         for problem_name, dim in config.case_list():
             for run_index in range(config.runs):
                 seed = mix_seed(config.master_seed, spec.name, problem_name, dim, run_index)
                 tasks.append(
-                    (
-                        spec.name,
-                        dict(spec.params),
-                        problem_name,
-                        dim,
-                        config.n_agents,
-                        config.iterations,
-                        seed,
-                        run_index,
-                        tuple(config.checkpoints),
-                        config.penalty_coeff,
-                        config.feasibility_tol,
+                    _Task(
+                        algorithm=spec.name,
+                        settings=settings,
+                        problem=problem_name,
+                        dim=dim,
+                        seed=seed,
+                        run_index=run_index,
+                        checkpoints=tuple(config.checkpoints),
+                        penalty_coeff=config.penalty_coeff,
+                        feasibility_tol=config.feasibility_tol,
                     )
                 )
     return tasks

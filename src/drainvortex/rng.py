@@ -69,22 +69,8 @@ class RngStream:
         """Rewind (or advance) the stream to a position taken by `snapshot`."""
         self._gen.bit_generator.state = snapshot
 
-    def spawn(self, index) -> "RngStream":
-        """Independent child stream for the given index."""
-        return RngStream(mix_seed(self.seed, index))
-
     def __repr__(self):
         return f"RngStream(seed={self.seed})"
-
-
-def derive_stream(master_seed: int, run_index: int) -> RngStream:
-    """Independent stream for run `run_index` under a master seed."""
-    return RngStream(mix_seed(master_seed, run_index))
-
-
-def gaussian_vector(dim: int, rng: RngStream) -> Array:
-    """Standard normal i.i.d. vector."""
-    return rng.standard_normal(dim)
 
 
 def tangent_unit_vector(radial: Array, rng: RngStream) -> Array:

@@ -14,6 +14,7 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -31,6 +32,7 @@ from drainvortex.engine import (
     Phase,
     drain_probabilities,
     exploration_scale,
+    initial_population,
     initialize,
     make_ablation_params,
     select_phase,
@@ -114,8 +116,9 @@ class TestSearchInvariants:
                 swirl_cap=float(rng.uniform(1.0, 20.0)),
                 shrink_gain=float(rng.uniform(0.0, 1.0)),
                 residual_shrink=float(rng.uniform(0.0, 1.0)),
-                adaptive_spiral=bool(rng.integers(0, 2)),
             )
+            if rng.integers(0, 2) == 0:  # a shrink that does not adapt
+                params = replace(params, residual_shrink=1.0)
             targets = rng.uniform(-5.0, 5.0, (n, d))
             direction = rng.standard_normal((n, d))
             direction /= np.linalg.norm(direction, axis=1, keepdims=True)
@@ -170,7 +173,7 @@ class TestSearchInvariants:
         bounds = Bounds.of(problem)
         for seed in (0, 1, 2):
             rng = RngStream(seed)
-            state = initialize(problem, params, bounds, rng)
+            state = initialize(*initial_population(problem, params.n_agents, rng), params)
             for _ in range(params.iterations):
                 step(state, params, problem, bounds, rng)
                 assert np.all(state.positions >= bounds.lower)

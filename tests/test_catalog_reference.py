@@ -473,10 +473,51 @@ def square_sensitive(spec, rng, n):
     return np.stack(columns, axis=-1)
 
 
+# Points on which one square of a derived value, taken with array `**` in
+# place of `_pow`, changes the evaluated bytes: F12's sin term and end term,
+# F13's sin terms, welded_beam's t1 in g1, speed_reducer's g5 and g6. Uniform
+# and square-sensitive points almost never show these; the values below were
+# found by seeded search. F12 and F13 put the value at the first or last
+# coordinate and `fill` everywhere else, so every other term but one is 0.
+EDGE_SQUARES = {
+    # name: (fill, first coordinates, last coordinates), at every dimension
+    "F12": (-1.0, [0.20040613875340796, 2.4485822341422026], [-6.369187561128163, 8.368735086235915]),
+    "F13": (1.0, [1.5020852035094068, -2.908018801977522], [-4.1792792793386235, 0.9312162121024361]),
+}
+DESIGN_SQUARES = {
+    "welded_beam": [  # g1
+        [0.3147690356032373, 6.8064630280496194, 6.692310607576643, 1.9682077882077735],
+        [1.163802141098748, 1.028489203518495, 3.2026354811737465, 1.3308753464089595],
+    ],
+    "speed_reducer": [
+        # g5
+        [2.622053421595064, 0.7737544276111633, 26.333864400051894, 7.4400511715777204,
+         8.119914006718707, 3.4300354171841305, 5.068829356389266],
+        [3.193522551074406, 0.7527326042518497, 21.19954292762752, 8.22017753888704,
+         8.082359542589147, 3.3360447441657204, 5.425928211429914],
+        # g6
+        [2.867835052540918, 0.7315311279015694, 23.953405975547053, 8.231080841654714,
+         7.347607925459806, 3.25168004367303, 5.095317184679762],
+        [3.040150092508293, 0.7201715492230669, 18.20773624930721, 8.230247417422609,
+         8.187995417414418, 3.033577592248587, 5.4217737520011715],
+    ],
+}
+
+
+def derived_squares(spec):
+    if spec.name not in EDGE_SQUARES:
+        return np.array(DESIGN_SQUARES.get(spec.name, []), dtype=float).reshape(-1, spec.dim)
+    fill, first, last = EDGE_SQUARES[spec.name]
+    points = np.full((len(first) + len(last), spec.dim), fill)
+    points[: len(first), 0] = first
+    points[len(first) :, -1] = last
+    return points
+
+
 def sample(spec, seed, n=2000):
     rng = np.random.default_rng(seed)
     inside = rng.uniform(spec.lower, spec.upper, (n, spec.dim))
-    return np.vstack([inside, square_sensitive(spec, rng, n), corners(spec)])
+    return np.vstack([inside, square_sensitive(spec, rng, n), corners(spec), derived_squares(spec)])
 
 
 def per_point(fn, points, *args):

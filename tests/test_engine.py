@@ -27,6 +27,7 @@ from drainvortex.engine import (
     exploration_scale,
     far_field_update,
     greedy_select,
+    initial_population,
     initialize,
     make_ablation_params,
     run,
@@ -284,14 +285,14 @@ class TestSwirlAndShrink:
         assert swirl_speed(np.array([1e-9]), params)[0] == 10.0
 
     def test_shrink_adaptive_endpoints(self):
-        params = DvoParams(shrink_gain=0.5, residual_shrink=0.1, adaptive_spiral=True)
+        params = DvoParams(shrink_gain=0.5, residual_shrink=0.1)
         radii = np.array([2.0])
         # scale 2 -> full contraction factor, scale 0 -> residual only
         assert math.isclose(shrink_factor(radii, 2.0, params)[0], 1.0, abs_tol=1e-12)
         assert math.isclose(shrink_factor(radii, 0.0, params)[0], 2.0 * 0.95, abs_tol=1e-12)
 
     def test_shrink_fixed_when_not_adaptive(self):
-        params = DvoParams(shrink_gain=0.5, adaptive_spiral=False)
+        params = DvoParams(shrink_gain=0.5, residual_shrink=1.0)
         radii = np.array([2.0, 4.0])
         for scale in (0.0, 1.0, 2.0):
             assert np.allclose(shrink_factor(radii, scale, params), [1.0, 2.0], atol=1e-15)
@@ -342,7 +343,7 @@ class TestSpiral:
         assert math.isclose(np.linalg.norm(out[0] - target), expected, rel_tol=0, abs_tol=1e-9)
 
     def test_without_swirl_is_radial_contraction(self):
-        params = DvoParams(swirl=False, shrink_gain=0.5, adaptive_spiral=False)
+        params = DvoParams(swirl=False, shrink_gain=0.5, residual_shrink=1.0)
         target = np.zeros(2)
         position = np.array([3.0, 4.0])
         out = spiral_update(
@@ -487,19 +488,14 @@ class TestParams:
         with pytest.raises(ConfigError):
             DvoParams(near_threshold=0.5, far_threshold=0.1).validate()
 
-    def test_effective_drains(self):
-        assert DvoParams(n_drains=6).effective_drains == 6
-        assert DvoParams(n_drains=6, multi_vortex=False).effective_drains == 1
-
     def test_ablation_variants(self):
         base = DvoParams()
         assert make_ablation_params(base, "full") == base
         assert make_ablation_params(base, "no_greedy").greedy_update is False
         assert make_ablation_params(base, "no_switch").switch_prob == 0.0
-        single = make_ablation_params(base, "single_vortex")
-        assert single.n_drains == 1 and single.multi_vortex is False
+        assert make_ablation_params(base, "single_vortex").n_drains == 1
         assert make_ablation_params(base, "no_swirl").swirl is False
-        assert make_ablation_params(base, "no_adaptive_spiral").adaptive_spiral is False
+        assert make_ablation_params(base, "no_adaptive_spiral").residual_shrink == 1.0
         assert make_ablation_params(base, "no_splash").splash_prob == 0.0
         assert len(ABLATION_VARIANTS) == 7
 
@@ -512,8 +508,7 @@ class TestInitialize:
     def test_population_and_drains(self):
         problem = sphere_problem(3, 5.0)
         params = DvoParams(n_agents=12, n_drains=4, iterations=10)
-        bounds = Bounds.of(problem)
-        state = initialize(problem, params, bounds, RngStream(30))
+        state = initialize(*initial_population(problem, 12, RngStream(30)), params)
 
         assert state.positions.shape == (12, 3)
         assert (state.positions >= -5.0).all() and (state.positions <= 5.0).all()
@@ -530,8 +525,8 @@ class TestInitialize:
 
     def test_single_vortex_keeps_one_drain(self):
         problem = sphere_problem(2)
-        params = DvoParams(n_agents=8, n_drains=5, iterations=10, multi_vortex=False)
-        state = initialize(problem, params, Bounds.of(problem), RngStream(31))
+        params = DvoParams(n_agents=8, n_drains=1, iterations=10)
+        state = initialize(*initial_population(problem, 8, RngStream(31)), params)
         assert state.drains.shape == (1, 2)
 
 
@@ -753,7 +748,7 @@ class TestRun:
         params = DvoParams(n_agents=6, n_drains=2, iterations=12, splash_prob=1.0, stay_limit=0)
         bounds = Bounds.of(problem)
         rng = RngStream(55)
-        state = initialize(problem, params, bounds, rng)
+        state = initialize(*initial_population(problem, params.n_agents, rng), params)
         for _ in range(12):
             step(state, params, problem, bounds, rng)
             assert (state.positions >= bounds.lower).all()

@@ -202,6 +202,27 @@ class TestConfigParsing:
             )
         assert "dvo parameters" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "key,replacement",
+        [
+            ("switching", "switch_prob=0"),
+            ("splash", "splash_prob=0"),
+            ("multi_vortex", "n_drains=1"),
+            ("adaptive_spiral", "residual_shrink=1.0"),
+        ],
+    )
+    def test_removed_dvo_flag_names_its_replacement(self, key, replacement):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(
+                {
+                    "suite": "classical_fixed",
+                    "algorithms": [{"name": "dvo:no_swirl", "params": {key: False}}],
+                }
+            )
+        assert err.value.problems == [
+            f"dvo parameters: {key!r} was removed; {key}=false is {replacement}"
+        ]
+
     def test_baseline_param_validation_routed(self):
         with pytest.raises(ConfigError) as err:
             config_from_dict(

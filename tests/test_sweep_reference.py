@@ -29,6 +29,7 @@ from drainvortex.engine import (
     elitist_drains,
     exploration_scale,
     far_field_update,
+    initial_population,
     initialize,
     select_phase,
     selection_pressure,
@@ -117,7 +118,7 @@ def _reference_stochastic_switch(assignment, probs, switch_prob, rng: RngStream)
 
 def _reference_step(state, params: DvoParams, problem, bounds: Bounds, rng: RngStream):
     n, d = state.positions.shape
-    k = params.effective_drains
+    k = params.n_drains  # was params.effective_drains
     scale = exploration_scale(state.t, params.iterations)
     pressure = selection_pressure(
         state.t, params.iterations, params.pressure_start, params.pressure_end
@@ -127,7 +128,7 @@ def _reference_step(state, params: DvoParams, problem, bounds: Bounds, rng: RngS
     assignment, rho = assign_drains(
         state.positions, state.drains, probs, bounds.diameter, params.epsilon
     )
-    if params.switching:
+    if True:  # was params.switching, True for every params passed here
         switched = _reference_stochastic_switch(assignment, probs, params.switch_prob, rng)
         moved = switched != assignment
         if moved.any():
@@ -160,7 +161,7 @@ def _reference_step(state, params: DvoParams, problem, bounds: Bounds, rng: RngS
         sigma0 = (
             params.core_radius if params.core_radius is not None else 0.1 * bounds.diameter
         )
-        if params.splash and params.splash_prob > 0.0:
+        if True and params.splash_prob > 0.0:  # was params.splash, always True here
             eligible = core[state.stagnation[core] >= params.stay_limit]
             if eligible.size:
                 u = rng.random(eligible.size)
@@ -373,8 +374,8 @@ class TestSweep:
             problem = benchmarks.get_problem(("F1", "F7", "F9")[seed % 3], d)
             bounds = Bounds.of(problem)
             ours, theirs = RngStream(seed), RngStream(seed)
-            got = initialize(problem, params, bounds, ours)
-            want = initialize(problem, params, bounds, theirs)
+            got = initialize(*initial_population(problem, params.n_agents, ours), params)
+            want = initialize(*initial_population(problem, params.n_agents, theirs), params)
             for _ in range(params.iterations):
                 step(got, params, problem, bounds, ours)
                 _reference_step(want, params, problem, bounds, theirs)
