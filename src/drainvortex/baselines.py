@@ -53,9 +53,14 @@ class BaselineConfig:
             bad.append(f"n_agents must be >= 2, got {self.n_agents}")
         if self.iterations < 2:
             bad.append(f"iterations must be >= 2, got {self.iterations}")
+        params = {**defaults, **dict(self.params)}
+        if self.algorithm == "sca":
+            n_elites = params["n_elites"]
+            if isinstance(n_elites, bool) or not isinstance(n_elites, int) or n_elites < 1:
+                bad.append(f"sca: n_elites must be an integer >= 1, got {n_elites!r}")
         if bad:
             raise ConfigError(bad)
-        return {**defaults, **dict(self.params)}
+        return params
 
 
 class _BestSoFar:
@@ -209,9 +214,7 @@ def run_woa(problem, config, seed, checkpoints=DEFAULT_CHECKPOINTS, run_index=0)
 def run_sca(problem, config, seed, checkpoints=DEFAULT_CHECKPOINTS, run_index=0):
     """Sine-cosine algorithm against the best of a small elite archive."""
     p = config.resolved()
-    n_elites = int(p["n_elites"])
-    if n_elites < 1:
-        raise ConfigError(["sca: n_elites must be >= 1"])
+    n_elites = p["n_elites"]
     n, total = config.n_agents, config.iterations
     lo, hi = problem.lower, problem.upper
     d = lo.size

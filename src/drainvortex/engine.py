@@ -8,6 +8,10 @@ Gaussian core search. Core agents that stagnate too long are relaunched by a
 heavy-tailed splash around the best drain. Drains are refreshed each sweep
 from the elitist pool (current population, previous population, old drains).
 
+A run's `DvoState` carries only what the next sweep reads (see its
+docstring); the best so far is `drains[0]`, and `run_optimizer` counts the
+evaluations.
+
 `run_optimizer` is the one run loop of dvo and of every baseline: it owns the
 seeded stream, the timer, the uniform initial population (drawn first, then
 evaluated), the evaluation count, the per-sweep trace and the record. An
@@ -119,7 +123,6 @@ class DvoParams:
     # toggles
     swirl: bool = True
     greedy_update: bool = True
-    forced_splash_replacement: bool = False
 
     def validate(self) -> None:
         """Raise ConfigError listing every violated bound."""
@@ -205,19 +208,19 @@ def make_ablation_params(base: DvoParams, variant: str) -> DvoParams:
 
 @dataclass
 class DvoState:
-    """Mutable per-run state; `step` advances it by one sweep."""
+    """Mutable per-run state; `step` advances it by one sweep.
+
+    The sweep counter, the population and its fitness, the drains (best
+    first) and their fitness, and the per-agent stagnation counters;
+    `assignment`, `rho` and `phase` are those of the last sweep.
+    """
 
     t: int
     positions: Array
     fitness: Array
-    prev_positions: Array
-    prev_fitness: Array
     drains: Array
     drain_fitness: Array
     stagnation: Array
-    best_position: Array
-    best_value: float
-    evaluations: int
     assignment: Optional[Array] = None
     rho: Optional[Array] = None
     phase: Optional[Array] = None
@@ -500,14 +503,9 @@ def initialize(positions, fitness, params: DvoParams) -> DvoState:
         t=0,
         positions=positions,
         fitness=fitness,
-        prev_positions=positions.copy(),
-        prev_fitness=fitness.copy(),
         drains=drains,
         drain_fitness=drain_fitness,
         stagnation=np.zeros(fitness.size, dtype=int),
-        best_position=drains[0].copy(),
-        best_value=float(drain_fitness[0]),
-        evaluations=fitness.size,
     )
 
 
@@ -572,23 +570,11 @@ def step(state: DvoState, params: DvoParams, problem, bounds: Bounds, rng: RngSt
     positions, fitness, improved = greedy_select(
         state.positions, state.fitness, proposals, new_fitness, params.greedy_update, splashed
     )
-    prev_positions = state.positions
-    prev_fitness = state.fitness
-
-    if params.forced_splash_replacement and splashed.any():
-        # "forced": the splash also evicts the agent's old pool entry
-        prev_positions = prev_positions.copy()
-        prev_fitness = prev_fitness.copy()
-        prev_positions[splashed] = proposals[splashed]
-        prev_fitness[splashed] = new_fitness[splashed]
-
     drains, drain_fitness = elitist_drains(
-        positions, fitness, prev_positions, prev_fitness, state.drains, state.drain_fitness, k
+        positions, fitness, state.positions, state.fitness, state.drains, state.drain_fitness, k
     )
 
     state.stagnation = stagnation_update(state.stagnation, phase, improved, splashed)
-    state.prev_positions = prev_positions
-    state.prev_fitness = prev_fitness
     state.positions = positions
     state.fitness = fitness
     state.drains = drains
@@ -596,9 +582,6 @@ def step(state: DvoState, params: DvoParams, problem, bounds: Bounds, rng: RngSt
     state.assignment = assignment
     state.rho = rho
     state.phase = phase
-    state.best_position = drains[0].copy()
-    state.best_value = float(drain_fitness[0])
-    state.evaluations += new_fitness.size
     state.t += 1
     return state
 
@@ -668,9 +651,8 @@ def run(
         state = initialize(positions, fitness, params)
 
         def sweep(t):
-            done = state.evaluations
             step(state, params, problem, bounds, rng)
-            return state.evaluations - done, state.best_position, state.best_value
+            return state.fitness.size, state.drains[0], float(state.drain_fitness[0])
 
         return sweep
 

@@ -147,7 +147,7 @@ def validate_config(config: ExperimentConfig) -> list:
         problems.append(f"workers must be >= 1, got {config.workers}")
     if not (config.penalty_coeff > 0 and np.isfinite(config.penalty_coeff)):
         problems.append(f"penalty coefficient must be positive, got {config.penalty_coeff}")
-    if config.feasibility_tol < 0:
+    if not config.feasibility_tol >= 0:
         problems.append(f"feasibility tolerance must be >= 0, got {config.feasibility_tol}")
 
     if not config.algorithms:
@@ -267,6 +267,20 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             return default
         return value
 
+    def _float(key, default):
+        value = penalty.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            problems.append(f"penalty {key} must be a number, got {value!r}")
+            return default
+        return float(value)
+
+    def _list(key, kind, what):
+        value = data.get(key, [])
+        if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+            problems.append(f"{key!r} must be a list of {what}, got {value!r}")
+            return ()
+        return tuple(value)
+
     iterations = _int(execution, "iterations", 1000)
     raw_checkpoints = data.get("checkpoints", list(DEFAULT_CHECKPOINTS))
     if not isinstance(raw_checkpoints, list) or any(
@@ -283,8 +297,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     config = ExperimentConfig(
         suite=data.get("suite", "custom"),
-        problems=tuple(data.get("problems", ())),
-        dimensions=tuple(data.get("dimensions", ())),
+        problems=_list("problems", str, "names"),
+        dimensions=_list("dimensions", int, "integers"),
         algorithms=tuple(algorithms),
         runs=_int(execution, "runs", 30),
         iterations=iterations,
@@ -293,8 +307,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         checkpoints=checkpoints,
         output=output,
         workers=_int(execution, "workers", 1),
-        penalty_coeff=float(penalty.get("coefficient", benchmarks.DEFAULT_PENALTY_COEFF)),
-        feasibility_tol=float(penalty.get("feasibility_tol", benchmarks.DEFAULT_FEASIBILITY_TOL)),
+        penalty_coeff=_float("coefficient", benchmarks.DEFAULT_PENALTY_COEFF),
+        feasibility_tol=_float("feasibility_tol", benchmarks.DEFAULT_FEASIBILITY_TOL),
     )
     if config.suite == "ablation":
         config = expand_ablation(config)
@@ -404,11 +418,8 @@ def _run_single(task: _Task) -> RunRecord:
         record = BASELINES[settings.algorithm](
             problem, settings, task.seed, checkpoints=task.checkpoints, run_index=task.run_index
         )
-    # build_record has checked feasibility at the default tolerance already
-    if problem.constrained and task.feasibility_tol != benchmarks.DEFAULT_FEASIBILITY_TOL:
-        record.feasible, record.max_violation = benchmarks.feasibility(
-            record.best_position, problem, tol=task.feasibility_tol
-        )
+    if problem.constrained:
+        record.feasible = record.max_violation <= task.feasibility_tol
     return record
 
 

@@ -67,9 +67,9 @@ def build_record(
     evaluations: int,
     walltime_ms: float,
     checkpoint_iters=DEFAULT_CHECKPOINTS,
-    feasibility_tol: float = benchmarks.DEFAULT_FEASIBILITY_TOL,
 ) -> RunRecord:
-    """Assemble a RunRecord, deriving error and feasibility fields."""
+    """Assemble a RunRecord, deriving error and feasibility fields
+    (`feasible` at the default tolerance)."""
     trace = np.asarray(trace, dtype=float)
     f_true = problem.f_true
     error = log_err = None
@@ -81,9 +81,7 @@ def build_record(
     if problem.constrained:
         raw = problem.raw_objective or problem.objective
         objective_value = float(raw(np.asarray(best_position, dtype=float)))
-        feasible, max_violation = benchmarks.feasibility(
-            best_position, problem, tol=feasibility_tol
-        )
+        feasible, max_violation = benchmarks.feasibility(best_position, problem)
 
     # checkpoint c reads the best-so-far after sweep c (1-based)
     checkpoints = {}

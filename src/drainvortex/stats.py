@@ -183,27 +183,6 @@ def holm_correct(p_values) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ErrorSummary:
-    """Distribution of a per-run scalar across the runs of one grid cell."""
-
-    mean: float
-    std: float
-    best: float
-    worst: float
-    median: float
-
-    @classmethod
-    def of(cls, values: np.ndarray) -> "ErrorSummary":
-        return cls(
-            mean=float(values.mean()),
-            std=float(values.std(ddof=0)),
-            best=float(values.min()),
-            worst=float(values.max()),
-            median=float(np.median(values)),
-        )
-
-
-@dataclass(frozen=True)
 class CaseSummary:
     """One problem/dimension row of the cross-algorithm comparison."""
 
@@ -213,7 +192,6 @@ class CaseSummary:
     log_metric: bool = False
     metrics: dict = field(default_factory=dict)
     per_run: dict = field(default_factory=dict)
-    error_stats: dict = field(default_factory=dict)
     best_feasible: dict = field(default_factory=dict)
     feasible_rate: dict = field(default_factory=dict)
     winners: tuple = ()
@@ -308,14 +286,13 @@ def summarize(result_set) -> SummaryTable:
 
     case_summaries = []
     for problem, dim in cases:
-        metrics, per_run, error_stats = {}, {}, {}
+        metrics, per_run = {}, {}
         best_feasible, feasible_rate = {}, {}
         constrained = False
         for algorithm in algorithms:
             runs_here = [cells[(algorithm, problem, dim)][i] for i in range(runs)]
             values = _per_run_values(runs_here)
             per_run[algorithm] = values
-            error_stats[algorithm] = ErrorSummary.of(values)
             if runs_here[0].feasible is not None:
                 constrained = True
                 feasible = [r for r in runs_here if r.feasible]
@@ -342,7 +319,6 @@ def summarize(result_set) -> SummaryTable:
                 log_metric=sample.log10_error is not None and not constrained,
                 metrics=metrics,
                 per_run=per_run,
-                error_stats=error_stats,
                 best_feasible=best_feasible,
                 feasible_rate=feasible_rate,
                 winners=winners,

@@ -9,7 +9,14 @@ kept verbatim as the reference; the helpers they call are the package's own.
 The only edits: `_reference_run` calls `_reference_initialize` (the engine's
 `initialize` now takes the evaluated population), and that copy reads
 `params.n_drains` where it read `params.effective_drains`, the value it had
-for every params passed here.
+for every params passed here. `DvoState` no longer carries the previous
+population, the best so far or the evaluation count, so
+`_reference_initialize` no longer passes `prev_positions`, `prev_fitness`,
+`best_position`, `best_value` and `evaluations`, and `_reference_run` reads
+the best so far as `state.drains[0]`/`float(state.drain_fitness[0])` where it
+read `state.best_position`/`state.best_value` (the copies `step` made of
+them) and counts `n_agents*(iterations+1)` evaluations where it read
+`state.evaluations`.
 """
 
 import math
@@ -43,14 +50,9 @@ def _reference_initialize(problem, params: DvoParams, bounds: Bounds, rng: RngSt
         t=0,
         positions=positions,
         fitness=fitness,
-        prev_positions=positions.copy(),
-        prev_fitness=fitness.copy(),
         drains=drains,
         drain_fitness=drain_fitness,
         stagnation=np.zeros(n, dtype=int),
-        best_position=drains[0].copy(),
-        best_value=float(drain_fitness[0]),
-        evaluations=n,
     )
 
 
@@ -71,17 +73,17 @@ def _reference_run(
     trace = np.empty(params.iterations)
     for s in range(params.iterations):
         step(state, params, problem, bounds, rng)
-        trace[s] = state.best_value
+        trace[s] = float(state.drain_fitness[0])  # was state.best_value
     walltime_ms = (time.perf_counter() - started) * 1e3
     return build_record(
         algorithm=algorithm,
         problem=problem,
         run_index=run_index,
         seed=seed,
-        best_position=state.best_position,
-        best_value=state.best_value,
+        best_position=state.drains[0],  # was state.best_position
+        best_value=float(state.drain_fitness[0]),  # was state.best_value
         trace=trace,
-        evaluations=state.evaluations,
+        evaluations=params.n_agents * (params.iterations + 1),  # was state.evaluations
         walltime_ms=walltime_ms,
         checkpoint_iters=checkpoints,
     )

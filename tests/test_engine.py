@@ -512,16 +512,14 @@ class TestInitialize:
 
         assert state.positions.shape == (12, 3)
         assert (state.positions >= -5.0).all() and (state.positions <= 5.0).all()
-        assert state.evaluations == 12
-        assert np.array_equal(state.prev_positions, state.positions)
-        assert np.array_equal(state.prev_fitness, state.fitness)
+        assert state.fitness.shape == (12,)
         assert (state.stagnation == 0).all()
+        assert state.t == 0
 
         order = np.argsort(state.fitness, kind="stable")[:4]
         assert np.array_equal(state.drains, state.positions[order])
         assert np.array_equal(state.drain_fitness, state.fitness[order])
-        assert state.best_value == state.fitness.min()
-        assert np.array_equal(state.best_position, state.drains[0])
+        assert state.drain_fitness[0] == state.fitness.min()
 
     def test_single_vortex_keeps_one_drain(self):
         problem = sphere_problem(2)
@@ -564,14 +562,9 @@ class TestOracleSweep:
             t=1,
             positions=positions.copy(),
             fitness=fitness.copy(),
-            prev_positions=positions.copy(),
-            prev_fitness=fitness.copy(),
             drains=drain.copy(),
             drain_fitness=np.array([128.0]),
             stagnation=np.array([0, 0, 2, 0]),
-            best_position=drain[0].copy(),
-            best_value=128.0,
-            evaluations=8,
         )
         return problem, params, bounds, state, positions, fitness, drain
 
@@ -641,16 +634,13 @@ class TestOracleSweep:
         # splash is always accepted even when it lands on a worse point
         assert np.array_equal(state.positions[2], proposals[2])
 
-        # the previous pool keeps the entry generation
-        assert np.array_equal(state.prev_positions, entry_pos)
-        assert np.array_equal(state.prev_fitness, entry_fit)
-
+        # the drain pool holds the new generation, the entry generation and
+        # the old drain
         pool = np.concatenate([expect_pos, entry_pos, drain])
         pool_fit = np.concatenate([expect_fit, entry_fit, [128.0]])
         order = np.argsort(pool_fit, kind="stable")[:1]
         assert np.array_equal(state.drains, pool[order])
-        assert state.best_value == pool_fit[order][0]
-        assert np.array_equal(state.best_position, pool[order][0])
+        assert np.array_equal(state.drain_fitness, pool_fit[order])
 
         # stagnation: far and spiral reset, splash resets, core holds +1
         expect_stag = [0, 0, 0, 0 if improved[3] else 1]
@@ -659,47 +649,7 @@ class TestOracleSweep:
         assert np.array_equal(state.assignment, np.zeros(4, dtype=int))
         assert np.allclose(state.rho, rho, rtol=0, atol=1e-15)
         assert list(state.phase) == [Phase.FAR, Phase.SPIRAL, Phase.CORE, Phase.CORE]
-        assert state.evaluations == 12
         assert state.t == 2
-
-    def test_forced_splash_replaces_pool_entry(self):
-        problem = sphere_problem(2, 1.0)
-        base = dict(n_agents=3, n_drains=1, iterations=10, stay_limit=0, splash_prob=1.0)
-        positions = np.array([[0.01, 0.01], [0.02, 0.0], [0.0, -0.015]])
-        fitness = np.array([problem.objective(x) for x in positions])
-
-        def fresh_state():
-            return DvoState(
-                t=1,
-                positions=positions.copy(),
-                fitness=fitness.copy(),
-                prev_positions=positions.copy(),
-                prev_fitness=fitness.copy(),
-                drains=np.array([[0.0, 0.0]]),
-                drain_fitness=np.array([0.0]),
-                stagnation=np.zeros(3, dtype=int),
-                best_position=np.zeros(2),
-                best_value=0.0,
-                evaluations=6,
-            )
-
-        soft = fresh_state()
-        step(soft, DvoParams(**base), problem, Bounds.of(problem), RngStream(5))
-        assert np.array_equal(soft.prev_positions, positions)
-
-        forced = fresh_state()
-        step(
-            forced,
-            DvoParams(**base, forced_splash_replacement=True),
-            problem,
-            Bounds.of(problem),
-            RngStream(5),
-        )
-        # stay_limit 0 and certain splash: every core agent relaunches and
-        # its splash landing also evicts its pool entry
-        assert np.array_equal(forced.prev_positions, forced.positions)
-        assert np.array_equal(forced.prev_fitness, forced.fitness)
-        assert not np.array_equal(forced.prev_positions, positions)
 
 
 class TestRun:

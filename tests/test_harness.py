@@ -223,6 +223,51 @@ class TestConfigParsing:
             f"dvo parameters: {key!r} was removed; {key}=false is {replacement}"
         ]
 
+    def test_removed_splash_toggle_is_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(
+                {
+                    "suite": "classical_fixed",
+                    "algorithms": [
+                        {"name": "dvo", "params": {"forced_splash_replacement": True}}
+                    ],
+                }
+            )
+        assert len(err.value.problems) == 1
+        assert err.value.problems[0].startswith("dvo parameters:")
+        assert "forced_splash_replacement" in err.value.problems[0]
+
+    @pytest.mark.parametrize("n_elites", [0, -1, 1.5, "two", None])
+    def test_sca_elite_count_checked_at_config_time(self, n_elites):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(
+                {
+                    "suite": "classical_fixed",
+                    "algorithms": [{"name": "sca", "params": {"n_elites": n_elites}}],
+                }
+            )
+        assert err.value.problems == [
+            f"sca: n_elites must be an integer >= 1, got {n_elites!r}"
+        ]
+
+    @pytest.mark.parametrize(
+        "section,expected",
+        [
+            ({"penalty": {"coefficient": None}}, "penalty coefficient must be a number, got None"),
+            ({"penalty": {"feasibility_tol": "x"}}, "penalty feasibility_tol must be a number, got 'x'"),
+            ({"penalty": {"feasibility_tol": float("nan")}}, "feasibility tolerance must be >= 0, got nan"),
+            ({"problems": "F14"}, "'problems' must be a list of names, got 'F14'"),
+            ({"dimensions": 10}, "'dimensions' must be a list of integers, got 10"),
+        ],
+    )
+    def test_malformed_values_are_listed_with_other_problems(self, section, expected):
+        data = {"suite": "custom", "problems": ["F14"], "algorithms": ["pso", "cmaes"]}
+        data.update(section)
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        assert expected in err.value.problems
+        assert "unknown algorithm 'cmaes'" in err.value.problems
+
     def test_baseline_param_validation_routed(self):
         with pytest.raises(ConfigError) as err:
             config_from_dict(
@@ -397,7 +442,7 @@ class TestRunExperiment:
             # penalized best is raw objective plus a nonnegative penalty
             assert record.best_value >= record.objective_value - 1e-9
 
-    def test_feasibility_rechecked_only_at_other_tolerance(self, monkeypatch):
+    def test_feasibility_checked_once_at_any_tolerance(self, monkeypatch):
         real = benchmarks.feasibility
         calls = []
 
@@ -416,7 +461,8 @@ class TestRunExperiment:
 
         calls.clear()
         loose = run_experiment(replace(config, feasibility_tol=0.5)).records
-        assert calls == [benchmarks.DEFAULT_FEASIBILITY_TOL, 0.5] * 2
+        # the tolerance is applied to the recorded max_violation
+        assert calls == [benchmarks.DEFAULT_FEASIBILITY_TOL] * 2
         assert [r.feasible for r in loose] == [True, False]
         assert [r.max_violation for r in loose] == violations
         spring = benchmarks.get_problem("tension_spring")
@@ -720,6 +766,11 @@ class TestCli:
     def test_missing_input_dir(self, tmp_path, capsys):
         assert main(["tables", "--in", str(tmp_path / "absent")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_null_penalty_coefficient_is_a_config_error(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, penalty={"coefficient": None})
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert "penalty coefficient must be a number, got None" in capsys.readouterr().err
 
     def test_bad_config_path(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json"), "--out", "x"]) == 1

@@ -18,7 +18,6 @@ from hypothesis import given, strategies as st
 from drainvortex.errors import IncompleteGridError
 from drainvortex.records import RunRecord, floored_log10
 from drainvortex.stats import (
-    ErrorSummary,
     chi_square_sf,
     compare,
     friedman,
@@ -272,17 +271,6 @@ class TestHolm:
         assert (out <= 1.0).all()
         order = np.argsort(p, kind="stable")
         assert (np.diff(out[order]) >= -1e-15).all()
-
-
-class TestErrorSummary:
-    def test_moments(self):
-        values = np.array([1.0, 2.0, 3.0, 4.0])
-        summary = ErrorSummary.of(values)
-        assert summary.mean == 2.5
-        assert summary.std == float(values.std(ddof=0))
-        assert summary.best == 1.0
-        assert summary.worst == 4.0
-        assert summary.median == 2.5
 
 
 def make_record(
