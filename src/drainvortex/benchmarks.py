@@ -53,7 +53,8 @@ DEFAULT_FEASIBILITY_TOL = 1e-8
 class ProblemSpec:
     """A bound-constrained minimization problem, optionally with
     inequality constraints g(x) <= 0 and a known optimum for error
-    reporting."""
+    reporting. The box's `span` (upper - lower) and `diameter` (the norm of
+    the span) are derived from the bounds."""
 
     name: str
     dim: int
@@ -68,6 +69,8 @@ class ProblemSpec:
     raw_objective: Optional[Callable] = None
     # objective and constraints also take (n, dim) batches, one row per point
     vectorized: bool = False
+    span: Array = field(init=False)
+    diameter: float = field(init=False)
 
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=float)
@@ -85,6 +88,8 @@ class ProblemSpec:
             raise ValueError(f"{self.name}: dim must be >= 1")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "span", upper - lower)
+        object.__setattr__(self, "diameter", float(np.linalg.norm(upper - lower)))
 
     @property
     def constrained(self) -> bool:

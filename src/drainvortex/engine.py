@@ -10,7 +10,9 @@ from the elitist pool (current population, previous population, old drains).
 
 A run's `DvoState` carries only what the next sweep reads (see its
 docstring); the best so far is `drains[0]`, and `run_optimizer` counts the
-evaluations.
+evaluations. The sweep reads the box from the `ProblemSpec` it is given
+(`lower`, `upper` and the derived `span` and `diameter`, the denominator of
+rho) and the splash's Levy exponent from `DvoParams.levy_exponent`.
 
 `run_optimizer` is the one run loop of dvo and of every baseline: it owns the
 seeded stream, the timer, the uniform initial population (drawn first, then
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import Optional
 
@@ -47,37 +49,9 @@ from . import benchmarks
 from . import rng as rng_module
 from .errors import ConfigError
 from .records import DEFAULT_CHECKPOINTS, RunRecord, build_record
-from .rng import LevyParams, RngStream, levy_step, tangent_unit_vector
+from .rng import RngStream, levy_step, tangent_unit_vector
 
 Array = np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class Bounds:
-    """Box bounds with the derived span vector and diameter."""
-
-    lower: Array
-    upper: Array
-    span: Array = field(init=False)
-    diameter: float = field(init=False)
-
-    def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        if lower.shape != upper.shape or lower.ndim != 1:
-            raise ValueError("bounds must be 1-D vectors of equal length")
-        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
-            raise ValueError("bounds must be finite")
-        if not (lower < upper).all():
-            raise ValueError("need lower < upper componentwise")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "span", upper - lower)
-        object.__setattr__(self, "diameter", float(np.linalg.norm(upper - lower)))
-
-    @classmethod
-    def of(cls, problem: "benchmarks.ProblemSpec") -> "Bounds":
-        return cls(problem.lower, problem.upper)
 
 
 class Phase(IntEnum):
@@ -111,7 +85,7 @@ class DvoParams:
     swirl_cap: float = 10.0
     shrink_gain: float = 0.5
     residual_shrink: float = 0.1
-    # core; None means 0.1 * bounds.diameter at run time
+    # core; None means 0.1 * problem.diameter at run time
     core_radius: Optional[float] = None
     # switching and splash
     switch_prob: float = 0.08
@@ -174,36 +148,25 @@ class DvoParams:
             raise ConfigError(bad)
 
 
-ABLATION_VARIANTS = (
-    "full",
-    "no_greedy",
-    "no_switch",
-    "single_vortex",
-    "no_swirl",
-    "no_adaptive_spiral",
-    "no_splash",
-)
+# each ablation variant as its overrides of the full algorithm's DvoParams
+ABLATION_VARIANTS = {
+    "full": {},
+    "no_greedy": {"greedy_update": False},
+    "no_switch": {"switch_prob": 0.0},
+    "single_vortex": {"n_drains": 1},
+    "no_swirl": {"swirl": False},
+    "no_adaptive_spiral": {"residual_shrink": 1.0},
+    "no_splash": {"splash_prob": 0.0},
+}
 
 
 def make_ablation_params(base: DvoParams, variant: str) -> DvoParams:
     """Parameter set for one ablation variant of the full algorithm."""
-    if variant == "full":
-        return base
-    if variant == "no_greedy":
-        return replace(base, greedy_update=False)
-    if variant == "no_switch":
-        return replace(base, switch_prob=0.0)
-    if variant == "single_vortex":
-        return replace(base, n_drains=1)
-    if variant == "no_swirl":
-        return replace(base, swirl=False)
-    if variant == "no_adaptive_spiral":
-        return replace(base, residual_shrink=1.0)
-    if variant == "no_splash":
-        return replace(base, splash_prob=0.0)
-    raise ConfigError(
-        [f"unknown ablation variant {variant!r}; choose one of {ABLATION_VARIANTS}"]
-    )
+    if variant not in ABLATION_VARIANTS:
+        raise ConfigError(
+            [f"unknown ablation variant {variant!r}; choose one of {tuple(ABLATION_VARIANTS)}"]
+        )
+    return replace(base, **ABLATION_VARIANTS[variant])
 
 
 @dataclass
@@ -324,8 +287,8 @@ def elitist_drains(positions, fitness, prev_positions, prev_fitness, drains, dra
 # ---------------------------------------------------------------------------
 
 
-def far_field_update(positions, targets, scale, params: DvoParams, bounds: Bounds, rng: RngStream):
-    """Drift toward the drain plus isotropic noise shaped by the bounds.
+def far_field_update(positions, targets, scale, params: DvoParams, problem, rng: RngStream):
+    """Drift toward the drain plus isotropic noise shaped by the box span.
 
     positions/targets are (n, d) blocks; one standard normal block is drawn.
     """
@@ -334,7 +297,7 @@ def far_field_update(positions, targets, scale, params: DvoParams, bounds: Bound
     d = positions.shape[1]
     noise = rng.standard_normal(positions.shape)
     drift = params.far_drift * scale * (targets - positions)
-    jitter = params.far_noise * (scale / 2.0) * (bounds.span / math.sqrt(d)) * noise
+    jitter = params.far_noise * (scale / 2.0) * (problem.span / math.sqrt(d)) * noise
     return positions + drift + jitter
 
 
@@ -449,16 +412,16 @@ def core_update(targets, scale, sigma0, rng: RngStream):
     return targets + sigma_t / math.sqrt(d) * rng.standard_normal(targets.shape)
 
 
-def splash_out(anchor, params: DvoParams, bounds: Bounds, rng: RngStream):
+def splash_out(anchor, params: DvoParams, problem, rng: RngStream):
     """Heavy-tailed relaunch around the best drain."""
     anchor = np.asarray(anchor, dtype=float)
-    step_vec = levy_step(anchor.size, LevyParams(params.levy_exponent), rng)
-    return anchor + params.splash_scale * bounds.diameter / math.sqrt(anchor.size) * step_vec
+    step_vec = levy_step(anchor.size, params.levy_exponent, rng)
+    return anchor + params.splash_scale * problem.diameter / math.sqrt(anchor.size) * step_vec
 
 
-def clip_bounds(positions, bounds: Bounds):
-    """Componentwise clamp into the box."""
-    return np.clip(positions, bounds.lower, bounds.upper)
+def clip_bounds(positions, problem):
+    """Componentwise clamp into the problem's box."""
+    return np.clip(positions, problem.lower, problem.upper)
 
 
 def greedy_select(
@@ -509,7 +472,7 @@ def initialize(positions, fitness, params: DvoParams) -> DvoState:
     )
 
 
-def step(state: DvoState, params: DvoParams, problem, bounds: Bounds, rng: RngStream) -> DvoState:
+def step(state: DvoState, params: DvoParams, problem, rng: RngStream) -> DvoState:
     """One sweep: schedules, assignment, switching, phase moves with splash,
     clip, evaluate, greedy selection, stagnation, elitist drain refresh."""
     n, d = state.positions.shape
@@ -521,13 +484,13 @@ def step(state: DvoState, params: DvoParams, problem, bounds: Bounds, rng: RngSt
     probs = drain_probabilities(k, pressure)
 
     assignment, rho = assign_drains(
-        state.positions, state.drains, probs, bounds.diameter, params.epsilon
+        state.positions, state.drains, probs, problem.diameter, params.epsilon
     )
     switched = stochastic_switch(assignment, probs, params.switch_prob, rng)
     moved = np.where(switched != assignment)[0]
     if moved.size:
         dist = _row_norms(state.positions[moved] - state.drains[switched[moved]])
-        rho[moved] = np.minimum(dist / bounds.diameter, 1.0)
+        rho[moved] = np.minimum(dist / problem.diameter, 1.0)
         assignment = switched
 
     phase = select_phase(rho, params.far_threshold, params.near_threshold)
@@ -537,12 +500,12 @@ def step(state: DvoState, params: DvoParams, problem, bounds: Bounds, rng: RngSt
     far = np.where(phase == Phase.FAR)[0]
     if far.size:
         proposals[far] = far_field_update(
-            state.positions[far], targets[far], scale, params, bounds, rng
+            state.positions[far], targets[far], scale, params, problem, rng
         )
 
     spiral = np.where(phase == Phase.SPIRAL)[0]
     if spiral.size:
-        radii = rho[spiral] * bounds.diameter
+        radii = rho[spiral] * problem.diameter
         proposals[spiral] = spiral_update(
             state.positions[spiral], targets[spiral], radii, rho[spiral], scale, params, rng
         )
@@ -551,7 +514,7 @@ def step(state: DvoState, params: DvoParams, problem, bounds: Bounds, rng: RngSt
     splashed = np.zeros(n, dtype=bool)
     if core.size:
         sigma0 = (
-            params.core_radius if params.core_radius is not None else 0.1 * bounds.diameter
+            params.core_radius if params.core_radius is not None else 0.1 * problem.diameter
         )
         if params.splash_prob > 0.0:
             eligible = core[state.stagnation[core] >= params.stay_limit]
@@ -562,9 +525,9 @@ def step(state: DvoState, params: DvoParams, problem, bounds: Bounds, rng: RngSt
         if sample.size:
             proposals[sample] = core_update(targets[sample], scale, sigma0, rng)
         for i in np.where(splashed)[0]:
-            proposals[i] = splash_out(state.drains[0], params, bounds, rng)
+            proposals[i] = splash_out(state.drains[0], params, problem, rng)
 
-    proposals = clip_bounds(proposals, bounds)
+    proposals = clip_bounds(proposals, problem)
     new_fitness = benchmarks.evaluate(problem, proposals, rng)
 
     positions, fitness, improved = greedy_select(
@@ -645,13 +608,12 @@ def run(
 ) -> RunRecord:
     """Full drain-vortex run through `run_optimizer`; N*(T+1) objective evaluations."""
     params.validate()
-    bounds = Bounds.of(problem)
 
     def start(positions, fitness, rng):
         state = initialize(positions, fitness, params)
 
         def sweep(t):
-            step(state, params, problem, bounds, rng)
+            step(state, params, problem, rng)
             return state.fitness.size, state.drains[0], float(state.drain_fitness[0])
 
         return sweep

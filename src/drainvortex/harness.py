@@ -15,13 +15,13 @@ import io
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import benchmarks, engine, stats
-from .baselines import BASELINES, BaselineConfig
+from .baselines import BASELINES, DEFAULT_PARAMS, BaselineConfig
 from .errors import ConfigError
 from .records import DEFAULT_CHECKPOINTS, SCHEMA_VERSION, RunRecord
 from .rng import mix_seed
@@ -97,35 +97,63 @@ _REPLACED_PARAMS = {
 }
 
 
+def _parameter_problems(label: str, params: dict, defaults: dict) -> list:
+    """One entry per given parameter that has no default or whose value does
+    not have its default's type: a bool for a bool, an int that is not a bool
+    for an int, a number for a float, a number or null for None."""
+    problems = []
+    for key, value in params.items():
+        if key not in defaults:
+            problems.append(f"{label}: unknown parameter {key!r}")
+            continue
+        default = defaults[key]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if isinstance(default, bool):
+            ok, kind = isinstance(value, bool), "true or false"
+        elif isinstance(default, int):
+            ok, kind = number and isinstance(value, int), "an integer"
+        elif default is None:
+            ok, kind = number or value is None, "a number or null"
+        else:
+            ok, kind = number, "a number"
+        if not ok:
+            problems.append(f"{label}: {key} must be {kind}, got {value!r}")
+    return problems
+
+
 def _resolve_algorithm(name: str, params: dict, n_agents: int, iterations: int):
     """The DvoParams (ablation variant applied) or BaselineConfig of one grid
     algorithm; raises ConfigError listing every problem with the entry."""
-    base, _, variant = name.partition(":")
+    base, colon, variant = name.partition(":")
     if base == "dvo":
-        if variant and variant not in engine.ABLATION_VARIANTS:
+        if colon and variant not in engine.ABLATION_VARIANTS:
             raise ConfigError([f"unknown dvo variant {variant!r}"])
         replaced = [
             f"dvo parameters: {key!r} was removed; {key}=false is {_REPLACED_PARAMS[key]}"
             for key in params
             if key in _REPLACED_PARAMS
         ]
-        if replaced:
-            raise ConfigError(replaced)
+        defaults = {f.name: f.default for f in fields(engine.DvoParams)}
+        bad = replaced or _parameter_problems("dvo parameters", params, defaults)
+        if bad:
+            raise ConfigError(bad)
+        dvo = engine.DvoParams(**{"n_agents": n_agents, "iterations": iterations, **params})
         try:
-            dvo = engine.DvoParams(**{"n_agents": n_agents, "iterations": iterations, **params})
             dvo.validate()
-        except TypeError as exc:
-            raise ConfigError([f"dvo parameters: {exc}"]) from exc
         except ConfigError as exc:
             raise ConfigError([f"dvo parameters: {p}" for p in exc.problems]) from exc
-        return engine.make_ablation_params(dvo, variant) if variant else dvo
-    if base not in BASELINES:
+        return engine.make_ablation_params(dvo, variant) if colon else dvo
+    if name not in BASELINES:
         raise ConfigError([f"unknown algorithm {name!r}"])
+    defaults = {"n_agents": n_agents, "iterations": iterations, **DEFAULT_PARAMS[name]}
+    bad = _parameter_problems(name, params, defaults)
+    if bad:
+        raise ConfigError(bad)
     overrides = dict(params)
     config = BaselineConfig(
-        algorithm=base,
-        n_agents=int(overrides.pop("n_agents", n_agents)),
-        iterations=int(overrides.pop("iterations", iterations)),
+        algorithm=name,
+        n_agents=overrides.pop("n_agents", n_agents),
+        iterations=overrides.pop("iterations", iterations),
         params=overrides,
     )
     config.resolved()
@@ -377,12 +405,6 @@ class ResultSet:
     config: ExperimentConfig
     records: list
     failures: list = field(default_factory=list)
-
-    def summary(self) -> stats.SummaryTable:
-        return stats.summarize(self)
-
-    def compare(self, reference: str) -> stats.StatReport:
-        return stats.compare(self, reference)
 
 
 @dataclass(frozen=True)

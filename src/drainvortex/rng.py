@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,27 +108,17 @@ def mantegna_sigma(beta: float) -> float:
     return (num / den) ** (1.0 / beta)
 
 
-@dataclass(frozen=True)
-class LevyParams:
-    """Heavy-tailed step parameters; `sigma_u` is derived from `beta`."""
-
-    beta: float = 1.5
-    sigma_u: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma_u", mantegna_sigma(self.beta))
-
-
-def levy_step(dim: int, params: LevyParams, rng: RngStream) -> Array:
+def levy_step(dim: int, beta: float, rng: RngStream) -> Array:
     """Heavy-tailed step vector: u / |v|^(1/beta) per component (Mantegna).
 
-    u ~ N(0, sigma_u^2) and v ~ N(0, 1), independent per component. A |v|
-    component below 1e-300 is redrawn so the ratio stays finite.
+    u ~ N(0, sigma_u^2) with sigma_u = mantegna_sigma(beta) and v ~ N(0, 1),
+    independent per component. A |v| component below 1e-300 is redrawn so
+    the ratio stays finite.
     """
-    u = rng.standard_normal(dim) * params.sigma_u
+    u = rng.standard_normal(dim) * mantegna_sigma(beta)
     v = rng.standard_normal(dim)
     tiny = np.abs(v) < _LEVY_DENOM_FLOOR
     while tiny.any():
         v[tiny] = rng.standard_normal(int(tiny.sum()))
         tiny = np.abs(v) < _LEVY_DENOM_FLOOR
-    return u / np.abs(v) ** (1.0 / params.beta)
+    return u / np.abs(v) ** (1.0 / beta)

@@ -27,7 +27,6 @@ from drainvortex.baselines import BASELINES, BaselineConfig
 from drainvortex.benchmarks import get_problem
 from drainvortex.engine import (
     ABLATION_VARIANTS,
-    Bounds,
     DvoParams,
     Phase,
     drain_probabilities,
@@ -50,7 +49,7 @@ from drainvortex.harness import (
     run_experiment,
 )
 from drainvortex.records import RunRecord, floored_log10
-from drainvortex.rng import LevyParams, RngStream, levy_step, mantegna_sigma, mix_seed
+from drainvortex.rng import RngStream, levy_step, mantegna_sigma, mix_seed
 from drainvortex.stats import chi_square_sf, friedman, holm_correct, wilcoxon_signed_rank
 
 PROTOCOL_SEED = 2024
@@ -170,14 +169,13 @@ class TestSearchInvariants:
     def test_population_stays_in_bounds(self, property_clock):
         problem = get_problem("F5", dim=4)
         params = DvoParams(n_agents=8, iterations=30, splash_prob=0.5, stay_limit=2)
-        bounds = Bounds.of(problem)
         for seed in (0, 1, 2):
             rng = RngStream(seed)
             state = initialize(*initial_population(problem, params.n_agents, rng), params)
             for _ in range(params.iterations):
-                step(state, params, problem, bounds, rng)
-                assert np.all(state.positions >= bounds.lower)
-                assert np.all(state.positions <= bounds.upper)
+                step(state, params, problem, rng)
+                assert np.all(state.positions >= problem.lower)
+                assert np.all(state.positions <= problem.upper)
 
     def test_invariant_sweep_fits_time_budget(self):
         # runs last in this class by definition order
@@ -204,7 +202,7 @@ class TestHeavyTail:
     def test_tail_mass_dwarfs_gaussian(self):
         started = time.perf_counter()
         stream = RngStream(PROTOCOL_SEED)
-        steps = levy_step(1_000_000, LevyParams(beta=1.5), stream)
+        steps = levy_step(1_000_000, 1.5, stream)
         elapsed = time.perf_counter() - started
         tail_freq = float(np.mean(np.abs(steps) > 5.0))
         assert tail_freq >= 10.0 * GAUSS_TAIL_BEYOND_5

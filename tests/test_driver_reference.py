@@ -16,7 +16,11 @@ population, the best so far or the evaluation count, so
 the best so far as `state.drains[0]`/`float(state.drain_fitness[0])` where it
 read `state.best_position`/`state.best_value` (the copies `step` made of
 them) and counts `n_agents*(iterations+1)` evaluations where it read
-`state.evaluations`.
+`state.evaluations`. The engine's `Bounds` is gone and `ProblemSpec` carries
+the same `lower` and `span`, so `_reference_initialize` reads `problem` where
+it read `bounds` and no longer takes `bounds`, and `_reference_run` no longer
+builds `Bounds.of(problem)` nor passes it to `_reference_initialize` and
+`step`.
 """
 
 import math
@@ -27,7 +31,7 @@ import pytest
 
 from drainvortex import benchmarks, engine
 from drainvortex.baselines import BASELINES, BaselineConfig, _woa_spiral
-from drainvortex.engine import Bounds, DvoParams, DvoState, make_ablation_params, step
+from drainvortex.engine import DvoParams, DvoState, make_ablation_params, step
 from drainvortex.errors import ConfigError
 from drainvortex.records import DEFAULT_CHECKPOINTS, RunRecord, build_record
 from drainvortex.rng import RngStream
@@ -37,11 +41,11 @@ from drainvortex.rng import RngStream
 # ---------------------------------------------------------------------------
 
 
-def _reference_initialize(problem, params: DvoParams, bounds: Bounds, rng: RngStream) -> DvoState:
+def _reference_initialize(problem, params: DvoParams, rng: RngStream) -> DvoState:
     """Uniform population, evaluated, with the K best as initial drains."""
     n = params.n_agents
     k = params.n_drains  # was params.effective_drains
-    positions = bounds.lower + rng.random((n, bounds.lower.size)) * bounds.span
+    positions = problem.lower + rng.random((n, problem.lower.size)) * problem.span
     fitness = benchmarks.evaluate(problem, positions, rng)
     order = np.argsort(fitness, kind="stable")[:k]
     drains = positions[order].copy()
@@ -66,13 +70,12 @@ def _reference_run(
 ) -> RunRecord:
     """Full drain-vortex run; N*(T+1) objective evaluations."""
     params.validate()
-    bounds = Bounds.of(problem)
     rng = RngStream(seed)
     started = time.perf_counter()
-    state = _reference_initialize(problem, params, bounds, rng)
+    state = _reference_initialize(problem, params, rng)
     trace = np.empty(params.iterations)
     for s in range(params.iterations):
-        step(state, params, problem, bounds, rng)
+        step(state, params, problem, rng)
         trace[s] = float(state.drain_fitness[0])  # was state.best_value
     walltime_ms = (time.perf_counter() - started) * 1e3
     return build_record(

@@ -15,7 +15,6 @@ from hypothesis import given, strategies as st
 from drainvortex import benchmarks
 from drainvortex.engine import (
     ABLATION_VARIANTS,
-    Bounds,
     DvoParams,
     DvoState,
     Phase,
@@ -42,7 +41,7 @@ from drainvortex.engine import (
     swirl_speed,
 )
 from drainvortex.errors import ConfigError
-from drainvortex.rng import LevyParams, RngStream, levy_step, tangent_unit_vector
+from drainvortex.rng import RngStream, levy_step, tangent_unit_vector
 
 
 def sphere_problem(dim=2, half_width=10.0):
@@ -253,23 +252,23 @@ class TestElitistDrains:
 class TestFarField:
     def test_pure_drift_without_noise(self):
         params = DvoParams(far_drift=0.5, far_noise=0.0)
-        bounds = Bounds(np.array([-10.0, -10.0]), np.array([10.0, 10.0]))
+        problem = sphere_problem(2, 10.0)
         positions = np.array([[8.0, -6.0]])
         targets = np.array([[0.0, 2.0]])
-        out = far_field_update(positions, targets, 1.0, params, bounds, RngStream(3))
+        out = far_field_update(positions, targets, 1.0, params, problem, RngStream(3))
         assert np.allclose(out, [[4.0, -2.0]], rtol=0, atol=1e-15)
 
     def test_noise_replay(self):
         params = DvoParams()
-        bounds = Bounds(np.array([-5.0, -5.0, -5.0]), np.array([5.0, 5.0, 5.0]))
+        problem = sphere_problem(3, 5.0)
         positions = np.array([[1.0, 2.0, 3.0], [-4.0, 0.0, 4.0]])
         targets = np.zeros((2, 3))
         scale = 1.2
-        out = far_field_update(positions, targets, scale, params, bounds, RngStream(4))
+        out = far_field_update(positions, targets, scale, params, problem, RngStream(4))
 
         noise = RngStream(4).standard_normal((2, 3))
         drift = params.far_drift * scale * (targets - positions)
-        jitter = params.far_noise * (scale / 2.0) * (bounds.span / math.sqrt(3)) * noise
+        jitter = params.far_noise * (scale / 2.0) * (problem.span / math.sqrt(3)) * noise
         assert np.array_equal(out, positions + drift + jitter)
 
 
@@ -417,11 +416,11 @@ class TestCoreAndSplash:
 
     def test_splash_replay(self):
         params = DvoParams(levy_exponent=1.5, splash_scale=0.5)
-        bounds = Bounds(np.array([-10.0, -10.0]), np.array([10.0, 10.0]))
+        problem = sphere_problem(2, 10.0)
         anchor = np.array([1.0, 2.0])
-        out = splash_out(anchor, params, bounds, RngStream(23))
-        ell = levy_step(2, LevyParams(1.5), RngStream(23))
-        assert np.array_equal(out, anchor + 0.5 * bounds.diameter / math.sqrt(2) * ell)
+        out = splash_out(anchor, params, problem, RngStream(23))
+        ell = levy_step(2, 1.5, RngStream(23))
+        assert np.array_equal(out, anchor + 0.5 * problem.diameter / math.sqrt(2) * ell)
 
 
 class TestAcceptanceRules:
@@ -547,7 +546,6 @@ class TestOracleSweep:
             stay_limit=2,
             splash_prob=1.0,
         )
-        bounds = Bounds.of(problem)
         positions = np.array(
             [
                 [9.0, 9.0],  # far field
@@ -566,14 +564,14 @@ class TestOracleSweep:
             drain_fitness=np.array([128.0]),
             stagnation=np.array([0, 0, 2, 0]),
         )
-        return problem, params, bounds, state, positions, fitness, drain
+        return problem, params, state, positions, fitness, drain
 
     def test_replay(self):
-        problem, params, bounds, state, entry_pos, entry_fit, drain = self.build()
+        problem, params, state, entry_pos, entry_fit, drain = self.build()
         seed = 77
-        step(state, params, problem, bounds, RngStream(seed))
+        step(state, params, problem, RngStream(seed))
 
-        diameter = bounds.diameter
+        diameter = problem.diameter
         scale = 2.0 * (1.0 - 1.0 / 10.0)
         assert math.isclose(diameter, 20.0 * math.sqrt(2.0), rel_tol=0, abs_tol=1e-12)
 
@@ -591,7 +589,7 @@ class TestOracleSweep:
         eta_far = twin.standard_normal((1, 2))
         drift = params.far_drift * scale * (target[None, :] - entry_pos[[0]])
         jitter = (
-            params.far_noise * (scale / 2.0) * (bounds.span / math.sqrt(2)) * eta_far
+            params.far_noise * (scale / 2.0) * (problem.span / math.sqrt(2)) * eta_far
         )
         proposals[0] = (entry_pos[[0]] + drift + jitter)[0]
 
@@ -617,10 +615,10 @@ class TestOracleSweep:
         proposals[3] = (target[None, :] + sigma_t / math.sqrt(2) * eta_core)[0]
 
         # splash relaunch for the stagnated agent, anchored at the best drain
-        ell = levy_step(2, LevyParams(params.levy_exponent), twin)
+        ell = levy_step(2, params.levy_exponent, twin)
         proposals[2] = target + params.splash_scale * diameter / math.sqrt(2) * ell
 
-        proposals = np.clip(proposals, bounds.lower, bounds.upper)
+        proposals = np.clip(proposals, problem.lower, problem.upper)
         new_fit = np.array([problem.objective(x) for x in proposals])
 
         improved = new_fit < entry_fit
@@ -696,15 +694,17 @@ class TestRun:
     def test_population_stays_inside_bounds_each_sweep(self):
         problem = sphere_problem(2, 3.0)
         params = DvoParams(n_agents=6, n_drains=2, iterations=12, splash_prob=1.0, stay_limit=0)
-        bounds = Bounds.of(problem)
         rng = RngStream(55)
         state = initialize(*initial_population(problem, params.n_agents, rng), params)
         for _ in range(12):
-            step(state, params, problem, bounds, rng)
-            assert (state.positions >= bounds.lower).all()
-            assert (state.positions <= bounds.upper).all()
+            step(state, params, problem, rng)
+            assert (state.positions >= problem.lower).all()
+            assert (state.positions <= problem.upper).all()
 
     def test_clip_bounds(self):
-        bounds = Bounds(np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
-        out = clip_bounds(np.array([[-5.0, 5.0], [0.5, 1.0]]), bounds)
+        problem = benchmarks.ProblemSpec(
+            name="box", dim=2, lower=np.array([-1.0, 0.0]), upper=np.array([1.0, 2.0]),
+            objective=lambda x: 0.0,
+        )
+        out = clip_bounds(np.array([[-5.0, 5.0], [0.5, 1.0]]), problem)
         assert np.array_equal(out, [[-1.0, 2.0], [0.5, 1.0]])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import child_env
 
-from drainvortex import benchmarks, harness
+from drainvortex import benchmarks, harness, stats
 from drainvortex.benchmarks import ProblemSpec, clear_plugins, register_plugin
 from drainvortex.cli import main
 from drainvortex.errors import ConfigError, IncompleteGridError
@@ -246,9 +246,13 @@ class TestConfigParsing:
                     "algorithms": [{"name": "sca", "params": {"n_elites": n_elites}}],
                 }
             )
-        assert err.value.problems == [
-            f"sca: n_elites must be an integer >= 1, got {n_elites!r}"
-        ]
+        # a non-integer fails the type check of every parameter, a small
+        # integer the sca range check
+        if isinstance(n_elites, int):
+            expected = f"sca: n_elites must be an integer >= 1, got {n_elites!r}"
+        else:
+            expected = f"sca: n_elites must be an integer, got {n_elites!r}"
+        assert err.value.problems == [expected]
 
     @pytest.mark.parametrize(
         "section,expected",
@@ -267,6 +271,35 @@ class TestConfigParsing:
             config_from_dict(data)
         assert expected in err.value.problems
         assert "unknown algorithm 'cmaes'" in err.value.problems
+
+    @pytest.mark.parametrize(
+        "entry,expected",
+        [
+            ({"name": "pso", "params": {"n_agents": "x"}}, "pso: n_agents must be an integer, got 'x'"),
+            ({"name": "pso", "params": {"c1": "x"}}, "pso: c1 must be a number, got 'x'"),
+            ({"name": "dvo", "params": {"n_drains": 2.5}}, "dvo parameters: n_drains must be an integer, got 2.5"),
+            ({"name": "dvo", "params": {"swirl": "no"}}, "dvo parameters: swirl must be true or false, got 'no'"),
+            ({"name": "dvo", "params": {"core_radius": "1"}}, "dvo parameters: core_radius must be a number or null, got '1'"),
+            ("pso:foo", "unknown algorithm 'pso:foo'"),
+            ("dvo:", "unknown dvo variant ''"),
+        ],
+    )
+    def test_malformed_algorithms_are_listed_with_other_problems(self, entry, expected):
+        data = {"suite": "custom", "problems": ["F14"], "algorithms": [entry, "cmaes"]}
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        assert expected in err.value.problems
+        assert "unknown algorithm 'cmaes'" in err.value.problems
+
+    def test_parameters_of_their_default_type_are_accepted(self):
+        params = {"core_radius": None, "far_drift": 1, "swirl": False, "n_drains": 3}
+        config = config_from_dict(
+            {
+                "suite": "classical_fixed",
+                "algorithms": [{"name": "dvo", "params": params}, {"name": "pso", "params": {"c1": 1}}],
+            }
+        )
+        assert config.algorithms[0].params == params
 
     def test_baseline_param_validation_routed(self):
         with pytest.raises(ConfigError) as err:
@@ -422,7 +455,7 @@ class TestRunExperiment:
             assert failure.problem == "exploding"
             assert "RuntimeError: boom" in failure.message
             with pytest.raises(IncompleteGridError):
-                result.summary()
+                stats.summarize(result)
         finally:
             clear_plugins()
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from drainvortex.rng import (
-    LevyParams,
     RngStream,
     levy_step,
     mantegna_sigma,
@@ -104,35 +103,38 @@ class TestMantegna:
         values = [mantegna_sigma(b) for b in (0.3, 0.6, 1.0, 1.4, 1.8)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_levy_params_derive_sigma(self):
-        p = LevyParams(beta=1.5)
-        assert p.sigma_u == mantegna_sigma(1.5)
+    def test_levy_step_scales_by_sigma(self):
+        # the numerator draws of levy_step are scaled by mantegna_sigma(beta)
+        for beta in (0.6, 1.0, 1.5):
+            rng = RngStream(5)
+            u = rng.standard_normal(8) * mantegna_sigma(beta)
+            v = rng.standard_normal(8)
+            expected = u / np.abs(v) ** (1.0 / beta)
+            assert np.array_equal(levy_step(8, beta, RngStream(5)), expected)
 
 
 class TestLevyStep:
     def test_shape_and_finite(self):
-        step = levy_step(64, LevyParams(), RngStream(11))
+        step = levy_step(64, 1.5, RngStream(11))
         assert step.shape == (64,)
         assert np.all(np.isfinite(step))
 
     def test_deterministic(self):
-        p = LevyParams(beta=1.2)
-        assert np.array_equal(levy_step(32, p, RngStream(3)), levy_step(32, p, RngStream(3)))
+        assert np.array_equal(levy_step(32, 1.2, RngStream(3)), levy_step(32, 1.2, RngStream(3)))
 
     def test_heavier_than_gaussian(self):
         # a heavy-tailed sample produces far more 5-sigma outliers
-        step = levy_step(200_000, LevyParams(beta=1.5), RngStream(7))
+        step = levy_step(200_000, 1.5, RngStream(7))
         gauss = RngStream(8).standard_normal(200_000)
         assert np.mean(np.abs(step) > 5.0) > 10.0 * max(np.mean(np.abs(gauss) > 5.0), 1e-7)
 
     def test_matches_direct_ratio_construction(self):
         # same stream, manual u / |v|^(1/beta)
-        p = LevyParams(beta=1.7)
         rng = RngStream(123)
-        u = rng.standard_normal(16) * p.sigma_u
+        u = rng.standard_normal(16) * mantegna_sigma(1.7)
         v = rng.standard_normal(16)
         expected = u / np.abs(v) ** (1.0 / 1.7)
-        assert np.allclose(levy_step(16, p, RngStream(123)), expected, rtol=0, atol=0)
+        assert np.allclose(levy_step(16, 1.7, RngStream(123)), expected, rtol=0, atol=0)
 
 
 def test_gamma_ratio_closed_form():

@@ -13,7 +13,11 @@ and `True` where it read `params.effective_drains`, `params.switching` and
 the removed `forced_splash_replacement` toggle, off for every params passed
 here, is gone; and it no longer writes `prev_positions`, `prev_fitness`,
 `best_position`, `best_value` and `evaluations`, which `DvoState` no longer
-carries and no sweep read.
+carries and no sweep read. The engine's `Bounds` is gone and `ProblemSpec`
+carries the same `lower`, `upper`, `span` and `diameter`, so `_reference_step`
+no longer takes `bounds`, reads `problem.diameter` where it read
+`bounds.diameter`, and passes `problem` where it passed `bounds` to
+`far_field_update`, `splash_out` and `clip_bounds`.
 """
 
 import itertools
@@ -25,7 +29,6 @@ import pytest
 from drainvortex import benchmarks, engine
 from drainvortex import rng as rng_module
 from drainvortex.engine import (
-    Bounds,
     DvoParams,
     Phase,
     _draw_tangents,
@@ -123,7 +126,7 @@ def _reference_stochastic_switch(assignment, probs, switch_prob, rng: RngStream)
     return out
 
 
-def _reference_step(state, params: DvoParams, problem, bounds: Bounds, rng: RngStream):
+def _reference_step(state, params: DvoParams, problem, rng: RngStream):
     n, d = state.positions.shape
     k = params.n_drains  # was params.effective_drains
     scale = exploration_scale(state.t, params.iterations)
@@ -133,7 +136,7 @@ def _reference_step(state, params: DvoParams, problem, bounds: Bounds, rng: RngS
     probs = drain_probabilities(k, pressure)
 
     assignment, rho = assign_drains(
-        state.positions, state.drains, probs, bounds.diameter, params.epsilon
+        state.positions, state.drains, probs, problem.diameter, params.epsilon
     )
     if True:  # was params.switching, True for every params passed here
         switched = _reference_stochastic_switch(assignment, probs, params.switch_prob, rng)
@@ -142,7 +145,7 @@ def _reference_step(state, params: DvoParams, problem, bounds: Bounds, rng: RngS
             rho = rho.copy()
             for i in np.where(moved)[0]:
                 dist = float(np.linalg.norm(state.positions[i] - state.drains[switched[i]]))
-                rho[i] = min(dist / bounds.diameter, 1.0)
+                rho[i] = min(dist / problem.diameter, 1.0)
             assignment = switched
 
     phase = select_phase(rho, params.far_threshold, params.near_threshold)
@@ -152,12 +155,12 @@ def _reference_step(state, params: DvoParams, problem, bounds: Bounds, rng: RngS
     far = np.where(phase == Phase.FAR)[0]
     if far.size:
         proposals[far] = far_field_update(
-            state.positions[far], targets[far], scale, params, bounds, rng
+            state.positions[far], targets[far], scale, params, problem, rng
         )
 
     spiral = np.where(phase == Phase.SPIRAL)[0]
     if spiral.size:
-        radii = rho[spiral] * bounds.diameter
+        radii = rho[spiral] * problem.diameter
         proposals[spiral] = _reference_spiral_update(
             state.positions[spiral], targets[spiral], radii, rho[spiral], scale, params, rng
         )
@@ -166,7 +169,7 @@ def _reference_step(state, params: DvoParams, problem, bounds: Bounds, rng: RngS
     splashed = np.zeros(n, dtype=bool)
     if core.size:
         sigma0 = (
-            params.core_radius if params.core_radius is not None else 0.1 * bounds.diameter
+            params.core_radius if params.core_radius is not None else 0.1 * problem.diameter
         )
         if True and params.splash_prob > 0.0:  # was params.splash, always True here
             eligible = core[state.stagnation[core] >= params.stay_limit]
@@ -177,9 +180,9 @@ def _reference_step(state, params: DvoParams, problem, bounds: Bounds, rng: RngS
         if sample.size:
             proposals[sample] = core_update(targets[sample], scale, sigma0, rng)
         for i in np.where(splashed)[0]:
-            proposals[i] = splash_out(state.drains[0], params, bounds, rng)
+            proposals[i] = splash_out(state.drains[0], params, problem, rng)
 
-    proposals = clip_bounds(proposals, bounds)
+    proposals = clip_bounds(proposals, problem)
     new_fitness = benchmarks.evaluate(problem, proposals, rng)
 
     improved = new_fitness < state.fitness
@@ -363,13 +366,12 @@ class TestSweep:
         seen = set()
         for seed in range(50):
             problem = benchmarks.get_problem(("F1", "F7", "F9")[seed % 3], d)
-            bounds = Bounds.of(problem)
             ours, theirs = RngStream(seed), RngStream(seed)
             got = initialize(*initial_population(problem, params.n_agents, ours), params)
             want = initialize(*initial_population(problem, params.n_agents, theirs), params)
             for _ in range(params.iterations):
-                step(got, params, problem, bounds, ours)
-                _reference_step(want, params, problem, bounds, theirs)
+                step(got, params, problem, ours)
+                _reference_step(want, params, problem, theirs)
                 assert_same_state(got, want)
                 seen.update(int(p) for p in got.phase)
             assert_same_stream(ours, theirs)
