@@ -6,6 +6,7 @@ report as best so far the first strict minimum over the evaluated batches."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -54,10 +55,13 @@ class BaselineConfig:
         if self.iterations < 2:
             bad.append(f"iterations must be >= 2, got {self.iterations}")
         params = {**defaults, **dict(self.params)}
-        if self.algorithm == "sca":
-            n_elites = params["n_elites"]
-            if isinstance(n_elites, bool) or not isinstance(n_elites, int) or n_elites < 1:
-                bad.append(f"sca: n_elites must be an integer >= 1, got {n_elites!r}")
+        sizes = {"n_agents": self.n_agents, "iterations": self.iterations}
+        for key, value in {**sizes, **params}.items():
+            if isinstance(value, float) and math.isnan(value):
+                bad.append(f"{self.algorithm}: {key} must not be NaN")
+            elif self.algorithm == "sca" and key == "n_elites":
+                if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                    bad.append(f"sca: n_elites must be an integer >= 1, got {value!r}")
         if bad:
             raise ConfigError(bad)
         return params

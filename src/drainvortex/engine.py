@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import IntEnum
 from typing import Optional
 
@@ -99,8 +99,14 @@ class DvoParams:
     greedy_update: bool = True
 
     def validate(self) -> None:
-        """Raise ConfigError listing every violated bound."""
-        bad = []
+        """Raise ConfigError listing every NaN value and every violated
+        bound. A NaN fails none of the bounds, so it gets one entry."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        bad = [
+            f"{name} must not be NaN"
+            for name, value in values.items()
+            if isinstance(value, float) and math.isnan(value)
+        ]
         if self.n_drains < 1:
             bad.append(f"n_drains must be >= 1, got {self.n_drains}")
         if self.n_agents < self.n_drains:
@@ -109,10 +115,10 @@ class DvoParams:
             )
         if self.iterations < 2:
             bad.append(f"iterations must be >= 2, got {self.iterations}")
-        if not 0.0 < self.near_threshold < self.far_threshold <= 1.0:
+        near, far = self.near_threshold, self.far_threshold
+        if near <= 0.0 or far <= near or far > 1.0:
             bad.append(
-                "need 0 < near_threshold < far_threshold <= 1, got "
-                f"{self.near_threshold} and {self.far_threshold}"
+                f"need 0 < near_threshold < far_threshold <= 1, got {near} and {far}"
             )
         if self.far_drift < 0:
             bad.append(f"far_drift must be >= 0, got {self.far_drift}")
@@ -126,19 +132,19 @@ class DvoParams:
             bad.append(f"core_softening must be > 0, got {self.core_softening}")
         if self.swirl_cap <= 0:
             bad.append(f"swirl_cap must be > 0, got {self.swirl_cap}")
-        if not 0.0 <= self.shrink_gain <= 1.0:
+        if self.shrink_gain < 0.0 or self.shrink_gain > 1.0:
             bad.append(f"shrink_gain must lie in [0, 1], got {self.shrink_gain}")
-        if not 0.0 <= self.residual_shrink <= 1.0:
+        if self.residual_shrink < 0.0 or self.residual_shrink > 1.0:
             bad.append(f"residual_shrink must lie in [0, 1], got {self.residual_shrink}")
         if self.core_radius is not None and self.core_radius < 0:
             bad.append(f"core_radius must be >= 0, got {self.core_radius}")
-        if not 0.0 <= self.switch_prob <= 1.0:
+        if self.switch_prob < 0.0 or self.switch_prob > 1.0:
             bad.append(f"switch_prob must lie in [0, 1], got {self.switch_prob}")
         if self.stay_limit < 0:
             bad.append(f"stay_limit must be >= 0, got {self.stay_limit}")
-        if not 0.0 <= self.splash_prob <= 1.0:
+        if self.splash_prob < 0.0 or self.splash_prob > 1.0:
             bad.append(f"splash_prob must lie in [0, 1], got {self.splash_prob}")
-        if not 0.0 < self.levy_exponent < 2.0:
+        if self.levy_exponent <= 0.0 or self.levy_exponent >= 2.0:
             bad.append(f"levy_exponent must lie in (0, 2), got {self.levy_exponent}")
         if self.splash_scale < 0:
             bad.append(f"splash_scale must be >= 0, got {self.splash_scale}")

@@ -98,9 +98,10 @@ _REPLACED_PARAMS = {
 
 
 def _parameter_problems(label: str, params: dict, defaults: dict) -> list:
-    """One entry per given parameter that has no default or whose value does
-    not have its default's type: a bool for a bool, an int that is not a bool
-    for an int, a number for a float, a number or null for None."""
+    """One entry per given parameter that has no default, whose value does
+    not have its default's type (a bool for a bool, an int that is not a bool
+    for an int, a number for a float, a number or null for None), or that is
+    NaN."""
     problems = []
     for key, value in params.items():
         if key not in defaults:
@@ -118,6 +119,8 @@ def _parameter_problems(label: str, params: dict, defaults: dict) -> list:
             ok, kind = number, "a number"
         if not ok:
             problems.append(f"{label}: {key} must be {kind}, got {value!r}")
+        elif value != value:
+            problems.append(f"{label}: {key} must not be NaN")
     return problems
 
 
@@ -484,11 +487,25 @@ def _task_grid(config: ExperimentConfig) -> list:
     return tasks
 
 
+# evaluations one chunk of worker tasks may hold; a larger task goes alone
+CHUNK_EVALUATIONS = 2000
+
+
+def _chunk_size(tasks: list, degree: int) -> int:
+    """Tasks per chunk sent to a pool of `degree` workers: as many as fit in
+    CHUNK_EVALUATIONS (a task costs n_agents * (iterations + 1) evaluations,
+    the largest over the grid), and no more than leave 4 chunks per worker."""
+    cost = max(t.settings.n_agents * (t.settings.iterations + 1) for t in tasks)
+    return max(1, min(CHUNK_EVALUATIONS // cost, len(tasks) // (4 * degree)))
+
+
 def run_experiment(config: ExperimentConfig, parallel: int | None = None) -> ResultSet:
     """Execute the full grid; failures are collected, not raised.
 
-    Results are identical for any parallelism degree: seeds are derived per
-    cell, and task order (not completion order) fixes the record order.
+    With more than one worker, runs are sent to the workers in contiguous
+    chunks of the grid (`_chunk_size`). Results are identical for any
+    parallelism degree and any chunking: seeds are derived per cell, and task
+    order (not completion order) fixes the record order.
     """
     problems = validate_config(config)
     if problems:
@@ -502,7 +519,8 @@ def run_experiment(config: ExperimentConfig, parallel: int | None = None) -> Res
     else:
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=degree, mp_context=context) as pool:
-            outcomes = list(pool.map(_execute_task, tasks, chunksize=1))
+            size = _chunk_size(tasks, degree)
+            outcomes = list(pool.map(_execute_task, tasks, chunksize=size))
     records = [payload for kind, payload in outcomes if kind == "ok"]
     failures = [payload for kind, payload in outcomes if kind == "fail"]
     return ResultSet(config=config, records=records, failures=failures)

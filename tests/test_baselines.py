@@ -55,6 +55,30 @@ class TestConfig:
             BaselineConfig(algorithm="pso", n_agents=1, iterations=1).resolved()
         assert len(err.value.problems) == 2
 
+    @pytest.mark.parametrize(
+        "algorithm,key",
+        [(a, k) for a in ALGORITHMS for k in ("n_agents", "iterations", *DEFAULT_PARAMS[a])],
+    )
+    def test_nan_is_one_entry(self, algorithm, key):
+        nan = float("nan")
+        if key in ("n_agents", "iterations"):
+            config = BaselineConfig(algorithm=algorithm, **{key: nan})
+        else:
+            config = BaselineConfig(algorithm=algorithm, params={key: nan})
+        with pytest.raises(ConfigError) as err:
+            config.resolved()
+        assert err.value.problems == [f"{algorithm}: {key} must not be NaN"]
+
+    def test_nan_is_listed_with_other_problems(self):
+        config = BaselineConfig(algorithm="pso", n_agents=1, params={"c1": float("nan"), "warp": 1})
+        with pytest.raises(ConfigError) as err:
+            config.resolved()
+        assert err.value.problems == [
+            "pso: unknown parameter 'warp'",
+            "n_agents must be >= 2, got 1",
+            "pso: c1 must not be NaN",
+        ]
+
 
 class TestRecordContract:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)

@@ -7,6 +7,7 @@ update is recomputed from the documented formulas.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -486,6 +487,36 @@ class TestParams:
     def test_threshold_ordering_enforced(self):
         with pytest.raises(ConfigError):
             DvoParams(near_threshold=0.5, far_threshold=0.1).validate()
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in fields(DvoParams) if f.type in ("float", "Optional[float]")]
+    )
+    def test_nan_is_one_entry(self, name):
+        with pytest.raises(ConfigError) as err:
+            DvoParams(**{name: float("nan")}).validate()
+        assert err.value.problems == [f"{name} must not be NaN"]
+
+    def test_nan_is_listed_with_the_violated_bounds(self):
+        params = DvoParams(far_drift=float("nan"), switch_prob=2.0, levy_exponent=float("nan"))
+        with pytest.raises(ConfigError) as err:
+            params.validate()
+        assert err.value.problems == [
+            "far_drift must not be NaN",
+            "levy_exponent must not be NaN",
+            "switch_prob must lie in [0, 1], got 2.0",
+        ]
+
+    def test_infinity_is_left_to_the_bounds(self):
+        inf = float("inf")
+        DvoParams(far_drift=inf, swirl_cap=inf, splash_scale=inf).validate()
+        for name, problem in [
+            ("switch_prob", "switch_prob must lie in [0, 1], got inf"),
+            ("levy_exponent", "levy_exponent must lie in (0, 2), got inf"),
+            ("far_threshold", "need 0 < near_threshold < far_threshold <= 1, got 0.05 and inf"),
+        ]:
+            with pytest.raises(ConfigError) as err:
+                DvoParams(**{name: inf}).validate()
+            assert err.value.problems == [problem]
 
     def test_ablation_variants(self):
         base = DvoParams()

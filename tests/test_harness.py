@@ -2,6 +2,7 @@
 isolation, persistence round-trips, table emitters, and the CLI."""
 
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -35,6 +36,18 @@ from drainvortex.harness import (
 )
 from drainvortex.records import RunRecord, floored_log10
 from drainvortex.rng import mix_seed
+
+
+NaN = float("nan")
+SEVEN = tuple(AlgorithmSpec(name) for name in ("dvo", "pso", "gwo", "woa", "sca", "aoa", "eo"))
+CATALOG = tuple(benchmarks.catalog_names())
+
+
+def masked_records(result_set):
+    """Each record as its serialized text, wall time masked."""
+    return [
+        json.dumps({**harness._record_to_dict(r), "walltime_ms": None}) for r in result_set.records
+    ]
 
 
 def tiny_config(**overrides):
@@ -291,6 +304,39 @@ class TestConfigParsing:
         assert expected in err.value.problems
         assert "unknown algorithm 'cmaes'" in err.value.problems
 
+    @pytest.mark.parametrize(
+        "entry,expected",
+        [
+            ({"name": "dvo", "params": {"far_drift": NaN}}, "dvo parameters: far_drift must not be NaN"),
+            ({"name": "dvo", "params": {"near_threshold": NaN}}, "dvo parameters: near_threshold must not be NaN"),
+            ({"name": "dvo", "params": {"core_radius": NaN}}, "dvo parameters: core_radius must not be NaN"),
+            ({"name": "pso", "params": {"c1": NaN}}, "pso: c1 must not be NaN"),
+            ({"name": "sca", "params": {"n_elites": NaN}}, "sca: n_elites must be an integer, got nan"),
+        ],
+    )
+    def test_nan_parameters_are_listed_with_other_problems(self, tmp_path, entry, expected):
+        # strict JSON has no NaN, but Python's json module writes and reads it
+        path = tmp_path / "config.json"
+        text = json.dumps({"suite": "custom", "problems": ["F14"], "algorithms": [entry, "cmaes"]})
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.problems == [expected, "unknown algorithm 'cmaes'"]
+
+    def test_infinite_parameters_are_left_to_the_bounds(self):
+        inf = float("inf")
+        config_from_dict(
+            {
+                "suite": "classical_fixed",
+                "algorithms": [{"name": "dvo", "params": {"far_drift": inf}}, {"name": "pso", "params": {"c1": inf}}],
+            }
+        )
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(
+                {"suite": "classical_fixed", "algorithms": [{"name": "dvo", "params": {"switch_prob": inf}}]}
+            )
+        assert err.value.problems == ["dvo parameters: switch_prob must lie in [0, 1], got inf"]
+
     def test_parameters_of_their_default_type_are_accepted(self):
         params = {"core_radius": None, "far_drift": 1, "swirl": False, "n_drains": 3}
         config = config_from_dict(
@@ -422,10 +468,67 @@ class TestRunExperiment:
         seq = run_experiment(config, parallel=1)
         par = run_experiment(config, parallel=2)
         assert len(seq.records) == len(par.records) == 4
-        for a, b in zip(seq.records, par.records):
-            assert a.algorithm == b.algorithm and a.run_index == b.run_index
-            assert np.array_equal(a.trace, b.trace)
-            assert np.array_equal(a.best_position, b.best_position)
+        assert masked_records(par) == masked_records(seq)
+
+    def test_dispatch_order_is_grid_order_at_any_degree(self):
+        def explode(x):
+            raise RuntimeError("boom")
+
+        register_plugin(
+            ProblemSpec(
+                name="exploding",
+                dim=2,
+                lower=np.array([-1.0, -1.0]),
+                upper=np.array([1.0, 1.0]),
+                objective=explode,
+            )
+        )
+        try:
+            config = tiny_config(
+                problems=("F1", "exploding", "F16"),
+                algorithms=(AlgorithmSpec("pso"), AlgorithmSpec("dvo"), AlgorithmSpec("gwo")),
+                runs=3,
+                iterations=4,
+                checkpoints=(2, 4),
+            )
+            # 27 tasks: more than 4 chunks per worker at every degree below
+            assert len(harness._task_grid(config)) > 4 * 3
+            results = [run_experiment(config, parallel=degree) for degree in (1, 2, 3)]
+        finally:
+            clear_plugins()
+        want = results[0]
+        assert len(want.records) == 18 and len(want.failures) == 9
+        assert [(f.algorithm, f.run_index) for f in want.failures] == [
+            (name, i) for name in ("pso", "dvo", "gwo") for i in range(3)
+        ]
+        for got in results[1:]:
+            assert masked_records(got) == masked_records(want)
+            assert got.failures == want.failures
+
+    @pytest.mark.parametrize(
+        "shape,degree,size",
+        [
+            # a paper-length run evaluates far more than the budget: one per chunk
+            (dict(algorithms=SEVEN, runs=100, iterations=1000, n_agents=30), 2, 1),
+            (dict(algorithms=SEVEN, runs=100, iterations=1000, n_agents=30), 4, 1),
+            # a short catalog grid: 196 runs of 5 sweeps, 30 agents, 180 evaluations each
+            (dict(algorithms=SEVEN, problems=CATALOG, dimensions=(10,), runs=1, iterations=5, n_agents=30), 2, 11),
+            (dict(runs=4), 2, 1),
+        ],
+    )
+    def test_chunk_size(self, shape, degree, size):
+        tasks = harness._task_grid(tiny_config(checkpoints=(), **shape))
+        chunk = harness._chunk_size(tasks, degree)
+        assert chunk == size
+        assert math.ceil(len(tasks) / chunk) >= min(len(tasks), 4 * degree)
+
+    @pytest.mark.parametrize("n_tasks", [1, 2, 7, 8, 9, 33, 196, 1000])
+    @pytest.mark.parametrize("degree", [2, 3, 4, 8])
+    def test_never_fewer_than_four_chunks_per_worker(self, n_tasks, degree):
+        tasks = harness._task_grid(tiny_config(runs=n_tasks, iterations=2, n_agents=2, checkpoints=()))
+        chunk = harness._chunk_size(tasks, degree)
+        assert chunk >= 1
+        assert math.ceil(n_tasks / chunk) >= min(n_tasks, 4 * degree)
 
     def test_invalid_config_raises(self):
         with pytest.raises(ConfigError):
