@@ -6,14 +6,13 @@ report as best so far the first strict minimum over the evaluated batches."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from . import benchmarks
-from .engine import run_optimizer
+from .engine import LEAST, parameter_problems, run_optimizer
 from .engine import selection_pressure as linear_ramp
 from .errors import ConfigError
 
@@ -42,29 +41,22 @@ class BaselineConfig:
     params: Mapping = field(default_factory=dict)
 
     def resolved(self) -> dict:
+        """The full parameter block, defaults overridden by `params`. Raises
+        ConfigError listing every problem of the sizes and of the block, each
+        labelled with the algorithm."""
         defaults = DEFAULT_PARAMS.get(self.algorithm)
         if defaults is None:
-            raise ConfigError([f"unknown baseline algorithm {self.algorithm!r}"])
-        bad = [
-            f"{self.algorithm}: unknown parameter {key!r}"
-            for key in self.params
-            if key not in defaults
-        ]
-        if self.n_agents < 2:
-            bad.append(f"n_agents must be >= 2, got {self.n_agents}")
-        if self.iterations < 2:
-            bad.append(f"iterations must be >= 2, got {self.iterations}")
-        params = {**defaults, **dict(self.params)}
+            raise ConfigError([f"unknown algorithm {self.algorithm!r}"])
         sizes = {"n_agents": self.n_agents, "iterations": self.iterations}
-        for key, value in {**sizes, **params}.items():
-            if isinstance(value, float) and math.isnan(value):
-                bad.append(f"{self.algorithm}: {key} must not be NaN")
-            elif self.algorithm == "sca" and key == "n_elites":
-                if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                    bad.append(f"sca: n_elites must be an integer >= 1, got {value!r}")
+        # gwo pulls every agent toward the three best agents
+        least = {**LEAST, "n_agents": 3} if self.algorithm == "gwo" else LEAST
+        bad = [
+            *parameter_problems(sizes, {k: getattr(BaselineConfig, k) for k in sizes}, least)[0],
+            *parameter_problems(self.params, defaults)[0],
+        ]
         if bad:
-            raise ConfigError(bad)
-        return params
+            raise ConfigError([f"{self.algorithm}: {entry}" for entry in bad])
+        return {**defaults, **self.params}
 
 
 class _BestSoFar:

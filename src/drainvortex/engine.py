@@ -41,7 +41,7 @@ import math
 import time
 from dataclasses import dataclass, fields, replace
 from enum import IntEnum
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -58,6 +58,43 @@ class Phase(IntEnum):
     FAR = 0
     SPIRAL = 1
     CORE = 2
+
+
+# the least value of each integer parameter that has one, for dvo and every
+# baseline alike
+LEAST = {"n_agents": 2, "iterations": 2, "n_drains": 1, "stay_limit": 0, "n_elites": 1}
+
+
+def parameter_problems(params: Mapping, defaults: Mapping, least: Mapping = LEAST) -> tuple:
+    """Check each given parameter against its default. Returns the entries
+    and whether every value has its default's type, without which no other
+    bound may be compared. One entry per name with no default, per value not
+    of its default's type (a bool for a bool, an int that is not a bool for
+    an int, a number for a float, a number or None for None), per NaN, and
+    per integer below its `least`."""
+    bad, typed = [], True
+    for key, value in params.items():
+        if key not in defaults:
+            bad.append(f"unknown parameter {key!r}")
+            continue
+        default = defaults[key]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if isinstance(default, bool):
+            ok, kind = isinstance(value, bool), "true or false"
+        elif isinstance(default, int):
+            ok, kind = number and isinstance(value, int), "an integer"
+        elif default is None:
+            ok, kind = number or value is None, "a number or null"
+        else:
+            ok, kind = number, "a number"
+        if not ok:
+            bad.append(f"{key} must be {kind}, got {value!r}")
+            typed = False
+        elif value != value:
+            bad.append(f"{key} must not be NaN")
+        elif key in least and value < least[key]:
+            bad.append(f"{key} must be an integer >= {least[key]}, got {value!r}")
+    return bad, typed
 
 
 @dataclass(frozen=True)
@@ -98,23 +135,28 @@ class DvoParams:
     swirl: bool = True
     greedy_update: bool = True
 
+    @classmethod
+    def from_mapping(cls, params: Mapping) -> DvoParams:
+        """Checked settings from a name -> value block, such as a config's;
+        an unknown name is one more entry beside those `validate` lists."""
+        settings = cls(**{k: v for k, v in params.items() if k in _DVO_DEFAULTS})
+        settings._check(params)
+        return settings
+
     def validate(self) -> None:
-        """Raise ConfigError listing every NaN value and every violated
-        bound. A NaN fails none of the bounds, so it gets one entry."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        bad = [
-            f"{name} must not be NaN"
-            for name, value in values.items()
-            if isinstance(value, float) and math.isnan(value)
-        ]
-        if self.n_drains < 1:
-            bad.append(f"n_drains must be >= 1, got {self.n_drains}")
+        """Raise ConfigError listing every entry of `parameter_problems` and,
+        if every value has its type, every violated bound. A NaN fails none
+        of the bounds, so it gets one entry."""
+        self._check(vars(self))
+
+    def _check(self, given: Mapping) -> None:
+        bad, typed = parameter_problems(given, _DVO_DEFAULTS)
+        if not typed:
+            raise ConfigError(bad)
         if self.n_agents < self.n_drains:
             bad.append(
                 f"n_agents must be >= n_drains, got {self.n_agents} < {self.n_drains}"
             )
-        if self.iterations < 2:
-            bad.append(f"iterations must be >= 2, got {self.iterations}")
         near, far = self.near_threshold, self.far_threshold
         if near <= 0.0 or far <= near or far > 1.0:
             bad.append(
@@ -140,8 +182,6 @@ class DvoParams:
             bad.append(f"core_radius must be >= 0, got {self.core_radius}")
         if self.switch_prob < 0.0 or self.switch_prob > 1.0:
             bad.append(f"switch_prob must lie in [0, 1], got {self.switch_prob}")
-        if self.stay_limit < 0:
-            bad.append(f"stay_limit must be >= 0, got {self.stay_limit}")
         if self.splash_prob < 0.0 or self.splash_prob > 1.0:
             bad.append(f"splash_prob must lie in [0, 1], got {self.splash_prob}")
         if self.levy_exponent <= 0.0 or self.levy_exponent >= 2.0:
@@ -153,6 +193,8 @@ class DvoParams:
         if bad:
             raise ConfigError(bad)
 
+
+_DVO_DEFAULTS = {f.name: f.default for f in fields(DvoParams)}
 
 # each ablation variant as its overrides of the full algorithm's DvoParams
 ABLATION_VARIANTS = {
@@ -169,9 +211,7 @@ ABLATION_VARIANTS = {
 def make_ablation_params(base: DvoParams, variant: str) -> DvoParams:
     """Parameter set for one ablation variant of the full algorithm."""
     if variant not in ABLATION_VARIANTS:
-        raise ConfigError(
-            [f"unknown ablation variant {variant!r}; choose one of {tuple(ABLATION_VARIANTS)}"]
-        )
+        raise ConfigError([f"unknown dvo variant {variant!r}"])
     return replace(base, **ABLATION_VARIANTS[variant])
 
 

@@ -15,13 +15,13 @@ import io
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import benchmarks, engine, stats
-from .baselines import BASELINES, DEFAULT_PARAMS, BaselineConfig
+from .baselines import BASELINES, BaselineConfig
 from .errors import ConfigError
 from .records import DEFAULT_CHECKPOINTS, SCHEMA_VERSION, RunRecord
 from .rng import mix_seed
@@ -88,6 +88,10 @@ class ExperimentConfig:
         return cases
 
 
+# the ExperimentConfig fields a config file sets in its "execution" section
+EXECUTION_KEYS = ("runs", "iterations", "n_agents", "master_seed", "workers")
+
+
 # dvo flags deleted because a numeric parameter already did their work
 _REPLACED_PARAMS = {
     "switching": "switch_prob=0",
@@ -97,61 +101,25 @@ _REPLACED_PARAMS = {
 }
 
 
-def _parameter_problems(label: str, params: dict, defaults: dict) -> list:
-    """One entry per given parameter that has no default, whose value does
-    not have its default's type (a bool for a bool, an int that is not a bool
-    for an int, a number for a float, a number or null for None), or that is
-    NaN."""
-    problems = []
-    for key, value in params.items():
-        if key not in defaults:
-            problems.append(f"{label}: unknown parameter {key!r}")
-            continue
-        default = defaults[key]
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if isinstance(default, bool):
-            ok, kind = isinstance(value, bool), "true or false"
-        elif isinstance(default, int):
-            ok, kind = number and isinstance(value, int), "an integer"
-        elif default is None:
-            ok, kind = number or value is None, "a number or null"
-        else:
-            ok, kind = number, "a number"
-        if not ok:
-            problems.append(f"{label}: {key} must be {kind}, got {value!r}")
-        elif value != value:
-            problems.append(f"{label}: {key} must not be NaN")
-    return problems
-
-
 def _resolve_algorithm(name: str, params: dict, n_agents: int, iterations: int):
     """The DvoParams (ablation variant applied) or BaselineConfig of one grid
-    algorithm; raises ConfigError listing every problem with the entry."""
+    algorithm at the execution sizes; raises ConfigError with the entries of
+    the settings' own checks."""
     base, colon, variant = name.partition(":")
     if base == "dvo":
-        if colon and variant not in engine.ABLATION_VARIANTS:
-            raise ConfigError([f"unknown dvo variant {variant!r}"])
         replaced = [
             f"dvo parameters: {key!r} was removed; {key}=false is {_REPLACED_PARAMS[key]}"
             for key in params
             if key in _REPLACED_PARAMS
         ]
-        defaults = {f.name: f.default for f in fields(engine.DvoParams)}
-        bad = replaced or _parameter_problems("dvo parameters", params, defaults)
-        if bad:
-            raise ConfigError(bad)
-        dvo = engine.DvoParams(**{"n_agents": n_agents, "iterations": iterations, **params})
+        if replaced:
+            raise ConfigError(replaced)
+        block = {"n_agents": n_agents, "iterations": iterations, **params}
         try:
-            dvo.validate()
+            dvo = engine.DvoParams.from_mapping(block)
         except ConfigError as exc:
             raise ConfigError([f"dvo parameters: {p}" for p in exc.problems]) from exc
         return engine.make_ablation_params(dvo, variant) if colon else dvo
-    if name not in BASELINES:
-        raise ConfigError([f"unknown algorithm {name!r}"])
-    defaults = {"n_agents": n_agents, "iterations": iterations, **DEFAULT_PARAMS[name]}
-    bad = _parameter_problems(name, params, defaults)
-    if bad:
-        raise ConfigError(bad)
     overrides = dict(params)
     config = BaselineConfig(
         algorithm=name,
@@ -170,10 +138,6 @@ def validate_config(config: ExperimentConfig) -> list:
         problems.append(f"unknown suite {config.suite!r}; expected one of {SUITES}")
     if config.runs < 1:
         problems.append(f"runs must be >= 1, got {config.runs}")
-    if config.iterations < 2:
-        problems.append(f"iterations must be >= 2, got {config.iterations}")
-    if config.n_agents < 2:
-        problems.append(f"n_agents must be >= 2, got {config.n_agents}")
     if config.workers < 1:
         problems.append(f"workers must be >= 1, got {config.workers}")
     if not (config.penalty_coeff > 0 and np.isfinite(config.penalty_coeff)):
@@ -191,6 +155,13 @@ def validate_config(config: ExperimentConfig) -> list:
             _resolve_algorithm(spec.name, spec.params, config.n_agents, config.iterations)
         except ConfigError as exc:
             problems.extend(exc.problems)
+    # an execution size that every entry overrides reaches no algorithm's check
+    unused = {
+        key: getattr(config, key)
+        for key in ("n_agents", "iterations")
+        if all(key in spec.params for spec in config.algorithms)
+    }
+    problems.extend(engine.parameter_problems(unused, unused)[0])
 
     if config.suite in ("custom", "ablation"):
         if not config.problems:
@@ -245,30 +216,22 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     problems = []
     if not isinstance(data, dict):
         raise ConfigError(["top level must be a mapping"])
-    known_keys = {
-        "suite",
-        "problems",
-        "dimensions",
-        "algorithms",
-        "execution",
-        "checkpoints",
-        "penalty",
-        "output",
-    }
-    for key in sorted(set(data) - known_keys):
+    # the sections and keys of a config file, holding ExperimentConfig's defaults
+    template = config_to_dict(ExperimentConfig())
+    for key in sorted(set(data) - set(template)):
         problems.append(f"unknown config key {key!r}")
 
     execution = data.get("execution", {})
     if not isinstance(execution, dict):
         problems.append("'execution' must be a mapping")
         execution = {}
-    for key in sorted(set(execution) - {"runs", "iterations", "n_agents", "master_seed", "workers"}):
+    for key in sorted(set(execution) - set(template["execution"])):
         problems.append(f"unknown execution key {key!r}")
     penalty = data.get("penalty", {})
     if not isinstance(penalty, dict):
         problems.append("'penalty' must be a mapping")
         penalty = {}
-    for key in sorted(set(penalty) - {"coefficient", "feasibility_tol"}):
+    for key in sorted(set(penalty) - set(template["penalty"])):
         problems.append(f"unknown penalty key {key!r}")
 
     algorithms = []
@@ -291,14 +254,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         else:
             problems.append(f"algorithm entries must be names or mappings with a name, got {entry!r}")
 
-    def _int(section, key, default):
-        value = section.get(key, default)
+    exec_values = {}
+    for key, default in template["execution"].items():
+        value = execution.get(key, default)
         if isinstance(value, bool) or not isinstance(value, int):
             problems.append(f"{key} must be an integer, got {value!r}")
-            return default
-        return value
+            value = default
+        exec_values[key] = value
 
-    def _float(key, default):
+    def _float(key):
+        default = template["penalty"][key]
         value = penalty.get(key, default)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             problems.append(f"penalty {key} must be a number, got {value!r}")
@@ -312,14 +277,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             return ()
         return tuple(value)
 
-    iterations = _int(execution, "iterations", 1000)
-    raw_checkpoints = data.get("checkpoints", list(DEFAULT_CHECKPOINTS))
+    raw_checkpoints = data.get("checkpoints", template["checkpoints"])
     if not isinstance(raw_checkpoints, list) or any(
         isinstance(c, bool) or not isinstance(c, int) for c in raw_checkpoints
     ):
         problems.append("'checkpoints' must be a list of integers")
-        raw_checkpoints = list(DEFAULT_CHECKPOINTS)
-    checkpoints = tuple(sorted({c for c in raw_checkpoints if 1 <= c <= iterations}))
+        raw_checkpoints = template["checkpoints"]
+    checkpoints = tuple(sorted({c for c in raw_checkpoints if 1 <= c <= exec_values["iterations"]}))
 
     output = data.get("output")
     if output is not None and not isinstance(output, str):
@@ -331,15 +295,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         problems=_list("problems", str, "names"),
         dimensions=_list("dimensions", int, "integers"),
         algorithms=tuple(algorithms),
-        runs=_int(execution, "runs", 30),
-        iterations=iterations,
-        n_agents=_int(execution, "n_agents", 30),
-        master_seed=_int(execution, "master_seed", 0),
         checkpoints=checkpoints,
         output=output,
-        workers=_int(execution, "workers", 1),
-        penalty_coeff=_float("coefficient", benchmarks.DEFAULT_PENALTY_COEFF),
-        feasibility_tol=_float("feasibility_tol", benchmarks.DEFAULT_FEASIBILITY_TOL),
+        penalty_coeff=_float("coefficient"),
+        feasibility_tol=_float("feasibility_tol"),
+        **exec_values,
     )
     if config.suite == "ablation":
         config = expand_ablation(config)
@@ -357,13 +317,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "algorithms": [
             {"name": spec.name, "params": dict(spec.params)} for spec in config.algorithms
         ],
-        "execution": {
-            "runs": config.runs,
-            "iterations": config.iterations,
-            "n_agents": config.n_agents,
-            "master_seed": config.master_seed,
-            "workers": config.workers,
-        },
+        "execution": {key: getattr(config, key) for key in EXECUTION_KEYS},
         "checkpoints": list(config.checkpoints),
         "penalty": {
             "coefficient": config.penalty_coeff,
@@ -502,10 +456,11 @@ def _chunk_size(tasks: list, degree: int) -> int:
 def run_experiment(config: ExperimentConfig, parallel: int | None = None) -> ResultSet:
     """Execute the full grid; failures are collected, not raised.
 
-    With more than one worker, runs are sent to the workers in contiguous
-    chunks of the grid (`_chunk_size`). Results are identical for any
-    parallelism degree and any chunking: seeds are derived per cell, and task
-    order (not completion order) fixes the record order.
+    The pool has at most one worker per run, and a single worker is no pool.
+    With more than one, runs are sent to the workers in contiguous chunks of
+    the grid (`_chunk_size`). Results are identical for any parallelism
+    degree and any chunking: seeds are derived per cell, and task order (not
+    completion order) fixes the record order.
     """
     problems = validate_config(config)
     if problems:
@@ -514,12 +469,13 @@ def run_experiment(config: ExperimentConfig, parallel: int | None = None) -> Res
     degree = config.workers if parallel is None else parallel
     if degree < 1:
         raise ConfigError([f"parallelism degree must be >= 1, got {degree}"])
-    if degree == 1:
+    workers = min(degree, len(tasks))
+    if workers <= 1:
         outcomes = [_execute_task(task) for task in tasks]
     else:
         context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=degree, mp_context=context) as pool:
-            size = _chunk_size(tasks, degree)
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            size = _chunk_size(tasks, workers)
             outcomes = list(pool.map(_execute_task, tasks, chunksize=size))
     records = [payload for kind, payload in outcomes if kind == "ok"]
     failures = [payload for kind, payload in outcomes if kind == "fail"]
@@ -616,10 +572,13 @@ def summary_rows(result_set: ResultSet) -> list:
 
 
 def emit_records(result_set: ResultSet, out_dir) -> Path:
-    """Write config snapshot, per-run record files, and summary.csv."""
+    """Write config snapshot, per-run record files, and summary.csv; the
+    record files and failures.json of an earlier grid there are removed."""
     out = Path(out_dir)
     records_dir = out / "records"
     records_dir.mkdir(parents=True, exist_ok=True)
+    for stale in [*records_dir.glob("*.json"), out / "failures.json"]:
+        stale.unlink(missing_ok=True)
     save_config(result_set.config, out / "config.json")
     for record in result_set.records:
         path = records_dir / _record_filename(record)
@@ -630,16 +589,7 @@ def emit_records(result_set: ResultSet, out_dir) -> Path:
     writer.writerows(summary_rows(result_set))
     (out / "summary.csv").write_text(buffer.getvalue())
     if result_set.failures:
-        payload = [
-            {
-                "algorithm": f.algorithm,
-                "problem": f.problem,
-                "dim": f.dim,
-                "run_index": f.run_index,
-                "message": f.message,
-            }
-            for f in result_set.failures
-        ]
+        payload = [asdict(f) for f in result_set.failures]
         (out / "failures.json").write_text(json.dumps(payload, indent=2) + "\n")
     return out
 

@@ -67,17 +67,51 @@ class TestConfig:
             config = BaselineConfig(algorithm=algorithm, params={key: nan})
         with pytest.raises(ConfigError) as err:
             config.resolved()
-        assert err.value.problems == [f"{algorithm}: {key} must not be NaN"]
+        # a NaN is a float, so in an integer it is a value of the wrong type
+        if key in ("n_agents", "iterations") or type(DEFAULT_PARAMS[algorithm][key]) is int:
+            expected = f"{algorithm}: {key} must be an integer, got nan"
+        else:
+            expected = f"{algorithm}: {key} must not be NaN"
+        assert err.value.problems == [expected]
 
     def test_nan_is_listed_with_other_problems(self):
         config = BaselineConfig(algorithm="pso", n_agents=1, params={"c1": float("nan"), "warp": 1})
         with pytest.raises(ConfigError) as err:
             config.resolved()
         assert err.value.problems == [
-            "pso: unknown parameter 'warp'",
-            "n_agents must be >= 2, got 1",
+            "pso: n_agents must be an integer >= 2, got 1",
             "pso: c1 must not be NaN",
+            "pso: unknown parameter 'warp'",
         ]
+
+    def test_wrong_type_is_reported_before_any_bound(self):
+        config = BaselineConfig(algorithm="pso", n_agents="8", iterations=1, params={"c1": "x"})
+        with pytest.raises(ConfigError) as err:
+            config.resolved()
+        assert err.value.problems == [
+            "pso: n_agents must be an integer, got '8'",
+            "pso: iterations must be an integer >= 2, got 1",
+            "pso: c1 must be a number, got 'x'",
+        ]
+
+    def test_sizes_are_not_parameters(self):
+        with pytest.raises(ConfigError) as err:
+            BaselineConfig(algorithm="pso", params={"n_agents": 8}).resolved()
+        assert err.value.problems == ["pso: unknown parameter 'n_agents'"]
+
+    def test_gwo_needs_three_agents(self):
+        with pytest.raises(ConfigError) as err:
+            BaselineConfig(algorithm="gwo", n_agents=2).resolved()
+        assert err.value.problems == ["gwo: n_agents must be an integer >= 3, got 2"]
+        problem = benchmarks.get_problem("F1", 2)
+        config = BaselineConfig(algorithm="gwo", n_agents=3, iterations=4)
+        assert BASELINES["gwo"](problem, config, seed=1).evaluations == 3 * 5
+
+    @pytest.mark.parametrize("algorithm", [a for a in ALGORITHMS if a != "gwo"])
+    def test_other_baselines_run_with_two_agents(self, algorithm):
+        problem = benchmarks.get_problem("F1", 2)
+        config = BaselineConfig(algorithm=algorithm, n_agents=2, iterations=4)
+        assert BASELINES[algorithm](problem, config, seed=1).evaluations == 2 * 5
 
 
 class TestRecordContract:

@@ -5,15 +5,17 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from conftest import child_env
 
 from drainvortex import benchmarks, harness, stats
+from drainvortex.baselines import DEFAULT_PARAMS, BaselineConfig
 from drainvortex.benchmarks import ProblemSpec, clear_plugins, register_plugin
 from drainvortex.cli import main
+from drainvortex.engine import DvoParams
 from drainvortex.errors import ConfigError, IncompleteGridError
 from drainvortex.harness import (
     SUITES,
@@ -391,6 +393,79 @@ class TestConfigParsing:
         assert "custom" in SUITES
 
 
+def library_problems(name, key, value):
+    """The entries the settings type itself gives for one parameter value."""
+    try:
+        if name == "dvo":
+            DvoParams(**{key: value}).validate()
+        elif key in ("n_agents", "iterations"):
+            BaselineConfig(algorithm=name, **{key: value}).resolved()
+        else:
+            BaselineConfig(algorithm=name, params={key: value}).resolved()
+    except ConfigError as exc:
+        return exc.problems
+    return []
+
+
+class TestOneChecker:
+    """A parameter block gets the same checks from a config as from a library
+    call, and each algorithm reports its own sizes."""
+
+    @pytest.mark.parametrize("value", ["x", NaN], ids=["wrong_type", "nan"])
+    @pytest.mark.parametrize(
+        "name,key",
+        [("dvo", f.name) for f in fields(DvoParams)]
+        + [(a, k) for a in sorted(DEFAULT_PARAMS) for k in ("n_agents", "iterations", *DEFAULT_PARAMS[a])],
+    )
+    def test_config_and_library_agree(self, name, key, value):
+        prefix = "dvo parameters: " if name == "dvo" else ""
+        expected = [prefix + entry for entry in library_problems(name, key, value)]
+        assert len(expected) == 1
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(
+                {"suite": "classical_fixed", "algorithms": [{"name": name, "params": {key: value}}]}
+            )
+        assert err.value.problems == expected
+
+    def test_each_algorithm_reports_its_own_sizes_once(self):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(
+                {
+                    "suite": "classical_fixed",
+                    "algorithms": ["pso", "gwo", "dvo"],
+                    "execution": {"n_agents": 1, "iterations": 1},
+                }
+            )
+        assert err.value.problems == [
+            "pso: n_agents must be an integer >= 2, got 1",
+            "pso: iterations must be an integer >= 2, got 1",
+            "gwo: n_agents must be an integer >= 3, got 1",
+            "gwo: iterations must be an integer >= 2, got 1",
+            "dvo parameters: n_agents must be an integer >= 2, got 1",
+            "dvo parameters: iterations must be an integer >= 2, got 1",
+            "dvo parameters: n_agents must be >= n_drains, got 1 < 6",
+        ]
+
+    def test_gwo_needs_three_agents(self):
+        data = {"suite": "classical_fixed", "algorithms": ["pso", "gwo"], "execution": {"n_agents": 2}}
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        assert err.value.problems == ["gwo: n_agents must be an integer >= 3, got 2"]
+        data["algorithms"] = ["pso", {"name": "gwo", "params": {"n_agents": 3}}]
+        assert config_from_dict(data).algorithms[1].params == {"n_agents": 3}
+
+    def test_execution_size_that_every_entry_overrides_is_checked(self):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(
+                {
+                    "suite": "classical_fixed",
+                    "algorithms": [{"name": "pso", "params": {"iterations": 5}}],
+                    "execution": {"iterations": 1},
+                }
+            )
+        assert err.value.problems == ["iterations must be an integer >= 2, got 1"]
+
+
 class TestCaseList:
     def test_scalable_cross_product(self):
         config = ExperimentConfig(
@@ -529,6 +604,30 @@ class TestRunExperiment:
         chunk = harness._chunk_size(tasks, degree)
         assert chunk >= 1
         assert math.ceil(n_tasks / chunk) >= min(n_tasks, 4 * degree)
+
+    @pytest.mark.parametrize("runs,parallel,pool", [(4, 8, [4]), (3, 2, [2]), (1, 8, [])])
+    def test_pool_is_no_larger_than_the_grid(self, monkeypatch, runs, parallel, pool):
+        started = []
+
+        class InlinePool:
+            """Records its size and runs every task in this process."""
+
+            def __init__(self, max_workers, mp_context):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        result = run_experiment(tiny_config(runs=runs), parallel=parallel)
+        assert len(result.records) == runs
+        assert started == pool
 
     def test_invalid_config_raises(self):
         with pytest.raises(ConfigError):
@@ -708,6 +807,33 @@ class TestPersistence:
         assert len(loaded.failures) == 2
         assert loaded.failures[0].problem == "exploding"
         assert "boom" in loaded.failures[0].message
+
+
+    def test_rerun_replaces_the_earlier_grid(self, tmp_path):
+        def explode(x):
+            raise RuntimeError("boom")
+
+        register_plugin(
+            ProblemSpec(
+                name="exploding",
+                dim=2,
+                lower=np.array([-1.0, -1.0]),
+                upper=np.array([1.0, 1.0]),
+                objective=explode,
+            )
+        )
+        out = tmp_path / "out"
+        try:
+            first = run_experiment(tiny_config(problems=("F1", "exploding"), runs=3))
+            assert (len(first.records), len(first.failures)) == (3, 3)
+            emit_records(first, out)
+        finally:
+            clear_plugins()
+        emit_records(run_experiment(tiny_config(runs=1)), out)
+        loaded = load_result_set(out)
+        assert len(loaded.records) == 1
+        assert loaded.failures == []
+        assert not (out / "failures.json").exists()
 
 
 def toy_record(algorithm, problem, dim, run_index, best, f_true=0.0, feasible=None,
