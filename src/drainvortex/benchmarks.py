@@ -671,17 +671,6 @@ def engineering_problem(name: str) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PenaltySpec:
-    """Static penalty: objective + coefficient * sum of positive violations."""
-
-    coefficient: float = DEFAULT_PENALTY_COEFF
-
-    def __post_init__(self):
-        if not (self.coefficient > 0 and math.isfinite(self.coefficient)):
-            raise ValueError(f"penalty coefficient must be positive finite")
-
-
 def _violation_amounts(constraints, x):
     """Each constraint's violation at `x` (a point, or a batch for a
     vectorized spec), one row per constraint, clamped as min(max(v, 0), cap)
@@ -694,18 +683,20 @@ def _violation_amounts(constraints, x):
         return np.where(v < 0.0, 0.0, np.fmin(v, _VIOLATION_CAP))
 
 
-def penalize(spec: ProblemSpec, penalty: PenaltySpec = PenaltySpec()) -> ProblemSpec:
-    """Wrap a constrained spec so optimizers see a plain objective.
+def penalize(spec: ProblemSpec, coefficient: float = DEFAULT_PENALTY_COEFF) -> ProblemSpec:
+    """Wrap a constrained spec so optimizers see a plain objective: the
+    static penalty objective + coefficient * sum of positive violations.
 
     Feasible points keep their raw objective value exactly; each unit of
-    violation adds `penalty.coefficient`. Constraints stay attached for
-    feasibility reporting. The wrap of a vectorized spec is vectorized too.
+    violation adds `coefficient`. Constraints stay attached for feasibility
+    reporting. The wrap of a vectorized spec is vectorized too.
     """
     if not spec.constrained:
         raise ValueError(f"{spec.name}: penalize requires a constrained problem")
+    if not (coefficient > 0 and math.isfinite(coefficient)):
+        raise ValueError("penalty coefficient must be positive finite")
     raw = spec.objective
     constraints = spec.constraints
-    coeff = penalty.coefficient
 
     def penalized(x):
         # one constraint at a time, left to right, as the per-point float sum
@@ -713,7 +704,7 @@ def penalize(spec: ProblemSpec, penalty: PenaltySpec = PenaltySpec()) -> Problem
         total = 0.0
         for v in _violation_amounts(constraints, x):
             total = total + v
-        return raw(x) + coeff * total
+        return raw(x) + coefficient * total
 
     return replace(
         spec,

@@ -13,9 +13,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import multiprocessing
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -131,26 +133,61 @@ def _resolve_algorithm(name: str, params: dict, n_agents: int, iterations: int):
     return config
 
 
+# the scalar fields, and the names a config file gives the real ones
+_SCALARS = ("runs", "master_seed", "workers", "penalty_coeff", "feasibility_tol")
+_LABELS = {"penalty_coeff": "penalty coefficient", "feasibility_tol": "penalty feasibility_tol"}
+# a real field's bound rejects NaN too, so its entry is the one a NaN gets
+_REAL_BOUNDS = {
+    "penalty_coeff": (lambda v: v > 0 and math.isfinite(v), "penalty coefficient must be positive"),
+    "feasibility_tol": (lambda v: v >= 0, "feasibility tolerance must be >= 0"),
+}
+
+
+def _list_of(values, kind) -> bool:
+    """Whether `values` is a list or tuple of `kind` (a bool is not an int)."""
+    return isinstance(values, (list, tuple)) and all(
+        isinstance(v, kind) and not isinstance(v, bool) for v in values
+    )
+
+
 def validate_config(config: ExperimentConfig) -> list:
-    """Collect every problem with a config instead of stopping at the first."""
+    """Collect every problem with a config instead of stopping at the first.
+
+    This is the one check of a config's values, for a config read from a
+    file and one built in Python alike. A value of the wrong type gets one
+    entry and is compared with no bound; a NaN gets one entry too.
+    """
     problems = []
     if config.suite not in SUITES:
         problems.append(f"unknown suite {config.suite!r}; expected one of {SUITES}")
-    if config.runs < 1:
-        problems.append(f"runs must be >= 1, got {config.runs}")
-    if config.workers < 1:
-        problems.append(f"workers must be >= 1, got {config.workers}")
-    if not (config.penalty_coeff > 0 and np.isfinite(config.penalty_coeff)):
-        problems.append(f"penalty coefficient must be positive, got {config.penalty_coeff}")
-    if not config.feasibility_tol >= 0:
-        problems.append(f"feasibility tolerance must be >= 0, got {config.feasibility_tol}")
+    defaults = ExperimentConfig()
+    for key in _SCALARS:
+        label, value = _LABELS.get(key, key), getattr(config, key)
+        bad, typed = engine.parameter_problems(
+            {label: value}, {label: getattr(defaults, key)}, {"runs": 1, "workers": 1}
+        )
+        if typed and key in _REAL_BOUNDS:
+            within, rule = _REAL_BOUNDS[key]
+            bad = [] if within(value) else [f"{rule}, got {value}"]
+        problems.extend(bad)
 
-    if not config.algorithms:
+    specs = []
+    if not _list_of(config.algorithms, AlgorithmSpec):
+        problems.append(f"'algorithms' must be a list of AlgorithmSpec entries, got {config.algorithms!r}")
+    elif not config.algorithms:
         problems.append("at least one algorithm is required")
-    names = config.algorithm_names()
+    else:
+        for spec in config.algorithms:
+            if not isinstance(spec.name, str):
+                problems.append(f"algorithm names must be strings, got {spec.name!r}")
+            elif not isinstance(spec.params, Mapping):
+                problems.append(f"algorithm {spec.name!r}: params must be a mapping, got {spec.params!r}")
+            else:
+                specs.append(spec)
+    names = [spec.name for spec in specs]
     for name in sorted({n for n in names if names.count(n) > 1}):
         problems.append(f"duplicate algorithm {name!r}")
-    for spec in config.algorithms:
+    for spec in specs:
         try:
             _resolve_algorithm(spec.name, spec.params, config.n_agents, config.iterations)
         except ConfigError as exc:
@@ -159,37 +196,48 @@ def validate_config(config: ExperimentConfig) -> list:
     unused = {
         key: getattr(config, key)
         for key in ("n_agents", "iterations")
-        if all(key in spec.params for spec in config.algorithms)
+        if all(key in spec.params for spec in specs)
     }
     problems.extend(engine.parameter_problems(unused, unused)[0])
 
-    if config.suite in ("custom", "ablation"):
-        if not config.problems:
+    names = config.problems
+    if not _list_of(names, str):
+        problems.append(f"'problems' must be a list of names, got {names!r}")
+        names = ()
+    elif config.suite in ("custom", "ablation"):
+        if not names:
             problems.append(f"suite {config.suite!r} requires an explicit problems list")
-    elif config.problems:
+    elif names and config.suite in SUITES:
         problems.append(
             f"problems list is only valid with suite 'custom' or 'ablation', not {config.suite!r}"
         )
-    for name in sorted({p for p in config.problems if config.problems.count(p) > 1}):
+    for name in sorted({p for p in names if names.count(p) > 1}):
         problems.append(f"duplicate problem {name!r}")
-    for dim in sorted({d for d in config.dimensions if config.dimensions.count(d) > 1}):
-        problems.append(f"duplicate dimension {dim}")
-
-    for name in config.problems:
+    for name in names:
         if name in benchmarks.SCALABLE_IDS:
             continue
         try:
             benchmarks.get_problem(name)
         except KeyError:
             problems.append(f"unknown problem {name!r}")
-    needs_dims = config.suite == "classical_scalable" or any(
-        name in benchmarks.SCALABLE_IDS for name in config.problems
-    )
-    if needs_dims and not config.dimensions:
-        problems.append("scalable problems require a non-empty dimensions list")
-    for dim in config.dimensions:
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 2:
-            problems.append(f"dimensions must be integers >= 2, got {dim!r}")
+
+    dims = config.dimensions
+    if not _list_of(dims, int):
+        problems.append(f"'dimensions' must be a list of integers, got {dims!r}")
+    else:
+        needs_dims = config.suite == "classical_scalable" or any(
+            name in benchmarks.SCALABLE_IDS for name in names
+        )
+        if needs_dims and not dims:
+            problems.append("scalable problems require a non-empty dimensions list")
+        problems.extend(f"dimensions must be integers >= 2, got {d!r}" for d in dims if d < 2)
+        for dim in sorted({d for d in dims if dims.count(d) > 1}):
+            problems.append(f"duplicate dimension {dim}")
+
+    if not _list_of(config.checkpoints, int):
+        problems.append(f"'checkpoints' must be a list of integers, got {config.checkpoints!r}")
+    if config.output is not None and not isinstance(config.output, str):
+        problems.append(f"'output' must be a string path, got {config.output!r}")
     return problems
 
 
@@ -212,7 +260,9 @@ def expand_ablation(config: ExperimentConfig) -> ExperimentConfig:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build and validate a config from parsed structured data."""
+    """Build and validate a config from parsed structured data. This checks
+    only the file's shape (its sections, keys and algorithm entries);
+    validate_config checks the values."""
     problems = []
     if not isinstance(data, dict):
         raise ConfigError(["top level must be a mapping"])
@@ -220,19 +270,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     template = config_to_dict(ExperimentConfig())
     for key in sorted(set(data) - set(template)):
         problems.append(f"unknown config key {key!r}")
-
-    execution = data.get("execution", {})
-    if not isinstance(execution, dict):
-        problems.append("'execution' must be a mapping")
-        execution = {}
-    for key in sorted(set(execution) - set(template["execution"])):
-        problems.append(f"unknown execution key {key!r}")
-    penalty = data.get("penalty", {})
-    if not isinstance(penalty, dict):
-        problems.append("'penalty' must be a mapping")
-        penalty = {}
-    for key in sorted(set(penalty) - set(template["penalty"])):
-        problems.append(f"unknown penalty key {key!r}")
+    sections = {}
+    for name in ("execution", "penalty"):
+        section = data.get(name, {})
+        if not isinstance(section, dict):
+            problems.append(f"{name!r} must be a mapping")
+            section = {}
+        for key in sorted(set(section) - set(template[name])):
+            problems.append(f"unknown {name} key {key!r}")
+        sections[name] = {**template[name], **section}
+    execution = sections["execution"]
 
     algorithms = []
     raw_algorithms = data.get("algorithms", [])
@@ -248,58 +295,30 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             if extra:
                 problems.append(f"algorithm {entry['name']!r}: unknown keys {extra}")
             if not isinstance(params, dict):
-                problems.append(f"algorithm {entry['name']!r}: params must be a mapping")
+                problems.append(f"algorithm {entry['name']!r}: params must be a mapping, got {params!r}")
                 params = {}
             algorithms.append(AlgorithmSpec(name=entry["name"], params=dict(params)))
         else:
             problems.append(f"algorithm entries must be names or mappings with a name, got {entry!r}")
 
-    exec_values = {}
-    for key, default in template["execution"].items():
-        value = execution.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, int):
-            problems.append(f"{key} must be an integer, got {value!r}")
-            value = default
-        exec_values[key] = value
+    def _tuple(key):
+        value = data.get(key, template[key])
+        return tuple(value) if isinstance(value, list) else value
 
-    def _float(key):
-        default = template["penalty"][key]
-        value = penalty.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            problems.append(f"penalty {key} must be a number, got {value!r}")
-            return default
-        return float(value)
-
-    def _list(key, kind, what):
-        value = data.get(key, [])
-        if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
-            problems.append(f"{key!r} must be a list of {what}, got {value!r}")
-            return ()
-        return tuple(value)
-
-    raw_checkpoints = data.get("checkpoints", template["checkpoints"])
-    if not isinstance(raw_checkpoints, list) or any(
-        isinstance(c, bool) or not isinstance(c, int) for c in raw_checkpoints
-    ):
-        problems.append("'checkpoints' must be a list of integers")
-        raw_checkpoints = template["checkpoints"]
-    checkpoints = tuple(sorted({c for c in raw_checkpoints if 1 <= c <= exec_values["iterations"]}))
-
-    output = data.get("output")
-    if output is not None and not isinstance(output, str):
-        problems.append(f"'output' must be a string path, got {output!r}")
-        output = None
+    checkpoints = _tuple("checkpoints")
+    if _list_of(checkpoints, int) and _list_of([execution["iterations"]], int):
+        checkpoints = tuple(sorted({c for c in checkpoints if 1 <= c <= execution["iterations"]}))
 
     config = ExperimentConfig(
-        suite=data.get("suite", "custom"),
-        problems=_list("problems", str, "names"),
-        dimensions=_list("dimensions", int, "integers"),
+        suite=data.get("suite", template["suite"]),
+        problems=_tuple("problems"),
+        dimensions=_tuple("dimensions"),
         algorithms=tuple(algorithms),
         checkpoints=checkpoints,
-        output=output,
-        penalty_coeff=_float("coefficient"),
-        feasibility_tol=_float("feasibility_tol"),
-        **exec_values,
+        output=data.get("output"),
+        penalty_coeff=sections["penalty"]["coefficient"],
+        feasibility_tol=sections["penalty"]["feasibility_tol"],
+        **{key: execution[key] for key in EXECUTION_KEYS},
     )
     if config.suite == "ablation":
         config = expand_ablation(config)
@@ -327,16 +346,19 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse and validate a JSON experiment config."""
-    text = Path(path).read_text()
+def _read_json(path: Path):
+    """A JSON file's data; a parse error is a ConfigError naming the file."""
     try:
-        data = json.loads(text)
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(
             [f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
-    return config_from_dict(data)
+
+
+def load_config(path) -> ExperimentConfig:
+    """Parse and validate a JSON experiment config."""
+    return config_from_dict(_read_json(Path(path)))
 
 
 def save_config(config: ExperimentConfig, path) -> None:
@@ -382,7 +404,7 @@ class _Task:
 def _run_single(task: _Task) -> RunRecord:
     problem = benchmarks.get_problem(task.problem, task.dim)
     if problem.constrained:
-        problem = benchmarks.penalize(problem, benchmarks.PenaltySpec(task.penalty_coeff))
+        problem = benchmarks.penalize(problem, task.penalty_coeff)
     settings = task.settings
     if isinstance(settings, engine.DvoParams):
         record = engine.run(
@@ -462,14 +484,13 @@ def run_experiment(config: ExperimentConfig, parallel: int | None = None) -> Res
     degree and any chunking: seeds are derived per cell, and task order (not
     completion order) fixes the record order.
     """
-    problems = validate_config(config)
+    # a --parallel degree is checked by the workers rule
+    checked = config if parallel is None else replace(config, workers=parallel)
+    problems = validate_config(checked)
     if problems:
         raise ConfigError(problems)
     tasks = _task_grid(config)
-    degree = config.workers if parallel is None else parallel
-    if degree < 1:
-        raise ConfigError([f"parallelism degree must be >= 1, got {degree}"])
-    workers = min(degree, len(tasks))
+    workers = min(checked.workers, len(tasks))
     if workers <= 1:
         outcomes = [_execute_task(task) for task in tasks]
     else:
@@ -488,51 +509,30 @@ def run_experiment(config: ExperimentConfig, parallel: int | None = None) -> Res
 
 
 def _record_to_dict(record: RunRecord) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "algorithm": record.algorithm,
-        "problem": record.problem,
-        "dim": record.dim,
-        "run_index": record.run_index,
-        "seed": record.seed,
-        "best_position": [float(v) for v in record.best_position],
-        "best_value": record.best_value,
-        "trace": [float(v) for v in record.trace],
-        "evaluations": record.evaluations,
-        "walltime_ms": record.walltime_ms,
-        "f_true": record.f_true,
-        "error": record.error,
-        "log10_error": record.log10_error,
-        "objective_value": record.objective_value,
-        "feasible": record.feasible,
-        "max_violation": record.max_violation,
-        "checkpoints": {str(k): v for k, v in record.checkpoints.items()},
-    }
+    """The schema version, then RunRecord's fields in declaration order
+    (json writes the integer checkpoint keys as text)."""
+    data = {"schema_version": SCHEMA_VERSION}
+    data.update((f.name, getattr(record, f.name)) for f in fields(RunRecord))
+    data["best_position"] = [float(v) for v in record.best_position]
+    data["trace"] = [float(v) for v in record.trace]
+    return data
 
 
 def _record_from_dict(data: dict, source: str) -> RunRecord:
+    if not isinstance(data, dict):
+        raise ConfigError([f"{source}: a record must be a mapping, got {type(data).__name__}"])
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError([f"{source}: unsupported schema version {version!r}"])
-    return RunRecord(
-        algorithm=data["algorithm"],
-        problem=data["problem"],
-        dim=int(data["dim"]),
-        run_index=int(data["run_index"]),
-        seed=int(data["seed"]),
-        best_position=np.asarray(data["best_position"], dtype=float),
-        best_value=float(data["best_value"]),
-        trace=np.asarray(data["trace"], dtype=float),
-        evaluations=int(data["evaluations"]),
-        walltime_ms=float(data["walltime_ms"]),
-        f_true=data.get("f_true"),
-        error=data.get("error"),
-        log10_error=data.get("log10_error"),
-        objective_value=data.get("objective_value"),
-        feasible=data.get("feasible"),
-        max_violation=data.get("max_violation"),
-        checkpoints={int(k): float(v) for k, v in data.get("checkpoints", {}).items()},
-    )
+    names = [f.name for f in fields(RunRecord)]
+    missing = [name for name in names if name not in data]
+    if missing:
+        raise ConfigError([f"{source}: missing record field {name!r}" for name in missing])
+    values = {name: data[name] for name in names}
+    values["best_position"] = np.asarray(values["best_position"], dtype=float)
+    values["trace"] = np.asarray(values["trace"], dtype=float)
+    values["checkpoints"] = {int(k): v for k, v in values["checkpoints"].items()}
+    return RunRecord(**values)
 
 
 def _record_filename(record: RunRecord) -> str:
@@ -605,7 +605,7 @@ def load_result_set(in_dir) -> ResultSet:
     records_dir = root / "records"
     if records_dir.is_dir():
         for path in sorted(records_dir.glob("*.json")):
-            records.append(_record_from_dict(json.loads(path.read_text()), str(path)))
+            records.append(_record_from_dict(_read_json(path), str(path)))
     algo_order = {name: i for i, name in enumerate(config.algorithm_names())}
     case_order = {case: i for i, case in enumerate(config.case_list())}
     records.sort(

@@ -18,7 +18,6 @@ from drainvortex import benchmarks
 from drainvortex.benchmarks import (
     ENGINEERING_NAMES,
     FIXED_IDS,
-    PenaltySpec,
     ProblemSpec,
     SCALABLE_IDS,
     catalog_names,
@@ -250,11 +249,11 @@ class TestPenalty:
             penalize(get_problem("F1", 2))
 
     def test_feasible_point_unchanged(self):
-        wrapped = penalize(self.constrained_toy(), PenaltySpec(1e6))
+        wrapped = penalize(self.constrained_toy(), 1e6)
         assert wrapped.objective(np.array([0.5])) == 0.25
 
     def test_violation_priced_linearly(self):
-        wrapped = penalize(self.constrained_toy(), PenaltySpec(1e6))
+        wrapped = penalize(self.constrained_toy(), 1e6)
         # x = 3 violates g1 by 2
         assert wrapped.objective(np.array([3.0])) == 9.0 + 1e6 * 2.0
         # x = -4 violates g2 by 2
@@ -277,7 +276,7 @@ class TestPenalty:
             objective=lambda x: 0.0,
             constraints=(lambda x: float("nan"),),
         )
-        wrapped = penalize(spec, PenaltySpec(2.0))
+        wrapped = penalize(spec, 2.0)
         value = wrapped.objective(np.array([0.0]))
         assert math.isfinite(value)
         assert value == 2.0 * 1e30
@@ -287,9 +286,9 @@ class TestPenalty:
 
     def test_penalty_spec_validation(self):
         with pytest.raises(ValueError):
-            PenaltySpec(0.0)
+            penalize(self.constrained_toy(), 0.0)
         with pytest.raises(ValueError):
-            PenaltySpec(math.inf)
+            penalize(self.constrained_toy(), math.inf)
 
     def test_feasibility_tolerance(self):
         spec = self.constrained_toy()

@@ -30,7 +30,6 @@ from drainvortex.benchmarks import (
     DEFAULT_PENALTY_COEFF,
     ENGINEERING_NAMES,
     SCALABLE_IDS,
-    PenaltySpec,
     ProblemSpec,
     _pow,
     catalog_names,
@@ -631,7 +630,7 @@ class TestBatchedPenalty:
             vectorized=True,
         )
         points = np.random.default_rng(4).uniform(0.0, 1.0, (2000, 2))
-        got = evaluate(penalize(spec, PenaltySpec(7.0)), points, RngStream(0))
+        got = evaluate(penalize(spec, 7.0), points, RngStream(0))
         want = [_reference_penalized(spec.objective, constraints, 7.0, x) for x in points]
         assert got.tobytes() == np.array(want).tobytes()
 
@@ -655,13 +654,13 @@ class TestBatchedPenalty:
         want = max(_violation_amounts(constraints, x))
         assert math.copysign(1.0, worst) == order[0]
         assert np.float64(worst).tobytes() == np.float64(want).tobytes()
-        got = evaluate(penalize(spec, PenaltySpec(3.0)), np.array([[0.5], [-0.25]]), RngStream(0))
+        got = evaluate(penalize(spec, 3.0), np.array([[0.5], [-0.25]]), RngStream(0))
         assert got.tobytes() == np.array([0.5, -0.25]).tobytes()
 
     def test_non_finite_constraints_cost_the_cap(self):
         spec = get_problem("three_bar_truss")
         # g1 and g2 are 0/0 at the origin, g3 divides by zero
-        wrapped = penalize(spec, PenaltySpec(1.0))
+        wrapped = penalize(spec, 1.0)
         got = evaluate(wrapped, np.zeros((2, 2)), RngStream(0))
         assert np.array_equal(got, [3 * _VIOLATION_CAP, 3 * _VIOLATION_CAP])
 

@@ -417,7 +417,7 @@ def _nan_half(x):
 def catalog_problem(name, dim=None):
     problem = benchmarks.get_problem(name, dim)
     if problem.constrained:
-        problem = benchmarks.penalize(problem, benchmarks.PenaltySpec())
+        problem = benchmarks.penalize(problem)
     return problem
 
 

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -464,6 +465,97 @@ class TestOneChecker:
                 }
             )
         assert err.value.problems == ["iterations must be an integer >= 2, got 1"]
+
+
+# (field, wrong value, the one entry it gets, where a config file puts it or
+# None where a file cannot express it)
+WRONG_VALUES = [
+    ("suite", 3, f"unknown suite 3; expected one of {SUITES}", ("suite",)),
+    ("problems", "F1", "'problems' must be a list of names, got 'F1'", ("problems",)),
+    ("dimensions", 10, "'dimensions' must be a list of integers, got 10", ("dimensions",)),
+    ("algorithms", ("pso",), "'algorithms' must be a list of AlgorithmSpec entries, got ('pso',)", None),
+    ("algorithms", (AlgorithmSpec("pso", params=None),), "algorithm 'pso': params must be a mapping, got None", None),
+    ("runs", "3", "runs must be an integer, got '3'", ("execution", "runs")),
+    ("iterations", "x", "pso: iterations must be an integer, got 'x'", ("execution", "iterations")),
+    ("n_agents", 2.5, "pso: n_agents must be an integer, got 2.5", ("execution", "n_agents")),
+    ("master_seed", "x", "master_seed must be an integer, got 'x'", ("execution", "master_seed")),
+    ("checkpoints", ("x",), "'checkpoints' must be a list of integers, got ('x',)", ("checkpoints",)),
+    ("output", 3, "'output' must be a string path, got 3", ("output",)),
+    ("workers", None, "workers must be an integer, got None", ("execution", "workers")),
+    ("penalty_coeff", "1", "penalty coefficient must be a number, got '1'", ("penalty", "coefficient")),
+    ("penalty_coeff", NaN, "penalty coefficient must be positive, got nan", ("penalty", "coefficient")),
+    ("feasibility_tol", None, "penalty feasibility_tol must be a number, got None", ("penalty", "feasibility_tol")),
+    ("feasibility_tol", NaN, "feasibility tolerance must be >= 0, got nan", ("penalty", "feasibility_tol")),
+]
+
+
+class TestConfigPathsAgree:
+    """validate_config is the one check of a config's values: a config built
+    in Python gets the entries a config file gets."""
+
+    def test_every_field_has_a_case(self):
+        assert {case[0] for case in WRONG_VALUES} == {f.name for f in fields(ExperimentConfig)}
+
+    @pytest.mark.parametrize(
+        "key,value,expected,path", WRONG_VALUES, ids=[f"{c[0]}-{c[1]!r}" for c in WRONG_VALUES]
+    )
+    def test_wrong_value_is_one_entry_on_both_paths(self, key, value, expected, path):
+        config = replace(tiny_config(), **{key: value})
+        assert validate_config(config) == [expected]
+        with pytest.raises(ConfigError) as err:
+            run_experiment(config)
+        assert err.value.problems == [expected]
+        if path is None:
+            return
+        data = config_to_dict(tiny_config())
+        section = data
+        for step in path[:-1]:
+            section = section[step]
+        section[path[-1]] = value
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        assert err.value.problems == [expected]
+
+    def test_params_of_a_file_entry_are_one_entry(self):
+        data = config_to_dict(tiny_config())
+        data["algorithms"] = [{"name": "pso", "params": None}]
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        assert err.value.problems == ["algorithm 'pso': params must be a mapping, got None"]
+
+    @pytest.mark.parametrize(
+        "parallel,expected",
+        [("2", "workers must be an integer, got '2'"), (0, "workers must be an integer >= 1, got 0")],
+    )
+    def test_parallel_is_checked_as_workers(self, parallel, expected):
+        with pytest.raises(ConfigError) as err:
+            run_experiment(tiny_config(), parallel=parallel)
+        assert err.value.problems == [expected]
+
+    def test_malformed_dimensions_are_listed_once_each(self):
+        config = tiny_config(dimensions=(2, 1, 2))
+        assert validate_config(config) == [
+            "dimensions must be integers >= 2, got 1",
+            "duplicate dimension 2",
+        ]
+        assert validate_config(tiny_config(dimensions=("x", "x", 3, 3))) == [
+            "'dimensions' must be a list of integers, got ('x', 'x', 3, 3)"
+        ]
+
+    def test_wrong_typed_checkpoints_are_not_normalized(self):
+        data = config_to_dict(tiny_config())
+        data["checkpoints"] = [6, 12.0]
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        assert err.value.problems == ["'checkpoints' must be a list of integers, got (6, 12.0)"]
+
+    def test_readme_example_is_a_valid_config(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("## Quick start (CLI)")[1].split("\n## ")[0]
+        blocks = section.split("```json\n")[1:]
+        assert len(blocks) == 1
+        config = config_from_dict(json.loads(blocks[0].split("```")[0]))
+        assert config.algorithm_names() == ["dvo", "pso", "gwo"]
 
 
 class TestCaseList:
@@ -1095,3 +1187,47 @@ class TestCli:
         captured = capsys.readouterr()
         assert "runs failed" in captured.err
         assert "boom" in captured.err
+
+
+class TestRecordFiles:
+    """RunRecord defines the record file."""
+
+    def test_record_file_is_runrecord_fields_in_order(self, tmp_path):
+        out = emit_records(run_experiment(tiny_config(runs=1)), tmp_path / "out")
+        data = json.loads(next((out / "records").glob("*.json")).read_text())
+        assert list(data) == ["schema_version"] + [f.name for f in fields(RunRecord)]
+
+    def test_missing_field_names_the_file(self, tmp_path, capsys):
+        out = emit_records(run_experiment(tiny_config(runs=1)), tmp_path / "out")
+        victim = next((out / "records").glob("*.json"))
+        data = json.loads(victim.read_text())
+        del data["algorithm"], data["trace"]
+        victim.write_text(json.dumps(data))
+        with pytest.raises(ConfigError) as err:
+            load_result_set(out)
+        assert err.value.problems == [
+            f"{victim}: missing record field 'algorithm'",
+            f"{victim}: missing record field 'trace'",
+        ]
+        assert main(["tables", "--in", str(out)]) == 1
+        message = capsys.readouterr().err
+        assert str(victim) in message and "'algorithm'" in message
+
+    @pytest.mark.parametrize(
+        "text,entry",
+        [
+            ('{"schema_version": 1, "algor', "parse error at line 1, column 23"),
+            ("[1, 2]", "a record must be a mapping, got list"),
+        ],
+    )
+    def test_unreadable_record_names_the_file(self, tmp_path, capsys, text, entry):
+        out = emit_records(run_experiment(tiny_config(runs=1)), tmp_path / "out")
+        victim = next((out / "records").glob("*.json"))
+        victim.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_result_set(out)
+        assert len(err.value.problems) == 1
+        assert err.value.problems[0].startswith(f"{victim}: {entry}")
+        assert main(["tables", "--in", str(out)]) == 1
+        assert str(victim) in capsys.readouterr().err
+
