@@ -35,7 +35,7 @@ def main():
 
     config = expand_ablation(
         ExperimentConfig(
-            suite="ablation",
+            suite="custom",
             problems=tuple(args.problems),
             dimensions=tuple(args.dims),
             algorithms=(AlgorithmSpec("dvo"),),

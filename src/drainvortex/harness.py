@@ -28,7 +28,7 @@ from .errors import ConfigError
 from .records import DEFAULT_CHECKPOINTS, SCHEMA_VERSION, RunRecord
 from .rng import mix_seed
 
-SUITES = ("classical_scalable", "classical_fixed", "engineering", "ablation", "custom")
+SUITES = ("classical_scalable", "classical_fixed", "engineering", "custom")
 
 SUMMARY_COLUMNS = (
     "algorithm",
@@ -158,7 +158,9 @@ def validate_config(config: ExperimentConfig) -> list:
     entry and is compared with no bound; a NaN gets one entry too.
     """
     problems = []
-    if config.suite not in SUITES:
+    if config.suite == "ablation":
+        problems.append("suite 'ablation' was removed; run a 'custom' suite with `drainvortex ablation`")
+    elif config.suite not in SUITES:
         problems.append(f"unknown suite {config.suite!r}; expected one of {SUITES}")
     defaults = ExperimentConfig()
     for key in _SCALARS:
@@ -204,13 +206,11 @@ def validate_config(config: ExperimentConfig) -> list:
     if not _list_of(names, str):
         problems.append(f"'problems' must be a list of names, got {names!r}")
         names = ()
-    elif config.suite in ("custom", "ablation"):
+    elif config.suite == "custom":
         if not names:
-            problems.append(f"suite {config.suite!r} requires an explicit problems list")
+            problems.append("suite 'custom' requires an explicit problems list")
     elif names and config.suite in SUITES:
-        problems.append(
-            f"problems list is only valid with suite 'custom' or 'ablation', not {config.suite!r}"
-        )
+        problems.append(f"problems list is only valid with suite 'custom', not {config.suite!r}")
     for name in sorted({p for p in names if names.count(p) > 1}):
         problems.append(f"duplicate problem {name!r}")
     for name in names:
@@ -320,8 +320,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         feasibility_tol=sections["penalty"]["feasibility_tol"],
         **{key: execution[key] for key in EXECUTION_KEYS},
     )
-    if config.suite == "ablation":
-        config = expand_ablation(config)
     problems.extend(validate_config(config))
     if problems:
         raise ConfigError(problems)
@@ -518,17 +516,22 @@ def _record_to_dict(record: RunRecord) -> dict:
     return data
 
 
-def _record_from_dict(data: dict, source: str) -> RunRecord:
+def _field_values(kind, data, source: str, label: str) -> dict:
+    """The values of dataclass `kind`'s fields in one entry of a file; an entry
+    that is not a mapping or misses a field is a ConfigError naming the file."""
     if not isinstance(data, dict):
-        raise ConfigError([f"{source}: a record must be a mapping, got {type(data).__name__}"])
-    version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError([f"{source}: unsupported schema version {version!r}"])
-    names = [f.name for f in fields(RunRecord)]
+        raise ConfigError([f"{source}: a {label} must be a mapping, got {type(data).__name__}"])
+    names = [f.name for f in fields(kind)]
     missing = [name for name in names if name not in data]
     if missing:
-        raise ConfigError([f"{source}: missing record field {name!r}" for name in missing])
-    values = {name: data[name] for name in names}
+        raise ConfigError([f"{source}: missing {label} field {name!r}" for name in missing])
+    return {name: data[name] for name in names}
+
+
+def _record_from_dict(data: dict, source: str) -> RunRecord:
+    if isinstance(data, dict) and data.get("schema_version") != SCHEMA_VERSION:
+        raise ConfigError([f"{source}: unsupported schema version {data.get('schema_version')!r}"])
+    values = _field_values(RunRecord, data, source, "record")
     values["best_position"] = np.asarray(values["best_position"], dtype=float)
     values["trace"] = np.asarray(values["trace"], dtype=float)
     values["checkpoints"] = {int(k): v for k, v in values["checkpoints"].items()}
@@ -615,11 +618,14 @@ def load_result_set(in_dir) -> ResultSet:
             r.run_index,
         )
     )
-    failures = []
     failures_path = root / "failures.json"
-    if failures_path.exists():
-        for item in json.loads(failures_path.read_text()):
-            failures.append(FailureRecord(**item))
+    items = _read_json(failures_path) if failures_path.exists() else []
+    if not isinstance(items, list):
+        raise ConfigError([f"{failures_path}: must be a list, got {type(items).__name__}"])
+    failures = [
+        FailureRecord(**_field_values(FailureRecord, item, str(failures_path), "failure"))
+        for item in items
+    ]
     return ResultSet(config=config, records=records, failures=failures)
 
 
@@ -659,18 +665,12 @@ def _render_latex(header, rows) -> str:
 
 def _case_cell(case: stats.CaseSummary, algorithm: str) -> tuple:
     """Cell text plus whether it should be bolded (row winner)."""
-    if case.constrained:
-        best = case.best_feasible[algorithm]
-        if not np.isfinite(best):
-            return "n/a", False
-        rate = case.feasible_rate[algorithm]
-        text = f"{best:.6g}"
-        if rate < 1.0:
-            text += f" ({rate:.2f})"
-    elif case.log_metric:
-        text = f"{case.metrics[algorithm]:.3f}"
-    else:
-        text = f"{case.metrics[algorithm]:.6g}"
+    value = case.metrics[algorithm]
+    if case.constrained and not np.isfinite(value):
+        return "n/a", False
+    text = f"{value:.3f}" if case.log_metric else f"{value:.6g}"
+    if case.constrained and case.feasible_rate[algorithm] < 1.0:
+        text += f" ({case.feasible_rate[algorithm]:.2f})"
     return text, algorithm in case.winners
 
 
@@ -700,7 +700,9 @@ def emit_result_table(result_set: ResultSet, fmt: str = "plain") -> str:
 
 def emit_stat_tables(result_set: ResultSet, reference: str) -> str:
     """Friedman rank table plus pairwise signed-rank comparisons against
-    the reference algorithm, Holm-corrected at the 0.05 level."""
+    the reference algorithm over the log-error cases, Holm-corrected at the
+    0.05 level; `n` counts the cases whose metrics differ, and a comparison
+    whose n cases cannot reach significance reads `too few cases`."""
     report = stats.compare(result_set, reference)
     table = report.table
     header = ["algorithm", "avg_rank", "wins", "cases"]
@@ -716,21 +718,24 @@ def emit_stat_tables(result_set: ResultSet, reference: str) -> str:
             f"dof = {test.dof}, p = {test.p_value:.3e}\n"
         )
     if report.comparisons:
-        header = ["comparison", "mean(algo)", "mean(ref)", "diff", "W+", "p", "p_holm", "significant"]
+        header = ["comparison", "n", "mean(algo)", "mean(ref)", "diff", "W+", "p", "p_holm", "significant"]
         rows = [
             [
                 f"{c.algorithm} vs {c.reference}",
+                str(c.test.n),
                 f"{c.algorithm_mean:.3f}",
                 f"{c.reference_mean:.3f}",
                 f"{c.difference:+.3f}",
-                f"{c.statistic:.1f}",
-                f"{c.p_value:.3e}",
+                f"{c.test.statistic:.1f}",
+                f"{c.test.p_value:.3e}",
                 f"{c.p_holm:.3e}",
-                "yes" if c.significant else "no",
+                "yes" if c.significant else "too few cases" if c.too_few_cases else "no",
             ]
             for c in report.comparisons
         ]
         out += "\n" + _render_plain(header, rows)
+    elif len(table.algorithms) > 1:
+        out += "\nno signed-rank tests: they use only cases with a log10 error, and there are none\n"
     return out
 
 

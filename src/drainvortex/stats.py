@@ -191,8 +191,6 @@ class CaseSummary:
     constrained: bool
     log_metric: bool = False
     metrics: dict = field(default_factory=dict)
-    per_run: dict = field(default_factory=dict)
-    best_feasible: dict = field(default_factory=dict)
     feasible_rate: dict = field(default_factory=dict)
     winners: tuple = ()
 
@@ -213,17 +211,19 @@ class SummaryTable:
 
 @dataclass(frozen=True)
 class PairwiseComparison:
+    """One algorithm against the reference over the log-error case metrics;
+    `test.n` counts the cases that differ. `too_few_cases`: even the smallest
+    exact p over n cases, 2/2^n, is not below the smallest Holm threshold 0.05/k."""
+
     algorithm: str
     reference: str
     algorithm_mean: float
     reference_mean: float
     difference: float
-    statistic: float
-    p_value: float
+    test: WilcoxonResult
     p_holm: float
-    direction: int
-    method: str
     significant: bool
+    too_few_cases: bool
 
 
 @dataclass(frozen=True)
@@ -250,23 +250,14 @@ def _expected_grid(result_set):
     return algorithms, cases, runs
 
 
-def _per_run_values(records) -> np.ndarray:
-    """Scalar per run: floored log error when the optimum is known,
-    otherwise the recorded best value (penalized for constrained cases)."""
-    values = [
-        r.log10_error if r.log10_error is not None else r.best_value for r in records
-    ]
-    return np.asarray(values, dtype=float)
-
-
 def summarize(result_set) -> SummaryTable:
     """Collapse a full record grid into per-case metrics, winners, average
     ranks, win counts, and a Friedman test over the rank matrix.
 
     Raises IncompleteGridError when any (algorithm, problem, dim) cell is
-    missing runs. Unconstrained cells are scored by mean floored log error;
-    constrained cells by the best feasible objective (infinite when no run
-    is feasible).
+    missing runs. Unconstrained cells are scored by mean floored log error
+    (the mean best value when the optimum is unknown); constrained cells by
+    the best feasible objective (infinite when no run is feasible).
     """
     algorithms, cases, runs = _expected_grid(result_set)
     cells: dict = {}
@@ -286,23 +277,21 @@ def summarize(result_set) -> SummaryTable:
 
     case_summaries = []
     for problem, dim in cases:
-        metrics, per_run = {}, {}
-        best_feasible, feasible_rate = {}, {}
+        metrics, feasible_rate = {}, {}
         constrained = False
         for algorithm in algorithms:
             runs_here = [cells[(algorithm, problem, dim)][i] for i in range(runs)]
-            values = _per_run_values(runs_here)
-            per_run[algorithm] = values
             if runs_here[0].feasible is not None:
                 constrained = True
-                feasible = [r for r in runs_here if r.feasible]
+                feasible = [r.objective_value for r in runs_here if r.feasible]
                 feasible_rate[algorithm] = len(feasible) / runs
-                best_feasible[algorithm] = (
-                    min(r.objective_value for r in feasible) if feasible else math.inf
-                )
-                metrics[algorithm] = best_feasible[algorithm]
+                metrics[algorithm] = min(feasible, default=math.inf)
             else:
-                metrics[algorithm] = float(values.mean())
+                values = [
+                    r.log10_error if r.log10_error is not None else r.best_value
+                    for r in runs_here
+                ]
+                metrics[algorithm] = float(np.asarray(values, dtype=float).mean())
         row = np.array([metrics[a] for a in algorithms])
         finite_min = row.min()
         winners = (
@@ -318,8 +307,6 @@ def summarize(result_set) -> SummaryTable:
                 constrained=constrained,
                 log_metric=sample.log10_error is not None and not constrained,
                 metrics=metrics,
-                per_run=per_run,
-                best_feasible=best_feasible,
                 feasible_rate=feasible_rate,
                 winners=winners,
             )
@@ -344,18 +331,22 @@ def summarize(result_set) -> SummaryTable:
 
 def compare(result_set, reference: str) -> StatReport:
     """Pairwise signed-rank tests of every algorithm against a reference,
-    Holm-corrected across the family, on per-run values pooled over cases."""
+    Holm-corrected across the family, on one value per case: the metric of
+    each log-error case. Constrained cases and cases without a known
+    optimum are ranked by `summarize` but enter no signed-rank test, so a
+    grid without a log-error case gives no comparisons."""
     table = summarize(result_set)
     if reference not in table.algorithms:
         raise ValueError(f"reference algorithm {reference!r} not in results")
     others = [a for a in table.algorithms if a != reference]
-    if not others:
+    cases = [case for case in table.cases if case.log_metric]
+    if not others or not cases:
         return StatReport(reference=reference, table=table, comparisons=())
 
-    ref_values = np.concatenate([case.per_run[reference] for case in table.cases])
+    ref_values = np.array([case.metrics[reference] for case in cases])
     raw = []
     for algorithm in others:
-        values = np.concatenate([case.per_run[algorithm] for case in table.cases])
+        values = np.array([case.metrics[algorithm] for case in cases])
         raw.append((algorithm, values, wilcoxon_signed_rank(values, ref_values)))
     adjusted = holm_correct(np.array([t.p_value for _, _, t in raw]))
     comparisons = tuple(
@@ -365,12 +356,10 @@ def compare(result_set, reference: str) -> StatReport:
             algorithm_mean=float(values.mean()),
             reference_mean=float(ref_values.mean()),
             difference=float(values.mean() - ref_values.mean()),
-            statistic=test.statistic,
-            p_value=test.p_value,
+            test=test,
             p_holm=float(p_holm),
-            direction=test.direction,
-            method=test.method,
             significant=bool(p_holm < SIGNIFICANCE_LEVEL),
+            too_few_cases=2.0 ** (1 - test.n) >= SIGNIFICANCE_LEVEL / len(others),
         )
         for (algorithm, values, test), p_holm in zip(raw, adjusted)
     )

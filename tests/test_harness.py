@@ -588,13 +588,15 @@ class TestCaseList:
 
 
 class TestAblationExpansion:
-    def test_suite_auto_expands(self):
-        config = config_from_dict(
-            {
-                "suite": "ablation",
-                "problems": ["F14"],
-                "algorithms": [{"name": "dvo", "params": {"n_drains": 4}}],
-            }
+    def test_expands_to_every_variant(self):
+        config = expand_ablation(
+            config_from_dict(
+                {
+                    "suite": "custom",
+                    "problems": ["F14"],
+                    "algorithms": [{"name": "dvo", "params": {"n_drains": 4}}],
+                }
+            )
         )
         names = config.algorithm_names()
         assert len(names) == 7
@@ -609,6 +611,25 @@ class TestAblationExpansion:
             "dvo:no_splash",
         }
         assert all(spec.params == {"n_drains": 4} for spec in config.algorithms)
+
+    @pytest.mark.parametrize(
+        "params,entries",
+        [
+            ({}, []),
+            ({"n_drains": "x"}, ["dvo parameters: n_drains must be an integer, got 'x'"]),
+        ],
+    )
+    def test_ablation_suite_is_one_entry(self, params, entries):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(
+                {
+                    "suite": "ablation",
+                    "problems": ["F14"],
+                    "algorithms": [{"name": "dvo", "params": params}],
+                }
+            )
+        hint = "suite 'ablation' was removed; run a 'custom' suite with `drainvortex ablation`"
+        assert err.value.problems == [hint] + entries
 
     def test_idempotent(self):
         config = tiny_config(algorithms=(AlgorithmSpec("dvo", {"n_drains": 2}),))
@@ -1018,7 +1039,11 @@ class TestEmitters:
         assert "dof = 1" in text
         assert "pso vs dvo" in text
         assert "p_holm" in text
-        assert ("yes" in text) or ("no" in text)
+        # one log-error case (F1): no exact p over one case can be significant
+        assert text.splitlines()[-1].split() == [
+            "pso", "vs", "dvo", "1", "-2.000", "-5.000", "+3.000", "1.0",
+            "1.000e+00", "1.000e+00", "too", "few", "cases",
+        ]
 
     def test_stat_tables_single_algorithm(self):
         rs = toy_result_set()
@@ -1231,3 +1256,24 @@ class TestRecordFiles:
         assert main(["tables", "--in", str(out)]) == 1
         assert str(victim) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload,entries",
+        [
+            (
+                [{"algorithm": "pso"}],
+                [f"missing failure field {name!r}" for name in ("problem", "dim", "run_index", "message")],
+            ),
+            ({"algorithm": "pso"}, ["must be a list, got dict"]),
+            (["pso"], ["a failure must be a mapping, got str"]),
+        ],
+    )
+    def test_malformed_failures_name_the_file(self, tmp_path, capsys, payload, entries):
+        out = emit_records(run_experiment(tiny_config(runs=1)), tmp_path / "out")
+        victim = out / "failures.json"
+        victim.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError) as err:
+            load_result_set(out)
+        assert err.value.problems == [f"{victim}: {entry}" for entry in entries]
+        assert main(["tables", "--in", str(out)]) == 1
+        message = capsys.readouterr().err
+        assert message.startswith("error: ") and str(victim) in message

@@ -8,6 +8,7 @@ Friedman and Holm cases.
 """
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,7 @@ import scipy.stats
 from hypothesis import given, strategies as st
 
 from drainvortex.errors import IncompleteGridError
+from drainvortex.harness import emit_stat_tables
 from drainvortex.records import RunRecord, floored_log10
 from drainvortex.stats import (
     chi_square_sf,
@@ -394,8 +396,8 @@ class TestSummarize:
         case = table.cases[0]
         assert case.constrained
         assert not case.log_metric
-        assert case.best_feasible["a"] == 263.9
-        assert case.best_feasible["b"] == math.inf
+        assert case.metrics["a"] == 263.9
+        assert case.metrics["b"] == math.inf
         assert case.feasible_rate["a"] == pytest.approx(2.0 / 3.0)
         assert case.feasible_rate["b"] == 0.0
         assert case.winners == ("a",)
@@ -423,12 +425,38 @@ class TestSummarize:
         assert table.friedman is None
 
 
+def exponent_grid(exponents, runs=3):
+    """Records with best value 10**(e + run), where `exponents` maps each
+    algorithm to one integer e per case; every case metric is then an exact
+    mean of integers, whatever the run order."""
+    return result_set(
+        make_record(algorithm, f"F{j + 1}", 2, run, best=10.0 ** (e + run))
+        for algorithm, per_case in exponents.items()
+        for j, e in enumerate(per_case)
+        for run in range(runs)
+    )
+
+
+def constrained_records(algorithm, problem, objectives, infeasible=()):
+    """One constrained run per objective; runs listed in `infeasible` are
+    penalized to 1e9 and not feasible."""
+    return [
+        make_record(
+            algorithm, problem, 2, run,
+            best=1e9 if run in infeasible else value, f_true=None,
+            feasible=run not in infeasible, objective_value=value,
+        )
+        for run, value in enumerate(objectives)
+    ]
+
+
 class TestCompare:
     def grid(self):
+        """Eight log-error cases; both baselines sit decades above dvo."""
         rng = np.random.default_rng(3)
         records = []
-        for run in range(12):
-            for problem in ("F1", "F9"):
+        for problem in [f"F{i}" for i in range(1, 9)]:
+            for run in range(3):
                 records.append(
                     make_record("dvo", problem, 2, run, best=10.0 ** rng.uniform(-9, -6))
                 )
@@ -447,15 +475,17 @@ class TestCompare:
         assert names == ["pso", "gwo"]
         for c in report.comparisons:
             assert c.reference == "dvo"
-            assert c.p_holm >= c.p_value
+            assert c.test.n == 8
+            assert c.p_holm >= c.test.p_value
             assert c.difference == pytest.approx(c.algorithm_mean - c.reference_mean)
             # both baselines sit decades above the reference here
-            assert c.direction == 1
+            assert c.test.direction == 1
             assert c.significant
+            assert not c.too_few_cases
 
     def test_holm_family_is_joint(self):
         report = compare(self.grid(), "dvo")
-        raw = np.array([c.p_value for c in report.comparisons])
+        raw = np.array([c.test.p_value for c in report.comparisons])
         adjusted = np.array([c.p_holm for c in report.comparisons])
         assert np.array_equal(adjusted, holm_correct(raw))
 
@@ -467,3 +497,74 @@ class TestCompare:
         records = [make_record("solo", "F1", 2, run, best=0.5) for run in range(3)]
         report = compare(result_set(records), "solo")
         assert report.comparisons == ()
+
+    def test_run_order_does_not_change_the_comparison(self):
+        rng = np.random.default_rng(5)
+        exponents = {a: rng.integers(-9, -3, size=8).tolist() for a in ("dvo", "pso", "gwo")}
+        grid = exponent_grid(exponents)
+        before = compare(grid, "dvo").comparisons
+        for record in grid.records:
+            if record.algorithm == "pso":
+                record.run_index = (record.run_index + 1) % 3
+        assert compare(grid, "dvo").comparisons == before
+
+    def test_one_infeasible_run_changes_no_verdict(self):
+        exponents = {"dvo": [-8, -7, -9, -6, -8, -7, -6, -9], "pso": [-3, -4, -2, -5, -7, -3, -8, -2]}
+        grids = []
+        for infeasible in ((), (2,)):
+            grid = exponent_grid(exponents)
+            grid.records += constrained_records("dvo", "three_bar_truss", [263.9, 264.0, 264.1])
+            grid.records += constrained_records(
+                "pso", "three_bar_truss", [264.5, 264.2, 264.8], infeasible
+            )
+            grids.append(grid)
+        clean, spoiled = (compare(grid, "dvo") for grid in grids)
+        assert spoiled.table.cases[-1].metrics == clean.table.cases[-1].metrics
+        assert spoiled.comparisons == clean.comparisons
+        assert [c.significant for c in spoiled.comparisons] == [True]
+
+    def test_only_constrained_cases_give_no_comparisons(self):
+        records = []
+        for algorithm, shift in (("dvo", 0.0), ("pso", 1.0), ("gwo", 2.0)):
+            for problem in ("three_bar_truss", "welded_beam"):
+                records += constrained_records(algorithm, problem, [10.0 + shift, 11.0], (1,))
+        grid = result_set(records)
+        assert compare(grid, "dvo").comparisons == ()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            text = emit_stat_tables(grid, reference="dvo")
+        assert "Friedman chi-square =" in text
+        assert text.endswith(
+            "\nno signed-rank tests: they use only cases with a log10 error, and there are none\n"
+        )
+
+    def test_n_counts_log_cases_that_differ(self):
+        exponents = {
+            "dvo": [-8, -7, -9, -6, -8, -7, -6, -9, -5, -7],
+            "pso": [-8, -4, -9, -5, -8, -3, -8, -2, -4, -6],  # ties dvo on three cases
+            "gwo": [-4] * 10,
+        }
+        grid = exponent_grid(exponents)
+        for algorithm, objective in (("dvo", 263.9), ("pso", 264.5), ("gwo", 265.0)):
+            grid.records += constrained_records(algorithm, "three_bar_truss", [objective] * 3)
+            # no known optimum: ranked, never tested
+            grid.records += [
+                make_record(algorithm, "F24", 2, run, best=objective, f_true=None)
+                for run in range(3)
+            ]
+        report = compare(grid, "dvo")
+        assert len(report.table.cases) == 12
+        assert [c.test.n for c in report.comparisons] == [7, 10]
+        assert "pso vs dvo   7" in emit_stat_tables(grid, reference="dvo")
+
+    @pytest.mark.parametrize("n_cases,too_few", [(5, True), (7, True), (8, False), (10, False)])
+    def test_too_few_cases_for_six_baselines(self, n_cases, too_few):
+        others = ("pso", "gwo", "woa", "sca", "aoa", "eo")
+        exponents = {"dvo": [-9] * n_cases}
+        exponents.update((a, [-8 + k] * n_cases) for k, a in enumerate(others))
+        report = compare(exponent_grid(exponents, runs=2), "dvo")
+        assert [c.too_few_cases for c in report.comparisons] == [too_few] * 6
+        assert [c.significant for c in report.comparisons] == [not too_few] * 6
+        text = emit_stat_tables(exponent_grid(exponents, runs=2), reference="dvo")
+        verdicts = [line.split("  ")[-1].strip() for line in text.splitlines() if " vs dvo" in line]
+        assert verdicts == ["too few cases" if too_few else "yes"] * 6
