@@ -4,6 +4,10 @@ correction, plus grid summarization over a set of run records.
 
 Conventions: lower metric values are better everywhere, rank 1 is the best
 algorithm in a case, and tied metrics share averaged ranks.
+
+Ranks are computed here in numpy; `scipy.special` is imported only when a
+Friedman or normal-approximation p-value is computed, and `scipy.stats`
+serves only the tests, as a reference.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc, ndtr
-from scipy.stats import rankdata
 
 from .errors import IncompleteGridError
 from .records import LOG_ERROR_FLOOR
@@ -35,7 +37,29 @@ def chi_square_sf(x: float, dof: float) -> float:
         raise ValueError(f"dof must be positive, got {dof}")
     if x <= 0:
         return 1.0
+    from scipy.special import gammaincc  # deferred: scipy.special adds ~0.3 s to a cold start
     return float(gammaincc(dof / 2.0, x / 2.0))
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ascending ranks along the last axis of a 1-D or 2-D array, tied values
+    sharing the mean of their positions; a NaN makes every rank of its row
+    NaN. Bitwise equal to `scipy.stats.rankdata` with `method="average"`
+    and `axis=-1`."""
+    rows = np.atleast_2d(values)
+    n, m = rows.shape
+    order = np.argsort(rows, axis=1, kind="stable")
+    ordered = np.take_along_axis(rows, order, axis=1)
+    obs = np.ones(rows.shape, dtype=bool)
+    obs[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    dense = obs.cumsum().reshape(rows.shape)
+    count = np.r_[np.flatnonzero(obs), rows.size]
+    # tie groups span the flattened rows, so each row's offset is taken off
+    in_order = 0.5 * (count[dense] + count[dense - 1] + 1) - m * np.arange(n)[:, None]
+    ranks = np.empty(rows.shape)
+    np.put_along_axis(ranks, order, in_order, axis=1)
+    ranks[np.isnan(rows).any(axis=1)] = np.nan
+    return ranks.reshape(values.shape)
 
 
 def rank_per_case(metrics) -> np.ndarray:
@@ -46,7 +70,7 @@ def rank_per_case(metrics) -> np.ndarray:
     metrics = np.asarray(metrics, dtype=float)
     if metrics.ndim != 2:
         raise ValueError(f"expected a 2-D metric matrix, got shape {metrics.shape}")
-    return rankdata(metrics, method="average", axis=1)
+    return _average_ranks(metrics)
 
 
 @dataclass(frozen=True)
@@ -123,23 +147,29 @@ def wilcoxon_signed_rank(x, y) -> WilcoxonResult:
     nonzero pairs, normal approximation with tie variance and a continuity
     correction beyond. The statistic is the positive-rank sum W+ and
     direction is the sign of the median nonzero difference (+1 means x
-    tends to exceed y).
+    tends to exceed y), or 0 where that median is undefined.
+
+    Samples may hold +-inf but not NaN: equal values, infinite ones
+    included, are a zero difference, and an infinite difference ranks
+    above every finite one.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError(f"need matching 1-D samples, got {x.shape} and {y.shape}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("samples contain non-finite values")
-    diffs = x - y
-    diffs = diffs[diffs != 0.0]
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise ValueError("samples contain NaN")
+    differ = x != y
+    diffs = x[differ] - y[differ]
     n = diffs.size
     if n == 0:
         return WilcoxonResult(statistic=0.0, p_value=1.0, direction=0, method="degenerate", n=0)
 
-    ranks = rankdata(np.abs(diffs), method="average")
+    ranks = _average_ranks(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
-    direction = int(np.sign(np.median(diffs)))
+    with np.errstate(invalid="ignore"):  # -inf and +inf in the middle: NaN
+        median = np.median(diffs)
+    direction = 0 if math.isnan(median) else int(np.sign(median))
 
     if n <= EXACT_WILCOXON_LIMIT:
         doubled = np.rint(2.0 * ranks).astype(int)
@@ -159,6 +189,7 @@ def wilcoxon_signed_rank(x, y) -> WilcoxonResult:
     elif centered < 0:
         centered += 0.5
     z = centered / math.sqrt(variance)
+    from scipy.special import ndtr  # deferred: scipy.special adds ~0.3 s to a cold start
     p = min(2.0 * float(ndtr(-abs(z))), 1.0)
     return WilcoxonResult(w_plus, p, direction, "normal", n)
 
@@ -355,7 +386,7 @@ def compare(result_set, reference: str) -> StatReport:
             reference=reference,
             algorithm_mean=float(values.mean()),
             reference_mean=float(ref_values.mean()),
-            difference=float(values.mean() - ref_values.mean()),
+            difference=float(values.mean()) - float(ref_values.mean()),
             test=test,
             p_holm=float(p_holm),
             significant=bool(p_holm < SIGNIFICANCE_LEVEL),

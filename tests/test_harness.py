@@ -1114,6 +1114,32 @@ class TestCli:
         assert main(["convergence", "--in", str(out), "--problems", "F1"]) == 0
         assert "mean_log10_error" in capsys.readouterr().out
 
+    def test_stats_with_an_infinite_log_error_case(self, tmp_path, capsys):
+        # evaluate maps NaN to +inf, so every run of this case logs an infinite error
+        register_plugin(
+            ProblemSpec(
+                name="always-nan",
+                dim=2,
+                lower=np.array([-1.0, -1.0]),
+                upper=np.array([1.0, 1.0]),
+                objective=lambda x: NaN,
+                f_true=0.0,
+            )
+        )
+        try:
+            config = self.write_config(tmp_path, problems=["F1", "always-nan"])
+            out = tmp_path / "out"
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+            capsys.readouterr()
+            assert main(["stats", "--in", str(out), "--reference", "dvo"]) == 0
+        finally:
+            clear_plugins()
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["algorithm", "avg_rank", "wins", "cases"]
+        rows = [line.split() for line in lines if " vs dvo " in line]
+        # n counts F1 only: the equal infinities of always-nan are a zero difference
+        assert [row[:6] for row in rows] == [["pso", "vs", "dvo", "1", "inf", "inf"]]
+
     def test_run_requires_output_somewhere(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
         assert main(["run", "--config", str(config)]) == 1

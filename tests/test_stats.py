@@ -3,23 +3,30 @@
 The nonparametric machinery is verified against independent oracles:
 scipy's signed-rank test for both the exact and the normal-approximation
 regimes, an enumeration over all sign assignments for small samples, a
-test-side reimplementation of tie-averaged ranking, and hand-worked
+test-side reimplementation of tie-averaged ranking, scipy's `rankdata`,
+which the package's numpy ranks equal bit for bit, and hand-worked
 Friedman and Holm cases.
 """
 
+import json
 import math
+import subprocess
+import sys
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.stats
+from conftest import child_env
 from hypothesis import given, strategies as st
 
 from drainvortex.errors import IncompleteGridError
 from drainvortex.harness import emit_stat_tables
 from drainvortex.records import RunRecord, floored_log10
 from drainvortex.stats import (
+    WilcoxonResult,
+    _average_ranks,
     chi_square_sf,
     compare,
     friedman,
@@ -64,6 +71,23 @@ def brute_force_signed_rank_p(x, y):
         if abs(2 * w - total) >= gap:
             count += 1
     return count / 2.0**n
+
+
+def test_scipy_loads_only_at_the_first_p_value():
+    # a child interpreter: this test process has imported scipy.stats itself
+    code = (
+        "import json, sys\n"
+        "import drainvortex, drainvortex.cli, drainvortex.harness\n"
+        "from drainvortex import stats\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "stats.friedman([[1.0, 2.0, 3.0], [1.0, 3.0, 2.0], [2.0, 1.0, 3.0]])\n"
+        "special, full = ('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)\n"
+        "print(json.dumps([loaded, special, full]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), check=True
+    )
+    assert json.loads(proc.stdout) == [[], True, False]
 
 
 class TestLogError:
@@ -113,6 +137,37 @@ class TestRanks:
     def test_rejects_flat_input(self):
         with pytest.raises(ValueError):
             rank_per_case([1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[2.0, 1.0, 2.0, 2.0], [0.0, -0.0, 3.0, 0.0]],
+            [[math.inf, 1.0, math.inf, -math.inf], [-math.inf, -math.inf, 0.0, math.inf]],
+            [[1.0, math.nan, 2.0, math.nan], [3.0, 1.0, 1.0, 2.0]],
+            [[4.0], [math.inf], [-1.0]],
+            [[5.0, 5.0, -math.inf, 1.0, 5.0]],
+        ],
+        ids=["ties", "infinities", "nan-row", "one-column", "one-case"],
+    )
+    def test_bitwise_equal_to_scipy(self, matrix):
+        matrix = np.array(matrix)
+        want = scipy.stats.rankdata(matrix, method="average", axis=1)
+        assert rank_per_case(matrix).tobytes() == want.tobytes()
+        for row, want_row in zip(matrix, want):
+            got = _average_ranks(row)
+            assert got.dtype == want_row.dtype and got.tobytes() == want_row.tobytes()
+
+    @given(
+        st.lists(
+            st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 0.5, 2.0, math.inf]),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_average_ranks_bitwise_equal_to_scipy(self, values):
+        values = np.array(values)
+        want = scipy.stats.rankdata(values, method="average")
+        assert _average_ranks(values).tobytes() == want.tobytes()
 
     @given(
         st.lists(
@@ -234,8 +289,27 @@ class TestWilcoxon:
     def test_validation(self):
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([1.0, 2.0], [1.0])
-        with pytest.raises(ValueError):
-            wilcoxon_signed_rank([1.0, math.inf], [0.0, 0.0])
+        assert wilcoxon_signed_rank([1.0, math.inf], [0.0, 0.0]) == WilcoxonResult(
+            statistic=3.0, p_value=0.5, direction=1, method="exact", n=2
+        )
+        with pytest.raises(ValueError, match="NaN"):
+            wilcoxon_signed_rank([1.0, math.nan], [0.0, 0.0])
+
+    def test_infinite_samples(self):
+        inf = math.inf
+        # equal infinities are a zero difference and are discarded
+        assert wilcoxon_signed_rank([inf, -inf, 3.0], [inf, -inf, 1.0]) == (
+            wilcoxon_signed_rank([3.0], [1.0])
+        )
+        # an infinite difference ranks above every finite one
+        result = wilcoxon_signed_rank([-inf, 1.0, 2.0, 5.0], [0.0, 0.0, 0.0, 0.0])
+        assert result.statistic == 1.0 + 2.0 + 3.0
+        assert result.p_value == wilcoxon_signed_rank(
+            [-9.0, 1.0, 2.0, 5.0], [0.0, 0.0, 0.0, 0.0]
+        ).p_value
+        # -inf and +inf in the middle leave the median difference undefined
+        assert wilcoxon_signed_rank([-inf, inf], [0.0, 0.0]).direction == 0
+        assert wilcoxon_signed_rank([inf, inf, -inf], [0.0, 0.0, 0.0]).direction == 1
 
 
 class TestHolm:
