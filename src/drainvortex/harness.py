@@ -344,19 +344,19 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
-def _read_json(path: Path):
-    """A JSON file's data; a parse error is a ConfigError naming the file."""
+def _parse_json(text: str, source: str):
+    """JSON text's data; a parse error is a ConfigError naming `source`."""
     try:
-        return json.loads(path.read_text())
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
-            [f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
+            [f"{source}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a JSON experiment config."""
-    return config_from_dict(_read_json(Path(path)))
+    return config_from_dict(_parse_json(Path(path).read_text(), str(path)))
 
 
 def save_config(config: ExperimentConfig, path) -> None:
@@ -506,6 +506,10 @@ def run_experiment(config: ExperimentConfig, parallel: int | None = None) -> Res
 # ---------------------------------------------------------------------------
 
 
+# one line per run, each `json.dumps(_record_to_dict(record))`, in grid order
+RECORDS_FILE = "records.jsonl"
+
+
 def _record_to_dict(record: RunRecord) -> dict:
     """The schema version, then RunRecord's fields in declaration order
     (json writes the integer checkpoint keys as text)."""
@@ -538,9 +542,24 @@ def _record_from_dict(data: dict, source: str) -> RunRecord:
     return RunRecord(**values)
 
 
-def _record_filename(record: RunRecord) -> str:
-    safe = record.algorithm.replace(":", "-")
-    return f"{safe}__{record.problem}__d{record.dim}__r{record.run_index:03d}.json"
+def _read_records(path: Path) -> list:
+    """The records of records.jsonl, one per line; a bad line (not JSON, torn,
+    not a record, or a second record of the same run) is a ConfigError
+    naming the file and the line."""
+    if not path.exists():
+        raise ConfigError([f"{path}: no records file found"])
+    records, line_of = [], {}
+    with path.open() as stream:
+        for number, line in enumerate(stream, start=1):
+            source = f"{path}:{number}"
+            record = _record_from_dict(_parse_json(line, source), source)
+            key = (record.algorithm, record.problem, record.dim, record.run_index)
+            if key in line_of:
+                run = "{} {} d{} run {}".format(*key)
+                raise ConfigError([f"{source}: a second record of {run}, first at line {line_of[key]}"])
+            line_of[key] = number
+            records.append(record)
+    return records
 
 
 def _csv_cell(value) -> str:
@@ -575,17 +594,16 @@ def summary_rows(result_set: ResultSet) -> list:
 
 
 def emit_records(result_set: ResultSet, out_dir) -> Path:
-    """Write config snapshot, per-run record files, and summary.csv; the
-    record files and failures.json of an earlier grid there are removed."""
+    """Write the config snapshot, records.jsonl (one record per line, in grid
+    order) and summary.csv; an earlier grid's records.jsonl is overwritten
+    and its failures.json removed."""
     out = Path(out_dir)
-    records_dir = out / "records"
-    records_dir.mkdir(parents=True, exist_ok=True)
-    for stale in [*records_dir.glob("*.json"), out / "failures.json"]:
-        stale.unlink(missing_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "failures.json").unlink(missing_ok=True)
     save_config(result_set.config, out / "config.json")
-    for record in result_set.records:
-        path = records_dir / _record_filename(record)
-        path.write_text(json.dumps(_record_to_dict(record)) + "\n")
+    with (out / RECORDS_FILE).open("w") as stream:
+        for record in result_set.records:
+            stream.write(json.dumps(_record_to_dict(record)) + "\n")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SUMMARY_COLUMNS)
@@ -604,11 +622,7 @@ def load_result_set(in_dir) -> ResultSet:
     if not config_path.exists():
         raise ConfigError([f"{config_path}: no config snapshot found"])
     config = load_config(config_path)
-    records = []
-    records_dir = root / "records"
-    if records_dir.is_dir():
-        for path in sorted(records_dir.glob("*.json")):
-            records.append(_record_from_dict(_read_json(path), str(path)))
+    records = _read_records(root / RECORDS_FILE)
     algo_order = {name: i for i, name in enumerate(config.algorithm_names())}
     case_order = {case: i for i, case in enumerate(config.case_list())}
     records.sort(
@@ -619,7 +633,7 @@ def load_result_set(in_dir) -> ResultSet:
         )
     )
     failures_path = root / "failures.json"
-    items = _read_json(failures_path) if failures_path.exists() else []
+    items = _parse_json(failures_path.read_text(), str(failures_path)) if failures_path.exists() else []
     if not isinstance(items, list):
         raise ConfigError([f"{failures_path}: must be a list, got {type(items).__name__}"])
     failures = [

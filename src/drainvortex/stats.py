@@ -243,8 +243,10 @@ class SummaryTable:
 @dataclass(frozen=True)
 class PairwiseComparison:
     """One algorithm against the reference over the log-error case metrics;
-    `test.n` counts the cases that differ. `too_few_cases`: even the smallest
-    exact p over n cases, 2/2^n, is not below the smallest Holm threshold 0.05/k."""
+    the means and their difference cover the cases where both metrics are
+    finite, and `test.n` counts the cases that differ. `too_few_cases`: even
+    the smallest exact p over n cases, 2/2^n, is not below the smallest Holm
+    threshold 0.05/k."""
 
     algorithm: str
     reference: str
@@ -378,20 +380,23 @@ def compare(result_set, reference: str) -> StatReport:
     raw = []
     for algorithm in others:
         values = np.array([case.metrics[algorithm] for case in cases])
-        raw.append((algorithm, values, wilcoxon_signed_rank(values, ref_values)))
+        # means over the cases finite for both, so one infinite case hides no other
+        both = np.isfinite(values) & np.isfinite(ref_values)
+        means = [float(v[both].mean()) if both.any() else math.nan for v in (values, ref_values)]
+        raw.append((algorithm, means, wilcoxon_signed_rank(values, ref_values)))
     adjusted = holm_correct(np.array([t.p_value for _, _, t in raw]))
     comparisons = tuple(
         PairwiseComparison(
             algorithm=algorithm,
             reference=reference,
-            algorithm_mean=float(values.mean()),
-            reference_mean=float(ref_values.mean()),
-            difference=float(values.mean()) - float(ref_values.mean()),
+            algorithm_mean=mean,
+            reference_mean=ref_mean,
+            difference=mean - ref_mean,
             test=test,
             p_holm=float(p_holm),
             significant=bool(p_holm < SIGNIFICANCE_LEVEL),
             too_few_cases=2.0 ** (1 - test.n) >= SIGNIFICANCE_LEVEL / len(others),
         )
-        for (algorithm, values, test), p_holm in zip(raw, adjusted)
+        for (algorithm, (mean, ref_mean), test), p_holm in zip(raw, adjusted)
     )
     return StatReport(reference=reference, table=table, comparisons=comparisons)

@@ -416,11 +416,12 @@ def _masked_summary(out_dir):
 
 
 def _masked_records(out_dir):
-    payload = {}
-    for path in sorted((out_dir / "records").glob("*.json")):
-        data = json.loads(path.read_text())
+    """The lines of records.jsonl in file order, keyed by run, wall time masked."""
+    payload = []
+    for line in (out_dir / "records.jsonl").read_text().splitlines():
+        data = json.loads(line)
         data.pop("walltime_ms")
-        payload[path.name] = data
+        payload.append(((data["algorithm"], data["problem"], data["dim"], data["run_index"]), data))
     return payload
 
 
@@ -461,7 +462,9 @@ class TestParallelReproducibility:
         masked = _masked_summary(one)
         assert masked == _masked_summary(eight)
         assert len(masked) == 1 + 6
-        assert _masked_records(one) == _masked_records(eight)
+        records = _masked_records(one)
+        assert len(dict(records)) == len(records) == 6
+        assert records == _masked_records(eight)
 
 
 class TestComponentToggles:

@@ -53,6 +53,16 @@ def masked_records(result_set):
     ]
 
 
+def record_lines(out):
+    """The lines of a result directory's records.jsonl."""
+    return (out / "records.jsonl").read_text().splitlines()
+
+
+def run_key(line):
+    data = json.loads(line)
+    return data["algorithm"], data["problem"], data["dim"], data["run_index"]
+
+
 def tiny_config(**overrides):
     base = dict(
         suite="custom",
@@ -835,13 +845,16 @@ class TestPersistence:
         out = emit_records(result, config.output)
         assert (out / "config.json").exists()
         assert (out / "summary.csv").exists()
-        names = sorted(p.name for p in (out / "records").glob("*.json"))
-        assert names == [
-            "dvo__F1__d2__r000.json",
-            "dvo__F1__d2__r001.json",
-            "pso__F1__d2__r000.json",
-            "pso__F1__d2__r001.json",
+        assert sorted(p.name for p in out.iterdir()) == ["config.json", "records.jsonl", "summary.csv"]
+        lines = record_lines(out)
+        # one line per run, in grid order
+        assert [run_key(line) for line in lines] == [
+            ("pso", "F1", 2, 0),
+            ("pso", "F1", 2, 1),
+            ("dvo", "F1", 2, 0),
+            ("dvo", "F1", 2, 1),
         ]
+        assert lines == [json.dumps(harness._record_to_dict(r)) for r in result.records]
         loaded = load_result_set(out)
         assert loaded.config == result.config
         assert len(loaded.records) == 4
@@ -855,16 +868,19 @@ class TestPersistence:
             assert a.checkpoints == b.checkpoints
             assert a.log10_error == b.log10_error
 
-    def test_variant_filenames_escape_colon(self, tmp_path):
+    def test_variant_names_round_trip(self, tmp_path):
         config = tiny_config(
             algorithms=(AlgorithmSpec("dvo:no_swirl"),), output=str(tmp_path / "out")
         )
         result = run_experiment(config)
         out = emit_records(result, config.output)
-        names = [p.name for p in (out / "records").glob("*.json")]
-        assert sorted(names) == ["dvo-no_swirl__F1__d2__r000.json", "dvo-no_swirl__F1__d2__r001.json"]
+        assert [run_key(line) for line in record_lines(out)] == [
+            ("dvo:no_swirl", "F1", 2, 0),
+            ("dvo:no_swirl", "F1", 2, 1),
+        ]
         loaded = load_result_set(out)
         assert [r.algorithm for r in loaded.records] == ["dvo:no_swirl"] * 2
+        assert masked_records(loaded) == masked_records(result)
 
     def test_summary_csv_shape(self, tmp_path):
         config = tiny_config(output=str(tmp_path / "out"))
@@ -884,13 +900,14 @@ class TestPersistence:
         config = tiny_config(output=str(tmp_path / "out"))
         result = run_experiment(config)
         out = emit_records(result, config.output)
-        victim = next((out / "records").glob("*.json"))
-        data = json.loads(victim.read_text())
+        victim = out / "records.jsonl"
+        first, second = record_lines(out)
+        data = json.loads(second)
         data["schema_version"] = 99
-        victim.write_text(json.dumps(data))
+        victim.write_text(first + "\n" + json.dumps(data) + "\n")
         with pytest.raises(ConfigError) as err:
             load_result_set(out)
-        assert "schema version" in str(err.value)
+        assert err.value.problems == [f"{victim}:2: unsupported schema version 99"]
 
     def test_missing_config_snapshot(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -942,7 +959,10 @@ class TestPersistence:
             emit_records(first, out)
         finally:
             clear_plugins()
-        emit_records(run_experiment(tiny_config(runs=1)), out)
+        second = run_experiment(tiny_config(runs=1))
+        emit_records(second, out)
+        # exactly the new grid's one line is left of the earlier three
+        assert record_lines(out) == [json.dumps(harness._record_to_dict(r)) for r in second.records]
         loaded = load_result_set(out)
         assert len(loaded.records) == 1
         assert loaded.failures == []
@@ -1132,13 +1152,20 @@ class TestCli:
             assert main(["run", "--config", str(config), "--out", str(out)]) == 0
             capsys.readouterr()
             assert main(["stats", "--in", str(out), "--reference", "dvo"]) == 0
+            table = stats.summarize(load_result_set(out))
         finally:
             clear_plugins()
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split() == ["algorithm", "avg_rank", "wins", "cases"]
         rows = [line.split() for line in lines if " vs dvo " in line]
-        # n counts F1 only: the equal infinities of always-nan are a zero difference
-        assert [row[:6] for row in rows] == [["pso", "vs", "dvo", "1", "inf", "inf"]]
+        f1, never = table.cases
+        assert never.metrics == {"pso": math.inf, "dvo": math.inf}
+        # n counts F1 only: the equal infinities of always-nan are a zero difference;
+        # the means and their difference cover F1 only, the one case finite for both
+        pso, dvo = f1.metrics["pso"], f1.metrics["dvo"]
+        assert [row[:7] for row in rows] == [
+            ["pso", "vs", "dvo", "1", f"{pso:.3f}", f"{dvo:.3f}", f"{pso - dvo:+.3f}"]
+        ]
 
     def test_run_requires_output_somewhere(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
@@ -1241,28 +1268,28 @@ class TestCli:
 
 
 class TestRecordFiles:
-    """RunRecord defines the record file."""
+    """RunRecord defines each line of records.jsonl."""
 
     def test_record_file_is_runrecord_fields_in_order(self, tmp_path):
         out = emit_records(run_experiment(tiny_config(runs=1)), tmp_path / "out")
-        data = json.loads(next((out / "records").glob("*.json")).read_text())
-        assert list(data) == ["schema_version"] + [f.name for f in fields(RunRecord)]
+        (line,) = record_lines(out)
+        assert list(json.loads(line)) == ["schema_version"] + [f.name for f in fields(RunRecord)]
 
     def test_missing_field_names_the_file(self, tmp_path, capsys):
         out = emit_records(run_experiment(tiny_config(runs=1)), tmp_path / "out")
-        victim = next((out / "records").glob("*.json"))
+        victim = out / "records.jsonl"
         data = json.loads(victim.read_text())
         del data["algorithm"], data["trace"]
-        victim.write_text(json.dumps(data))
+        victim.write_text(json.dumps(data) + "\n")
         with pytest.raises(ConfigError) as err:
             load_result_set(out)
         assert err.value.problems == [
-            f"{victim}: missing record field 'algorithm'",
-            f"{victim}: missing record field 'trace'",
+            f"{victim}:1: missing record field 'algorithm'",
+            f"{victim}:1: missing record field 'trace'",
         ]
         assert main(["tables", "--in", str(out)]) == 1
         message = capsys.readouterr().err
-        assert str(victim) in message and "'algorithm'" in message
+        assert f"{victim}:1" in message and "'algorithm'" in message
 
     @pytest.mark.parametrize(
         "text,entry",
@@ -1272,15 +1299,52 @@ class TestRecordFiles:
         ],
     )
     def test_unreadable_record_names_the_file(self, tmp_path, capsys, text, entry):
-        out = emit_records(run_experiment(tiny_config(runs=1)), tmp_path / "out")
-        victim = next((out / "records").glob("*.json"))
-        victim.write_text(text)
+        out = emit_records(run_experiment(tiny_config()), tmp_path / "out")
+        victim = out / "records.jsonl"
+        first, _ = record_lines(out)
+        victim.write_text(first + "\n" + text)
         with pytest.raises(ConfigError) as err:
             load_result_set(out)
         assert len(err.value.problems) == 1
-        assert err.value.problems[0].startswith(f"{victim}: {entry}")
+        assert err.value.problems[0].startswith(f"{victim}:2: {entry}")
         assert main(["tables", "--in", str(out)]) == 1
-        assert str(victim) in capsys.readouterr().err
+        assert f"{victim}:2" in capsys.readouterr().err
+
+    def test_torn_last_line_names_the_line(self, tmp_path, capsys):
+        out = emit_records(run_experiment(tiny_config()), tmp_path / "out")
+        victim = out / "records.jsonl"
+        text = victim.read_text()
+        victim.write_text(text[: len(text) - 40])
+        with pytest.raises(ConfigError) as err:
+            load_result_set(out)
+        assert len(err.value.problems) == 1
+        assert err.value.problems[0].startswith(f"{victim}:2: parse error at line 1, column ")
+        assert main(["tables", "--in", str(out)]) == 1
+        assert f"{victim}:2" in capsys.readouterr().err
+
+    def test_duplicate_line_names_the_line(self, tmp_path, capsys):
+        out = emit_records(run_experiment(tiny_config()), tmp_path / "out")
+        victim = out / "records.jsonl"
+        first, second = record_lines(out)
+        victim.write_text("\n".join([first, second, first]) + "\n")
+        with pytest.raises(ConfigError) as err:
+            load_result_set(out)
+        assert err.value.problems == [
+            f"{victim}:3: a second record of pso F1 d2 run 0, first at line 1"
+        ]
+        assert main(["tables", "--in", str(out)]) == 1
+        assert f"{victim}:3" in capsys.readouterr().err
+
+    def test_missing_records_file_is_named(self, tmp_path):
+        out = emit_records(run_experiment(tiny_config()), tmp_path / "out")
+        victim = out / "records.jsonl"
+        # a directory of the per-run record files that came before it
+        (out / "records").mkdir()
+        (out / "records" / "pso__F1__d2__r000.json").write_text(record_lines(out)[0] + "\n")
+        victim.unlink()
+        with pytest.raises(ConfigError) as err:
+            load_result_set(out)
+        assert err.value.problems == [f"{victim}: no records file found"]
 
     @pytest.mark.parametrize(
         "payload,entries",

@@ -631,6 +631,36 @@ class TestCompare:
         assert [c.test.n for c in report.comparisons] == [7, 10]
         assert "pso vs dvo   7" in emit_stat_tables(grid, reference="dvo")
 
+    def test_means_cover_the_cases_finite_for_both(self):
+        exponents = {"dvo": [-8, -7, -9, -6], "pso": [-3, -4, -2, -5], "gwo": [-4, -5, -6, -7]}
+        finite_pso, _ = compare(exponent_grid(exponents), "dvo").comparisons
+        grid = exponent_grid(exponents)
+        # F5 is infinite for pso only: pso's means leave it out, gwo's count it
+        for algorithm, best in (("dvo", 1e-8), ("pso", math.inf), ("gwo", 1e-4)):
+            grid.records += [make_record(algorithm, "F5", 2, run, best=best) for run in range(3)]
+        pso, gwo = compare(grid, "dvo").comparisons
+        assert (pso.algorithm_mean, pso.reference_mean, pso.difference) == (
+            finite_pso.algorithm_mean,
+            finite_pso.reference_mean,
+            finite_pso.difference,
+        )
+        assert (pso.algorithm_mean, pso.reference_mean) == (-2.5, -6.5)
+        assert (gwo.algorithm_mean, gwo.reference_mean) == (-4.4, -6.8)
+        # the signed-rank test still sees every case
+        assert [c.test.n for c in (pso, gwo)] == [5, 5]
+        line = next(line for line in emit_stat_tables(grid, "dvo").splitlines() if "pso vs" in line)
+        assert line.split()[3:7] == ["5", "-2.500", "-6.500", "+4.000"]
+
+    def test_means_without_a_case_finite_for_both_are_nan(self):
+        grid = result_set(
+            make_record(algorithm, "F1", 2, run, best=best)
+            for algorithm, best in (("dvo", 1e-8), ("pso", math.inf))
+            for run in range(3)
+        )
+        (c,) = compare(grid, "dvo").comparisons
+        assert math.isnan(c.algorithm_mean) and math.isnan(c.reference_mean)
+        assert c.test.n == 1
+
     @pytest.mark.parametrize("n_cases,too_few", [(5, True), (7, True), (8, False), (10, False)])
     def test_too_few_cases_for_six_baselines(self, n_cases, too_few):
         others = ("pso", "gwo", "woa", "sca", "aoa", "eo")
