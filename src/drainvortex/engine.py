@@ -60,6 +60,10 @@ class Phase(IntEnum):
     CORE = 2
 
 
+# the phases as plain ints, which numpy compares without converting a member
+_FAR, _SPIRAL, _CORE = int(Phase.FAR), int(Phase.SPIRAL), int(Phase.CORE)
+
+
 # the least value of each integer parameter that has one, for dvo and every
 # baseline alike
 LEAST = {"n_agents": 2, "iterations": 2, "n_drains": 1, "stay_limit": 0, "n_elites": 1}
@@ -266,9 +270,11 @@ def drain_probabilities(k: int, pressure: float) -> Array:
 
 def _normalized_drain_distances(positions, drains, diameter):
     diff = positions[:, None, :] - drains[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    diff *= diff
+    dist = np.sqrt(diff.sum(axis=2))
+    dist /= diameter
     # distances cannot exceed the diameter inside the box; clamp defensively
-    return np.minimum(dist / diameter, 1.0)
+    return np.minimum(dist, 1.0, out=dist)
 
 
 def assign_drains(positions, drains, probs, diameter, epsilon):
@@ -278,42 +284,45 @@ def assign_drains(positions, drains, probs, diameter, epsilon):
     drain index.
     """
     rho_all = _normalized_drain_distances(positions, drains, diameter)
-    score = probs[None, :] / (rho_all + epsilon)
-    idx = np.argmax(score, axis=1)
-    return idx, rho_all[np.arange(len(positions)), idx]
+    idx = (probs / (rho_all + epsilon)).argmax(axis=1)
+    return idx, rho_all[np.arange(idx.size), idx]
 
 
 def stochastic_switch(assignment, probs, switch_prob, rng: RngStream):
     """Reassign each agent with probability switch_prob to a different
     drain, sampled from the remaining weights renormalized.
 
-    With a single drain or zero probability this draws nothing and returns
-    the assignment unchanged.
+    Returns the new assignment and the ascending indices of the agents whose
+    drain changed. With a single drain or zero probability this draws
+    nothing and returns the assignment unchanged.
     """
     k = probs.size
     if k < 2 or switch_prob <= 0.0:
-        return assignment
-    out = np.array(assignment, dtype=int, copy=True)
-    movers = np.where(rng.random(out.size) < switch_prob)[0]
-    if movers.size:
-        w = np.tile(probs, (movers.size, 1))
-        w[np.arange(movers.size), out[movers]] = 0.0
-        cum = np.cumsum(w, axis=1)
-        cum = cum / cum[:, -1:]
-        cum[:, -1] = 1.0
-        # one uniform per mover in ascending order, drawn as one block; the
-        # count of cum <= v is searchsorted(cum, v, side="right")
-        out[movers] = (cum <= rng.random(movers.size)[:, None]).sum(axis=1)
-    return out
+        return assignment, assignment[:0]
+    movers = (rng.random(assignment.size) < switch_prob).nonzero()[0]
+    if not movers.size:
+        return assignment, movers
+    old = assignment[movers]
+    w = np.repeat(probs[None, :], movers.size, axis=0)
+    w[np.arange(movers.size), old] = 0.0
+    cum = w.cumsum(axis=1)
+    cum /= cum[:, -1:]
+    cum[:, -1] = 1.0
+    # one uniform per mover in ascending order, drawn as one block; the
+    # count of cum <= v is searchsorted(cum, v, side="right")
+    new = (cum <= rng.random(movers.size)[:, None]).sum(axis=1)
+    out = assignment.copy()
+    out[movers] = new
+    # a mover keeps its drain only when every other weight underflowed to 0
+    return out, movers[new != old]
 
 
 def select_phase(rho, far_threshold, near_threshold):
     """Phase per agent: FAR above far_threshold, CORE at or below
     near_threshold, SPIRAL between. The three regions partition [0, 1]."""
-    phase = np.full(np.shape(rho), int(Phase.SPIRAL), dtype=int)
-    rho = np.asarray(rho)
-    phase[rho > far_threshold] = Phase.FAR
-    phase[rho <= near_threshold] = Phase.CORE
+    phase = np.full(rho.size, _SPIRAL)
+    phase[rho > far_threshold] = _FAR
+    phase[rho <= near_threshold] = _CORE
     return phase
 
 
@@ -324,8 +333,8 @@ def elitist_drains(positions, fitness, prev_positions, prev_fitness, drains, dra
     """
     pool = np.concatenate([positions, prev_positions, drains], axis=0)
     pool_fit = np.concatenate([fitness, prev_fitness, drain_fitness])
-    order = np.argsort(pool_fit, kind="stable")[:k]
-    return pool[order].copy(), pool_fit[order].copy()
+    order = pool_fit.argsort(kind="stable")[:k]
+    return pool[order], pool_fit[order]
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +347,6 @@ def far_field_update(positions, targets, scale, params: DvoParams, problem, rng:
 
     positions/targets are (n, d) blocks; one standard normal block is drawn.
     """
-    positions = np.atleast_2d(positions)
-    targets = np.atleast_2d(targets)
     d = positions.shape[1]
     noise = rng.standard_normal(positions.shape)
     drift = params.far_drift * scale * (targets - positions)
@@ -349,7 +356,7 @@ def far_field_update(positions, targets, scale, params: DvoParams, problem, rng:
 
 def swirl_speed(rho, params: DvoParams):
     """Tangential speed: circulation / (rho + softening), capped."""
-    return np.minimum(params.circulation / (np.asarray(rho) + params.core_softening), params.swirl_cap)
+    return np.minimum(params.circulation / (rho + params.core_softening), params.swirl_cap)
 
 
 def shrink_factor(radii, scale, params: DvoParams):
@@ -357,7 +364,7 @@ def shrink_factor(radii, scale, params: DvoParams):
     taper `scale` decays, down to `residual_shrink` of its full strength
     (1.0 keeps it fixed)."""
     c = params.residual_shrink + (1.0 - params.residual_shrink) * scale / 2.0
-    return (1.0 - params.shrink_gain * c) * np.asarray(radii)
+    return (1.0 - params.shrink_gain * c) * radii
 
 
 def _row_dot(a, b):
@@ -387,7 +394,7 @@ def _draw_tangents(radial, rng: RngStream):
         scale = _row_norms(radial)
         if scale.all():
             start = rng.snapshot()
-            normal, uniform = rng.standard_normal, rng.random
+            normal, uniform = rng._gen.standard_normal, rng._gen.random
             for i in range(m):
                 normal(out=tangents[i])
                 u[i] = uniform()
@@ -426,33 +433,24 @@ def spiral_update(
     draws, projection and normalisation run on the block with the same BLAS
     `ddot`, and a degenerate row replays the per-agent loop.
     """
-    positions = np.atleast_2d(positions)
-    targets = np.atleast_2d(targets)
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    n = positions.shape[0]
-
     radial = (positions - targets) / (radii[:, None] + params.epsilon)
-    use_swirl = params.swirl
-    if use_swirl and tangents is None:
+    if params.swirl and tangents is None:
         tangents, drawn_angles = _draw_tangents(radial, rng)
         if angles is None:
             angles = drawn_angles
     elif angles is None:
-        angles = 2.0 * math.pi * rng.random(n)
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+        angles = 2.0 * math.pi * rng.random(radii.size)
 
     s = shrink_factor(radii, scale, params)
-    out = targets + s[:, None] * np.cos(angles)[:, None] * radial
-    if use_swirl:
-        v_theta = swirl_speed(rho, params)
-        out = out + s[:, None] * (np.sin(angles) * v_theta)[:, None] * np.asarray(tangents)
+    out = (s * np.cos(angles))[:, None] * radial
+    out += targets
+    if params.swirl:
+        out += (s * (np.sin(angles) * swirl_speed(rho, params)))[:, None] * tangents
     return out
 
 
 def core_update(targets, scale, sigma0, rng: RngStream):
     """Gaussian cloud around the drain with tapering radius sigma0*scale/2."""
-    targets = np.atleast_2d(targets)
     d = targets.shape[1]
     sigma_t = sigma0 * scale / 2.0
     return targets + sigma_t / math.sqrt(d) * rng.standard_normal(targets.shape)
@@ -493,8 +491,8 @@ def greedy_select(
 def stagnation_update(stagnation, phase, improved, splashed):
     """Advance idle counters: +1 for core agents that neither improved nor
     splashed; reset to 0 on improvement, on leaving the core, or on splash."""
-    hold = (np.asarray(phase) == int(Phase.CORE)) & ~np.asarray(improved) & ~np.asarray(splashed)
-    return np.where(hold, np.asarray(stagnation) + 1, 0)
+    hold = (phase == _CORE) & ~(improved | splashed)
+    return np.where(hold, stagnation + 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +519,7 @@ def initialize(positions, fitness, params: DvoParams) -> DvoState:
 def step(state: DvoState, params: DvoParams, problem, rng: RngStream) -> DvoState:
     """One sweep: schedules, assignment, switching, phase moves with splash,
     clip, evaluate, greedy selection, stagnation, elitist drain refresh."""
-    n, d = state.positions.shape
+    n = state.fitness.size
     k = params.n_drains
     scale = exploration_scale(state.t, params.iterations)
     pressure = selection_pressure(
@@ -532,31 +530,29 @@ def step(state: DvoState, params: DvoParams, problem, rng: RngStream) -> DvoStat
     assignment, rho = assign_drains(
         state.positions, state.drains, probs, problem.diameter, params.epsilon
     )
-    switched = stochastic_switch(assignment, probs, params.switch_prob, rng)
-    moved = np.where(switched != assignment)[0]
+    assignment, moved = stochastic_switch(assignment, probs, params.switch_prob, rng)
     if moved.size:
-        dist = _row_norms(state.positions[moved] - state.drains[switched[moved]])
+        dist = _row_norms(state.positions[moved] - state.drains[assignment[moved]])
         rho[moved] = np.minimum(dist / problem.diameter, 1.0)
-        assignment = switched
 
     phase = select_phase(rho, params.far_threshold, params.near_threshold)
     targets = state.drains[assignment]
     proposals = state.positions.copy()
 
-    far = np.where(phase == Phase.FAR)[0]
+    far = (phase == _FAR).nonzero()[0]
     if far.size:
         proposals[far] = far_field_update(
             state.positions[far], targets[far], scale, params, problem, rng
         )
 
-    spiral = np.where(phase == Phase.SPIRAL)[0]
+    spiral = (phase == _SPIRAL).nonzero()[0]
     if spiral.size:
         radii = rho[spiral] * problem.diameter
         proposals[spiral] = spiral_update(
             state.positions[spiral], targets[spiral], radii, rho[spiral], scale, params, rng
         )
 
-    core = np.where(phase == Phase.CORE)[0]
+    core = (phase == _CORE).nonzero()[0]
     splashed = np.zeros(n, dtype=bool)
     if core.size:
         sigma0 = (
@@ -570,7 +566,7 @@ def step(state: DvoState, params: DvoParams, problem, rng: RngStream) -> DvoStat
         sample = core[~splashed[core]]
         if sample.size:
             proposals[sample] = core_update(targets[sample], scale, sigma0, rng)
-        for i in np.where(splashed)[0]:
+        for i in splashed.nonzero()[0]:
             proposals[i] = splash_out(state.drains[0], params, problem, rng)
 
     proposals = clip_bounds(proposals, problem)

@@ -144,8 +144,9 @@ class TestStochasticSwitch:
     def test_single_drain_consumes_no_randomness(self):
         a = RngStream(11)
         b = RngStream(11)
-        out = stochastic_switch(np.zeros(8, dtype=int), np.ones(1), 0.9, a)
+        out, moved = stochastic_switch(np.zeros(8, dtype=int), np.ones(1), 0.9, a)
         assert np.array_equal(out, np.zeros(8))
+        assert moved.size == 0
         assert np.array_equal(a.random(5), b.random(5))
 
     def test_zero_probability_consumes_no_randomness(self):
@@ -153,21 +154,23 @@ class TestStochasticSwitch:
         a = RngStream(12)
         b = RngStream(12)
         assignment = np.array([0, 1, 2, 3, 0])
-        out = stochastic_switch(assignment, probs, 0.0, a)
+        out, moved = stochastic_switch(assignment, probs, 0.0, a)
         assert np.array_equal(out, assignment)
+        assert moved.size == 0
         assert np.array_equal(a.random(5), b.random(5))
 
     def test_certain_switch_always_moves(self):
         probs = drain_probabilities(3, 1.5)
         assignment = np.array([0, 1, 2, 1, 0, 2, 2, 1])
-        out = stochastic_switch(assignment, probs, 1.0, RngStream(13))
+        out, moved = stochastic_switch(assignment, probs, 1.0, RngStream(13))
         assert (out != assignment).all()
+        assert np.array_equal(moved, np.arange(assignment.size))
         assert ((out >= 0) & (out < 3)).all()
 
     def test_manual_replay(self):
         probs = drain_probabilities(3, 2.0)
         assignment = np.array([0, 1, 2, 0, 2, 1])
-        out = stochastic_switch(assignment, probs, 0.7, RngStream(14))
+        out, moved = stochastic_switch(assignment, probs, 0.7, RngStream(14))
 
         twin = RngStream(14)
         expected = assignment.copy()
@@ -180,13 +183,25 @@ class TestStochasticSwitch:
             cum[-1] = 1.0
             expected[i] = int(np.searchsorted(cum, twin.random(), side="right"))
         assert np.array_equal(out, expected)
+        assert np.array_equal(moved, np.flatnonzero(expected != assignment))
         assert (u < 0.7).any()
+
+    def test_mover_with_no_other_weight_keeps_its_drain(self):
+        # every other drain's weight underflowed to 0: the renormalized row
+        # is 0/0 and the count lands on drain 0, so agent 0 keeps its drain
+        # and is not reported as moved
+        with np.errstate(invalid="ignore"):
+            out, moved = stochastic_switch(
+                np.array([0, 1]), np.array([1.0, 0.0, 0.0]), 1.0, RngStream(16)
+            )
+        assert list(out) == [0, 0]
+        assert list(moved) == [1]
 
     def test_deterministic(self):
         probs = drain_probabilities(4, 3.0)
         assignment = np.arange(10) % 4
-        first = stochastic_switch(assignment, probs, 0.5, RngStream(15))
-        second = stochastic_switch(assignment, probs, 0.5, RngStream(15))
+        first, _ = stochastic_switch(assignment, probs, 0.5, RngStream(15))
+        second, _ = stochastic_switch(assignment, probs, 0.5, RngStream(15))
         assert np.array_equal(first, second)
 
 

@@ -341,10 +341,11 @@ class TestSwitch:
             probs = drain_probabilities(k, gen.uniform(0.0, 6.0))
             assignment = gen.integers(0, k, 30)
             ours, theirs = RngStream(seed), RngStream(seed)
-            got = stochastic_switch(assignment, probs, switch_prob, ours)
+            got, moved = stochastic_switch(assignment, probs, switch_prob, ours)
             want = _reference_stochastic_switch(assignment, probs, switch_prob, theirs)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+            assert moved.tobytes() == np.flatnonzero(want != assignment).tobytes()
             assert_same_stream(ours, theirs)
 
 
