@@ -20,19 +20,22 @@ evaluated), the evaluation count, the per-sweep trace and the record. An
 optimizer supplies a start function and a per-sweep update that reports the
 best so far; dvo reports the best drain after the elitist refresh.
 
-Random draw order within one sweep is fixed and documented in `step`:
-switch uniforms, switch destinations (ascending agent index), far-field noise
-block, per-spiral-agent tangent then angle, splash-eligibility uniforms, core
-noise block, per-splash levy draws, then per-agent objective noise.
+Random draw order within one sweep is fixed and documented here: switch
+uniforms, switch destinations (one uniform per switching agent, in ascending
+agent index), far-field noise block, spiral tangent normals as one
+(spiral agents x d) block, spiral angles as one uniform block, spiral
+tangent redraws of degenerate rows (ascending agent index), splash-eligibility
+uniforms, core noise block, per-splash levy draws, then per-agent objective
+noise. With the swirl off the spiral draws only its angle block.
 
-The per-agent work is batched without changing that order or any bit of a
-record. Switch destinations are one uniform block, which is the same stream
-as one scalar draw per switching agent. The spiral keeps a Python loop that
-only draws (tangent normals, then the angle, agent by agent); projection and
-normalisation then run on the whole block, every dot product and norm being
-the same BLAS `ddot` that the per-agent `tangent_unit_vector` calls. A row
-that would need a tangent redraw rewinds the stream and replays the
-per-agent loop. Only the per-splash levy draws still run agent by agent.
+Every phase moves its agents as one block. A spiral tangent is each normal
+row projected off its radial direction and normalised, every dot product and
+norm being the BLAS `ddot` that `tangent_unit_vector` calls; a row whose
+projection is degenerate (shorter than 1e-12) is redrawn through
+`tangent_unit_vector` after both blocks and keeps its block angle. Only the
+per-splash levy draws run agent by agent. Records of dvo and its variants
+made before this block order (which drew d normals and then one angle per
+spiral agent) differ from today's in every run that reaches the spiral.
 """
 
 from __future__ import annotations
@@ -379,35 +382,31 @@ def _row_norms(a):
 
 
 def _draw_tangents(radial, rng: RngStream):
-    """(tangents, angles): per row, `tangent_unit_vector(radial[i], rng)` and
-    then the angle `2 pi rng.random()`, with the same draws and bits.
+    """(tangents, angles) for a block of m radial rows: one (m, d) standard
+    normal block, then one (m,) uniform block for the angles `2 pi u`.
 
-    Only the draws run row by row. If a row has no tangent on the first
-    draw (zero radial, projection below the floor, dimension below 2), the
-    stream is rewound and the per-row loop replayed, which redraws and
-    raises exactly as it always has.
+    Each normal row is projected off its radial direction and normalised,
+    every dot product and norm being the BLAS `ddot` of
+    `tangent_unit_vector`. A row whose projection is shorter than the floor
+    is redrawn after both blocks, in ascending row order, by
+    `tangent_unit_vector(radial[i], rng)`, and keeps its block angle.
+    Dimension below 2 or a zero radial row raises ValueError before any draw.
     """
     m, d = radial.shape
-    tangents = np.empty((m, d))
-    u = np.empty(m)
-    if d >= 2:
-        scale = _row_norms(radial)
-        if scale.all():
-            start = rng.snapshot()
-            normal, uniform = rng._gen.standard_normal, rng._gen.random
-            for i in range(m):
-                normal(out=tangents[i])
-                u[i] = uniform()
-            unit = radial / scale[:, None]
-            t = tangents - _row_dot(tangents, unit)[:, None] * unit
-            norm = _row_norms(t)
-            if (norm >= rng_module._TANGENT_FLOOR).all():
-                return t / norm[:, None], 2.0 * math.pi * u
-            rng.restore(start)
-    for i in range(m):
+    if d < 2:
+        raise ValueError("tangent direction requires dimension >= 2")
+    scale = _row_norms(radial)
+    if not scale.all():
+        raise ValueError("radial direction must be nonzero")
+    tangents = rng.standard_normal((m, d))
+    angles = 2.0 * math.pi * rng.random(m)
+    unit = radial / scale[:, None]
+    tangents -= _row_dot(tangents, unit)[:, None] * unit
+    norm = _row_norms(tangents)
+    tangents /= norm[:, None]
+    for i in (~(norm >= rng_module._TANGENT_FLOOR)).nonzero()[0]:
         tangents[i] = tangent_unit_vector(radial[i], rng)
-        u[i] = rng.random()
-    return tangents, 2.0 * math.pi * u
+    return tangents, angles
 
 
 def spiral_update(
@@ -426,12 +425,11 @@ def spiral_update(
     new = target + s (cos(w) e_r + sin(w) v_theta e_theta), with e_r the unit
     radial direction, e_theta a random tangent, w one angle per agent, and
     v_theta the capped swirl speed. With the swirl toggle off the tangential
-    term is dropped. Draw order per agent: tangent direction, then angle;
-    `angles`/`tangents` override the draws (for controlled evaluation).
-
-    Draws and bits are those of the per-agent loop: a Python loop only
-    draws, projection and normalisation run on the block with the same BLAS
-    `ddot`, and a degenerate row replays the per-agent loop.
+    term is dropped. Draw order: the tangent normals of every agent as one
+    block, then every angle as one block, then any degenerate tangent
+    redraws (see `_draw_tangents`); with the swirl off, only the angle
+    block. `angles`/`tangents` override the draws (for controlled
+    evaluation).
     """
     radial = (positions - targets) / (radii[:, None] + params.epsilon)
     if params.swirl and tangents is None:

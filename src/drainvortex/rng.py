@@ -55,18 +55,9 @@ class RngStream:
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         return self._gen.uniform(low, high, size)
 
-    def standard_normal(self, size=None, out=None):
-        """Standard normal draws; `out` (C-contiguous float64) is filled in
-        place with the values a draw of its size would return."""
-        return self._gen.standard_normal(size, out=out)
-
-    def snapshot(self):
-        """Opaque copy of the stream position, for `restore`."""
-        return self._gen.bit_generator.state
-
-    def restore(self, snapshot) -> None:
-        """Rewind (or advance) the stream to a position taken by `snapshot`."""
-        self._gen.bit_generator.state = snapshot
+    def standard_normal(self, size=None):
+        """Standard normal draws."""
+        return self._gen.standard_normal(size)
 
     def __repr__(self):
         return f"RngStream(seed={self.seed})"

@@ -7,13 +7,14 @@ update is recomputed from the documented formulas.
 """
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from drainvortex import benchmarks
+from drainvortex import rng as rng_module
 from drainvortex.engine import (
     ABLATION_VARIANTS,
     DvoParams,
@@ -576,9 +577,9 @@ class TestInitialize:
 class TestOracleSweep:
     """Replay one full sweep by hand.
 
-    Four agents hit all branches at once: far field, spiral, a splash
-    (stagnated core agent with certain splash probability), and a plain
-    core move. Every random draw is mirrored on a twin stream in the
+    Five agents hit all branches at once: far field, two spiral agents, a
+    splash (stagnated core agent with certain splash probability), and a
+    plain core move. Every random draw is mirrored on a twin stream in the
     documented order and the expected state is rebuilt from the update
     formulas alone.
     """
@@ -586,7 +587,7 @@ class TestOracleSweep:
     def build(self):
         problem = sphere_problem(2, 10.0)
         params = DvoParams(
-            n_agents=4,
+            n_agents=5,
             n_drains=1,
             iterations=11,
             stay_limit=2,
@@ -598,6 +599,7 @@ class TestOracleSweep:
                 [-4.0, -4.0],  # spiral
                 [-7.9, -7.95],  # core, stagnated -> splash
                 [-8.5, -8.2],  # core
+                [-2.0, -6.0],  # spiral
             ]
         )
         fitness = np.array([problem.objective(x) for x in positions])
@@ -608,14 +610,14 @@ class TestOracleSweep:
             fitness=fitness.copy(),
             drains=drain.copy(),
             drain_fitness=np.array([128.0]),
-            stagnation=np.array([0, 0, 2, 0]),
+            stagnation=np.array([0, 0, 2, 0, 0]),
         )
         return problem, params, state, positions, fitness, drain
 
-    def test_replay(self):
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_replay(self, monkeypatch, degenerate):
         problem, params, state, entry_pos, entry_fit, drain = self.build()
         seed = 77
-        step(state, params, problem, RngStream(seed))
 
         diameter = problem.diameter
         scale = 2.0 * (1.0 - 1.0 / 10.0)
@@ -625,7 +627,7 @@ class TestOracleSweep:
         dist = np.sqrt(np.sum((entry_pos - target) ** 2, axis=1))
         rho = np.minimum(dist / diameter, 1.0)
         assert rho[0] > 0.5
-        assert 0.05 < rho[1] <= 0.5
+        assert 0.05 < rho[1] <= 0.5 and 0.05 < rho[4] <= 0.5
         assert rho[2] <= 0.05 and rho[3] <= 0.05
 
         twin = RngStream(seed)
@@ -639,16 +641,38 @@ class TestOracleSweep:
         )
         proposals[0] = (entry_pos[[0]] + drift + jitter)[0]
 
-        # spiral: tangent direction then one angle
-        radius = rho[1] * diameter
-        radial = (entry_pos[1] - target) / (radius + params.epsilon)
-        tangent = tangent_unit_vector(radial, twin)
-        omega = 2.0 * math.pi * twin.random()
-        assert abs(tangent @ radial / np.linalg.norm(radial)) < 1e-10
+        # spiral: one normal block for both spiral agents, then one angle block
+        spiral = [1, 4]
+        normals = twin.standard_normal((2, 2))
+        omega = 2.0 * math.pi * twin.random(2)
+        radii = rho[spiral] * diameter
+        radial = (entry_pos[spiral] - target) / (radii[:, None] + params.epsilon)
+        tangents = np.empty((2, 2))
+        norms = np.empty(2)
+        for row in range(2):
+            unit = radial[row] / np.linalg.norm(radial[row])
+            g = normals[row]
+            t = g - (g @ unit) * unit
+            norms[row] = np.linalg.norm(t)
+            tangents[row] = t / norms[row]
+        if degenerate:
+            # a floor between the two projections makes the shorter one
+            # degenerate: it is redrawn after both blocks and keeps its angle
+            floor = float(norms.mean())
+            monkeypatch.setattr(rng_module, "_TANGENT_FLOOR", floor)
+            short = int(np.argmin(norms))
+            assert norms[short] < floor <= norms[1 - short]
+            tangents[short] = tangent_unit_vector(radial[short], twin)
         c = params.residual_shrink + (1.0 - params.residual_shrink) * scale / 2.0
-        s = (1.0 - params.shrink_gain * c) * radius
-        v_theta = min(params.circulation / (rho[1] + params.core_softening), params.swirl_cap)
-        proposals[1] = target + (s * np.cos(omega)) * radial + (s * (np.sin(omega) * v_theta)) * tangent
+        for row, i in enumerate(spiral):
+            assert abs(tangents[row] @ radial[row] / np.linalg.norm(radial[row])) < 1e-10
+            s = (1.0 - params.shrink_gain * c) * radii[row]
+            v_theta = min(params.circulation / (rho[i] + params.core_softening), params.swirl_cap)
+            proposals[i] = (
+                target
+                + (s * np.cos(omega[row])) * radial[row]
+                + (s * (np.sin(omega[row]) * v_theta)) * tangents[row]
+            )
 
         # splash eligibility for the stagnated core agent, certain here
         u_splash = twin.random(1)
@@ -667,8 +691,19 @@ class TestOracleSweep:
         proposals = np.clip(proposals, problem.lower, problem.upper)
         new_fit = np.array([problem.objective(x) for x in proposals])
 
+        # the sweep itself, on a fresh stream of the same seed; every
+        # proposal it evaluates is checked, the rejected ones too
+        evaluated = []
+
+        def recorded(x):
+            evaluated.append(x.copy())
+            return problem.objective(x)
+
+        step(state, params, replace(problem, objective=recorded), RngStream(seed))
+        assert np.array_equal(np.array(evaluated), proposals)
+
         improved = new_fit < entry_fit
-        splashed = np.array([False, False, True, False])
+        splashed = np.array([False, False, True, False, False])
         accept = improved | splashed
         expect_pos = np.where(accept[:, None], proposals, entry_pos)
         expect_fit = np.where(accept, new_fit, entry_fit)
@@ -687,12 +722,14 @@ class TestOracleSweep:
         assert np.array_equal(state.drain_fitness, pool_fit[order])
 
         # stagnation: far and spiral reset, splash resets, core holds +1
-        expect_stag = [0, 0, 0, 0 if improved[3] else 1]
+        expect_stag = [0, 0, 0, 0 if improved[3] else 1, 0]
         assert list(state.stagnation) == expect_stag
 
-        assert np.array_equal(state.assignment, np.zeros(4, dtype=int))
+        assert np.array_equal(state.assignment, np.zeros(5, dtype=int))
         assert np.allclose(state.rho, rho, rtol=0, atol=1e-15)
-        assert list(state.phase) == [Phase.FAR, Phase.SPIRAL, Phase.CORE, Phase.CORE]
+        assert list(state.phase) == [
+            Phase.FAR, Phase.SPIRAL, Phase.CORE, Phase.CORE, Phase.SPIRAL
+        ]
         assert state.t == 2
 
 
