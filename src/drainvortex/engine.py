@@ -33,9 +33,7 @@ row projected off its radial direction and normalised, every dot product and
 norm being the BLAS `ddot` that `tangent_unit_vector` calls; a row whose
 projection is degenerate (shorter than 1e-12) is redrawn through
 `tangent_unit_vector` after both blocks and keeps its block angle. Only the
-per-splash levy draws run agent by agent. Records of dvo and its variants
-made before this block order (which drew d normals and then one angle per
-spiral agent) differ from today's in every run that reaches the spiral.
+per-splash levy draws run agent by agent.
 """
 
 from __future__ import annotations

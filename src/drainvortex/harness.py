@@ -515,8 +515,8 @@ def _record_to_dict(record: RunRecord) -> dict:
     (json writes the integer checkpoint keys as text)."""
     data = {"schema_version": SCHEMA_VERSION}
     data.update((f.name, getattr(record, f.name)) for f in fields(RunRecord))
-    data["best_position"] = [float(v) for v in record.best_position]
-    data["trace"] = [float(v) for v in record.trace]
+    data["best_position"] = np.asarray(record.best_position, dtype=float).tolist()
+    data["trace"] = np.asarray(record.trace, dtype=float).tolist()
     return data
 
 
@@ -532,10 +532,37 @@ def _field_values(kind, data, source: str, label: str) -> dict:
     return {name: data[name] for name in names}
 
 
+def _numbers(values) -> bool:
+    return set(map(type, values)) <= {int, float}
+
+
+# the JSON value each RunRecord field takes in records.jsonl, by its annotation
+_RECORD_VALUES = {
+    "str": ("a string", lambda v: type(v) is str),
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a number", lambda v: _numbers((v,))),
+    "Optional[float]": ("a number or null", lambda v: v is None or _numbers((v,))),
+    "Optional[bool]": ("true, false or null", lambda v: v is None or type(v) is bool),
+    "Array": ("a list of numbers", lambda v: type(v) is list and _numbers(v)),
+    "dict": (
+        "a mapping of sweep numbers to numbers",
+        lambda v: type(v) is dict and all(k.isdecimal() for k in v) and _numbers(v.values()),
+    ),
+}
+
+
 def _record_from_dict(data: dict, source: str) -> RunRecord:
     if isinstance(data, dict) and data.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError([f"{source}: unsupported schema version {data.get('schema_version')!r}"])
     values = _field_values(RunRecord, data, source, "record")
+    bad = []
+    for f in fields(RunRecord):
+        kind, ok = _RECORD_VALUES[f.type]
+        if not ok(values[f.name]):
+            got = type(values[f.name]).__name__
+            bad.append(f"{source}: record field {f.name!r} must be {kind}, got {got}")
+    if bad:
+        raise ConfigError(bad)
     values["best_position"] = np.asarray(values["best_position"], dtype=float)
     values["trace"] = np.asarray(values["trace"], dtype=float)
     values["checkpoints"] = {int(k): v for k, v in values["checkpoints"].items()}

@@ -1335,6 +1335,52 @@ class TestRecordFiles:
         assert main(["tables", "--in", str(out)]) == 1
         assert f"{victim}:3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name,value,entry",
+        [
+            ("checkpoints", [1, 2], "must be a mapping of sweep numbers to numbers, got list"),
+            ("checkpoints", {"last": 0.5}, "must be a mapping of sweep numbers to numbers, got dict"),
+            ("trace", "0.5", "must be a list of numbers, got str"),
+            ("best_position", [0.5, None], "must be a list of numbers, got list"),
+            ("dim", "2", "must be an integer, got str"),
+            ("best_value", True, "must be a number, got bool"),
+            ("feasible", 1, "must be true, false or null, got int"),
+        ],
+        ids=["checkpoints-list", "checkpoints-key", "trace-str", "position-null", "dim-str", "value-bool", "feasible-int"],
+    )
+    def test_mistyped_field_names_the_line(self, tmp_path, capsys, name, value, entry):
+        out = emit_records(run_experiment(tiny_config()), tmp_path / "out")
+        victim = out / "records.jsonl"
+        first, second = record_lines(out)
+        data = json.loads(second)
+        data[name] = value
+        victim.write_text(first + "\n" + json.dumps(data) + "\n")
+        with pytest.raises(ConfigError) as err:
+            load_result_set(out)
+        assert err.value.problems == [f"{victim}:2: record field {name!r} {entry}"]
+        assert main(["tables", "--in", str(out)]) == 1
+        assert f"{victim}:2: record field {name!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([-0.0, 0.0, 5e-324, 1e-310, -2.5e-320, math.inf, -math.inf, 1 / 3, -1e300, 0.1]),
+            np.array([-0.0, 1e-45, -1e-40, math.inf, -math.inf, 1 / 3, 0.1], dtype=np.float32),
+            np.array([-3, 0, 2**53 + 1, 7]),
+        ],
+        ids=["float64", "float32", "int64"],
+    )
+    def test_line_text_is_that_of_float_lists(self, values):
+        # the arrays go out through tolist(), which must give the JSON text of
+        # one float() per entry: signed zeros, subnormals and infinities too
+        (record,) = run_experiment(tiny_config(runs=1)).records
+        record = replace(record, best_position=values, trace=values[::-1])
+        old = {"schema_version": harness.SCHEMA_VERSION}
+        old.update((f.name, getattr(record, f.name)) for f in fields(RunRecord))
+        old["best_position"] = [float(v) for v in record.best_position]
+        old["trace"] = [float(v) for v in record.trace]
+        assert json.dumps(harness._record_to_dict(record)) == json.dumps(old)
+
     def test_missing_records_file_is_named(self, tmp_path):
         out = emit_records(run_experiment(tiny_config()), tmp_path / "out")
         victim = out / "records.jsonl"
