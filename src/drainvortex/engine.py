@@ -402,6 +402,7 @@ def _draw_tangents(radial, rng: RngStream):
     tangents -= _row_dot(tangents, unit)[:, None] * unit
     norm = _row_norms(tangents)
     tangents /= norm[:, None]
+    # not `norm < floor`: a NaN norm is degenerate too, as in tangent_unit_vector
     for i in (~(norm >= rng_module._TANGENT_FLOOR)).nonzero()[0]:
         tangents[i] = tangent_unit_vector(radial[i], rng)
     return tangents, angles

@@ -614,8 +614,13 @@ class TestOracleSweep:
         )
         return problem, params, state, positions, fitness, drain
 
-    @pytest.mark.parametrize("degenerate", [False, True])
-    def test_replay(self, monkeypatch, degenerate):
+    def test_replay(self, monkeypatch):
+        self.replay(monkeypatch, degenerate=False)
+
+    def test_replay_redraws_a_degenerate_row(self, monkeypatch):
+        self.replay(monkeypatch, degenerate=True)
+
+    def replay(self, monkeypatch, degenerate):
         problem, params, state, entry_pos, entry_fit, drain = self.build()
         seed = 77
 
