@@ -12,7 +12,7 @@ from typing import Mapping
 import numpy as np
 
 from . import benchmarks
-from .engine import LEAST, parameter_problems, run_optimizer
+from .engine import BOUNDS, k_best, parameter_problems, run_optimizer
 from .engine import selection_pressure as linear_ramp
 from .errors import ConfigError
 
@@ -49,9 +49,9 @@ class BaselineConfig:
             raise ConfigError([f"unknown algorithm {self.algorithm!r}"])
         sizes = {"n_agents": self.n_agents, "iterations": self.iterations}
         # gwo pulls every agent toward the three best agents
-        least = {**LEAST, "n_agents": 3} if self.algorithm == "gwo" else LEAST
+        bounds = {**BOUNDS, "n_agents": "[3, inf)"} if self.algorithm == "gwo" else BOUNDS
         bad = [
-            *parameter_problems(sizes, {k: getattr(BaselineConfig, k) for k in sizes}, least)[0],
+            *parameter_problems(sizes, {k: getattr(BaselineConfig, k) for k in sizes}, bounds)[0],
             *parameter_problems(self.params, defaults)[0],
         ]
         if bad:
@@ -133,7 +133,7 @@ def run_gwo(problem, config, seed, checkpoints=DEFAULT_CHECKPOINTS, run_index=0)
         def sweep(t):
             nonlocal positions, fitness
             a = linear_ramp(t, total, p["a_start"], p["a_end"])
-            leaders = positions[np.argsort(fitness, kind="stable")[:3]]
+            leaders, _ = k_best(positions, fitness, 3)
             pulls = np.empty((3, n, d))
             for j in range(3):
                 r1 = rng.random((n, d))
@@ -217,9 +217,7 @@ def run_sca(problem, config, seed, checkpoints=DEFAULT_CHECKPOINTS, run_index=0)
 
     def start(positions, fitness, rng):
         so_far = _BestSoFar(positions, fitness)
-        order = np.argsort(fitness, kind="stable")[:n_elites]
-        elites = positions[order].copy()
-        elite_fit = fitness[order].copy()
+        elites, elite_fit = k_best(positions, fitness, n_elites)
 
         def sweep(t):
             nonlocal positions, elites, elite_fit
@@ -234,10 +232,9 @@ def run_sca(problem, config, seed, checkpoints=DEFAULT_CHECKPOINTS, run_index=0)
             positions = np.clip(np.where(r4 < 0.5, sin_move, cos_move), lo, hi)
             fitness = benchmarks.evaluate(problem, positions, rng)
             report = so_far.observe(positions, fitness)
-            merged = np.concatenate([elites, positions], axis=0)
-            merged_fit = np.concatenate([elite_fit, fitness])
-            order = np.argsort(merged_fit, kind="stable")[:n_elites]
-            elites, elite_fit = merged[order].copy(), merged_fit[order].copy()
+            elites, elite_fit = k_best(
+                np.concatenate([elites, positions]), np.concatenate([elite_fit, fitness]), n_elites
+            )
             return report
 
         return sweep
@@ -291,9 +288,7 @@ def run_eo(problem, config, seed, checkpoints=DEFAULT_CHECKPOINTS, run_index=0):
 
     def start(positions, fitness, rng):
         so_far = _BestSoFar(positions, fitness)
-        order = np.argsort(fitness, kind="stable")[:4]
-        eq_positions = positions[order].copy()
-        eq_fitness = fitness[order].copy()
+        eq_positions, eq_fitness = k_best(positions, fitness, 4)
         old_positions = positions.copy()
         old_fitness = fitness.copy()
 
@@ -315,11 +310,10 @@ def run_eo(problem, config, seed, checkpoints=DEFAULT_CHECKPOINTS, run_index=0):
             fitness = benchmarks.evaluate(problem, positions, rng)
             report = so_far.observe(positions, fitness)
 
-            # running-best pool update (stable: earlier entries win ties)
-            merged = np.concatenate([eq_positions, positions], axis=0)
-            merged_fit = np.concatenate([eq_fitness, fitness])
-            order = np.argsort(merged_fit, kind="stable")[:4]
-            eq_positions, eq_fitness = merged[order].copy(), merged_fit[order].copy()
+            # running-best pool update
+            eq_positions, eq_fitness = k_best(
+                np.concatenate([eq_positions, positions]), np.concatenate([eq_fitness, fitness]), 4
+            )
 
             # particle memory: revert agents that got worse
             worse = fitness > old_fitness

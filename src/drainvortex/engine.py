@@ -65,18 +65,49 @@ class Phase(IntEnum):
 _FAR, _SPIRAL, _CORE = int(Phase.FAR), int(Phase.SPIRAL), int(Phase.CORE)
 
 
-# the least value of each integer parameter that has one, for dvo and every
-# baseline alike
-LEAST = {"n_agents": 2, "iterations": 2, "n_drains": 1, "stay_limit": 0, "n_elites": 1}
+# the interval of each bounded parameter, for dvo and every baseline alike: a
+# square bracket is a closed end, a round one an open end
+BOUNDS = {
+    "n_agents": "[2, inf)",
+    "iterations": "[2, inf)",
+    "n_drains": "[1, inf)",
+    "far_drift": "[0, inf]",
+    "far_noise": "[0, inf]",
+    "pressure_start": "[0, inf]",
+    "pressure_end": "[0, inf]",
+    "circulation": "[0, inf]",
+    "core_softening": "(0, inf]",
+    "swirl_cap": "(0, inf]",
+    "shrink_gain": "[0, 1]",
+    "residual_shrink": "[0, 1]",
+    "core_radius": "[0, inf]",
+    "switch_prob": "[0, 1]",
+    "stay_limit": "[0, inf)",
+    "splash_prob": "[0, 1]",
+    "levy_exponent": "(0, 2)",
+    "splash_scale": "[0, inf]",
+    "epsilon": "(0, inf]",
+    "v_frac": "[0, inf]",
+    "n_elites": "[1, inf)",
+    "mop_power": "(0, inf]",
+}
 
 
-def parameter_problems(params: Mapping, defaults: Mapping, least: Mapping = LEAST) -> tuple:
-    """Check each given parameter against its default. Returns the entries
-    and whether every value has its default's type, without which no other
-    bound may be compared. One entry per name with no default, per value not
-    of its default's type (a bool for a bool, an int that is not a bool for
-    an int, a number for a float, a number or None for None), per NaN, and
-    per integer below its `least`."""
+def _within(value, interval: str) -> bool:
+    """Whether `value` lies in an interval written as in `BOUNDS`."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = value >= low if interval[0] == "[" else value > low
+    return above and (value <= high if interval[-1] == "]" else value < high)
+
+
+def parameter_problems(params: Mapping, defaults: Mapping, bounds: Mapping = BOUNDS) -> tuple:
+    """Check each given parameter against its default and its interval in
+    `bounds`. Returns the entries and whether every value has its default's
+    type, without which no rule across parameters may be compared. One entry
+    per name with no default, per value not of its default's type (a bool
+    for a bool, an int that is not a bool for an int, a number for a float,
+    a number or None for None), per NaN, and per number outside its
+    interval."""
     bad, typed = [], True
     for key, value in params.items():
         if key not in defaults:
@@ -97,8 +128,8 @@ def parameter_problems(params: Mapping, defaults: Mapping, least: Mapping = LEAS
             typed = False
         elif value != value:
             bad.append(f"{key} must not be NaN")
-        elif key in least and value < least[key]:
-            bad.append(f"{key} must be an integer >= {least[key]}, got {value!r}")
+        elif key in bounds and value is not None and not _within(value, bounds[key]):
+            bad.append(f"{key} must lie in {bounds[key]}, got {value!r}")
     return bad, typed
 
 
@@ -150,8 +181,8 @@ class DvoParams:
 
     def validate(self) -> None:
         """Raise ConfigError listing every entry of `parameter_problems` and,
-        if every value has its type, every violated bound. A NaN fails none
-        of the bounds, so it gets one entry."""
+        if every value has its type, every violated rule across parameters.
+        A NaN fails none of the rules, so it gets one entry."""
         self._check(vars(self))
 
     def _check(self, given: Mapping) -> None:
@@ -167,34 +198,6 @@ class DvoParams:
             bad.append(
                 f"need 0 < near_threshold < far_threshold <= 1, got {near} and {far}"
             )
-        if self.far_drift < 0:
-            bad.append(f"far_drift must be >= 0, got {self.far_drift}")
-        if self.far_noise < 0:
-            bad.append(f"far_noise must be >= 0, got {self.far_noise}")
-        if self.pressure_start < 0 or self.pressure_end < 0:
-            bad.append("selection pressure endpoints must be >= 0")
-        if self.circulation < 0:
-            bad.append(f"circulation must be >= 0, got {self.circulation}")
-        if self.core_softening <= 0:
-            bad.append(f"core_softening must be > 0, got {self.core_softening}")
-        if self.swirl_cap <= 0:
-            bad.append(f"swirl_cap must be > 0, got {self.swirl_cap}")
-        if self.shrink_gain < 0.0 or self.shrink_gain > 1.0:
-            bad.append(f"shrink_gain must lie in [0, 1], got {self.shrink_gain}")
-        if self.residual_shrink < 0.0 or self.residual_shrink > 1.0:
-            bad.append(f"residual_shrink must lie in [0, 1], got {self.residual_shrink}")
-        if self.core_radius is not None and self.core_radius < 0:
-            bad.append(f"core_radius must be >= 0, got {self.core_radius}")
-        if self.switch_prob < 0.0 or self.switch_prob > 1.0:
-            bad.append(f"switch_prob must lie in [0, 1], got {self.switch_prob}")
-        if self.splash_prob < 0.0 or self.splash_prob > 1.0:
-            bad.append(f"splash_prob must lie in [0, 1], got {self.splash_prob}")
-        if self.levy_exponent <= 0.0 or self.levy_exponent >= 2.0:
-            bad.append(f"levy_exponent must lie in (0, 2), got {self.levy_exponent}")
-        if self.splash_scale < 0:
-            bad.append(f"splash_scale must be >= 0, got {self.splash_scale}")
-        if self.epsilon <= 0:
-            bad.append(f"epsilon must be > 0, got {self.epsilon}")
         if bad:
             raise ConfigError(bad)
 
@@ -294,8 +297,9 @@ def stochastic_switch(assignment, probs, switch_prob, rng: RngStream):
     drain, sampled from the remaining weights renormalized.
 
     Returns the new assignment and the ascending indices of the agents whose
-    drain changed. With a single drain or zero probability this draws
-    nothing and returns the assignment unchanged.
+    drain changed. A mover whose remaining weights all underflowed to 0 keeps
+    its drain. With a single drain or zero probability this draws nothing
+    and returns the assignment unchanged.
     """
     k = probs.size
     if k < 2 or switch_prob <= 0.0:
@@ -307,14 +311,15 @@ def stochastic_switch(assignment, probs, switch_prob, rng: RngStream):
     w = np.repeat(probs[None, :], movers.size, axis=0)
     w[np.arange(movers.size), old] = 0.0
     cum = w.cumsum(axis=1)
-    cum /= cum[:, -1:]
+    stuck = cum[:, -1] == 0.0
+    np.divide(cum, cum[:, -1:], out=cum, where=~stuck[:, None])
     cum[:, -1] = 1.0
     # one uniform per mover in ascending order, drawn as one block; the
     # count of cum <= v is searchsorted(cum, v, side="right")
     new = (cum <= rng.random(movers.size)[:, None]).sum(axis=1)
+    new[stuck] = old[stuck]
     out = assignment.copy()
     out[movers] = new
-    # a mover keeps its drain only when every other weight underflowed to 0
     return out, movers[new != old]
 
 
@@ -327,15 +332,22 @@ def select_phase(rho, far_threshold, near_threshold):
     return phase
 
 
+def k_best(positions, fitness, k):
+    """(rows, fitness) of the k best fitness values, best first; on a tie the
+    earlier row comes first. This is the elite rule of dvo and of every
+    baseline that keeps an elite set."""
+    order = fitness.argsort(kind="stable")[:k]
+    return positions[order], fitness[order]
+
+
 def elitist_drains(positions, fitness, prev_positions, prev_fitness, drains, drain_fitness, k):
-    """K best of the pool (current, previous, old drains), stable order.
+    """K best of the pool (current, previous, old drains), by `k_best`.
 
     Duplicates are permitted; the best drain ends up at index 0.
     """
     pool = np.concatenate([positions, prev_positions, drains], axis=0)
     pool_fit = np.concatenate([fitness, prev_fitness, drain_fitness])
-    order = pool_fit.argsort(kind="stable")[:k]
-    return pool[order], pool_fit[order]
+    return k_best(pool, pool_fit, k)
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +512,7 @@ def stagnation_update(stagnation, phase, improved, splashed):
 def initialize(positions, fitness, params: DvoParams) -> DvoState:
     """State from the evaluated initial population; the K best agents are
     the initial drains."""
-    order = np.argsort(fitness, kind="stable")[: params.n_drains]
-    drains = positions[order].copy()
-    drain_fitness = fitness[order].copy()
+    drains, drain_fitness = k_best(positions, fitness, params.n_drains)
     return DvoState(
         t=0,
         positions=positions,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import multiprocessing
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
@@ -133,13 +132,15 @@ def _resolve_algorithm(name: str, params: dict, n_agents: int, iterations: int):
     return config
 
 
-# the scalar fields, and the names a config file gives the real ones
+# the scalar fields, the names a config file gives the real ones, and the
+# intervals of the bounded ones by those names
 _SCALARS = ("runs", "master_seed", "workers", "penalty_coeff", "feasibility_tol")
 _LABELS = {"penalty_coeff": "penalty coefficient", "feasibility_tol": "penalty feasibility_tol"}
-# a real field's bound rejects NaN too, so its entry is the one a NaN gets
-_REAL_BOUNDS = {
-    "penalty_coeff": (lambda v: v > 0 and math.isfinite(v), "penalty coefficient must be positive"),
-    "feasibility_tol": (lambda v: v >= 0, "feasibility tolerance must be >= 0"),
+_SCALAR_BOUNDS = {
+    "runs": "[1, inf)",
+    "workers": "[1, inf)",
+    "penalty coefficient": "(0, inf)",
+    "penalty feasibility_tol": "[0, inf]",
 }
 
 
@@ -164,14 +165,12 @@ def validate_config(config: ExperimentConfig) -> list:
         problems.append(f"unknown suite {config.suite!r}; expected one of {SUITES}")
     defaults = ExperimentConfig()
     for key in _SCALARS:
-        label, value = _LABELS.get(key, key), getattr(config, key)
-        bad, typed = engine.parameter_problems(
-            {label: value}, {label: getattr(defaults, key)}, {"runs": 1, "workers": 1}
+        label = _LABELS.get(key, key)
+        problems.extend(
+            engine.parameter_problems(
+                {label: getattr(config, key)}, {label: getattr(defaults, key)}, _SCALAR_BOUNDS
+            )[0]
         )
-        if typed and key in _REAL_BOUNDS:
-            within, rule = _REAL_BOUNDS[key]
-            bad = [] if within(value) else [f"{rule}, got {value}"]
-        problems.extend(bad)
 
     specs = []
     if not _list_of(config.algorithms, AlgorithmSpec):

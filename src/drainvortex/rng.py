@@ -37,30 +37,16 @@ def mix_seed(*parts) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-class RngStream:
-    """Deterministic random stream with 64-bit seeding (PCG64).
+class RngStream(np.random.Generator):
+    """Deterministic random stream: a numpy Generator over PCG64, seeded with
+    the low 64 bits of `seed`.
 
     Identical seeds produce identical sequences on the same build; distinct
     seeds give statistically independent streams.
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _SEED_MASK
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def random(self, size=None):
-        """Uniform draws on [0, 1)."""
-        return self._gen.random(size)
-
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        return self._gen.uniform(low, high, size)
-
-    def standard_normal(self, size=None):
-        """Standard normal draws."""
-        return self._gen.standard_normal(size)
-
-    def __repr__(self):
-        return f"RngStream(seed={self.seed})"
+        super().__init__(np.random.PCG64(int(seed) & _SEED_MASK))
 
 
 def tangent_unit_vector(radial: Array, rng: RngStream) -> Array:

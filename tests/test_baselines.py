@@ -17,6 +17,7 @@ from drainvortex.baselines import (
 from drainvortex.engine import DvoParams
 from drainvortex.engine import run as run_dvo
 from drainvortex.errors import ConfigError
+from drainvortex.harness import config_from_dict
 
 ALGORITHMS = sorted(BASELINES)
 
@@ -79,7 +80,7 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             config.resolved()
         assert err.value.problems == [
-            "pso: n_agents must be an integer >= 2, got 1",
+            "pso: n_agents must lie in [2, inf), got 1",
             "pso: c1 must not be NaN",
             "pso: unknown parameter 'warp'",
         ]
@@ -90,7 +91,7 @@ class TestConfig:
             config.resolved()
         assert err.value.problems == [
             "pso: n_agents must be an integer, got '8'",
-            "pso: iterations must be an integer >= 2, got 1",
+            "pso: iterations must lie in [2, inf), got 1",
             "pso: c1 must be a number, got 'x'",
         ]
 
@@ -102,10 +103,31 @@ class TestConfig:
     def test_gwo_needs_three_agents(self):
         with pytest.raises(ConfigError) as err:
             BaselineConfig(algorithm="gwo", n_agents=2).resolved()
-        assert err.value.problems == ["gwo: n_agents must be an integer >= 3, got 2"]
+        assert err.value.problems == ["gwo: n_agents must lie in [3, inf), got 2"]
         problem = benchmarks.get_problem("F1", 2)
         config = BaselineConfig(algorithm="gwo", n_agents=3, iterations=4)
         assert BASELINES["gwo"](problem, config, seed=1).evaluations == 3 * 5
+
+    @pytest.mark.parametrize(
+        "algorithm,key,value,interval",
+        [
+            ("aoa", "mop_power", 0, "(0, inf]"),
+            ("aoa", "mop_power", -1.0, "(0, inf]"),
+            ("pso", "v_frac", -0.2, "[0, inf]"),
+        ],
+    )
+    def test_baseline_bounds_through_config_and_library(self, algorithm, key, value, interval):
+        # mop_power 0 divides by zero in every aoa sweep; a negative v_frac
+        # pins the swarm at an inverted velocity clip
+        expected = [f"{algorithm}: {key} must lie in {interval}, got {value!r}"]
+        with pytest.raises(ConfigError) as err:
+            BaselineConfig(algorithm=algorithm, params={key: value}).resolved()
+        assert err.value.problems == expected
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(
+                {"suite": "classical_fixed", "algorithms": [{"name": algorithm, "params": {key: value}}]}
+            )
+        assert err.value.problems == expected
 
     @pytest.mark.parametrize("algorithm", [a for a in ALGORITHMS if a != "gwo"])
     def test_other_baselines_run_with_two_agents(self, algorithm):

@@ -7,6 +7,7 @@ update is recomputed from the documented formulas.
 """
 
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from drainvortex.engine import (
     greedy_select,
     initial_population,
     initialize,
+    k_best,
     make_ablation_params,
     run,
     select_phase,
@@ -188,15 +190,27 @@ class TestStochasticSwitch:
         assert (u < 0.7).any()
 
     def test_mover_with_no_other_weight_keeps_its_drain(self):
-        # every other drain's weight underflowed to 0: the renormalized row
-        # is 0/0 and the count lands on drain 0, so agent 0 keeps its drain
-        # and is not reported as moved
-        with np.errstate(invalid="ignore"):
-            out, moved = stochastic_switch(
-                np.array([0, 1]), np.array([1.0, 0.0, 0.0]), 1.0, RngStream(16)
-            )
+        # every other drain's weight underflowed to 0, so agent 0 keeps its
+        # drain without a 0/0 and is not reported as moved
+        a, b = RngStream(16), RngStream(16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, moved = stochastic_switch(np.array([0, 1]), np.array([1.0, 0.0, 0.0]), 1.0, a)
         assert list(out) == [0, 0]
         assert list(moved) == [1]
+        # one uniform per agent, then one per mover, as for any other mover
+        b.random(2)
+        b.random(2)
+        assert a.random() == b.random()
+
+    def test_run_with_underflowed_weights_raises_no_warning(self):
+        # pressure 5000 underflows every weight but the best drain's, and
+        # every agent moves each sweep
+        params = DvoParams(n_agents=12, iterations=20, pressure_end=5000.0, switch_prob=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = run(benchmarks.get_problem("F9", 10), params, seed=3)
+        assert np.isfinite(record.best_value)
 
     def test_deterministic(self):
         probs = drain_probabilities(4, 3.0)
@@ -228,6 +242,17 @@ class TestSelectPhase:
         assert np.array_equal(phase == Phase.FAR, far)
         assert np.array_equal(phase == Phase.CORE, core)
         assert np.array_equal(phase == Phase.SPIRAL, ~(far | core))
+
+
+class TestKBest:
+    def test_equal_fitness_keeps_the_earlier_row_first(self):
+        # a plateau (as on F6) gives many equal values; the earlier row wins.
+        # 40 rows, as numpy's default sort is stable only on short arrays
+        fitness = np.tile([2.0, 1.0, 2.0, 1.0, 0.5], 8)
+        positions = np.arange(40.0)[:, None]
+        rows, values = k_best(positions, fitness, 20)
+        assert np.array_equal(values, [0.5] * 8 + [1.0] * 12)
+        assert np.array_equal(rows[:, 0], [*range(4, 40, 5), 1, 3, 6, 8, 11, 13, 16, 18, 21, 23, 26, 28])
 
 
 class TestElitistDrains:
@@ -518,8 +543,8 @@ class TestParams:
             params.validate()
         assert err.value.problems == [
             "far_drift must not be NaN",
-            "levy_exponent must not be NaN",
             "switch_prob must lie in [0, 1], got 2.0",
+            "levy_exponent must not be NaN",
         ]
 
     def test_infinity_is_left_to_the_bounds(self):

@@ -16,7 +16,7 @@ from drainvortex import benchmarks, harness, stats
 from drainvortex.baselines import DEFAULT_PARAMS, BaselineConfig
 from drainvortex.benchmarks import ProblemSpec, clear_plugins, register_plugin
 from drainvortex.cli import main
-from drainvortex.engine import DvoParams
+from drainvortex.engine import BOUNDS, DvoParams
 from drainvortex.errors import ConfigError, IncompleteGridError
 from drainvortex.harness import (
     SUITES,
@@ -275,7 +275,7 @@ class TestConfigParsing:
         # a non-integer fails the type check of every parameter, a small
         # integer the sca range check
         if isinstance(n_elites, int):
-            expected = f"sca: n_elites must be an integer >= 1, got {n_elites!r}"
+            expected = f"sca: n_elites must lie in [1, inf), got {n_elites!r}"
         else:
             expected = f"sca: n_elites must be an integer, got {n_elites!r}"
         assert err.value.problems == [expected]
@@ -285,7 +285,7 @@ class TestConfigParsing:
         [
             ({"penalty": {"coefficient": None}}, "penalty coefficient must be a number, got None"),
             ({"penalty": {"feasibility_tol": "x"}}, "penalty feasibility_tol must be a number, got 'x'"),
-            ({"penalty": {"feasibility_tol": float("nan")}}, "feasibility tolerance must be >= 0, got nan"),
+            ({"penalty": {"feasibility_tol": float("nan")}}, "penalty feasibility_tol must not be NaN"),
             ({"problems": "F14"}, "'problems' must be a list of names, got 'F14'"),
             ({"dimensions": 10}, "'dimensions' must be a list of integers, got 10"),
         ],
@@ -404,11 +404,12 @@ class TestConfigParsing:
         assert "custom" in SUITES
 
 
-def library_problems(name, key, value):
-    """The entries the settings type itself gives for one parameter value."""
+def library_problems(name, key, value, **others):
+    """The entries the settings type itself gives for one parameter value
+    (beside the `others` of a dvo block)."""
     try:
         if name == "dvo":
-            DvoParams(**{key: value}).validate()
+            DvoParams(**{key: value}, **others).validate()
         elif key in ("n_agents", "iterations"):
             BaselineConfig(algorithm=name, **{key: value}).resolved()
         else:
@@ -418,9 +419,75 @@ def library_problems(name, key, value):
     return []
 
 
+def bound_cases(interval, integer):
+    """(value, accepted) at the ends of an interval written as in BOUNDS: each
+    closed end, and the nearest value of the parameter's type outside each
+    end (nothing lies beyond a closed infinite end, and no integer beyond an
+    open one)."""
+    cases = []
+    ends = interval[1:-1].split(",")
+    for end, closed, outward in ((ends[0], interval[0] == "[", -1), (ends[1], interval[-1] == "]", 1)):
+        end = float(end)
+        if math.isinf(end):
+            if closed or not integer:
+                cases.append((end, closed))
+            continue
+        end = int(end) if integer else end
+        cases.append((end, closed))
+        if closed:
+            cases.append((end + outward if integer else math.nextafter(end, outward * math.inf), False))
+    return cases
+
+
+DVO_DEFAULTS = {f.name: f.default for f in fields(DvoParams)}
+# the algorithm whose block takes each BOUNDS entry, and the default of the entry
+BOUND_OWNERS = {
+    key: next(
+        (name, block[key])
+        for name, block in [("dvo", DVO_DEFAULTS), *sorted(DEFAULT_PARAMS.items())]
+        if key in block
+    )
+    for key in BOUNDS
+}
+
+
 class TestOneChecker:
     """A parameter block gets the same checks from a config as from a library
     call, and each algorithm reports its own sizes."""
+
+    @pytest.mark.parametrize("key,interval", sorted(BOUNDS.items()))
+    def test_each_bound_accepts_its_closed_ends_and_rejects_beyond(self, key, interval):
+        owner, default = BOUND_OWNERS[key]
+        # n_drains=1 keeps n_agents >= n_drains at n_agents=2
+        companion = {"n_drains": 1} if (owner, key) == ("dvo", "n_agents") else {}
+        cases = bound_cases(interval, isinstance(default, int))
+        assert not all(accepted for _, accepted in cases)
+        for value, accepted in cases:
+            library = library_problems(owner, key, value, **companion)
+            spec = AlgorithmSpec(owner, {key: value, **companion})
+            config = validate_config(tiny_config(algorithms=(spec,)))
+            if accepted:
+                assert library == config == [], value
+            else:
+                entry = f"{key} must lie in {interval}, got {value!r}"
+                assert library == [entry if owner == "dvo" else f"{owner}: {entry}"]
+                assert config == [f"{'dvo parameters' if owner == 'dvo' else owner}: {entry}"]
+
+    @pytest.mark.parametrize(
+        "key,label",
+        [
+            ("runs", "runs"),
+            ("workers", "workers"),
+            ("penalty_coeff", "penalty coefficient"),
+            ("feasibility_tol", "penalty feasibility_tol"),
+        ],
+    )
+    def test_each_harness_bound_accepts_its_closed_ends_and_rejects_beyond(self, key, label):
+        interval = harness._SCALAR_BOUNDS[label]
+        cases = bound_cases(interval, isinstance(getattr(ExperimentConfig(), key), int))
+        for value, accepted in cases:
+            expected = [] if accepted else [f"{label} must lie in {interval}, got {value!r}"]
+            assert validate_config(replace(tiny_config(), **{key: value})) == expected
 
     @pytest.mark.parametrize("value", ["x", NaN], ids=["wrong_type", "nan"])
     @pytest.mark.parametrize(
@@ -448,12 +515,12 @@ class TestOneChecker:
                 }
             )
         assert err.value.problems == [
-            "pso: n_agents must be an integer >= 2, got 1",
-            "pso: iterations must be an integer >= 2, got 1",
-            "gwo: n_agents must be an integer >= 3, got 1",
-            "gwo: iterations must be an integer >= 2, got 1",
-            "dvo parameters: n_agents must be an integer >= 2, got 1",
-            "dvo parameters: iterations must be an integer >= 2, got 1",
+            "pso: n_agents must lie in [2, inf), got 1",
+            "pso: iterations must lie in [2, inf), got 1",
+            "gwo: n_agents must lie in [3, inf), got 1",
+            "gwo: iterations must lie in [2, inf), got 1",
+            "dvo parameters: n_agents must lie in [2, inf), got 1",
+            "dvo parameters: iterations must lie in [2, inf), got 1",
             "dvo parameters: n_agents must be >= n_drains, got 1 < 6",
         ]
 
@@ -461,7 +528,7 @@ class TestOneChecker:
         data = {"suite": "classical_fixed", "algorithms": ["pso", "gwo"], "execution": {"n_agents": 2}}
         with pytest.raises(ConfigError) as err:
             config_from_dict(data)
-        assert err.value.problems == ["gwo: n_agents must be an integer >= 3, got 2"]
+        assert err.value.problems == ["gwo: n_agents must lie in [3, inf), got 2"]
         data["algorithms"] = ["pso", {"name": "gwo", "params": {"n_agents": 3}}]
         assert config_from_dict(data).algorithms[1].params == {"n_agents": 3}
 
@@ -474,7 +541,7 @@ class TestOneChecker:
                     "execution": {"iterations": 1},
                 }
             )
-        assert err.value.problems == ["iterations must be an integer >= 2, got 1"]
+        assert err.value.problems == ["iterations must lie in [2, inf), got 1"]
 
 
 # (field, wrong value, the one entry it gets, where a config file puts it or
@@ -493,9 +560,9 @@ WRONG_VALUES = [
     ("output", 3, "'output' must be a string path, got 3", ("output",)),
     ("workers", None, "workers must be an integer, got None", ("execution", "workers")),
     ("penalty_coeff", "1", "penalty coefficient must be a number, got '1'", ("penalty", "coefficient")),
-    ("penalty_coeff", NaN, "penalty coefficient must be positive, got nan", ("penalty", "coefficient")),
+    ("penalty_coeff", NaN, "penalty coefficient must not be NaN", ("penalty", "coefficient")),
     ("feasibility_tol", None, "penalty feasibility_tol must be a number, got None", ("penalty", "feasibility_tol")),
-    ("feasibility_tol", NaN, "feasibility tolerance must be >= 0, got nan", ("penalty", "feasibility_tol")),
+    ("feasibility_tol", NaN, "penalty feasibility_tol must not be NaN", ("penalty", "feasibility_tol")),
 ]
 
 
@@ -535,7 +602,7 @@ class TestConfigPathsAgree:
 
     @pytest.mark.parametrize(
         "parallel,expected",
-        [("2", "workers must be an integer, got '2'"), (0, "workers must be an integer >= 1, got 0")],
+        [("2", "workers must be an integer, got '2'"), (0, "workers must lie in [1, inf), got 0")],
     )
     def test_parallel_is_checked_as_workers(self, parallel, expected):
         with pytest.raises(ConfigError) as err:
