@@ -100,14 +100,24 @@ def _within(value, interval: str) -> bool:
     return above and (value <= high if interval[-1] == "]" else value < high)
 
 
+def _fits_float(value: int) -> bool:
+    """Whether `float(value)` gives a float rather than an OverflowError."""
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def parameter_problems(params: Mapping, defaults: Mapping, bounds: Mapping = BOUNDS) -> tuple:
     """Check each given parameter against its default and its interval in
     `bounds`. Returns the entries and whether every value has its default's
-    type, without which no rule across parameters may be compared. One entry
-    per name with no default, per value not of its default's type (a bool
-    for a bool, an int that is not a bool for an int, a number for a float,
-    a number or None for None), per NaN, and per number outside its
-    interval."""
+    type and fits in a float where a float is meant, without which no rule
+    across parameters may be compared. One entry per name with no default,
+    per value not of its default's type (a bool for a bool, an int that is
+    not a bool for an int, a number for a float, a number or None for None),
+    per integer too large for a float where a float is meant, per NaN, and
+    per number outside its interval."""
     bad, typed = [], True
     for key, value in params.items():
         if key not in defaults:
@@ -125,6 +135,9 @@ def parameter_problems(params: Mapping, defaults: Mapping, bounds: Mapping = BOU
             ok, kind = number, "a number"
         if not ok:
             bad.append(f"{key} must be {kind}, got {value!r}")
+            typed = False
+        elif isinstance(value, int) and not isinstance(default, int) and not _fits_float(value):
+            bad.append(f"{key} must fit in a float, got an integer of {value.bit_length()} bits")
             typed = False
         elif value != value:
             bad.append(f"{key} must not be NaN")

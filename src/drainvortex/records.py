@@ -83,12 +83,12 @@ def build_record(
         objective_value = float(raw(np.asarray(best_position, dtype=float)))
         feasible, max_violation = benchmarks.feasibility(best_position, problem)
 
-    # checkpoint c reads the best-so-far after sweep c (1-based)
+    # checkpoint c reads the best-so-far after sweep c (1-based); the in-range
+    # sweeps are kept once each, in ascending order
     checkpoints = {}
-    for c in checkpoint_iters:
-        if 1 <= c <= trace.size:
-            v = trace[c - 1]
-            checkpoints[int(c)] = float(v - f_true) if f_true is not None else float(v)
+    for c in sorted({int(c) for c in checkpoint_iters if 1 <= c <= trace.size}):
+        v = trace[c - 1]
+        checkpoints[c] = float(v - f_true) if f_true is not None else float(v)
 
     return RunRecord(
         algorithm=algorithm,

@@ -1,18 +1,19 @@
 """Baseline optimizer tests: shared record contract, config validation,
 determinism, and a couple of formula spot checks."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from drainvortex import benchmarks
+from drainvortex import benchmarks, harness
 from drainvortex.baselines import (
     BASELINES,
     BaselineConfig,
     DEFAULT_PARAMS,
     _woa_spiral,
-    run_pso,
+    run_baseline,
 )
 from drainvortex.engine import DvoParams
 from drainvortex.engine import run as run_dvo
@@ -43,8 +44,9 @@ class TestConfig:
         assert merged["c2"] == 2.0
 
     def test_unknown_algorithm(self):
-        with pytest.raises(ConfigError):
-            BaselineConfig(algorithm="abc").resolved()
+        with pytest.raises(ConfigError) as err:
+            BaselineConfig(algorithm="nope").resolved()
+        assert err.value.problems == ["unknown algorithm 'nope'"]
 
     def test_unknown_parameter(self):
         with pytest.raises(ConfigError) as err:
@@ -136,6 +138,54 @@ class TestConfig:
         assert BASELINES[algorithm](problem, config, seed=1).evaluations == 2 * 5
 
 
+def masked(record):
+    """A record's serialized text, wall time masked."""
+    return json.dumps({**harness._record_to_dict(record), "walltime_ms": None})
+
+
+class TestOneRunner:
+    """Every BASELINES entry is `run_baseline`: the config alone names the
+    algorithm that runs and the name its record carries."""
+
+    @pytest.mark.parametrize("entry", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_each_entry_runs_the_config_algorithm(self, entry, algorithm):
+        problem = benchmarks.get_problem("F9", 3)
+        config = small_config(algorithm)
+        record = BASELINES[entry](problem, config, 5, checkpoints=(5, 25), run_index=2)
+        assert record.algorithm == algorithm
+        assert masked(record) == masked(
+            run_baseline(problem, config, 5, checkpoints=(5, 25), run_index=2)
+        )
+
+    @pytest.mark.parametrize(
+        "entry,config",
+        [
+            # woa runs with two agents, below gwo's three leaders
+            ("gwo", BaselineConfig("woa", n_agents=2, iterations=4)),
+            # the gwo block has no pso velocity clamp
+            ("pso", BaselineConfig("gwo", iterations=4)),
+            # woa's parameters run woa, not gwo
+            ("gwo", BaselineConfig("woa", iterations=4)),
+        ],
+    )
+    def test_entry_named_for_another_algorithm(self, entry, config):
+        problem = benchmarks.get_problem("F1", 5)
+        record = BASELINES[entry](problem, config, seed=1)
+        assert record.algorithm == config.algorithm
+        assert record.evaluations == config.n_agents * 5
+        assert masked(record) == masked(run_baseline(problem, config, seed=1))
+        named = BASELINES[entry](problem, BaselineConfig(entry, iterations=4), seed=1)
+        assert not np.array_equal(record.trace, named.trace)
+
+    @pytest.mark.parametrize("entry", ALGORITHMS)
+    def test_unknown_algorithm_is_a_config_error(self, entry):
+        problem = benchmarks.get_problem("F1", 2)
+        with pytest.raises(ConfigError) as err:
+            BASELINES[entry](problem, BaselineConfig("nope"), seed=1)
+        assert err.value.problems == ["unknown algorithm 'nope'"]
+
+
 class TestRecordContract:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_record_fields(self, algorithm):
@@ -222,7 +272,7 @@ class TestPsoDetails:
         config = BaselineConfig(
             algorithm="pso", n_agents=6, iterations=30, params={"c1": 4.0, "c2": 4.0}
         )
-        record = run_pso(problem, config, seed=2)
+        record = run_baseline(problem, config, seed=2)
         assert (record.best_position >= problem.lower).all()
         assert (record.best_position <= problem.upper).all()
         assert np.isfinite(record.trace).all()

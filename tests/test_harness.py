@@ -489,6 +489,33 @@ class TestOneChecker:
             expected = [] if accepted else [f"{label} must lie in {interval}, got {value!r}"]
             assert validate_config(replace(tiny_config(), **{key: value})) == expected
 
+    @pytest.mark.parametrize(
+        "value,accepted",
+        [(2**1024 - 2**971, True), (2**1024 - 2**970, False), (10**400, False), (-(10**400), False)],
+        ids=["largest_float", "rounds_to_inf", "huge", "huge_negative"],
+    )
+    def test_float_given_an_integer_beyond_float_range(self, value, accepted):
+        # a JSON integer parses to a Python int of any length; one that float()
+        # cannot convert passed every bound and then failed each run with
+        # OverflowError
+        entry = f"must fit in a float, got an integer of {value.bit_length()} bits"
+        expected = (lambda name: []) if accepted else (lambda name: [f"{name} {entry}"])
+        config = replace(tiny_config(problems=("welded_beam",), dimensions=()), penalty_coeff=value)
+        assert validate_config(config) == expected("penalty coefficient")
+        assert library_problems("pso", "c1", value) == expected("pso: c1")
+        assert library_problems("dvo", "far_drift", value) == expected("far_drift")
+        assert library_problems("dvo", "core_radius", value) == expected("core_radius")
+        data = {"suite": "classical_fixed", "algorithms": [{"name": "pso", "params": {"c1": value}}]}
+        if accepted:
+            assert config_from_dict(data).algorithms[0].params == {"c1": value}
+            return
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        assert err.value.problems == expected("pso: c1")
+        with pytest.raises(ConfigError) as err:
+            run_experiment(config)
+        assert err.value.problems == expected("penalty coefficient")
+
     @pytest.mark.parametrize("value", ["x", NaN], ids=["wrong_type", "nan"])
     @pytest.mark.parametrize(
         "name,key",
@@ -934,6 +961,24 @@ class TestPersistence:
             assert np.array_equal(a.best_position, b.best_position)
             assert a.checkpoints == b.checkpoints
             assert a.log10_error == b.log10_error
+
+    def test_checkpoint_order_of_a_python_config_is_that_of_its_file(self, tmp_path):
+        # a config built in Python keeps its checkpoints as given, and one
+        # loaded from a file has them sorted, unique and in range; each
+        # record maps the in-range sweeps once each, ascending, either way
+        config = tiny_config(
+            algorithms=(AlgorithmSpec("pso"), AlgorithmSpec("dvo")), checkpoints=(5, 1, 1, 9, 0, 40)
+        )
+        loaded = config_from_dict(config_to_dict(config))
+        assert loaded.checkpoints == (1, 5, 9)
+        written = []
+        for name, each in (("python", config), ("file", loaded)):
+            out = emit_records(run_experiment(each), tmp_path / name)
+            written.append(
+                [json.dumps({**json.loads(line), "walltime_ms": None}) for line in record_lines(out)]
+            )
+        assert written[0] == written[1]
+        assert [list(json.loads(line)["checkpoints"]) for line in written[0]] == [["1", "5", "9"]] * 4
 
     def test_variant_names_round_trip(self, tmp_path):
         config = tiny_config(
