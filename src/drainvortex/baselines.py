@@ -15,7 +15,7 @@ import numpy as np
 from . import benchmarks
 from .engine import BOUNDS, k_best, parameter_problems, run_optimizer
 from .engine import selection_pressure as linear_ramp
-from .errors import ConfigError
+from .errors import ConfigError, shown
 
 # records are built by `engine.run_optimizer`; `build_record` stays bound here
 # because the span tracer in perfbench/tracing.py patches `baselines.build_record`
@@ -47,7 +47,7 @@ class BaselineConfig:
         labelled with the algorithm."""
         defaults = DEFAULT_PARAMS.get(self.algorithm)
         if defaults is None:
-            raise ConfigError([f"unknown algorithm {self.algorithm!r}"])
+            raise ConfigError([f"unknown algorithm {shown(self.algorithm)}"])
         sizes = {"n_agents": self.n_agents, "iterations": self.iterations}
         # gwo pulls every agent toward the three best agents
         bounds = {**BOUNDS, "n_agents": "[3, inf)"} if self.algorithm == "gwo" else BOUNDS

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import benchmarks
 from . import rng as rng_module
-from .errors import ConfigError
+from .errors import ConfigError, shown
 from .records import DEFAULT_CHECKPOINTS, RunRecord, build_record
 from .rng import RngStream, levy_step, tangent_unit_vector
 
@@ -121,7 +121,7 @@ def parameter_problems(params: Mapping, defaults: Mapping, bounds: Mapping = BOU
     bad, typed = [], True
     for key, value in params.items():
         if key not in defaults:
-            bad.append(f"unknown parameter {key!r}")
+            bad.append(f"unknown parameter {shown(key)}")
             continue
         default = defaults[key]
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -134,7 +134,7 @@ def parameter_problems(params: Mapping, defaults: Mapping, bounds: Mapping = BOU
         else:
             ok, kind = number, "a number"
         if not ok:
-            bad.append(f"{key} must be {kind}, got {value!r}")
+            bad.append(f"{key} must be {kind}, got {shown(value)}")
             typed = False
         elif isinstance(value, int) and not isinstance(default, int) and not _fits_float(value):
             bad.append(f"{key} must fit in a float, got an integer of {value.bit_length()} bits")
@@ -142,7 +142,7 @@ def parameter_problems(params: Mapping, defaults: Mapping, bounds: Mapping = BOU
         elif value != value:
             bad.append(f"{key} must not be NaN")
         elif key in bounds and value is not None and not _within(value, bounds[key]):
-            bad.append(f"{key} must lie in {bounds[key]}, got {value!r}")
+            bad.append(f"{key} must lie in {bounds[key]}, got {shown(value)}")
     return bad, typed
 
 
@@ -204,7 +204,7 @@ class DvoParams:
             raise ConfigError(bad)
         if self.n_agents < self.n_drains:
             bad.append(
-                f"n_agents must be >= n_drains, got {self.n_agents} < {self.n_drains}"
+                f"n_agents must be >= n_drains, got {shown(self.n_agents)} < {shown(self.n_drains)}"
             )
         near, far = self.near_threshold, self.far_threshold
         if near <= 0.0 or far <= near or far > 1.0:

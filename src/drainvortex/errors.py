@@ -21,6 +21,18 @@ class ConfigError(DrainVortexError, ValueError):
         super().__init__("; ".join(self.problems))
 
 
+def shown(value) -> str:
+    """`repr(value)` for a ConfigError entry, except that an integer too long
+    for Python to print (over 4,300 digits by default) shows as its bit count,
+    and a value holding one says so."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"an integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} holding an integer too long to print"
+
+
 class IncompleteGridError(DrainVortexError, RuntimeError):
     """An experiment grid is missing (algorithm, case) cells.
 

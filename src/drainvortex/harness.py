@@ -23,7 +23,7 @@ import numpy as np
 
 from . import benchmarks, engine, stats
 from .baselines import BASELINES, BaselineConfig
-from .errors import ConfigError
+from .errors import ConfigError, shown
 from .records import DEFAULT_CHECKPOINTS, SCHEMA_VERSION, RunRecord
 from .rng import mix_seed
 
@@ -162,7 +162,7 @@ def validate_config(config: ExperimentConfig) -> list:
     if config.suite == "ablation":
         problems.append("suite 'ablation' was removed; run a 'custom' suite with `drainvortex ablation`")
     elif config.suite not in SUITES:
-        problems.append(f"unknown suite {config.suite!r}; expected one of {SUITES}")
+        problems.append(f"unknown suite {shown(config.suite)}; expected one of {SUITES}")
     defaults = ExperimentConfig()
     for key in _SCALARS:
         label = _LABELS.get(key, key)
@@ -174,15 +174,15 @@ def validate_config(config: ExperimentConfig) -> list:
 
     specs = []
     if not _list_of(config.algorithms, AlgorithmSpec):
-        problems.append(f"'algorithms' must be a list of AlgorithmSpec entries, got {config.algorithms!r}")
+        problems.append(f"'algorithms' must be a list of AlgorithmSpec entries, got {shown(config.algorithms)}")
     elif not config.algorithms:
         problems.append("at least one algorithm is required")
     else:
         for spec in config.algorithms:
             if not isinstance(spec.name, str):
-                problems.append(f"algorithm names must be strings, got {spec.name!r}")
+                problems.append(f"algorithm names must be strings, got {shown(spec.name)}")
             elif not isinstance(spec.params, Mapping):
-                problems.append(f"algorithm {spec.name!r}: params must be a mapping, got {spec.params!r}")
+                problems.append(f"algorithm {spec.name!r}: params must be a mapping, got {shown(spec.params)}")
             else:
                 specs.append(spec)
     names = [spec.name for spec in specs]
@@ -203,13 +203,13 @@ def validate_config(config: ExperimentConfig) -> list:
 
     names = config.problems
     if not _list_of(names, str):
-        problems.append(f"'problems' must be a list of names, got {names!r}")
+        problems.append(f"'problems' must be a list of names, got {shown(names)}")
         names = ()
     elif config.suite == "custom":
         if not names:
             problems.append("suite 'custom' requires an explicit problems list")
     elif names and config.suite in SUITES:
-        problems.append(f"problems list is only valid with suite 'custom', not {config.suite!r}")
+        problems.append(f"problems list is only valid with suite 'custom', not {shown(config.suite)}")
     for name in sorted({p for p in names if names.count(p) > 1}):
         problems.append(f"duplicate problem {name!r}")
     for name in names:
@@ -222,21 +222,21 @@ def validate_config(config: ExperimentConfig) -> list:
 
     dims = config.dimensions
     if not _list_of(dims, int):
-        problems.append(f"'dimensions' must be a list of integers, got {dims!r}")
+        problems.append(f"'dimensions' must be a list of integers, got {shown(dims)}")
     else:
         needs_dims = config.suite == "classical_scalable" or any(
             name in benchmarks.SCALABLE_IDS for name in names
         )
         if needs_dims and not dims:
             problems.append("scalable problems require a non-empty dimensions list")
-        problems.extend(f"dimensions must be integers >= 2, got {d!r}" for d in dims if d < 2)
+        problems.extend(f"dimensions must be integers >= 2, got {shown(d)}" for d in dims if d < 2)
         for dim in sorted({d for d in dims if dims.count(d) > 1}):
-            problems.append(f"duplicate dimension {dim}")
+            problems.append(f"duplicate dimension {shown(dim)}")
 
     if not _list_of(config.checkpoints, int):
-        problems.append(f"'checkpoints' must be a list of integers, got {config.checkpoints!r}")
+        problems.append(f"'checkpoints' must be a list of integers, got {shown(config.checkpoints)}")
     if config.output is not None and not isinstance(config.output, str):
-        problems.append(f"'output' must be a string path, got {config.output!r}")
+        problems.append(f"'output' must be a string path, got {shown(config.output)}")
     return problems
 
 
@@ -294,11 +294,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             if extra:
                 problems.append(f"algorithm {entry['name']!r}: unknown keys {extra}")
             if not isinstance(params, dict):
-                problems.append(f"algorithm {entry['name']!r}: params must be a mapping, got {params!r}")
+                problems.append(f"algorithm {entry['name']!r}: params must be a mapping, got {shown(params)}")
                 params = {}
             algorithms.append(AlgorithmSpec(name=entry["name"], params=dict(params)))
         else:
-            problems.append(f"algorithm entries must be names or mappings with a name, got {entry!r}")
+            problems.append(f"algorithm entries must be names or mappings with a name, got {shown(entry)}")
 
     def _tuple(key):
         value = data.get(key, template[key])

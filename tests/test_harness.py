@@ -516,6 +516,58 @@ class TestOneChecker:
             run_experiment(config)
         assert err.value.problems == expected("penalty coefficient")
 
+    HUGE = 10**5000  # more digits than Python prints (4,300 by default)
+
+    @pytest.mark.parametrize(
+        "check,expected",
+        [
+            (lambda h: DvoParams(stay_limit=-h).validate(), "stay_limit must lie in [0, inf), got {}"),
+            (lambda h: DvoParams(swirl=h).validate(), "swirl must be true or false, got {}"),
+            (lambda h: DvoParams(n_drains=h).validate(), "n_agents must be >= n_drains, got 30 < {}"),
+            (lambda h: BaselineConfig("pso", n_agents=-h).resolved(), "pso: n_agents must lie in [2, inf), got {}"),
+            (lambda h: BaselineConfig(h).resolved(), "unknown algorithm {}"),
+            (lambda h: BaselineConfig("pso", params={h: 1.0}).resolved(), "pso: unknown parameter {}"),
+        ],
+        ids=["bound", "type", "across", "baseline_size", "algorithm", "name"],
+    )
+    def test_library_integer_too_long_to_print(self, check, expected):
+        # such a value is only validated here, never run
+        with pytest.raises(ConfigError) as err:
+            check(self.HUGE)
+        assert err.value.problems == [expected.format("an integer of 16610 bits")]
+
+    @pytest.mark.parametrize(
+        "overrides,expected",
+        [
+            ({"runs": -HUGE}, "runs must lie in [1, inf), got {}"),
+            ({"n_agents": -HUGE}, "pso: n_agents must lie in [2, inf), got {}"),
+            ({"dimensions": (-HUGE,)}, "dimensions must be integers >= 2, got {}"),
+            ({"dimensions": (HUGE, HUGE)}, "duplicate dimension {}"),
+            ({"suite": HUGE, "problems": ()}, "unknown suite {}; expected one of " + str(harness.SUITES)),
+            ({"checkpoints": HUGE}, "'checkpoints' must be a list of integers, got {}"),
+            ({"output": HUGE}, "'output' must be a string path, got {}"),
+            (
+                {"dimensions": (2.5, HUGE)},
+                "'dimensions' must be a list of integers, got a tuple holding an integer too long to print",
+            ),
+        ],
+        ids=["runs", "n_agents", "dimension", "duplicate_dimension", "suite", "checkpoints", "output", "in_a_list"],
+    )
+    def test_config_integer_too_long_to_print(self, overrides, expected):
+        # such a value is only validated here, never run
+        problems = validate_config(tiny_config(**overrides))
+        assert problems == [expected.format("an integer of 16610 bits")]
+
+    def test_config_dict_integer_too_long_to_print(self):
+        # a dict built in Python; json.loads refuses such an integer first
+        data = {"suite": "classical_fixed", "algorithms": [self.HUGE, {"name": "pso", "params": self.HUGE}]}
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        assert err.value.problems == [
+            "algorithm entries must be names or mappings with a name, got an integer of 16610 bits",
+            "algorithm 'pso': params must be a mapping, got an integer of 16610 bits",
+        ]
+
     @pytest.mark.parametrize("value", ["x", NaN], ids=["wrong_type", "nan"])
     @pytest.mark.parametrize(
         "name,key",

@@ -4,8 +4,8 @@ The nonparametric machinery is verified against independent oracles:
 scipy's signed-rank test for both the exact and the normal-approximation
 regimes, an enumeration over all sign assignments for small samples, a
 test-side reimplementation of tie-averaged ranking, scipy's `rankdata`,
-which the package's numpy ranks equal bit for bit, and hand-worked
-Friedman and Holm cases.
+which the package's numpy ranks equal bit for bit, 50-digit mpmath values
+of the chi-square and normal tails, and hand-worked Friedman and Holm cases.
 """
 
 import json
@@ -15,6 +15,7 @@ import sys
 import warnings
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -73,21 +74,29 @@ def brute_force_signed_rank_p(x, y):
     return count / 2.0**n
 
 
-def test_scipy_loads_only_at_the_first_p_value():
+def test_no_scipy_module_is_ever_loaded():
     # a child interpreter: this test process has imported scipy.stats itself
     code = (
         "import json, sys\n"
         "import drainvortex, drainvortex.cli, drainvortex.harness\n"
         "from drainvortex import stats\n"
+        "from drainvortex.harness import AlgorithmSpec, ExperimentConfig, emit_stat_tables, run_experiment\n"
+        "p_friedman = stats.friedman([[1.0, 2.0, 3.0], [1.0, 3.0, 2.0], [1.0, 2.0, 3.0]]).p_value\n"
+        "normal = stats.wilcoxon_signed_rank([float(i) for i in range(30)], [i + 0.5 for i in range(30)])\n"
+        "grid = run_experiment(ExperimentConfig(suite='custom', problems=('F1', 'F5'), dimensions=(2,),\n"
+        "    algorithms=(AlgorithmSpec('pso'), AlgorithmSpec('gwo')), runs=2, iterations=12, n_agents=6,\n"
+        "    checkpoints=(6, 12)))\n"
+        "text = emit_stat_tables(grid, reference='pso')\n"
         "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
-        "stats.friedman([[1.0, 2.0, 3.0], [1.0, 3.0, 2.0], [2.0, 1.0, 3.0]])\n"
-        "special, full = ('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)\n"
-        "print(json.dumps([loaded, special, full]))\n"
+        "print(json.dumps([p_friedman, normal.method, normal.n, 'gwo vs pso' in text, loaded]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), check=True
     )
-    assert json.loads(proc.stdout) == [[], True, False]
+    p_friedman, method, n, tested, loaded = json.loads(proc.stdout)
+    assert 0.0 < p_friedman < 1.0
+    assert (method, n, tested) == ("normal", 30, True)
+    assert loaded == []
 
 
 class TestLogError:
@@ -115,8 +124,25 @@ class TestChiSquareSf:
     def test_domain(self):
         assert chi_square_sf(0.0, 3) == 1.0
         assert chi_square_sf(-2.0, 3) == 1.0
-        with pytest.raises(ValueError):
-            chi_square_sf(1.0, 0)
+        assert chi_square_sf(math.inf, 3) == 0.0
+
+    @pytest.mark.parametrize("dof", [0, -1, 2.0, True, None], ids=repr)
+    def test_dof_is_an_integer_of_at_least_one(self, dof):
+        with pytest.raises(ValueError, match="dof must be an integer >= 1"):
+            chi_square_sf(1.0, dof)
+
+    def test_matches_mpmath(self):
+        # the closed form against the regularized upper incomplete gamma function
+        xs = [1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 3.5, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 2000.0]
+        checked = 0
+        with mpmath.workdps(50):
+            for dof in [*range(1, 61), 99, 100, 199]:
+                for x in xs:
+                    want = mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(x) / 2, mpmath.inf, regularized=True)
+                    if want > 1e-300:
+                        checked += 1
+                        assert abs(chi_square_sf(x, dof) - want) <= 1e-12 * want, (x, dof)
+        assert checked > 800
 
     @given(st.floats(0.01, 50.0), st.integers(1, 20))
     def test_is_a_probability_and_decreasing(self, x, dof):
@@ -271,6 +297,23 @@ class TestWilcoxon:
             x, y, alternative="two-sided", method="approx", correction=True
         )
         assert abs(ours.p_value - reference.pvalue) <= 1e-8
+
+    @pytest.mark.parametrize("n", [26, 40, 120, 400])
+    def test_normal_tail_matches_mpmath(self, n):
+        # the normal branch of the signed-rank test, distinct |differences|
+        # 1..n with the k smallest negative, against erfc(|z| / sqrt(2))
+        with mpmath.workdps(50):
+            sd = mpmath.sqrt(mpmath.mpf(n * (n + 1) * (2 * n + 1)) / 24)
+            for k in range(n + 1):
+                diffs = np.arange(1.0, n + 1.0)
+                diffs[:k] *= -1.0
+                ours = wilcoxon_signed_rank(diffs, np.zeros(n))
+                centered = mpmath.mpf(n * (n + 1) - k * (k + 1)) / 2 - mpmath.mpf(n * (n + 1)) / 4
+                centered -= mpmath.sign(centered) / 2
+                want = mpmath.erfc(abs(centered) / sd / mpmath.sqrt(2))
+                assert ours.method == "normal"
+                if want > 1e-300:
+                    assert abs(ours.p_value - want) <= 1e-12 * want, k
 
     def test_identical_samples_degenerate(self):
         x = np.array([1.0, 2.0, 3.0])
