@@ -17,8 +17,11 @@ rho) and the splash's Levy exponent from `DvoParams.levy_exponent`.
 `run_optimizer` is the one run loop of dvo and of every baseline: it owns the
 seeded stream, the timer, the uniform initial population (drawn first, then
 evaluated), the evaluation count, the per-sweep trace and the record. An
-optimizer supplies a start function and a per-sweep update that reports the
-best so far; dvo reports the best drain after the elitist refresh.
+optimizer is a pair over explicit state: `init(positions, fitness, settings)`
+returns the state, a dataclass of arrays, and `sweep(state, t, settings,
+problem, rng)` advances it by one sweep and reports the best so far. dvo's
+pair is `initialize` and `sweep`, which runs `step` and reports the best
+drain after the elitist refresh.
 
 Random draw order within one sweep is fixed and documented here: switch
 uniforms, switch destinations (one uniform per switching agent, in ascending
@@ -625,24 +628,25 @@ def initial_population(problem, n: int, rng: RngStream):
 
 
 def run_optimizer(
-    problem, start, n_agents, iterations, seed, algorithm, checkpoints=DEFAULT_CHECKPOINTS, run_index=0
+    problem, init, sweep, settings, seed, algorithm, checkpoints=DEFAULT_CHECKPOINTS, run_index=0
 ) -> RunRecord:
     """One seeded run of any optimizer, as a RunRecord.
 
-    `start(positions, fitness, rng)` receives the evaluated initial
-    population and the run's stream and returns the per-sweep update
-    `sweep(t)`. Each sweep returns (points it evaluated, best position, best
-    value) so far; the evaluation count sums the evaluated batches and the
-    trace keeps the best value after each sweep.
+    `settings` gives `n_agents` and `iterations`. `init(positions, fitness,
+    settings)` builds the run's state from the evaluated initial population;
+    `sweep(state, t, settings, problem, rng)` advances it by sweep `t` and
+    returns (points it evaluated, best position, best value) so far. The
+    evaluation count sums the evaluated batches and the trace keeps the best
+    value after each sweep.
     """
     rng = RngStream(seed)
     started = time.perf_counter()
-    positions, fitness = initial_population(problem, n_agents, rng)
-    sweep = start(positions, fitness, rng)
+    positions, fitness = initial_population(problem, settings.n_agents, rng)
+    state = init(positions, fitness, settings)
     evaluations = fitness.size
-    trace = np.empty(iterations)
-    for t in range(iterations):
-        evaluated, best_position, best_value = sweep(t)
+    trace = np.empty(settings.iterations)
+    for t in range(settings.iterations):
+        evaluated, best_position, best_value = sweep(state, t, settings, problem, rng)
         evaluations += evaluated
         trace[t] = best_value
     walltime_ms = (time.perf_counter() - started) * 1e3
@@ -660,6 +664,13 @@ def run_optimizer(
     )
 
 
+def sweep(state: DvoState, t: int, params: DvoParams, problem, rng: RngStream):
+    """dvo's sweep for `run_optimizer`: one `step` (which counts its own
+    sweeps), reporting the best drain."""
+    step(state, params, problem, rng)
+    return state.fitness.size, state.drains[0], float(state.drain_fitness[0])
+
+
 def run(
     problem,
     params: DvoParams = DvoParams(),
@@ -670,16 +681,6 @@ def run(
 ) -> RunRecord:
     """Full drain-vortex run through `run_optimizer`; N*(T+1) objective evaluations."""
     params.validate()
-
-    def start(positions, fitness, rng):
-        state = initialize(positions, fitness, params)
-
-        def sweep(t):
-            step(state, params, problem, rng)
-            return state.fitness.size, state.drains[0], float(state.drain_fitness[0])
-
-        return sweep
-
     return run_optimizer(
-        problem, start, params.n_agents, params.iterations, seed, algorithm, checkpoints, run_index
+        problem, initialize, sweep, params, seed, algorithm, checkpoints, run_index
     )

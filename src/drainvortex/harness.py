@@ -171,6 +171,11 @@ def validate_config(config: ExperimentConfig) -> list:
                 {label: getattr(config, key)}, {label: getattr(defaults, key)}, _SCALAR_BOUNDS
             )[0]
         )
+    # the seed hash prints the master seed; Python prints no integer of over 4,300 digits
+    try:
+        mix_seed(config.master_seed)
+    except ValueError:
+        problems.append(f"master_seed must be short enough to print, got {shown(config.master_seed)}")
 
     specs = []
     if not _list_of(config.algorithms, AlgorithmSpec):

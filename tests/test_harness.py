@@ -546,12 +546,16 @@ class TestOneChecker:
             ({"suite": HUGE, "problems": ()}, "unknown suite {}; expected one of " + str(harness.SUITES)),
             ({"checkpoints": HUGE}, "'checkpoints' must be a list of integers, got {}"),
             ({"output": HUGE}, "'output' must be a string path, got {}"),
+            ({"master_seed": HUGE}, "master_seed must be short enough to print, got {}"),
             (
                 {"dimensions": (2.5, HUGE)},
                 "'dimensions' must be a list of integers, got a tuple holding an integer too long to print",
             ),
         ],
-        ids=["runs", "n_agents", "dimension", "duplicate_dimension", "suite", "checkpoints", "output", "in_a_list"],
+        ids=[
+            "runs", "n_agents", "dimension", "duplicate_dimension", "suite", "checkpoints", "output",
+            "master_seed", "in_a_list",
+        ],
     )
     def test_config_integer_too_long_to_print(self, overrides, expected):
         # such a value is only validated here, never run
