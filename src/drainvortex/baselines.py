@@ -4,7 +4,10 @@ names through `engine.run_optimizer`, and each supplies only its pair in
 `_OPTIMIZERS`: an init that builds its `Swarm` state and a module-level sweep
 that advances it. All use componentwise clipping, evaluate the full
 population every sweep (N*(T+1) evaluations), and report as best so far the
-first strict minimum over the evaluated batches (`Swarm.observe`)."""
+first strict minimum over the evaluated batches (`Swarm.observe`), which is
+also the leader of woa and aoa and the destination of sca. Only pso (its
+velocities and personal bests) and eo (its equilibrium pool) keep memory
+arrays, in a `Swarm` subclass."""
 
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ DEFAULT_PARAMS = {
     "pso": dict(w_start=0.9, w_end=0.4, c1=2.0, c2=2.0, v_frac=0.2),
     "gwo": dict(a_start=2.0, a_end=0.0),
     "woa": dict(a_start=2.0, a_end=0.0, spiral_pitch=1.0),
-    "sca": dict(amplitude=2.0, n_elites=2),
+    "sca": dict(amplitude=2.0),
     "aoa": dict(moa_start=0.1, moa_end=0.9, mop_power=5.0, mu=0.499),
     "eo": dict(a1=2.0, a2=1.0, gp=0.5),
 }
@@ -200,38 +203,20 @@ def _sweep_woa(s: Swarm, t, config, problem, rng):
     return s.observe(positions, benchmarks.evaluate(problem, positions, rng))
 
 
-@dataclass
-class _Elites(Swarm):
-    """sca's or eo's state: an archive of the best points evaluated so far,
-    best first."""
-
-    elites: np.ndarray
-    elite_fit: np.ndarray
-
-    @classmethod
-    def init(cls, positions, fitness, config):
-        # sca keeps `n_elites` elites, eo an equilibrium pool of four
-        elites, elite_fit = k_best(positions, fitness, config.params.get("n_elites", 4))
-        return super().init(positions, fitness, config, elites=elites, elite_fit=elite_fit)
-
-
-def _sweep_sca(s: _Elites, t, config, problem, rng):
-    """Sine-cosine algorithm against the best of a small elite archive."""
+def _sweep_sca(s: Swarm, t, config, problem, rng):
+    """Sine-cosine algorithm: each agent moves by a sine or a cosine step
+    around the destination point, the best so far."""
     p = config.params
     shape = s.positions.shape
     r1 = linear_ramp(t, config.iterations, p["amplitude"], 0.0)
     r2 = rng.uniform(0.0, 2.0 * np.pi, shape)
     r3 = rng.uniform(0.0, 2.0, shape)
     r4 = rng.random(shape)
-    gap = np.abs(r3 * s.elites[0] - s.positions)
+    gap = np.abs(r3 * s.best_position - s.positions)
     sin_move = s.positions + r1 * np.sin(r2) * gap
     cos_move = s.positions + r1 * np.cos(r2) * gap
     positions = np.clip(np.where(r4 < 0.5, sin_move, cos_move), problem.lower, problem.upper)
-    fitness = benchmarks.evaluate(problem, positions, rng)
-    s.elites, s.elite_fit = k_best(
-        np.concatenate([s.elites, positions]), np.concatenate([s.elite_fit, fitness]), p["n_elites"]
-    )
-    return s.observe(positions, fitness)
+    return s.observe(positions, benchmarks.evaluate(problem, positions, rng))
 
 
 def _sweep_aoa(s: Swarm, t, config, problem, rng):
@@ -259,7 +244,21 @@ def _sweep_aoa(s: Swarm, t, config, problem, rng):
     return s.observe(positions, benchmarks.evaluate(problem, positions, rng))
 
 
-def _sweep_eo(s: _Elites, t, config, problem, rng):
+@dataclass
+class _Equilibrium(Swarm):
+    """eo's state: the equilibrium pool, the four best points evaluated so
+    far, best first."""
+
+    elites: np.ndarray
+    elite_fit: np.ndarray
+
+    @classmethod
+    def init(cls, positions, fitness, config):
+        elites, elite_fit = k_best(positions, fitness, 4)
+        return super().init(positions, fitness, config, elites=elites, elite_fit=elite_fit)
+
+
+def _sweep_eo(s: _Equilibrium, t, config, problem, rng):
     """Equilibrium optimizer: four running-best candidates plus their mean
     form the pool; concentrations relax toward a random pool member with
     exponential mixing and an occasionally active generation term. An agent
@@ -298,9 +297,9 @@ _OPTIMIZERS = {
     "pso": (_Particles.init, _sweep_pso),
     "gwo": (Swarm.init, _sweep_gwo),
     "woa": (Swarm.init, _sweep_woa),
-    "sca": (_Elites.init, _sweep_sca),
+    "sca": (Swarm.init, _sweep_sca),
     "aoa": (Swarm.init, _sweep_aoa),
-    "eo": (_Elites.init, _sweep_eo),
+    "eo": (_Equilibrium.init, _sweep_eo),
 }
 
 # the catalog of baseline names; every entry is the one runner, which runs

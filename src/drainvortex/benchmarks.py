@@ -64,7 +64,6 @@ class ProblemSpec:
     f_true: Optional[float] = None
     constraints: tuple = ()
     noisy: bool = False
-    tags: tuple = ()
     # original objective when this spec is a penalty wrap of a constrained one
     raw_objective: Optional[Callable] = None
     # objective and constraints also take (n, dim) batches, one row per point
@@ -261,7 +260,6 @@ def classical_scalable(fid: str, dim: int) -> ProblemSpec:
         objective=fn,
         f_true=f_true,
         noisy=noisy,
-        tags=("classical", "scalable"),
         vectorized=True,
     )
 
@@ -413,7 +411,6 @@ def classical_fixed(fid: str) -> ProblemSpec:
         upper=np.array(hi),
         objective=fn,
         f_true=f_true,
-        tags=("classical", "fixed"),
         vectorized=True,
     )
 
@@ -661,7 +658,6 @@ def engineering_problem(name: str) -> ProblemSpec:
         upper=np.array(hi),
         objective=fn,
         constraints=cons(),
-        tags=("engineering", "constrained"),
         vectorized=True,
     )
 
@@ -706,12 +702,7 @@ def penalize(spec: ProblemSpec, coefficient: float = DEFAULT_PENALTY_COEFF) -> P
             total = total + v
         return raw(x) + coefficient * total
 
-    return replace(
-        spec,
-        objective=penalized,
-        raw_objective=raw,
-        tags=spec.tags + ("penalized",),
-    )
+    return replace(spec, objective=penalized, raw_objective=raw)
 
 
 def feasibility(x, spec: ProblemSpec, tol: float = DEFAULT_FEASIBILITY_TOL):

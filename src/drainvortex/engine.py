@@ -10,9 +10,10 @@ from the elitist pool (current population, previous population, old drains).
 
 A run's `DvoState` carries only what the next sweep reads (see its
 docstring); the best so far is `drains[0]`, and `run_optimizer` counts the
-evaluations. The sweep reads the box from the `ProblemSpec` it is given
-(`lower`, `upper` and the derived `span` and `diameter`, the denominator of
-rho) and the splash's Levy exponent from `DvoParams.levy_exponent`.
+sweeps and the evaluations. The sweep reads the box from the `ProblemSpec`
+it is given (`lower`, `upper` and the derived `span` and `diameter`, the
+denominator of rho) and the splash's Levy exponent from
+`DvoParams.levy_exponent`.
 
 `run_optimizer` is the one run loop of dvo and of every baseline: it owns the
 seeded stream, the timer, the uniform initial population (drawn first, then
@@ -91,7 +92,6 @@ BOUNDS = {
     "splash_scale": "[0, inf]",
     "epsilon": "(0, inf]",
     "v_frac": "[0, inf]",
-    "n_elites": "[1, inf)",
     "mop_power": "(0, inf]",
 }
 
@@ -243,12 +243,12 @@ def make_ablation_params(base: DvoParams, variant: str) -> DvoParams:
 class DvoState:
     """Mutable per-run state; `step` advances it by one sweep.
 
-    The sweep counter, the population and its fitness, the drains (best
-    first) and their fitness, and the per-agent stagnation counters;
-    `assignment`, `rho` and `phase` are those of the last sweep.
+    The population and its fitness, the drains (best first) and their
+    fitness, and the per-agent stagnation counters; `assignment`, `rho` and
+    `phase` are those of the last sweep. The sweep index is not kept here:
+    `run_optimizer` counts the sweeps and hands each its index.
     """
 
-    t: int
     positions: Array
     fitness: Array
     drains: Array
@@ -530,7 +530,6 @@ def initialize(positions, fitness, params: DvoParams) -> DvoState:
     the initial drains."""
     drains, drain_fitness = k_best(positions, fitness, params.n_drains)
     return DvoState(
-        t=0,
         positions=positions,
         fitness=fitness,
         drains=drains,
@@ -539,15 +538,15 @@ def initialize(positions, fitness, params: DvoParams) -> DvoState:
     )
 
 
-def step(state: DvoState, params: DvoParams, problem, rng: RngStream) -> DvoState:
-    """One sweep: schedules, assignment, switching, phase moves with splash,
-    clip, evaluate, greedy selection, stagnation, elitist drain refresh."""
+def step(state: DvoState, t: int, params: DvoParams, problem, rng: RngStream) -> DvoState:
+    """Sweep `t` (0-based): schedules, assignment, switching, phase moves
+    with splash, clip, evaluate, greedy selection, stagnation, elitist drain
+    refresh. Advances `state` in place and returns it (the span tracer in
+    perfbench/tracing.py reads the accepted positions from the result)."""
     n = state.fitness.size
     k = params.n_drains
-    scale = exploration_scale(state.t, params.iterations)
-    pressure = selection_pressure(
-        state.t, params.iterations, params.pressure_start, params.pressure_end
-    )
+    scale = exploration_scale(t, params.iterations)
+    pressure = selection_pressure(t, params.iterations, params.pressure_start, params.pressure_end)
     probs = drain_probabilities(k, pressure)
 
     assignment, rho = assign_drains(
@@ -610,7 +609,6 @@ def step(state: DvoState, params: DvoParams, problem, rng: RngStream) -> DvoStat
     state.assignment = assignment
     state.rho = rho
     state.phase = phase
-    state.t += 1
     return state
 
 
@@ -665,9 +663,9 @@ def run_optimizer(
 
 
 def sweep(state: DvoState, t: int, params: DvoParams, problem, rng: RngStream):
-    """dvo's sweep for `run_optimizer`: one `step` (which counts its own
-    sweeps), reporting the best drain."""
-    step(state, params, problem, rng)
+    """dvo's sweep for `run_optimizer`: one `step` at the driver's sweep
+    index `t`, reporting the best drain."""
+    step(state, t, params, problem, rng)
     return state.fitness.size, state.drains[0], float(state.drain_fitness[0])
 
 

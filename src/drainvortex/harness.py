@@ -309,16 +309,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         value = data.get(key, template[key])
         return tuple(value) if isinstance(value, list) else value
 
-    checkpoints = _tuple("checkpoints")
-    if _list_of(checkpoints, int) and _list_of([execution["iterations"]], int):
-        checkpoints = tuple(sorted({c for c in checkpoints if 1 <= c <= execution["iterations"]}))
-
     config = ExperimentConfig(
         suite=data.get("suite", template["suite"]),
         problems=_tuple("problems"),
         dimensions=_tuple("dimensions"),
         algorithms=tuple(algorithms),
-        checkpoints=checkpoints,
+        checkpoints=_tuple("checkpoints"),
         output=data.get("output"),
         penalty_coeff=sections["penalty"]["coefficient"],
         feasibility_tol=sections["penalty"]["feasibility_tol"],

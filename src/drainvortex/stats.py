@@ -278,33 +278,19 @@ class StatReport:
     comparisons: tuple
 
 
-def _expected_grid(result_set):
-    """Algorithm order, case order, and run count, preferring the attached
-    config and falling back to first-seen order in the records."""
-    config = getattr(result_set, "config", None)
-    if config is not None:
-        return list(config.algorithm_names()), list(config.case_list()), config.runs
-    algorithms, cases, runs = [], [], 0
-    for record in result_set.records:
-        if record.algorithm not in algorithms:
-            algorithms.append(record.algorithm)
-        case = (record.problem, record.dim)
-        if case not in cases:
-            cases.append(case)
-        runs = max(runs, record.run_index + 1)
-    return algorithms, cases, runs
-
-
 def summarize(result_set) -> SummaryTable:
     """Collapse a full record grid into per-case metrics, winners, average
     ranks, win counts, and a Friedman test over the rank matrix.
 
-    Raises IncompleteGridError when any (algorithm, problem, dim) cell is
-    missing runs. Unconstrained cells are scored by mean floored log error
-    (the mean best value when the optimum is unknown); constrained cells by
-    the best feasible objective (infinite when no run is feasible).
+    The result set's config gives the algorithm order, the case order and
+    the run count. Raises IncompleteGridError when any (algorithm, problem,
+    dim) cell is missing runs. Unconstrained cells are scored by mean
+    floored log error (the mean best value when the optimum is unknown);
+    constrained cells by the best feasible objective (infinite when no run
+    is feasible).
     """
-    algorithms, cases, runs = _expected_grid(result_set)
+    config = result_set.config
+    algorithms, cases, runs = config.algorithm_names(), config.case_list(), config.runs
     cells: dict = {}
     for record in result_set.records:
         cells.setdefault((record.algorithm, record.problem, record.dim), {})[

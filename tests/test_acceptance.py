@@ -172,8 +172,8 @@ class TestSearchInvariants:
         for seed in (0, 1, 2):
             rng = RngStream(seed)
             state = initialize(*initial_population(problem, params.n_agents, rng), params)
-            for _ in range(params.iterations):
-                step(state, params, problem, rng)
+            for t in range(params.iterations):
+                step(state, t, params, problem, rng)
                 assert np.all(state.positions >= problem.lower)
                 assert np.all(state.positions <= problem.upper)
 

@@ -263,7 +263,6 @@ class TestPenalty:
         base = self.constrained_toy()
         wrapped = penalize(base)
         assert wrapped.raw_objective is base.objective
-        assert "penalized" in wrapped.tags
         assert wrapped.constraints == base.constraints
         assert wrapped.name == base.name
 

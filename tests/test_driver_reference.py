@@ -20,7 +20,10 @@ them) and counts `n_agents*(iterations+1)` evaluations where it read
 the same `lower` and `span`, so `_reference_initialize` reads `problem` where
 it read `bounds` and no longer takes `bounds`, and `_reference_run` no longer
 builds `Bounds.of(problem)` nor passes it to `_reference_initialize` and
-`step`.
+`step`. `DvoState` no longer counts its sweeps, so `_reference_initialize`
+builds no `t` and `_reference_run` passes its sweep index `s` to `step`.
+sca no longer takes `n_elites`, so `_reference_run_sca` reads `n_elites = 2`,
+the default it resolved to for every config passed here.
 """
 
 import math
@@ -51,7 +54,6 @@ def _reference_initialize(problem, params: DvoParams, rng: RngStream) -> DvoStat
     drains = positions[order].copy()
     drain_fitness = fitness[order].copy()
     return DvoState(
-        t=0,
         positions=positions,
         fitness=fitness,
         drains=drains,
@@ -75,7 +77,7 @@ def _reference_run(
     state = _reference_initialize(problem, params, rng)
     trace = np.empty(params.iterations)
     for s in range(params.iterations):
-        step(state, params, problem, rng)
+        step(state, s, params, problem, rng)
         trace[s] = float(state.drain_fitness[0])  # was state.best_value
     walltime_ms = (time.perf_counter() - started) * 1e3
     return build_record(
@@ -269,7 +271,7 @@ def _reference_run_woa(problem, config, seed, checkpoints=DEFAULT_CHECKPOINTS, r
 def _reference_run_sca(problem, config, seed, checkpoints=DEFAULT_CHECKPOINTS, run_index=0):
     """Sine-cosine algorithm against the best of a small elite archive."""
     p = config.resolved()
-    n_elites = int(p["n_elites"])
+    n_elites = 2  # was int(p["n_elites"])
     if n_elites < 1:
         raise ConfigError(["sca: n_elites must be >= 1"])
     n, total = config.n_agents, config.iterations

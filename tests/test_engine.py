@@ -585,7 +585,6 @@ class TestInitialize:
         assert (state.positions >= -5.0).all() and (state.positions <= 5.0).all()
         assert state.fitness.shape == (12,)
         assert (state.stagnation == 0).all()
-        assert state.t == 0
 
         order = np.argsort(state.fitness, kind="stable")[:4]
         assert np.array_equal(state.drains, state.positions[order])
@@ -630,7 +629,6 @@ class TestOracleSweep:
         fitness = np.array([problem.objective(x) for x in positions])
         drain = np.array([[-8.0, -8.0]])
         state = DvoState(
-            t=1,
             positions=positions.copy(),
             fitness=fitness.copy(),
             drains=drain.copy(),
@@ -729,7 +727,7 @@ class TestOracleSweep:
             evaluated.append(x.copy())
             return problem.objective(x)
 
-        step(state, params, replace(problem, objective=recorded), RngStream(seed))
+        step(state, 1, params, replace(problem, objective=recorded), RngStream(seed))
         assert np.array_equal(np.array(evaluated), proposals)
 
         improved = new_fit < entry_fit
@@ -760,7 +758,6 @@ class TestOracleSweep:
         assert list(state.phase) == [
             Phase.FAR, Phase.SPIRAL, Phase.CORE, Phase.CORE, Phase.SPIRAL
         ]
-        assert state.t == 2
 
 
 class TestRun:
@@ -809,8 +806,8 @@ class TestRun:
         params = DvoParams(n_agents=6, n_drains=2, iterations=12, splash_prob=1.0, stay_limit=0)
         rng = RngStream(55)
         state = initialize(*initial_population(problem, params.n_agents, rng), params)
-        for _ in range(12):
-            step(state, params, problem, rng)
+        for t in range(12):
+            step(state, t, params, problem, rng)
             assert (state.positions >= problem.lower).all()
             assert (state.positions <= problem.upper).all()
 

@@ -143,7 +143,8 @@ class TestConfigParsing:
             )
         assert "integer" in str(err.value)
 
-    def test_checkpoints_normalized(self):
+    def test_checkpoints_kept_as_given(self):
+        # the records keep the in-range sweeps; the config keeps its list
         config = config_from_dict(
             {
                 "suite": "classical_fixed",
@@ -152,7 +153,7 @@ class TestConfigParsing:
                 "checkpoints": [50, 200, 1, 50, 100, 0],
             }
         )
-        assert config.checkpoints == (1, 50, 100)
+        assert config.checkpoints == (50, 200, 1, 50, 100, 0)
 
     def test_suite_problem_list_rules(self):
         with pytest.raises(ConfigError) as err:
@@ -265,6 +266,8 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("n_elites", [0, -1, 1.5, "two", None])
     def test_sca_elite_count_checked_at_config_time(self, n_elites):
+        # sca moves toward the best so far and keeps no elite archive, so
+        # any elite count, of any type, is an unknown parameter
         with pytest.raises(ConfigError) as err:
             config_from_dict(
                 {
@@ -272,13 +275,7 @@ class TestConfigParsing:
                     "algorithms": [{"name": "sca", "params": {"n_elites": n_elites}}],
                 }
             )
-        # a non-integer fails the type check of every parameter, a small
-        # integer the sca range check
-        if isinstance(n_elites, int):
-            expected = f"sca: n_elites must lie in [1, inf), got {n_elites!r}"
-        else:
-            expected = f"sca: n_elites must be an integer, got {n_elites!r}"
-        assert err.value.problems == [expected]
+        assert err.value.problems == ["sca: unknown parameter 'n_elites'"]
 
     @pytest.mark.parametrize(
         "section,expected",
@@ -324,7 +321,7 @@ class TestConfigParsing:
             ({"name": "dvo", "params": {"near_threshold": NaN}}, "dvo parameters: near_threshold must not be NaN"),
             ({"name": "dvo", "params": {"core_radius": NaN}}, "dvo parameters: core_radius must not be NaN"),
             ({"name": "pso", "params": {"c1": NaN}}, "pso: c1 must not be NaN"),
-            ({"name": "sca", "params": {"n_elites": NaN}}, "sca: n_elites must be an integer, got nan"),
+            ({"name": "sca", "params": {"amplitude": NaN}}, "sca: amplitude must not be NaN"),
         ],
     )
     def test_nan_parameters_are_listed_with_other_problems(self, tmp_path, entry, expected):
@@ -1019,22 +1016,29 @@ class TestPersistence:
             assert a.log10_error == b.log10_error
 
     def test_checkpoint_order_of_a_python_config_is_that_of_its_file(self, tmp_path):
-        # a config built in Python keeps its checkpoints as given, and one
-        # loaded from a file has them sorted, unique and in range; each
-        # record maps the in-range sweeps once each, ascending, either way
-        config = tiny_config(
-            algorithms=(AlgorithmSpec("pso"), AlgorithmSpec("dvo")), checkpoints=(5, 1, 1, 9, 0, 40)
-        )
-        loaded = config_from_dict(config_to_dict(config))
-        assert loaded.checkpoints == (1, 5, 9)
-        written = []
-        for name, each in (("python", config), ("file", loaded)):
-            out = emit_records(run_experiment(each), tmp_path / name)
-            written.append(
-                [json.dumps({**json.loads(line), "walltime_ms": None}) for line in record_lines(out)]
+        # a config keeps its checkpoints as given, from Python and from a
+        # file alike; each record maps the sweeps of its own run that the
+        # list names, once each, ascending
+        inputs = [
+            # unsorted, repeated and out of range
+            ((AlgorithmSpec("pso"), AlgorithmSpec("dvo")), 12, (5, 1, 1, 9, 0, 40), ["1", "5", "9"]),
+            # pso runs 20 sweeps, so 10 and 20 are in range though past the execution 5
+            ((AlgorithmSpec("pso", {"iterations": 20}),), 5, (2, 10, 20), ["2", "10", "20"]),
+        ]
+        for k, (algorithms, iterations, checkpoints, mapped) in enumerate(inputs):
+            config = tiny_config(algorithms=algorithms, iterations=iterations, checkpoints=checkpoints)
+            loaded = config_from_dict(config_to_dict(config))
+            assert loaded == config
+            written = []
+            for name, each in (("python", config), ("file", loaded)):
+                out = emit_records(run_experiment(each), tmp_path / f"{name}{k}")
+                written.append(
+                    [json.dumps({**json.loads(line), "walltime_ms": None}) for line in record_lines(out)]
+                )
+            assert written[0] == written[1]
+            assert [list(json.loads(line)["checkpoints"]) for line in written[0]] == [mapped] * len(
+                written[0]
             )
-        assert written[0] == written[1]
-        assert [list(json.loads(line)["checkpoints"]) for line in written[0]] == [["1", "5", "9"]] * 4
 
     def test_variant_names_round_trip(self, tmp_path):
         config = tiny_config(

@@ -13,7 +13,6 @@ import math
 import subprocess
 import sys
 import warnings
-from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -22,8 +21,9 @@ import scipy.stats
 from conftest import child_env
 from hypothesis import given, strategies as st
 
+from drainvortex.benchmarks import get_problem
 from drainvortex.errors import IncompleteGridError
-from drainvortex.harness import emit_stat_tables
+from drainvortex.harness import AlgorithmSpec, ExperimentConfig, ResultSet, emit_stat_tables
 from drainvortex.records import RunRecord, floored_log10
 from drainvortex.stats import (
     WilcoxonResult,
@@ -423,8 +423,17 @@ def make_record(
     )
 
 
-def result_set(records):
-    return SimpleNamespace(config=None, records=list(records))
+def result_set(records, algorithms, problems, runs):
+    """The records as the result set of a custom-suite grid of these
+    algorithms and problems (a scalable one at d2), each with `runs` runs."""
+    config = ExperimentConfig(
+        suite="custom",
+        problems=tuple(problems),
+        dimensions=(2,),
+        algorithms=tuple(map(AlgorithmSpec, algorithms)),
+        runs=runs,
+    )
+    return ResultSet(config=config, records=list(records))
 
 
 class TestSummarize:
@@ -435,7 +444,7 @@ class TestSummarize:
             records.append(make_record("b", "F1", 2, run, best=10.0 ** (-run - 3)))
             records.append(make_record("a", "F9", 2, run, best=1.0 + run))
             records.append(make_record("b", "F9", 2, run, best=2.0 + run))
-        return result_set(records)
+        return result_set(records, ["a", "b"], ["F1", "F9"], runs=3)
 
     def test_metrics_and_winners(self):
         table = summarize(self.two_algo_grid())
@@ -460,7 +469,7 @@ class TestSummarize:
         for run in range(2):
             records.append(make_record("a", "F1", 2, run, best=1e-3))
             records.append(make_record("b", "F1", 2, run, best=1e-3))
-        table = summarize(result_set(records))
+        table = summarize(result_set(records, ["a", "b"], ["F1"], runs=2))
         assert table.cases[0].winners == ("a", "b")
         assert np.array_equal(table.rank_matrix, [[1.5, 1.5]])
 
@@ -506,7 +515,7 @@ class TestSummarize:
                     objective_value=value,
                 )
             )
-        return result_set(records)
+        return result_set(records, ["a", "b"], ["three_bar_truss"], runs=3)
 
     def test_constrained_scoring(self):
         table = summarize(self.constrained_grid())
@@ -533,33 +542,38 @@ class TestSummarize:
             )
             for run in range(2)
         ]
-        table = summarize(result_set(records))
+        table = summarize(result_set(records, ["a", "b"], ["three_bar_truss"], runs=2))
         assert table.cases[0].winners == ()
 
     def test_single_algorithm_skips_friedman(self):
         records = [make_record("a", "F1", 2, run, best=0.1) for run in range(2)]
-        table = summarize(result_set(records))
+        table = summarize(result_set(records, ["a"], ["F1"], runs=2))
         assert table.friedman is None
 
 
-def exponent_grid(exponents, runs=3):
+def exponent_grid(exponents, runs=3, more_problems=(), more_records=()):
     """Records with best value 10**(e + run), where `exponents` maps each
-    algorithm to one integer e per case; every case metric is then an exact
-    mean of integers, whatever the run order."""
-    return result_set(
-        make_record(algorithm, f"F{j + 1}", 2, run, best=10.0 ** (e + run))
+    algorithm to one integer e per case F1, F2, ... at d2; every case metric
+    is then an exact mean of integers, whatever the run order. The cases of
+    `more_problems`, whose runs are `more_records`, come after them."""
+    problems = [f"F{j + 1}" for j in range(len(next(iter(exponents.values()))))]
+    records = [
+        make_record(algorithm, problems[j], 2, run, best=10.0 ** (e + run))
         for algorithm, per_case in exponents.items()
         for j, e in enumerate(per_case)
         for run in range(runs)
+    ]
+    return result_set(
+        records + list(more_records), list(exponents), problems + list(more_problems), runs
     )
 
 
 def constrained_records(algorithm, problem, objectives, infeasible=()):
-    """One constrained run per objective; runs listed in `infeasible` are
-    penalized to 1e9 and not feasible."""
+    """One constrained run per objective, at the problem's dimension; runs
+    listed in `infeasible` are penalized to 1e9 and not feasible."""
     return [
         make_record(
-            algorithm, problem, 2, run,
+            algorithm, problem, get_problem(problem).dim, run,
             best=1e9 if run in infeasible else value, f_true=None,
             feasible=run not in infeasible, objective_value=value,
         )
@@ -583,7 +597,7 @@ class TestCompare:
                 records.append(
                     make_record("gwo", problem, 2, run, best=10.0 ** rng.uniform(-5, -3))
                 )
-        return result_set(records)
+        return result_set(records, ["dvo", "pso", "gwo"], [f"F{i}" for i in range(1, 9)], runs=3)
 
     def test_report_shape(self):
         report = compare(self.grid(), "dvo")
@@ -612,7 +626,7 @@ class TestCompare:
 
     def test_reference_only_gives_empty_report(self):
         records = [make_record("solo", "F1", 2, run, best=0.5) for run in range(3)]
-        report = compare(result_set(records), "solo")
+        report = compare(result_set(records, ["solo"], ["F1"], runs=3), "solo")
         assert report.comparisons == ()
 
     def test_run_order_does_not_change_the_comparison(self):
@@ -629,12 +643,9 @@ class TestCompare:
         exponents = {"dvo": [-8, -7, -9, -6, -8, -7, -6, -9], "pso": [-3, -4, -2, -5, -7, -3, -8, -2]}
         grids = []
         for infeasible in ((), (2,)):
-            grid = exponent_grid(exponents)
-            grid.records += constrained_records("dvo", "three_bar_truss", [263.9, 264.0, 264.1])
-            grid.records += constrained_records(
-                "pso", "three_bar_truss", [264.5, 264.2, 264.8], infeasible
-            )
-            grids.append(grid)
+            truss = constrained_records("dvo", "three_bar_truss", [263.9, 264.0, 264.1])
+            truss += constrained_records("pso", "three_bar_truss", [264.5, 264.2, 264.8], infeasible)
+            grids.append(exponent_grid(exponents, more_problems=["three_bar_truss"], more_records=truss))
         clean, spoiled = (compare(grid, "dvo") for grid in grids)
         assert spoiled.table.cases[-1].metrics == clean.table.cases[-1].metrics
         assert spoiled.comparisons == clean.comparisons
@@ -645,7 +656,7 @@ class TestCompare:
         for algorithm, shift in (("dvo", 0.0), ("pso", 1.0), ("gwo", 2.0)):
             for problem in ("three_bar_truss", "welded_beam"):
                 records += constrained_records(algorithm, problem, [10.0 + shift, 11.0], (1,))
-        grid = result_set(records)
+        grid = result_set(records, ["dvo", "pso", "gwo"], ["three_bar_truss", "welded_beam"], runs=2)
         assert compare(grid, "dvo").comparisons == ()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -661,14 +672,15 @@ class TestCompare:
             "pso": [-8, -4, -9, -5, -8, -3, -8, -2, -4, -6],  # ties dvo on three cases
             "gwo": [-4] * 10,
         }
-        grid = exponent_grid(exponents)
+        more = []
         for algorithm, objective in (("dvo", 263.9), ("pso", 264.5), ("gwo", 265.0)):
-            grid.records += constrained_records(algorithm, "three_bar_truss", [objective] * 3)
+            more += constrained_records(algorithm, "three_bar_truss", [objective] * 3)
             # no known optimum: ranked, never tested
-            grid.records += [
-                make_record(algorithm, "F24", 2, run, best=objective, f_true=None)
+            more += [
+                make_record(algorithm, "F14", 2, run, best=objective, f_true=None)
                 for run in range(3)
             ]
+        grid = exponent_grid(exponents, more_problems=["three_bar_truss", "F14"], more_records=more)
         report = compare(grid, "dvo")
         assert len(report.table.cases) == 12
         assert [c.test.n for c in report.comparisons] == [7, 10]
@@ -677,10 +689,13 @@ class TestCompare:
     def test_means_cover_the_cases_finite_for_both(self):
         exponents = {"dvo": [-8, -7, -9, -6], "pso": [-3, -4, -2, -5], "gwo": [-4, -5, -6, -7]}
         finite_pso, _ = compare(exponent_grid(exponents), "dvo").comparisons
-        grid = exponent_grid(exponents)
         # F5 is infinite for pso only: pso's means leave it out, gwo's count it
-        for algorithm, best in (("dvo", 1e-8), ("pso", math.inf), ("gwo", 1e-4)):
-            grid.records += [make_record(algorithm, "F5", 2, run, best=best) for run in range(3)]
+        f5 = [
+            make_record(algorithm, "F5", 2, run, best=best)
+            for algorithm, best in (("dvo", 1e-8), ("pso", math.inf), ("gwo", 1e-4))
+            for run in range(3)
+        ]
+        grid = exponent_grid(exponents, more_problems=["F5"], more_records=f5)
         pso, gwo = compare(grid, "dvo").comparisons
         assert (pso.algorithm_mean, pso.reference_mean, pso.difference) == (
             finite_pso.algorithm_mean,
@@ -696,9 +711,14 @@ class TestCompare:
 
     def test_means_without_a_case_finite_for_both_are_nan(self):
         grid = result_set(
-            make_record(algorithm, "F1", 2, run, best=best)
-            for algorithm, best in (("dvo", 1e-8), ("pso", math.inf))
-            for run in range(3)
+            (
+                make_record(algorithm, "F1", 2, run, best=best)
+                for algorithm, best in (("dvo", 1e-8), ("pso", math.inf))
+                for run in range(3)
+            ),
+            ["dvo", "pso"],
+            ["F1"],
+            runs=3,
         )
         (c,) = compare(grid, "dvo").comparisons
         assert math.isnan(c.algorithm_mean) and math.isnan(c.reference_mean)

@@ -28,7 +28,10 @@ carries and no sweep read. The engine's `Bounds` is gone and `ProblemSpec`
 carries the same `lower`, `upper`, `span` and `diameter`, so `_reference_step`
 no longer takes `bounds`, reads `problem.diameter` where it read
 `bounds.diameter`, and passes `problem` where it passed `bounds` to
-`far_field_update`, `splash_out` and `clip_bounds`.
+`far_field_update`, `splash_out` and `clip_bounds`. `DvoState` no longer
+counts its sweeps, so `_reference_step` takes the sweep index `t` and reads it
+where it read `state.t`, and no longer increments `state.t`;
+`test_step_bitwise` hands each sweep's index to it and to `step`.
 """
 
 import itertools
@@ -152,12 +155,12 @@ def _reference_stochastic_switch(assignment, probs, switch_prob, rng: RngStream)
     return out
 
 
-def _reference_step(state, params: DvoParams, problem, rng: RngStream):
+def _reference_step(state, t, params: DvoParams, problem, rng: RngStream):
     n, d = state.positions.shape
     k = params.n_drains  # was params.effective_drains
-    scale = exploration_scale(state.t, params.iterations)
+    scale = exploration_scale(t, params.iterations)  # was state.t
     pressure = selection_pressure(
-        state.t, params.iterations, params.pressure_start, params.pressure_end
+        t, params.iterations, params.pressure_start, params.pressure_end  # was state.t
     )
     probs = drain_probabilities(k, pressure)
 
@@ -233,7 +236,6 @@ def _reference_step(state, params: DvoParams, problem, rng: RngStream):
     state.assignment = assignment
     state.rho = rho
     state.phase = phase
-    state.t += 1
     return state
 
 
@@ -278,7 +280,6 @@ def assert_same_stream(a: RngStream, b: RngStream):
 def assert_same_state(got, want):
     for name in STATE_FIELDS:
         assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes(), name
-    assert got.t == want.t
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +399,9 @@ class TestSweep:
             ours, theirs = RngStream(seed), RngStream(seed)
             got = initialize(*initial_population(problem, params.n_agents, ours), params)
             want = initialize(*initial_population(problem, params.n_agents, theirs), params)
-            for _ in range(params.iterations):
-                step(got, params, problem, ours)
-                _reference_step(want, params, problem, theirs)
+            for t in range(params.iterations):
+                step(got, t, params, problem, ours)
+                _reference_step(want, t, params, problem, theirs)
                 assert_same_state(got, want)
                 seen.update(int(p) for p in got.phase)
             assert_same_stream(ours, theirs)
