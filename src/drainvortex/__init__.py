@@ -11,9 +11,6 @@ from .baselines import (
 from .benchmarks import (
     ProblemSpec,
     catalog_names,
-    classical_fixed,
-    classical_scalable,
-    engineering_problem,
     feasibility,
     get_problem,
     penalize,
@@ -81,14 +78,11 @@ __all__ = [
     "WilcoxonResult",
     "catalog_names",
     "chi_square_sf",
-    "classical_fixed",
-    "classical_scalable",
     "compare",
     "emit_convergence",
     "emit_records",
     "emit_result_table",
     "emit_stat_tables",
-    "engineering_problem",
     "expand_ablation",
     "feasibility",
     "friedman",

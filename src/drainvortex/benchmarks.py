@@ -240,29 +240,6 @@ _SCALABLE = {
     "F13": (_penalized_flats, -50.0, 50.0, 0.0, False),
 }
 
-SCALABLE_IDS = tuple(_SCALABLE)
-
-
-def classical_scalable(fid: str, dim: int) -> ProblemSpec:
-    """Scalable classical function F1..F13 at the requested dimension."""
-    if fid not in _SCALABLE:
-        raise KeyError(f"unknown scalable function id {fid!r}")
-    if dim < 2:
-        raise ValueError(f"{fid}: dim must be >= 2, got {dim}")
-    fn, lo, hi, f_true, noisy = _SCALABLE[fid]
-    if fid == "F8":
-        f_true = _SCHWEFEL_PER_DIM * dim
-    return ProblemSpec(
-        name=fid,
-        dim=dim,
-        lower=np.full(dim, lo),
-        upper=np.full(dim, hi),
-        objective=fn,
-        f_true=f_true,
-        noisy=noisy,
-        vectorized=True,
-    )
-
 
 # ---------------------------------------------------------------------------
 # fixed-dimension classical functions
@@ -382,37 +359,19 @@ def _shekel(m):
     return fn
 
 
-# id -> (objective, dim, lower, upper, f_true)
+# id -> (objective, lower, upper, f_true); the bounds give the dimension
 _FIXED = {
-    "F14": (_foxholes, 2, [-65.536] * 2, [65.536] * 2, 0.998003837794450),
-    "F15": (_kowalik, 4, [-5.0] * 4, [5.0] * 4, 0.0003074859878056),
-    "F16": (_six_hump_camel, 2, [-5.0] * 2, [5.0] * 2, -1.0316284534898776),
-    "F17": (_branin, 2, [-5.0, 0.0], [10.0, 15.0], 0.39788735772973816),
-    "F18": (_goldstein_price, 2, [-2.0] * 2, [2.0] * 2, 3.0),
-    "F19": (_hartmann3, 3, [0.0] * 3, [1.0] * 3, -3.8627797873326633),
-    "F20": (_hartmann6, 6, [0.0] * 6, [1.0] * 6, -3.322368011415515),
-    "F21": (_shekel(5), 4, [0.0] * 4, [10.0] * 4, -10.153199679058229),
-    "F22": (_shekel(7), 4, [0.0] * 4, [10.0] * 4, -10.402915336777745),
-    "F23": (_shekel(10), 4, [0.0] * 4, [10.0] * 4, -10.536443153483534),
+    "F14": (_foxholes, [-65.536] * 2, [65.536] * 2, 0.998003837794450),
+    "F15": (_kowalik, [-5.0] * 4, [5.0] * 4, 0.0003074859878056),
+    "F16": (_six_hump_camel, [-5.0] * 2, [5.0] * 2, -1.0316284534898776),
+    "F17": (_branin, [-5.0, 0.0], [10.0, 15.0], 0.39788735772973816),
+    "F18": (_goldstein_price, [-2.0] * 2, [2.0] * 2, 3.0),
+    "F19": (_hartmann3, [0.0] * 3, [1.0] * 3, -3.8627797873326633),
+    "F20": (_hartmann6, [0.0] * 6, [1.0] * 6, -3.322368011415515),
+    "F21": (_shekel(5), [0.0] * 4, [10.0] * 4, -10.153199679058229),
+    "F22": (_shekel(7), [0.0] * 4, [10.0] * 4, -10.402915336777745),
+    "F23": (_shekel(10), [0.0] * 4, [10.0] * 4, -10.536443153483534),
 }
-
-FIXED_IDS = tuple(_FIXED)
-
-
-def classical_fixed(fid: str) -> ProblemSpec:
-    """Fixed-dimension classical function F14..F23."""
-    if fid not in _FIXED:
-        raise KeyError(f"unknown fixed function id {fid!r}")
-    fn, dim, lo, hi, f_true = _FIXED[fid]
-    return ProblemSpec(
-        name=fid,
-        dim=dim,
-        lower=np.array(lo),
-        upper=np.array(hi),
-        objective=fn,
-        f_true=f_true,
-        vectorized=True,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -642,24 +601,12 @@ _ENGINEERING = {
     ),
 }
 
-ENGINEERING_NAMES = tuple(_ENGINEERING)
-
-
-def engineering_problem(name: str) -> ProblemSpec:
-    """Constrained engineering design in its standard formulation."""
-    if name not in _ENGINEERING:
-        raise KeyError(f"unknown engineering problem {name!r}")
-    fn, cons, lo, hi = _ENGINEERING[name]
-    lo = np.array(lo)
-    return ProblemSpec(
-        name=name,
-        dim=lo.size,
-        lower=lo,
-        upper=np.array(hi),
-        objective=fn,
-        constraints=cons(),
-        vectorized=True,
-    )
+# suite name -> its problem names, in table order
+SUITES = {
+    "classical_scalable": tuple(_SCALABLE),
+    "classical_fixed": tuple(_FIXED),
+    "engineering": tuple(_ENGINEERING),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +670,7 @@ _PLUGINS: dict = {}
 def register_plugin(spec: ProblemSpec) -> None:
     """Add a user problem to the registry; catalog names are reserved."""
     name = spec.name
-    if name in _SCALABLE or name in _FIXED or name in _ENGINEERING:
+    if any(name in names for names in SUITES.values()):
         raise ValueError(f"{name!r} collides with a catalog problem")
     if name in _PLUGINS:
         raise ValueError(f"plugin {name!r} is already registered")
@@ -735,15 +682,46 @@ def clear_plugins() -> None:
 
 
 def get_problem(name: str, dim: Optional[int] = None) -> ProblemSpec:
-    """Resolve a problem by name; scalable ids require `dim`."""
+    """The problem of a catalog or plugin name, and the one constructor of
+    the catalog problems; scalable ids require `dim`."""
     if name in _SCALABLE:
         if dim is None:
             raise ValueError(f"{name} is scalable: a dimension is required")
-        return classical_scalable(name, dim)
+        if dim < 2:
+            raise ValueError(f"{name}: dim must be >= 2, got {dim}")
+        fn, lo, hi, f_true, noisy = _SCALABLE[name]
+        return ProblemSpec(
+            name=name,
+            dim=dim,
+            lower=np.full(dim, lo),
+            upper=np.full(dim, hi),
+            objective=fn,
+            f_true=_SCHWEFEL_PER_DIM * dim if name == "F8" else f_true,
+            noisy=noisy,
+            vectorized=True,
+        )
     if name in _FIXED:
-        spec = classical_fixed(name)
+        fn, lo, hi, f_true = _FIXED[name]
+        spec = ProblemSpec(
+            name=name,
+            dim=len(lo),
+            lower=np.array(lo),
+            upper=np.array(hi),
+            objective=fn,
+            f_true=f_true,
+            vectorized=True,
+        )
     elif name in _ENGINEERING:
-        spec = engineering_problem(name)
+        fn, cons, lo, hi = _ENGINEERING[name]
+        spec = ProblemSpec(
+            name=name,
+            dim=len(lo),
+            lower=np.array(lo),
+            upper=np.array(hi),
+            objective=fn,
+            constraints=cons(),
+            vectorized=True,
+        )
     elif name in _PLUGINS:
         spec = _PLUGINS[name]
     else:
@@ -754,5 +732,5 @@ def get_problem(name: str, dim: Optional[int] = None) -> ProblemSpec:
 
 
 def catalog_names() -> list:
-    """All problem names: scalable, fixed, engineering, then plugins."""
-    return list(SCALABLE_IDS) + list(FIXED_IDS) + list(ENGINEERING_NAMES) + sorted(_PLUGINS)
+    """All problem names: each suite's in `SUITES` order, then the plugins."""
+    return [name for names in SUITES.values() for name in names] + sorted(_PLUGINS)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import multiprocessing
 from collections.abc import Mapping
@@ -24,10 +25,10 @@ import numpy as np
 from . import benchmarks, engine, stats
 from .baselines import BASELINES, BaselineConfig
 from .errors import ConfigError, shown
-from .records import DEFAULT_CHECKPOINTS, SCHEMA_VERSION, RunRecord
+from .records import DEFAULT_CHECKPOINTS, SCHEMA_VERSION, RunRecord, floored_log10
 from .rng import mix_seed
 
-SUITES = ("classical_scalable", "classical_fixed", "engineering", "custom")
+SUITES = (*benchmarks.SUITES, "custom")
 
 SUMMARY_COLUMNS = (
     "algorithm",
@@ -72,17 +73,9 @@ class ExperimentConfig:
 
     def case_list(self) -> list:
         """Grid cases as (problem, dim) pairs in suite order."""
-        if self.suite == "classical_scalable":
-            names = benchmarks.SCALABLE_IDS
-        elif self.suite == "classical_fixed":
-            names = benchmarks.FIXED_IDS
-        elif self.suite == "engineering":
-            names = benchmarks.ENGINEERING_NAMES
-        else:
-            names = self.problems
         cases = []
-        for name in names:
-            if name in benchmarks.SCALABLE_IDS:
+        for name in benchmarks.SUITES.get(self.suite, self.problems):
+            if name in benchmarks.SUITES["classical_scalable"]:
                 cases.extend((name, int(d)) for d in self.dimensions)
             else:
                 cases.append((name, benchmarks.get_problem(name).dim))
@@ -217,21 +210,16 @@ def validate_config(config: ExperimentConfig) -> list:
         problems.append(f"problems list is only valid with suite 'custom', not {shown(config.suite)}")
     for name in sorted({p for p in names if names.count(p) > 1}):
         problems.append(f"duplicate problem {name!r}")
-    for name in names:
-        if name in benchmarks.SCALABLE_IDS:
-            continue
-        try:
-            benchmarks.get_problem(name)
-        except KeyError:
-            problems.append(f"unknown problem {name!r}")
+    catalog = benchmarks.catalog_names()
+    problems.extend(f"unknown problem {name!r}" for name in names if name not in catalog)
 
     dims = config.dimensions
     if not _list_of(dims, int):
         problems.append(f"'dimensions' must be a list of integers, got {shown(dims)}")
     else:
-        needs_dims = config.suite == "classical_scalable" or any(
-            name in benchmarks.SCALABLE_IDS for name in names
-        )
+        # a suite's own names, when the suite is known (it may be unhashable)
+        listed = (*benchmarks.SUITES.get(config.suite, ()), *names) if config.suite in SUITES else names
+        needs_dims = any(name in benchmarks.SUITES["classical_scalable"] for name in listed)
         if needs_dims and not dims:
             problems.append("scalable problems require a non-empty dimensions list")
         problems.extend(f"dimensions must be integers >= 2, got {shown(d)}" for d in dims if d < 2)
@@ -569,10 +557,11 @@ def _record_from_dict(data: dict, source: str) -> RunRecord:
     return RunRecord(**values)
 
 
-def _read_records(path: Path) -> list:
+def _read_records(path: Path, grid: dict) -> list:
     """The records of records.jsonl, one per line; a bad line (not JSON, torn,
-    not a record, or a second record of the same run) is a ConfigError
-    naming the file and the line."""
+    not a record, not a run of `grid`, or a second record of the same run) is
+    a ConfigError naming the file and the line. `grid` maps each run's
+    (algorithm, problem, dim, run_index) to its position in the grid."""
     if not path.exists():
         raise ConfigError([f"{path}: no records file found"])
     records, line_of = [], {}
@@ -581,8 +570,10 @@ def _read_records(path: Path) -> list:
             source = f"{path}:{number}"
             record = _record_from_dict(_parse_json(line, source), source)
             key = (record.algorithm, record.problem, record.dim, record.run_index)
+            run = "{} {} d{} run {}".format(*key)
+            if key not in grid:
+                raise ConfigError([f"{source}: {run} is not a run of the stored config"])
             if key in line_of:
-                run = "{} {} d{} run {}".format(*key)
                 raise ConfigError([f"{source}: a second record of {run}, first at line {line_of[key]}"])
             line_of[key] = number
             records.append(record)
@@ -649,16 +640,10 @@ def load_result_set(in_dir) -> ResultSet:
     if not config_path.exists():
         raise ConfigError([f"{config_path}: no config snapshot found"])
     config = load_config(config_path)
-    records = _read_records(root / RECORDS_FILE)
-    algo_order = {name: i for i, name in enumerate(config.algorithm_names())}
-    case_order = {case: i for i, case in enumerate(config.case_list())}
-    records.sort(
-        key=lambda r: (
-            algo_order.get(r.algorithm, len(algo_order)),
-            case_order.get((r.problem, r.dim), len(case_order)),
-            r.run_index,
-        )
-    )
+    runs = itertools.product(config.algorithm_names(), config.case_list(), range(config.runs))
+    grid = {(name, *case, run_index): i for i, (name, case, run_index) in enumerate(runs)}
+    records = _read_records(root / RECORDS_FILE, grid)
+    records.sort(key=lambda r: grid[(r.algorithm, r.problem, r.dim, r.run_index)])
     failures_path = root / "failures.json"
     items = _parse_json(failures_path.read_text(), str(failures_path)) if failures_path.exists() else []
     if not isinstance(items, list):
@@ -781,8 +766,9 @@ def emit_stat_tables(result_set: ResultSet, reference: str) -> str:
 
 
 def emit_convergence(result_set: ResultSet, problems=None) -> str:
-    """Checkpoint table: mean and standard deviation of the floored log
-    error across runs, per (algorithm, case, checkpoint), as CSV text."""
+    """Checkpoint table: mean and standard deviation of the records' floored
+    log error (so a row at the last sweep is the case metric) across runs,
+    per (algorithm, case, checkpoint), as CSV text."""
     table_cases = result_set.config.case_list()
     known = {name for name, _ in table_cases}
     if problems is not None:
@@ -806,8 +792,7 @@ def emit_convergence(result_set: ResultSet, problems=None) -> str:
             if not runs:
                 continue
             for checkpoint in sorted(runs[0].checkpoints):
-                values = np.array([r.checkpoints[checkpoint] for r in runs])
-                logs = stats.log10_error(values)
+                logs = np.array([floored_log10(r.checkpoints[checkpoint]) for r in runs])
                 writer.writerow(
                     [
                         name,

@@ -18,16 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IncompleteGridError
-from .records import LOG_ERROR_FLOOR
 
 EXACT_WILCOXON_LIMIT = 25
 SIGNIFICANCE_LEVEL = 0.05
-
-
-def log10_error(values, floor: float = LOG_ERROR_FLOOR) -> np.ndarray:
-    """Elementwise log10 of |values| with a floor that keeps zeros finite."""
-    values = np.asarray(values, dtype=float)
-    return np.log10(np.maximum(np.abs(values), floor))
 
 
 def chi_square_sf(x: float, dof: int) -> float:

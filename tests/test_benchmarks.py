@@ -16,10 +16,8 @@ from hypothesis import given, strategies as st
 
 from drainvortex import benchmarks
 from drainvortex.benchmarks import (
-    ENGINEERING_NAMES,
-    FIXED_IDS,
+    SUITES,
     ProblemSpec,
-    SCALABLE_IDS,
     catalog_names,
     clear_plugins,
     evaluate,
@@ -76,18 +74,20 @@ ENGINEERING_SOLUTIONS = {
 
 class TestCatalogShape:
     def test_identifier_sets(self):
-        assert SCALABLE_IDS == tuple(f"F{i}" for i in range(1, 14))
-        assert FIXED_IDS == tuple(f"F{i}" for i in range(14, 24))
-        assert ENGINEERING_NAMES == (
+        assert list(SUITES) == ["classical_scalable", "classical_fixed", "engineering"]
+        assert SUITES["classical_scalable"] == tuple(f"F{i}" for i in range(1, 14))
+        assert SUITES["classical_fixed"] == tuple(f"F{i}" for i in range(14, 24))
+        assert SUITES["engineering"] == (
             "three_bar_truss",
             "tension_spring",
             "welded_beam",
             "pressure_vessel",
             "speed_reducer",
         )
+        assert catalog_names() == [name for names in SUITES.values() for name in names]
         assert len(catalog_names()) == 28
 
-    @pytest.mark.parametrize("fid", SCALABLE_IDS)
+    @pytest.mark.parametrize("fid", SUITES["classical_scalable"])
     def test_scalable_dims(self, fid):
         for dim in (2, 10, 30):
             spec = get_problem(fid, dim)
@@ -96,7 +96,7 @@ class TestCatalogShape:
             assert (spec.lower < spec.upper).all()
             assert not spec.constrained
 
-    @pytest.mark.parametrize("fid", FIXED_IDS)
+    @pytest.mark.parametrize("fid", SUITES["classical_fixed"])
     def test_fixed_dims(self, fid):
         spec = get_problem(fid)
         assert spec.dim == {"F15": 4, "F19": 3, "F20": 6, "F21": 4, "F22": 4, "F23": 4}.get(
@@ -104,7 +104,7 @@ class TestCatalogShape:
         )
         assert spec.f_true is not None
 
-    @pytest.mark.parametrize("name", ENGINEERING_NAMES)
+    @pytest.mark.parametrize("name", SUITES["engineering"])
     def test_engineering_specs(self, name):
         spec = get_problem(name)
         assert spec.constrained
@@ -323,10 +323,9 @@ class TestRegistry:
         assert "custom-bowl" in catalog_names()
 
     def test_catalog_names_reserved(self):
-        with pytest.raises(ValueError):
-            register_plugin(self.plugin("F1"))
-        with pytest.raises(ValueError):
-            register_plugin(self.plugin("welded_beam"))
+        for name in catalog_names():
+            with pytest.raises(ValueError, match="collides with a catalog problem"):
+                register_plugin(self.plugin(name))
 
     def test_duplicate_rejected(self):
         register_plugin(self.plugin())

@@ -28,8 +28,7 @@ from drainvortex.benchmarks import (
     _VIOLATION_CAP,
     DEFAULT_FEASIBILITY_TOL,
     DEFAULT_PENALTY_COEFF,
-    ENGINEERING_NAMES,
-    SCALABLE_IDS,
+    SUITES,
     ProblemSpec,
     _pow,
     catalog_names,
@@ -446,7 +445,7 @@ def catalog_cases():
     return [
         (name, dim)
         for name in catalog_names()
-        for dim in ((2, 10, 30) if name in SCALABLE_IDS else (None,))
+        for dim in ((2, 10, 30) if name in SUITES["classical_scalable"] else (None,))
     ]
 
 
@@ -531,7 +530,7 @@ def per_point(fn, points, *args):
 class TestBatchedCatalog:
     def test_reference_covers_the_catalog(self):
         assert set(catalog_names()) == set(REFERENCE_OBJECTIVES)
-        assert set(ENGINEERING_NAMES) == set(REFERENCE_CONSTRAINTS)
+        assert set(SUITES["engineering"]) == set(REFERENCE_CONSTRAINTS)
 
     def test_catalog_is_vectorized(self):
         for name, dim in catalog_cases():
@@ -565,7 +564,7 @@ class TestBatchedCatalog:
 
 
 class TestBatchedPenalty:
-    @pytest.mark.parametrize("name", ENGINEERING_NAMES)
+    @pytest.mark.parametrize("name", SUITES["engineering"])
     def test_zero_points_have_an_exactly_zero_constraint(self, name):
         for x in ZERO_CONSTRAINT_POINTS[name]:
             x = np.array(x)
@@ -574,7 +573,7 @@ class TestBatchedPenalty:
             values = [float(g(x)) for g in REFERENCE_CONSTRAINTS[name]]
             assert 0.0 in values
 
-    @pytest.mark.parametrize("name", ENGINEERING_NAMES)
+    @pytest.mark.parametrize("name", SUITES["engineering"])
     def test_constraint_batch_equals_per_point_formula(self, name):
         # raw values, before the clamp hides every satisfied constraint
         spec = get_problem(name)
@@ -584,7 +583,7 @@ class TestBatchedPenalty:
                 got = np.asarray(g(points), dtype=float)
                 assert got.tobytes() == per_point(reference, points).tobytes()
 
-    @pytest.mark.parametrize("name", ENGINEERING_NAMES)
+    @pytest.mark.parametrize("name", SUITES["engineering"])
     def test_penalized_batch_equals_per_point_penalty(self, name):
         spec = get_problem(name)
         points = np.vstack([sample(spec, seed=17), ZERO_CONSTRAINT_POINTS[name]])
@@ -602,7 +601,7 @@ class TestBatchedPenalty:
         )
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("name", ENGINEERING_NAMES)
+    @pytest.mark.parametrize("name", SUITES["engineering"])
     def test_feasibility_equals_per_point_max_violation(self, name):
         spec = get_problem(name)
         points = np.vstack([sample(spec, seed=23, n=100), ZERO_CONSTRAINT_POINTS[name]])

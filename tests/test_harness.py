@@ -1,6 +1,8 @@
 """Harness tests: config parsing and validation, grid execution, failure
 isolation, persistence round-trips, table emitters, and the CLI."""
 
+import csv
+import io
 import json
 import math
 import subprocess
@@ -736,7 +738,7 @@ class TestCaseList:
 
     def test_engineering_suite(self):
         config = ExperimentConfig(suite="engineering", algorithms=(AlgorithmSpec("pso"),))
-        assert [c[0] for c in config.case_list()] == list(benchmarks.ENGINEERING_NAMES)
+        assert [c[0] for c in config.case_list()] == list(benchmarks.SUITES["engineering"])
         assert dict(config.case_list())["speed_reducer"] == 7
 
     def test_custom_mixes_scalable_and_fixed(self):
@@ -1264,6 +1266,32 @@ class TestEmitters:
         assert float(row[4]) == -4.0
         assert float(row[5]) == 1.0
 
+    def test_convergence_at_the_last_sweep_is_the_table_metric(self):
+        # in this grid numpy's log10 and math's round 16 of the 120 errors to
+        # different last bits; the convergence rows take the records' log
+        config = ExperimentConfig(
+            suite="custom",
+            problems=("F1", "F5", "F9", "F10"),
+            dimensions=(5,),
+            algorithms=tuple(AlgorithmSpec(name) for name in ("dvo", "pso", "gwo")),
+            runs=10,
+            iterations=40,
+            n_agents=10,
+            checkpoints=(40,),
+            master_seed=0,
+        )
+        result_set = run_experiment(config)
+        metrics = {
+            (algorithm, case.problem, str(case.dim)): value
+            for case in stats.summarize(result_set).cases
+            for algorithm, value in case.metrics.items()
+        }
+        rows = list(csv.reader(io.StringIO(emit_convergence(result_set))))[1:]
+        assert len(rows) == len(metrics) == 12
+        for algorithm, problem, dim, checkpoint, mean, _ in rows:
+            assert checkpoint == "40"
+            assert float(mean) == metrics[(algorithm, problem, dim)], (algorithm, problem)
+
     def test_convergence_problem_filter(self):
         text = emit_convergence(toy_result_set(), problems=["three_bar_truss"])
         assert "F1" not in text
@@ -1504,6 +1532,23 @@ class TestRecordFiles:
         assert err.value.problems == [
             f"{victim}:3: a second record of pso F1 d2 run 0, first at line 1"
         ]
+        assert main(["tables", "--in", str(out)]) == 1
+        assert f"{victim}:3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit,run",
+        [({"algorithm": "gwo"}, "gwo F1 d2 run 1"), ({"run_index": 2}, "pso F1 d2 run 2")],
+        ids=["unknown-algorithm", "run-index-past-runs"],
+    )
+    def test_run_outside_the_grid_names_the_line(self, tmp_path, capsys, edit, run):
+        out = emit_records(run_experiment(tiny_config()), tmp_path / "out")
+        victim = out / "records.jsonl"
+        first, second = record_lines(out)
+        stray = json.dumps({**json.loads(second), **edit})
+        victim.write_text("\n".join([first, second, stray]) + "\n")
+        with pytest.raises(ConfigError) as err:
+            load_result_set(out)
+        assert err.value.problems == [f"{victim}:3: {run} is not a run of the stored config"]
         assert main(["tables", "--in", str(out)]) == 1
         assert f"{victim}:3" in capsys.readouterr().err
 

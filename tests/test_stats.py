@@ -32,7 +32,6 @@ from drainvortex.stats import (
     compare,
     friedman,
     holm_correct,
-    log10_error,
     rank_per_case,
     summarize,
     wilcoxon_signed_rank,
@@ -101,14 +100,11 @@ def test_no_scipy_module_is_ever_loaded():
 
 class TestLogError:
     def test_floor_applies(self):
-        out = log10_error(np.array([0.0, 1e-15, 1e-3, 100.0]))
-        assert np.array_equal(out, [-12.0, -12.0, -3.0, 2.0])
+        out = [floored_log10(v) for v in (0.0, 1e-15, 1e-3, 100.0)]
+        assert out == [-12.0, -12.0, -3.0, 2.0]
 
     def test_absolute_value(self):
-        assert log10_error(np.array([-10.0]))[0] == 1.0
-
-    def test_custom_floor(self):
-        assert log10_error(np.array([0.0]), floor=1e-6)[0] == -6.0
+        assert floored_log10(-10.0) == 1.0
 
 
 class TestChiSquareSf:
