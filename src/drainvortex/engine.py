@@ -37,7 +37,11 @@ row projected off its radial direction and normalised, every dot product and
 norm being the BLAS `ddot` that `tangent_unit_vector` calls; a row whose
 projection is degenerate (shorter than 1e-12) is redrawn through
 `tangent_unit_vector` after both blocks and keeps its block angle. Only the
-per-splash levy draws run agent by agent.
+per-splash levy draws and the switch destinations run agent by agent. The
+destinations are worked out per mover in Python floats, with the arithmetic
+a block of movers had in numpy (a running sum, a division by the total, a
+count of the ratios at or below the uniform), so each value is bitwise the
+same; with a few movers per sweep that costs less than the array calls.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import math
 import time
 from dataclasses import dataclass, fields, replace
 from enum import IntEnum
+from itertools import accumulate
 from typing import Mapping, Optional
 
 import numpy as np
@@ -244,9 +249,8 @@ class DvoState:
     """Mutable per-run state; `step` advances it by one sweep.
 
     The population and its fitness, the drains (best first) and their
-    fitness, and the per-agent stagnation counters; `assignment`, `rho` and
-    `phase` are those of the last sweep. The sweep index is not kept here:
-    `run_optimizer` counts the sweeps and hands each its index.
+    fitness, and the per-agent stagnation counters. The sweep index is not
+    kept here: `run_optimizer` counts the sweeps and hands each its index.
     """
 
     positions: Array
@@ -254,9 +258,6 @@ class DvoState:
     drains: Array
     drain_fitness: Array
     stagnation: Array
-    assignment: Optional[Array] = None
-    rho: Optional[Array] = None
-    phase: Optional[Array] = None
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +290,11 @@ def drain_probabilities(k: int, pressure: float) -> Array:
 
 
 def _normalized_drain_distances(positions, drains, diameter):
-    diff = positions[:, None, :] - drains[None, :, :]
+    # each agent's row repeated once per drain, so that the subtraction runs
+    # over one contiguous (k, d) block per agent
+    n, d = positions.shape
+    diff = positions.repeat(drains.shape[0], axis=0).reshape(n, -1, d)
+    diff -= drains
     diff *= diff
     dist = np.sqrt(diff.sum(axis=2))
     dist /= diameter
@@ -316,6 +321,15 @@ def stochastic_switch(assignment, probs, switch_prob, rng: RngStream):
     drain changed. A mover whose remaining weights all underflowed to 0 keeps
     its drain. With a single drain or zero probability this draws nothing
     and returns the assignment unchanged.
+
+    The movers come from one uniform block, then one uniform per mover in
+    ascending order from a second block. Each destination is worked out per
+    mover in Python floats, the same IEEE operations in the same order as
+    `np.cumsum` and a division by the total: a running sum over the weights
+    with the old drain's taken as 0.0, each partial sum divided by the
+    total, and the destination is the count of those at or below the
+    uniform (`searchsorted`, side "right"). The last ratio counts as 1.0,
+    above every uniform, so it is left out of the count.
     """
     k = probs.size
     if k < 2 or switch_prob <= 0.0:
@@ -323,27 +337,30 @@ def stochastic_switch(assignment, probs, switch_prob, rng: RngStream):
     movers = (rng.random(assignment.size) < switch_prob).nonzero()[0]
     if not movers.size:
         return assignment, movers
-    old = assignment[movers]
-    w = np.repeat(probs[None, :], movers.size, axis=0)
-    w[np.arange(movers.size), old] = 0.0
-    cum = w.cumsum(axis=1)
-    stuck = cum[:, -1] == 0.0
-    np.divide(cum, cum[:, -1:], out=cum, where=~stuck[:, None])
-    cum[:, -1] = 1.0
-    # one uniform per mover in ascending order, drawn as one block; the
-    # count of cum <= v is searchsorted(cum, v, side="right")
-    new = (cum <= rng.random(movers.size)[:, None]).sum(axis=1)
-    new[stuck] = old[stuck]
+    weights = probs.tolist()
+    uniforms = rng.random(movers.size).tolist()
     out = assignment.copy()
-    out[movers] = new
-    return out, movers[new != old]
+    moved = []
+    for i, drain, u in zip(movers.tolist(), assignment.take(movers).tolist(), uniforms):
+        w = weights.copy()
+        w[drain] = 0.0
+        cum = list(accumulate(w))
+        total = cum.pop()
+        if total == 0.0:
+            continue
+        new = 0
+        for c in cum:
+            new += c / total <= u
+        if new != drain:
+            out[i] = new
+            moved.append(i)
+    return out, np.array(moved, dtype=movers.dtype)
 
 
 def select_phase(rho, far_threshold, near_threshold):
     """Phase per agent: FAR above far_threshold, CORE at or below
     near_threshold, SPIRAL between. The three regions partition [0, 1]."""
-    phase = np.full(rho.size, _SPIRAL)
-    phase[rho > far_threshold] = _FAR
+    phase = np.where(rho > far_threshold, _FAR, _SPIRAL)
     phase[rho <= near_threshold] = _CORE
     return phase
 
@@ -431,8 +448,10 @@ def _draw_tangents(radial, rng: RngStream):
     norm = _row_norms(tangents)
     tangents /= norm[:, None]
     # not `norm < floor`: a NaN norm is degenerate too, as in tangent_unit_vector
-    for i in (~(norm >= rng_module._TANGENT_FLOOR)).nonzero()[0]:
-        tangents[i] = tangent_unit_vector(radial[i], rng)
+    kept = norm >= rng_module._TANGENT_FLOOR
+    if not kept.all():
+        for i in (~kept).nonzero()[0]:
+            tangents[i] = tangent_unit_vector(radial[i], rng)
     return tangents, angles
 
 
@@ -553,25 +572,40 @@ def step(state: DvoState, t: int, params: DvoParams, problem, rng: RngStream) ->
         state.positions, state.drains, probs, problem.diameter, params.epsilon
     )
     assignment, moved = stochastic_switch(assignment, probs, params.switch_prob, rng)
+    # rows are gathered with `take`, which costs less than fancy indexing
     if moved.size:
-        dist = _row_norms(state.positions[moved] - state.drains[assignment[moved]])
+        dist = _row_norms(
+            state.positions.take(moved, axis=0)
+            - state.drains.take(assignment.take(moved), axis=0)
+        )
         rho[moved] = np.minimum(dist / problem.diameter, 1.0)
 
     phase = select_phase(rho, params.far_threshold, params.near_threshold)
-    targets = state.drains[assignment]
+    targets = state.drains.take(assignment, axis=0)
     proposals = state.positions.copy()
 
     far = (phase == _FAR).nonzero()[0]
     if far.size:
         proposals[far] = far_field_update(
-            state.positions[far], targets[far], scale, params, problem, rng
+            state.positions.take(far, axis=0),
+            targets.take(far, axis=0),
+            scale,
+            params,
+            problem,
+            rng,
         )
 
     spiral = (phase == _SPIRAL).nonzero()[0]
     if spiral.size:
-        radii = rho[spiral] * problem.diameter
+        rho_spiral = rho.take(spiral)
         proposals[spiral] = spiral_update(
-            state.positions[spiral], targets[spiral], radii, rho[spiral], scale, params, rng
+            state.positions.take(spiral, axis=0),
+            targets.take(spiral, axis=0),
+            rho_spiral * problem.diameter,
+            rho_spiral,
+            scale,
+            params,
+            rng,
         )
 
     core = (phase == _CORE).nonzero()[0]
@@ -580,15 +614,16 @@ def step(state: DvoState, t: int, params: DvoParams, problem, rng: RngStream) ->
         sigma0 = (
             params.core_radius if params.core_radius is not None else 0.1 * problem.diameter
         )
+        sample, splash = core, core[:0]
         if params.splash_prob > 0.0:
-            eligible = core[state.stagnation[core] >= params.stay_limit]
+            eligible = core[state.stagnation.take(core) >= params.stay_limit]
             if eligible.size:
-                u = rng.random(eligible.size)
-                splashed[eligible[u < params.splash_prob]] = True
-        sample = core[~splashed[core]]
+                splash = eligible[rng.random(eligible.size) < params.splash_prob]
+                splashed[splash] = True
+                sample = core[~splashed.take(core)]
         if sample.size:
-            proposals[sample] = core_update(targets[sample], scale, sigma0, rng)
-        for i in splashed.nonzero()[0]:
+            proposals[sample] = core_update(targets.take(sample, axis=0), scale, sigma0, rng)
+        for i in splash:
             proposals[i] = splash_out(state.drains[0], params, problem, rng)
 
     proposals = clip_bounds(proposals, problem)
@@ -606,9 +641,6 @@ def step(state: DvoState, t: int, params: DvoParams, problem, rng: RngStream) ->
     state.fitness = fitness
     state.drains = drains
     state.drain_fitness = drain_fitness
-    state.assignment = assignment
-    state.rho = rho
-    state.phase = phase
     return state
 
 

@@ -32,6 +32,10 @@ no longer takes `bounds`, reads `problem.diameter` where it read
 counts its sweeps, so `_reference_step` takes the sweep index `t` and reads it
 where it read `state.t`, and no longer increments `state.t`;
 `test_step_bitwise` hands each sweep's index to it and to `step`.
+`DvoState` no longer carries the last sweep's `assignment`, `rho` and
+`phase`, which only tests read, so `_reference_step` no longer writes them
+and returns the sweep's `phase` and `splashed` instead of `state`, for
+`test_step_bitwise` to check which branches its inputs reached.
 """
 
 import itertools
@@ -43,6 +47,7 @@ import pytest
 from drainvortex import benchmarks, engine
 from drainvortex import rng as rng_module
 from drainvortex.engine import (
+    ABLATION_VARIANTS,
     DvoParams,
     Phase,
     _draw_tangents,
@@ -55,6 +60,7 @@ from drainvortex.engine import (
     far_field_update,
     initial_population,
     initialize,
+    make_ablation_params,
     select_phase,
     selection_pressure,
     shrink_factor,
@@ -233,10 +239,7 @@ def _reference_step(state, t, params: DvoParams, problem, rng: RngStream):
     state.fitness = fitness
     state.drains = drains
     state.drain_fitness = drain_fitness
-    state.assignment = assignment
-    state.rho = rho
-    state.phase = phase
-    return state
+    return phase, splashed  # was state.assignment/rho/phase = ...; return state
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +252,6 @@ STATE_FIELDS = (
     "drains",
     "drain_fitness",
     "stagnation",
-    "assignment",
-    "rho",
-    "phase",
 )
 
 
@@ -362,30 +362,52 @@ class TestSpiralDraws:
         assert_same_stream(theirs, RngStream(5))
 
 
+# pressures c*(k-1) give the second drain the weight exp(-c): tiny at c=700
+# and subnormal at 740 and 744, with every later weight 0.0, so a mover from
+# the best drain renormalizes by a total of that one weight
+UNDERFLOW_SCALES = (700, 740, 744)
+
+
 class TestSwitch:
-    @pytest.mark.parametrize("k,switch_prob", itertools.product((2, 6), (0.08, 1.0)))
+    @pytest.mark.parametrize("k,switch_prob", itertools.product((2, 3, 6), (0.08, 1.0)))
     def test_destinations_bitwise(self, k, switch_prob):
+        from_best = 0
         for seed in SEEDS:
             gen = np.random.default_rng([k, seed])
-            probs = drain_probabilities(k, gen.uniform(0.0, 6.0))
+            pressure = gen.uniform(0.0, 6.0)
             assignment = gen.integers(0, k, 30)
-            ours, theirs = RngStream(seed), RngStream(seed)
-            got, moved = stochastic_switch(assignment, probs, switch_prob, ours)
-            want = _reference_stochastic_switch(assignment, probs, switch_prob, theirs)
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
-            assert moved.tobytes() == np.flatnonzero(want != assignment).tobytes()
-            assert_same_stream(ours, theirs)
+            for p in (pressure, *(c * (k - 1) for c in UNDERFLOW_SCALES)):
+                probs = drain_probabilities(k, p)
+                ours, theirs = RngStream(seed), RngStream(seed)
+                got, moved = stochastic_switch(assignment, probs, switch_prob, ours)
+                want = _reference_stochastic_switch(assignment, probs, switch_prob, theirs)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+                assert moved.tobytes() == np.flatnonzero(want != assignment).tobytes()
+                assert_same_stream(ours, theirs)
+                if p != pressure:
+                    from_best += np.count_nonzero(want[assignment == 0] != 0)
+        assert from_best > 0
+
+
+# the full algorithm at every (dimension, drains, switch probability), then
+# each other ablation variant at one of them
+SWEEP_CASES = [
+    pytest.param(d, k, switch_prob, "full", id=f"{d}-{k}-{switch_prob}")
+    for d, k, switch_prob in itertools.product(DIMS, (2, 6), (0.08, 1.0))
+] + [
+    pytest.param(10, 6, 0.08, variant, id=f"{variant}-10-6-0.08")
+    for variant in ABLATION_VARIANTS
+    if variant != "full"
+]
 
 
 class TestSweep:
-    @pytest.mark.parametrize(
-        "d,k,switch_prob", itertools.product(DIMS, (2, 6), (0.08, 1.0))
-    )
-    def test_step_bitwise(self, d, k, switch_prob):
+    @pytest.mark.parametrize("d,k,switch_prob,variant", SWEEP_CASES)
+    def test_step_bitwise(self, d, k, switch_prob, variant):
         # a short schedule drives agents from far field through the spiral
         # into the core, where a low stay limit lets splashes fire
-        params = DvoParams(
+        base = DvoParams(
             n_agents=12,
             n_drains=k,
             iterations=12,
@@ -393,7 +415,8 @@ class TestSweep:
             stay_limit=1,
             splash_prob=0.5,
         )
-        seen = set()
+        params = make_ablation_params(base, variant)
+        seen, splashes = set(), 0
         for seed in range(50):
             problem = benchmarks.get_problem(("F1", "F7", "F9")[seed % 3], d)
             ours, theirs = RngStream(seed), RngStream(seed)
@@ -401,8 +424,14 @@ class TestSweep:
             want = initialize(*initial_population(problem, params.n_agents, theirs), params)
             for t in range(params.iterations):
                 step(got, t, params, problem, ours)
-                _reference_step(want, t, params, problem, theirs)
+                phase, splashed = _reference_step(want, t, params, problem, theirs)
                 assert_same_state(got, want)
-                seen.update(int(p) for p in got.phase)
+                seen.update(int(p) for p in phase)
+                splashes += int(splashed.sum())
             assert_same_stream(ours, theirs)
+        # in 30 dimensions two uniform points lie about 0.41 of the diameter
+        # apart, with little spread, so an agent is seldom farther than the
+        # far threshold from its drain; some d=30 cases never reach it
         assert {Phase.SPIRAL, Phase.CORE} <= seen
+        assert Phase.FAR in seen or d == 30
+        assert (splashes > 0) == (params.splash_prob > 0.0)
