@@ -28,6 +28,7 @@ from .harness import (
     AlgorithmSpec,
     ExperimentConfig,
     ResultSet,
+    emit_best_designs,
     emit_convergence,
     emit_records,
     emit_result_table,
@@ -79,6 +80,7 @@ __all__ = [
     "catalog_names",
     "chi_square_sf",
     "compare",
+    "emit_best_designs",
     "emit_convergence",
     "emit_records",
     "emit_result_table",

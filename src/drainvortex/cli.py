@@ -1,5 +1,6 @@
 """Command-line interface: run experiment grids and post-process stored
-results into tables, statistics, and convergence data."""
+results into tables, statistics, and convergence data; `report` prints the
+table, the statistics and the best feasible designs of one result directory."""
 
 from __future__ import annotations
 
@@ -40,6 +41,11 @@ def _build_parser() -> argparse.ArgumentParser:
     stats_cmd.add_argument(
         "--reference", help="reference algorithm for pairwise tests (default: first in config)"
     )
+
+    report = sub.add_parser(
+        "report", help="print the result table, the stats tables and the best feasible designs"
+    )
+    report.add_argument("--in", dest="in_dir", required=True, help="stored result directory")
 
     conv = sub.add_parser("convergence", help="print checkpoint convergence data as CSV")
     conv.add_argument("--in", dest="in_dir", required=True, help="stored result directory")
@@ -101,6 +107,12 @@ def main(argv=None) -> int:
             result_set = harness.load_result_set(args.in_dir)
             reference = args.reference or result_set.config.algorithm_names()[0]
             print(harness.emit_stat_tables(result_set, reference), end="")
+            return 0
+        if args.command == "report":
+            result_set = harness.load_result_set(args.in_dir)
+            print(harness.emit_result_table(result_set))
+            print(harness.emit_stat_tables(result_set, result_set.config.algorithm_names()[0]))
+            print(harness.emit_best_designs(result_set), end="")
             return 0
         if args.command == "convergence":
             result_set = harness.load_result_set(args.in_dir)

@@ -82,8 +82,8 @@ BOUNDS = {
     "n_drains": "[1, inf)",
     "far_drift": "[0, inf]",
     "far_noise": "[0, inf]",
-    "pressure_start": "[0, inf]",
-    "pressure_end": "[0, inf]",
+    "pressure_start": "[0, inf)",
+    "pressure_end": "[0, inf)",
     "circulation": "[0, inf]",
     "core_softening": "(0, inf]",
     "swirl_cap": "(0, inf]",
@@ -219,6 +219,19 @@ class DvoParams:
             bad.append(
                 f"need 0 < near_threshold < far_threshold <= 1, got {near} and {far}"
             )
+        # the ramp computes (pressure_end - pressure_start) * t for each
+        # t < iterations; an end that is not finite has its own entry
+        start, end = self.pressure_start, self.pressure_end
+        if math.isfinite(start) and math.isfinite(end):
+            try:
+                finite_ramp = math.isfinite(abs(end - start) * (self.iterations - 1))
+            except OverflowError:  # a product or an iteration count beyond a float
+                finite_ramp = False
+            if not finite_ramp:
+                bad.append(
+                    "need a finite abs(pressure_end - pressure_start) * (iterations - 1), "
+                    f"got {shown(start)}, {shown(end)} and {shown(self.iterations)}"
+                )
         if bad:
             raise ConfigError(bad)
 

@@ -765,6 +765,21 @@ def emit_stat_tables(result_set: ResultSet, reference: str) -> str:
     return out
 
 
+def emit_best_designs(result_set: ResultSet) -> str:
+    """One line per problem with a feasible run: the feasible record with
+    the least objective value (the first in grid order on a tie), by whom
+    and at which point."""
+    lines = []
+    for problem in dict(result_set.config.case_list()):
+        feasible = [r for r in result_set.records if r.problem == problem and r.feasible]
+        if not feasible:
+            continue
+        best = min(feasible, key=lambda r: r.objective_value)
+        xs = ", ".join(f"{v:.6g}" for v in best.best_position)
+        lines.append(f"{problem}: f = {best.objective_value:.6f} by {best.algorithm} at [{xs}]\n")
+    return "".join(lines)
+
+
 def emit_convergence(result_set: ResultSet, problems=None) -> str:
     """Checkpoint table: mean and standard deviation of the records' floored
     log error (so a row at the last sweep is the case metric) across runs,

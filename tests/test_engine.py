@@ -7,6 +7,7 @@ update is recomputed from the documented formulas.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import fields, replace
 
@@ -558,6 +559,24 @@ class TestParams:
             with pytest.raises(ConfigError) as err:
                 DvoParams(**{name: inf}).validate()
             assert err.value.problems == [problem]
+
+    @pytest.mark.parametrize(
+        "pressure_end,iterations,accepted",
+        [(sys.float_info.max, 20, False), (1e300, 1000, True)],
+        ids=["ramp_overflows", "ramp_fits"],
+    )
+    def test_pressure_ramp_must_be_finite(self, pressure_end, iterations, accepted):
+        # (end - start) * t overflowed to inf and the drain weights were NaN
+        params = DvoParams(pressure_end=pressure_end, iterations=iterations)
+        if accepted:
+            params.validate()
+            return
+        with pytest.raises(ConfigError) as err:
+            params.validate()
+        assert err.value.problems == [
+            "need a finite abs(pressure_end - pressure_start) * (iterations - 1), "
+            f"got 1.0, {pressure_end!r} and {iterations}"
+        ]
 
     def test_ablation_variants(self):
         base = DvoParams()
