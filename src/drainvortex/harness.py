@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import multiprocessing
 from collections.abc import Mapping
@@ -81,18 +80,19 @@ class ExperimentConfig:
                 cases.append((name, benchmarks.get_problem(name).dim))
         return cases
 
+    def grid_runs(self) -> list:
+        """Each run's (algorithm, problem, dim, run_index), in grid order."""
+        cases = self.case_list()
+        return [
+            (name, problem, dim, run_index)
+            for name in self.algorithm_names()
+            for problem, dim in cases
+            for run_index in range(self.runs)
+        ]
+
 
 # the ExperimentConfig fields a config file sets in its "execution" section
 EXECUTION_KEYS = ("runs", "iterations", "n_agents", "master_seed", "workers")
-
-
-# dvo flags deleted because a numeric parameter already did their work
-_REPLACED_PARAMS = {
-    "switching": "switch_prob=0",
-    "splash": "splash_prob=0",
-    "multi_vortex": "n_drains=1",
-    "adaptive_spiral": "residual_shrink=1.0",
-}
 
 
 def _resolve_algorithm(name: str, params: dict, n_agents: int, iterations: int):
@@ -101,13 +101,6 @@ def _resolve_algorithm(name: str, params: dict, n_agents: int, iterations: int):
     the settings' own checks."""
     base, colon, variant = name.partition(":")
     if base == "dvo":
-        replaced = [
-            f"dvo parameters: {key!r} was removed; {key}=false is {_REPLACED_PARAMS[key]}"
-            for key in params
-            if key in _REPLACED_PARAMS
-        ]
-        if replaced:
-            raise ConfigError(replaced)
         block = {"n_agents": n_agents, "iterations": iterations, **params}
         try:
             dvo = engine.DvoParams.from_mapping(block)
@@ -144,6 +137,12 @@ def _list_of(values, kind) -> bool:
     )
 
 
+def _duplicates(values, label: str) -> list:
+    """One entry per value that `values` holds more than once, in sorted order."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    return [f"duplicate {label} {shown(v)}" for v in repeated]
+
+
 def validate_config(config: ExperimentConfig) -> list:
     """Collect every problem with a config instead of stopping at the first.
 
@@ -152,9 +151,7 @@ def validate_config(config: ExperimentConfig) -> list:
     entry and is compared with no bound; a NaN gets one entry too.
     """
     problems = []
-    if config.suite == "ablation":
-        problems.append("suite 'ablation' was removed; run a 'custom' suite with `drainvortex ablation`")
-    elif config.suite not in SUITES:
+    if config.suite not in SUITES:
         problems.append(f"unknown suite {shown(config.suite)}; expected one of {SUITES}")
     defaults = ExperimentConfig()
     for key in _SCALARS:
@@ -183,9 +180,7 @@ def validate_config(config: ExperimentConfig) -> list:
                 problems.append(f"algorithm {spec.name!r}: params must be a mapping, got {shown(spec.params)}")
             else:
                 specs.append(spec)
-    names = [spec.name for spec in specs]
-    for name in sorted({n for n in names if names.count(n) > 1}):
-        problems.append(f"duplicate algorithm {name!r}")
+    problems.extend(_duplicates([spec.name for spec in specs], "algorithm"))
     for spec in specs:
         try:
             _resolve_algorithm(spec.name, spec.params, config.n_agents, config.iterations)
@@ -208,8 +203,7 @@ def validate_config(config: ExperimentConfig) -> list:
             problems.append("suite 'custom' requires an explicit problems list")
     elif names and config.suite in SUITES:
         problems.append(f"problems list is only valid with suite 'custom', not {shown(config.suite)}")
-    for name in sorted({p for p in names if names.count(p) > 1}):
-        problems.append(f"duplicate problem {name!r}")
+    problems.extend(_duplicates(names, "problem"))
     catalog = benchmarks.catalog_names()
     problems.extend(f"unknown problem {name!r}" for name in names if name not in catalog)
 
@@ -223,8 +217,7 @@ def validate_config(config: ExperimentConfig) -> list:
         if needs_dims and not dims:
             problems.append("scalable problems require a non-empty dimensions list")
         problems.extend(f"dimensions must be integers >= 2, got {shown(d)}" for d in dims if d < 2)
-        for dim in sorted({d for d in dims if dims.count(d) > 1}):
-            problems.append(f"duplicate dimension {shown(dim)}")
+        problems.extend(_duplicates(dims, "dimension"))
 
     if not _list_of(config.checkpoints, int):
         problems.append(f"'checkpoints' must be a list of integers, got {shown(config.checkpoints)}")
@@ -282,14 +275,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if isinstance(entry, str):
             algorithms.append(AlgorithmSpec(name=entry))
         elif isinstance(entry, dict) and isinstance(entry.get("name"), str):
-            params = entry.get("params", {})
             extra = sorted(set(entry) - {"name", "params"})
             if extra:
                 problems.append(f"algorithm {entry['name']!r}: unknown keys {extra}")
-            if not isinstance(params, dict):
-                problems.append(f"algorithm {entry['name']!r}: params must be a mapping, got {shown(params)}")
-                params = {}
-            algorithms.append(AlgorithmSpec(name=entry["name"], params=dict(params)))
+            algorithms.append(AlgorithmSpec(name=entry["name"], params=entry.get("params", {})))
         else:
             problems.append(f"algorithm entries must be names or mappings with a name, got {shown(entry)}")
 
@@ -410,43 +399,38 @@ def _run_single(task: _Task) -> RunRecord:
     return record
 
 
-def _execute_task(task: _Task):
+def _execute_task(task: _Task) -> RunRecord | FailureRecord:
     try:
-        return ("ok", _run_single(task))
+        return _run_single(task)
     except Exception as exc:  # noqa: BLE001 - failures become grid diagnostics
-        return (
-            "fail",
-            FailureRecord(
-                algorithm=task.algorithm,
-                problem=task.problem,
-                dim=task.dim,
-                run_index=task.run_index,
-                message=f"{type(exc).__name__}: {exc}",
-            ),
+        return FailureRecord(
+            algorithm=task.algorithm,
+            problem=task.problem,
+            dim=task.dim,
+            run_index=task.run_index,
+            message=f"{type(exc).__name__}: {exc}",
         )
 
 
 def _task_grid(config: ExperimentConfig) -> list:
-    tasks = []
-    for spec in config.algorithms:
-        settings = _resolve_algorithm(spec.name, spec.params, config.n_agents, config.iterations)
-        for problem_name, dim in config.case_list():
-            for run_index in range(config.runs):
-                seed = mix_seed(config.master_seed, spec.name, problem_name, dim, run_index)
-                tasks.append(
-                    _Task(
-                        algorithm=spec.name,
-                        settings=settings,
-                        problem=problem_name,
-                        dim=dim,
-                        seed=seed,
-                        run_index=run_index,
-                        checkpoints=tuple(config.checkpoints),
-                        penalty_coeff=config.penalty_coeff,
-                        feasibility_tol=config.feasibility_tol,
-                    )
-                )
-    return tasks
+    settings = {
+        spec.name: _resolve_algorithm(spec.name, spec.params, config.n_agents, config.iterations)
+        for spec in config.algorithms
+    }
+    return [
+        _Task(
+            algorithm=name,
+            settings=settings[name],
+            problem=problem,
+            dim=dim,
+            seed=mix_seed(config.master_seed, name, problem, dim, run_index),
+            run_index=run_index,
+            checkpoints=tuple(config.checkpoints),
+            penalty_coeff=config.penalty_coeff,
+            feasibility_tol=config.feasibility_tol,
+        )
+        for name, problem, dim, run_index in config.grid_runs()
+    ]
 
 
 # evaluations one chunk of worker tasks may hold; a larger task goes alone
@@ -484,8 +468,8 @@ def run_experiment(config: ExperimentConfig, parallel: int | None = None) -> Res
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             size = _chunk_size(tasks, workers)
             outcomes = list(pool.map(_execute_task, tasks, chunksize=size))
-    records = [payload for kind, payload in outcomes if kind == "ok"]
-    failures = [payload for kind, payload in outcomes if kind == "fail"]
+    records = [outcome for outcome in outcomes if isinstance(outcome, RunRecord)]
+    failures = [outcome for outcome in outcomes if isinstance(outcome, FailureRecord)]
     return ResultSet(config=config, records=records, failures=failures)
 
 
@@ -508,24 +492,12 @@ def _record_to_dict(record: RunRecord) -> dict:
     return data
 
 
-def _field_values(kind, data, source: str, label: str) -> dict:
-    """The values of dataclass `kind`'s fields in one entry of a file; an entry
-    that is not a mapping or misses a field is a ConfigError naming the file."""
-    if not isinstance(data, dict):
-        raise ConfigError([f"{source}: a {label} must be a mapping, got {type(data).__name__}"])
-    names = [f.name for f in fields(kind)]
-    missing = [name for name in names if name not in data]
-    if missing:
-        raise ConfigError([f"{source}: missing {label} field {name!r}" for name in missing])
-    return {name: data[name] for name in names}
-
-
 def _numbers(values) -> bool:
     return set(map(type, values)) <= {int, float}
 
 
-# the JSON value each RunRecord field takes in records.jsonl, by its annotation
-_RECORD_VALUES = {
+# the JSON value a stored RunRecord or FailureRecord field takes, by its annotation
+_JSON_VALUES = {
     "str": ("a string", lambda v: type(v) is str),
     "int": ("an integer", lambda v: type(v) is int),
     "float": ("a number", lambda v: _numbers((v,))),
@@ -539,45 +511,86 @@ _RECORD_VALUES = {
 }
 
 
+def _field_values(kind, data, source: str, label: str) -> dict:
+    """The values of dataclass `kind`'s fields in one entry of a file; an entry
+    that is not a mapping, misses a field or holds a field of the wrong JSON
+    type (`_JSON_VALUES`) is a ConfigError naming the file."""
+    if not isinstance(data, dict):
+        raise ConfigError([f"{source}: a {label} must be a mapping, got {type(data).__name__}"])
+    missing = [f.name for f in fields(kind) if f.name not in data]
+    if missing:
+        raise ConfigError([f"{source}: missing {label} field {name!r}" for name in missing])
+    bad = [
+        f"{source}: {label} field {f.name!r} must be {_JSON_VALUES[f.type][0]}, "
+        f"got {type(data[f.name]).__name__}"
+        for f in fields(kind)
+        if not _JSON_VALUES[f.type][1](data[f.name])
+    ]
+    if bad:
+        raise ConfigError(bad)
+    return {f.name: data[f.name] for f in fields(kind)}
+
+
 def _record_from_dict(data: dict, source: str) -> RunRecord:
     if isinstance(data, dict) and data.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError([f"{source}: unsupported schema version {data.get('schema_version')!r}"])
     values = _field_values(RunRecord, data, source, "record")
-    bad = []
-    for f in fields(RunRecord):
-        kind, ok = _RECORD_VALUES[f.type]
-        if not ok(values[f.name]):
-            got = type(values[f.name]).__name__
-            bad.append(f"{source}: record field {f.name!r} must be {kind}, got {got}")
-    if bad:
-        raise ConfigError(bad)
     values["best_position"] = np.asarray(values["best_position"], dtype=float)
     values["trace"] = np.asarray(values["trace"], dtype=float)
     values["checkpoints"] = {int(k): v for k, v in values["checkpoints"].items()}
     return RunRecord(**values)
 
 
-def _read_records(path: Path, grid: dict) -> list:
-    """The records of records.jsonl, one per line; a bad line (not JSON, torn,
-    not a record, not a run of `grid`, or a second record of the same run) is
-    a ConfigError naming the file and the line. `grid` maps each run's
-    (algorithm, problem, dim, run_index) to its position in the grid."""
+def _grid_run(entry: RunRecord | FailureRecord, grid: dict, source: str) -> tuple:
+    """The (algorithm, problem, dim, run_index) key of a stored entry and its
+    text; a run that is not in `grid` is a ConfigError naming `source`."""
+    key = (entry.algorithm, entry.problem, entry.dim, entry.run_index)
+    run = "{} {} d{} run {}".format(*key)
+    if key not in grid:
+        raise ConfigError([f"{source}: {run} is not a run of the stored config"])
+    return key, run
+
+
+def _read_records(path: Path, grid: dict) -> dict:
+    """The records of records.jsonl by run key, one per line; a bad line (not
+    JSON, torn, not a record, not a run of `grid`, or a second record of the
+    same run) is a ConfigError naming the file and the line. `grid` holds the
+    (algorithm, problem, dim, run_index) key of each run of the stored config."""
     if not path.exists():
         raise ConfigError([f"{path}: no records file found"])
-    records, line_of = [], {}
+    records, line_of = {}, {}
     with path.open() as stream:
         for number, line in enumerate(stream, start=1):
             source = f"{path}:{number}"
             record = _record_from_dict(_parse_json(line, source), source)
-            key = (record.algorithm, record.problem, record.dim, record.run_index)
-            run = "{} {} d{} run {}".format(*key)
-            if key not in grid:
-                raise ConfigError([f"{source}: {run} is not a run of the stored config"])
+            key, run = _grid_run(record, grid, source)
             if key in line_of:
                 raise ConfigError([f"{source}: a second record of {run}, first at line {line_of[key]}"])
             line_of[key] = number
-            records.append(record)
+            records[key] = record
     return records
+
+
+def _read_failures(path: Path, grid: dict, recorded) -> list:
+    """The entries of failures.json (none without the file); an entry that is
+    not a failure, not a run of `grid`, a run in `recorded` or a second
+    failure of the same run is a ConfigError naming the file."""
+    if not path.exists():
+        return []
+    items = _parse_json(path.read_text(), str(path))
+    if not isinstance(items, list):
+        raise ConfigError([f"{path}: must be a list, got {type(items).__name__}"])
+    failures, entry_of = [], {}
+    for number, item in enumerate(items, start=1):
+        failure = FailureRecord(**_field_values(FailureRecord, item, str(path), "failure"))
+        key, run = _grid_run(failure, grid, str(path))
+        if key in recorded:
+            raise ConfigError([f"{path}: a failure of {run}, which has a record"])
+        if key in entry_of:
+            raise ConfigError([f"{path}: a second failure of {run}, first at entry {entry_of[key]}"])
+        entry_of[key] = number
+        failures.append(failure)
+    return failures
 
 
 def _csv_cell(value) -> str:
@@ -640,19 +653,11 @@ def load_result_set(in_dir) -> ResultSet:
     if not config_path.exists():
         raise ConfigError([f"{config_path}: no config snapshot found"])
     config = load_config(config_path)
-    runs = itertools.product(config.algorithm_names(), config.case_list(), range(config.runs))
-    grid = {(name, *case, run_index): i for i, (name, case, run_index) in enumerate(runs)}
+    grid = dict.fromkeys(config.grid_runs())
     records = _read_records(root / RECORDS_FILE, grid)
-    records.sort(key=lambda r: grid[(r.algorithm, r.problem, r.dim, r.run_index)])
-    failures_path = root / "failures.json"
-    items = _parse_json(failures_path.read_text(), str(failures_path)) if failures_path.exists() else []
-    if not isinstance(items, list):
-        raise ConfigError([f"{failures_path}: must be a list, got {type(items).__name__}"])
-    failures = [
-        FailureRecord(**_field_values(FailureRecord, item, str(failures_path), "failure"))
-        for item in items
-    ]
-    return ResultSet(config=config, records=records, failures=failures)
+    failures = _read_failures(root / "failures.json", grid, records)
+    ordered = [records[run] for run in grid if run in records]
+    return ResultSet(config=config, records=ordered, failures=failures)
 
 
 # ---------------------------------------------------------------------------

@@ -284,18 +284,8 @@ def summarize(result_set) -> SummaryTable:
     """
     config = result_set.config
     algorithms, cases, runs = config.algorithm_names(), config.case_list(), config.runs
-    cells: dict = {}
-    for record in result_set.records:
-        cells.setdefault((record.algorithm, record.problem, record.dim), {})[
-            record.run_index
-        ] = record
-
-    missing = []
-    for algorithm in algorithms:
-        for problem, dim in cases:
-            have = cells.get((algorithm, problem, dim), {})
-            if any(i not in have for i in range(runs)):
-                missing.append((algorithm, problem, dim))
+    by_run = {(r.algorithm, r.problem, r.dim, r.run_index): r for r in result_set.records}
+    missing = {run[:3] for run in config.grid_runs() if run not in by_run}
     if missing:
         raise IncompleteGridError(missing)
 
@@ -304,7 +294,7 @@ def summarize(result_set) -> SummaryTable:
         metrics, feasible_rate = {}, {}
         constrained = False
         for algorithm in algorithms:
-            runs_here = [cells[(algorithm, problem, dim)][i] for i in range(runs)]
+            runs_here = [by_run[(algorithm, problem, dim, i)] for i in range(runs)]
             if runs_here[0].feasible is not None:
                 constrained = True
                 feasible = [r.objective_value for r in runs_here if r.feasible]
@@ -323,7 +313,7 @@ def summarize(result_set) -> SummaryTable:
             if math.isfinite(finite_min)
             else ()
         )
-        sample = cells[(algorithms[0], problem, dim)][0]
+        sample = by_run[(algorithms[0], problem, dim, 0)]
         case_summaries.append(
             CaseSummary(
                 problem=problem,

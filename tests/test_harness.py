@@ -46,6 +46,8 @@ from drainvortex.rng import mix_seed
 NaN = float("nan")
 SEVEN = tuple(AlgorithmSpec(name) for name in ("dvo", "pso", "gwo", "woa", "sca", "aoa", "eo"))
 CATALOG = tuple(benchmarks.catalog_names())
+# a failures.json entry of tiny_config's grid, less its run index
+FAILURE = {"algorithm": "pso", "problem": "F1", "dim": 2, "message": "RuntimeError: boom"}
 
 
 def masked_records(result_set):
@@ -241,6 +243,7 @@ class TestConfigParsing:
         ],
     )
     def test_removed_dvo_flag_names_its_replacement(self, key, replacement):
+        # a removed flag is an unknown parameter; the number that replaced it is taken
         with pytest.raises(ConfigError) as err:
             config_from_dict(
                 {
@@ -248,9 +251,15 @@ class TestConfigParsing:
                     "algorithms": [{"name": "dvo:no_swirl", "params": {key: False}}],
                 }
             )
-        assert err.value.problems == [
-            f"dvo parameters: {key!r} was removed; {key}=false is {replacement}"
-        ]
+        assert err.value.problems == [f"dvo parameters: unknown parameter {key!r}"]
+        name, value = replacement.split("=")
+        config = config_from_dict(
+            {
+                "suite": "classical_fixed",
+                "algorithms": [{"name": "dvo:no_swirl", "params": {name: json.loads(value)}}],
+            }
+        )
+        assert config.algorithms[0].params == {name: json.loads(value)}
 
     def test_removed_splash_toggle_is_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -787,8 +796,7 @@ class TestAblationExpansion:
                     "algorithms": [{"name": "dvo", "params": params}],
                 }
             )
-        hint = "suite 'ablation' was removed; run a 'custom' suite with `drainvortex ablation`"
-        assert err.value.problems == [hint] + entries
+        assert err.value.problems == [f"unknown suite 'ablation'; expected one of {SUITES}"] + entries
 
     def test_idempotent(self):
         config = tiny_config(algorithms=(AlgorithmSpec("dvo", {"n_drains": 2}),))
@@ -1618,6 +1626,18 @@ class TestRecordFiles:
             ),
             ({"algorithm": "pso"}, ["must be a list, got dict"]),
             (["pso"], ["a failure must be a mapping, got str"]),
+            (
+                [{"algorithm": 7, "problem": ["x"], "dim": "two", "run_index": None, "message": 3}],
+                [
+                    "failure field 'algorithm' must be a string, got int",
+                    "failure field 'problem' must be a string, got list",
+                    "failure field 'dim' must be an integer, got str",
+                    "failure field 'run_index' must be an integer, got NoneType",
+                    "failure field 'message' must be a string, got int",
+                ],
+            ),
+            ([{**FAILURE, "run_index": 1}], ["pso F1 d2 run 1 is not a run of the stored config"]),
+            ([{**FAILURE, "run_index": 0}], ["a failure of pso F1 d2 run 0, which has a record"]),
         ],
     )
     def test_malformed_failures_name_the_file(self, tmp_path, capsys, payload, entries):
@@ -1630,3 +1650,26 @@ class TestRecordFiles:
         assert main(["tables", "--in", str(out)]) == 1
         message = capsys.readouterr().err
         assert message.startswith("error: ") and str(victim) in message
+
+    def test_repeated_failure_names_the_file(self, tmp_path):
+        out = emit_records(run_experiment(tiny_config()), tmp_path / "out")
+        # run 1 failed: its record goes and failures.json holds it twice
+        first, _ = record_lines(out)
+        (out / "records.jsonl").write_text(first + "\n")
+        victim = out / "failures.json"
+        victim.write_text(json.dumps([{**FAILURE, "run_index": 1}] * 2))
+        with pytest.raises(ConfigError) as err:
+            load_result_set(out)
+        assert err.value.problems == [f"{victim}: a second failure of pso F1 d2 run 1, first at entry 1"]
+
+    def test_records_load_in_grid_order(self, tmp_path):
+        config = tiny_config(
+            problems=("F1", "F5"), algorithms=(AlgorithmSpec("pso"), AlgorithmSpec("gwo"))
+        )
+        result = run_experiment(config)
+        out = emit_records(result, tmp_path / "out")
+        lines = record_lines(out)
+        (out / "records.jsonl").write_text("\n".join(reversed(lines)) + "\n")
+        loaded = load_result_set(out)
+        assert [run_key(line) for line in lines] == config.grid_runs()
+        assert masked_records(loaded) == masked_records(result)
