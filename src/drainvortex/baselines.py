@@ -47,8 +47,7 @@ class BaselineConfig:
 
     def resolved(self) -> dict:
         """The full parameter block, defaults overridden by `params`. Raises
-        ConfigError listing every problem of the sizes and of the block, each
-        labelled with the algorithm."""
+        ConfigError listing every problem of the sizes and of the block."""
         defaults = DEFAULT_PARAMS.get(self.algorithm)
         if defaults is None:
             raise ConfigError([f"unknown algorithm {shown(self.algorithm)}"])
@@ -60,7 +59,7 @@ class BaselineConfig:
             *parameter_problems(self.params, defaults)[0],
         ]
         if bad:
-            raise ConfigError([f"{self.algorithm}: {entry}" for entry in bad])
+            raise ConfigError(bad)
         return {**defaults, **self.params}
 
 

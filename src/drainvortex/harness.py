@@ -17,6 +17,7 @@ import multiprocessing
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -96,26 +97,28 @@ EXECUTION_KEYS = ("runs", "iterations", "n_agents", "master_seed", "workers")
 
 
 def _resolve_algorithm(name: str, params: dict, n_agents: int, iterations: int):
-    """The DvoParams (ablation variant applied) or BaselineConfig of one grid
-    algorithm at the execution sizes; raises ConfigError with the entries of
-    the settings' own checks."""
+    """The DvoParams or BaselineConfig that grid algorithm `name` runs at the
+    execution sizes. A `dvo:<variant>` block takes its variant's overrides
+    before the check, so it is checked as it runs. Raises ConfigError for an
+    unknown name or variant, or with the entries of the settings' own
+    checks, each labelled with `name`."""
     base, colon, variant = name.partition(":")
-    if base == "dvo":
-        block = {"n_agents": n_agents, "iterations": iterations, **params}
-        try:
-            dvo = engine.DvoParams.from_mapping(block)
-        except ConfigError as exc:
-            raise ConfigError([f"dvo parameters: {p}" for p in exc.problems]) from exc
-        return engine.make_ablation_params(dvo, variant) if colon else dvo
-    overrides = dict(params)
-    config = BaselineConfig(
-        algorithm=name,
-        n_agents=overrides.pop("n_agents", n_agents),
-        iterations=overrides.pop("iterations", iterations),
-        params=overrides,
-    )
-    config.resolved()
-    return config
+    if base == "dvo" and colon and variant not in engine.ABLATION_VARIANTS:
+        raise ConfigError([f"unknown dvo variant {variant!r}"])
+    if base != "dvo" and name not in BASELINES:
+        raise ConfigError([f"unknown algorithm {shown(name)}"])
+    sizes = {"n_agents": n_agents, "iterations": iterations}
+    try:
+        if base == "dvo":
+            return engine.DvoParams.from_mapping(
+                {**sizes, **params, **engine.ABLATION_VARIANTS.get(variant, {})}
+            )
+        overrides = {**sizes, **params}
+        config = BaselineConfig(name, overrides.pop("n_agents"), overrides.pop("iterations"), overrides)
+        config.resolved()
+        return config
+    except ConfigError as exc:
+        raise ConfigError([f"{name}: {entry}" for entry in exc.problems]) from exc
 
 
 # the scalar fields, the names a config file gives the real ones, and the
@@ -361,97 +364,62 @@ class ResultSet:
     failures: list = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class _Task:
-    """One run of the grid, as handed to a worker."""
-
-    algorithm: str
-    settings: engine.DvoParams | BaselineConfig  # from _resolve_algorithm
-    problem: str
-    dim: int
-    seed: int
-    run_index: int
-    checkpoints: tuple
-    penalty_coeff: float
-    feasibility_tol: float
-
-
-def _run_single(task: _Task) -> RunRecord:
-    problem = benchmarks.get_problem(task.problem, task.dim)
+def _run_single(config: ExperimentConfig, settings, run: tuple, seed: int) -> RunRecord:
+    algorithm, name, dim, run_index = run
+    problem = benchmarks.get_problem(name, dim)
     if problem.constrained:
-        problem = benchmarks.penalize(problem, task.penalty_coeff)
-    settings = task.settings
+        problem = benchmarks.penalize(problem, config.penalty_coeff)
+    # perfbench/tracing.py patches engine.run and the BASELINES entries: call each by name
     if isinstance(settings, engine.DvoParams):
         record = engine.run(
             problem,
             settings,
-            seed=task.seed,
-            checkpoints=task.checkpoints,
-            algorithm=task.algorithm,
-            run_index=task.run_index,
+            seed=seed,
+            checkpoints=config.checkpoints,
+            algorithm=algorithm,
+            run_index=run_index,
         )
     else:
-        record = BASELINES[settings.algorithm](
-            problem, settings, task.seed, checkpoints=task.checkpoints, run_index=task.run_index
+        record = BASELINES[algorithm](
+            problem, settings, seed, checkpoints=config.checkpoints, run_index=run_index
         )
     if problem.constrained:
-        record.feasible = record.max_violation <= task.feasibility_tol
+        record.feasible = record.max_violation <= config.feasibility_tol
     return record
 
 
-def _execute_task(task: _Task) -> RunRecord | FailureRecord:
+def _execute_task(config: ExperimentConfig, settings: dict, run: tuple) -> RunRecord | FailureRecord:
+    """Grid run `run`, an (algorithm, problem, dim, run_index) key of
+    `config.grid_runs()`, with its algorithm's `settings`; a run that raises
+    gives its FailureRecord."""
     try:
-        return _run_single(task)
+        return _run_single(config, settings[run[0]], run, mix_seed(config.master_seed, *run))
     except Exception as exc:  # noqa: BLE001 - failures become grid diagnostics
-        return FailureRecord(
-            algorithm=task.algorithm,
-            problem=task.problem,
-            dim=task.dim,
-            run_index=task.run_index,
-            message=f"{type(exc).__name__}: {exc}",
-        )
+        return FailureRecord(*run, message=f"{type(exc).__name__}: {exc}")
 
 
-def _task_grid(config: ExperimentConfig) -> list:
-    settings = {
-        spec.name: _resolve_algorithm(spec.name, spec.params, config.n_agents, config.iterations)
-        for spec in config.algorithms
-    }
-    return [
-        _Task(
-            algorithm=name,
-            settings=settings[name],
-            problem=problem,
-            dim=dim,
-            seed=mix_seed(config.master_seed, name, problem, dim, run_index),
-            run_index=run_index,
-            checkpoints=tuple(config.checkpoints),
-            penalty_coeff=config.penalty_coeff,
-            feasibility_tol=config.feasibility_tol,
-        )
-        for name, problem, dim, run_index in config.grid_runs()
-    ]
-
-
-# evaluations one chunk of worker tasks may hold; a larger task goes alone
+# evaluations one chunk of runs may hold; a larger run goes alone
 CHUNK_EVALUATIONS = 2000
 
 
-def _chunk_size(tasks: list, degree: int) -> int:
-    """Tasks per chunk sent to a pool of `degree` workers: as many as fit in
-    CHUNK_EVALUATIONS (a task costs n_agents * (iterations + 1) evaluations,
-    the largest over the grid), and no more than leave 4 chunks per worker."""
-    cost = max(t.settings.n_agents * (t.settings.iterations + 1) for t in tasks)
-    return max(1, min(CHUNK_EVALUATIONS // cost, len(tasks) // (4 * degree)))
+def _chunk_size(settings: dict, n_runs: int, degree: int) -> int:
+    """Runs per chunk sent to a pool of `degree` workers: as many as fit in
+    CHUNK_EVALUATIONS (a run costs n_agents * (iterations + 1) evaluations,
+    the largest over the grid's `settings`), and no more than leave 4
+    chunks per worker."""
+    cost = max(s.n_agents * (s.iterations + 1) for s in settings.values())
+    return max(1, min(CHUNK_EVALUATIONS // cost, n_runs // (4 * degree)))
 
 
 def run_experiment(config: ExperimentConfig, parallel: int | None = None) -> ResultSet:
     """Execute the full grid; failures are collected, not raised.
 
     The pool has at most one worker per run, and a single worker is no pool.
-    With more than one, runs are sent to the workers in contiguous chunks of
-    the grid (`_chunk_size`). Results are identical for any parallelism
-    degree and any chunking: seeds are derived per cell, and task order (not
+    Each algorithm is resolved once, and a worker gets the config and those
+    settings once per chunk plus each run's `grid_runs()` key. With more
+    than one worker, runs are sent in contiguous chunks of the grid
+    (`_chunk_size`). Results are identical for any parallelism degree and
+    any chunking: seeds are derived per cell, and grid order (not
     completion order) fixes the record order.
     """
     # a --parallel degree is checked by the workers rule
@@ -459,15 +427,20 @@ def run_experiment(config: ExperimentConfig, parallel: int | None = None) -> Res
     problems = validate_config(checked)
     if problems:
         raise ConfigError(problems)
-    tasks = _task_grid(config)
-    workers = min(checked.workers, len(tasks))
+    settings = {
+        spec.name: _resolve_algorithm(spec.name, spec.params, config.n_agents, config.iterations)
+        for spec in config.algorithms
+    }
+    runs = config.grid_runs()
+    task = partial(_execute_task, config, settings)
+    workers = min(checked.workers, len(runs))
     if workers <= 1:
-        outcomes = [_execute_task(task) for task in tasks]
+        outcomes = list(map(task, runs))
     else:
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            size = _chunk_size(tasks, workers)
-            outcomes = list(pool.map(_execute_task, tasks, chunksize=size))
+            size = _chunk_size(settings, len(runs), workers)
+            outcomes = list(pool.map(task, runs, chunksize=size))
     records = [outcome for outcome in outcomes if isinstance(outcome, RunRecord)]
     failures = [outcome for outcome in outcomes if isinstance(outcome, FailureRecord)]
     return ResultSet(config=config, records=records, failures=failures)

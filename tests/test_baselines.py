@@ -72,9 +72,9 @@ class TestConfig:
             config.resolved()
         # a NaN is a float, so in an integer it is a value of the wrong type
         if key in ("n_agents", "iterations") or type(DEFAULT_PARAMS[algorithm][key]) is int:
-            expected = f"{algorithm}: {key} must be an integer, got nan"
+            expected = f"{key} must be an integer, got nan"
         else:
-            expected = f"{algorithm}: {key} must not be NaN"
+            expected = f"{key} must not be NaN"
         assert err.value.problems == [expected]
 
     def test_nan_is_listed_with_other_problems(self):
@@ -82,9 +82,9 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             config.resolved()
         assert err.value.problems == [
-            "pso: n_agents must lie in [2, inf), got 1",
-            "pso: c1 must not be NaN",
-            "pso: unknown parameter 'warp'",
+            "n_agents must lie in [2, inf), got 1",
+            "c1 must not be NaN",
+            "unknown parameter 'warp'",
         ]
 
     def test_wrong_type_is_reported_before_any_bound(self):
@@ -92,20 +92,20 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             config.resolved()
         assert err.value.problems == [
-            "pso: n_agents must be an integer, got '8'",
-            "pso: iterations must lie in [2, inf), got 1",
-            "pso: c1 must be a number, got 'x'",
+            "n_agents must be an integer, got '8'",
+            "iterations must lie in [2, inf), got 1",
+            "c1 must be a number, got 'x'",
         ]
 
     def test_sizes_are_not_parameters(self):
         with pytest.raises(ConfigError) as err:
             BaselineConfig(algorithm="pso", params={"n_agents": 8}).resolved()
-        assert err.value.problems == ["pso: unknown parameter 'n_agents'"]
+        assert err.value.problems == ["unknown parameter 'n_agents'"]
 
     def test_gwo_needs_three_agents(self):
         with pytest.raises(ConfigError) as err:
             BaselineConfig(algorithm="gwo", n_agents=2).resolved()
-        assert err.value.problems == ["gwo: n_agents must lie in [3, inf), got 2"]
+        assert err.value.problems == ["n_agents must lie in [3, inf), got 2"]
         problem = benchmarks.get_problem("F1", 2)
         config = BaselineConfig(algorithm="gwo", n_agents=3, iterations=4)
         assert BASELINES["gwo"](problem, config, seed=1).evaluations == 3 * 5
@@ -121,15 +121,15 @@ class TestConfig:
     def test_baseline_bounds_through_config_and_library(self, algorithm, key, value, interval):
         # mop_power 0 divides by zero in every aoa sweep; a negative v_frac
         # pins the swarm at an inverted velocity clip
-        expected = [f"{algorithm}: {key} must lie in {interval}, got {value!r}"]
+        entry = f"{key} must lie in {interval}, got {value!r}"
         with pytest.raises(ConfigError) as err:
             BaselineConfig(algorithm=algorithm, params={key: value}).resolved()
-        assert err.value.problems == expected
+        assert err.value.problems == [entry]
         with pytest.raises(ConfigError) as err:
             config_from_dict(
                 {"suite": "classical_fixed", "algorithms": [{"name": algorithm, "params": {key: value}}]}
             )
-        assert err.value.problems == expected
+        assert err.value.problems == [f"{algorithm}: {entry}"]
 
     @pytest.mark.parametrize("algorithm", [a for a in ALGORITHMS if a != "gwo"])
     def test_other_baselines_run_with_two_agents(self, algorithm):

@@ -18,7 +18,7 @@ from drainvortex import benchmarks, harness, stats
 from drainvortex.baselines import DEFAULT_PARAMS, BaselineConfig
 from drainvortex.benchmarks import ProblemSpec, clear_plugins, register_plugin
 from drainvortex.cli import main
-from drainvortex.engine import BOUNDS, DvoParams
+from drainvortex.engine import ABLATION_VARIANTS, BOUNDS, DvoParams, make_ablation_params
 from drainvortex.errors import ConfigError, IncompleteGridError
 from drainvortex.harness import (
     SUITES,
@@ -80,6 +80,14 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def resolved_settings(config):
+    """Each grid algorithm's settings by name, as run_experiment resolves them."""
+    return {
+        spec.name: harness._resolve_algorithm(spec.name, spec.params, config.n_agents, config.iterations)
+        for spec in config.algorithms
+    }
 
 
 class TestConfigParsing:
@@ -221,7 +229,7 @@ class TestConfigParsing:
                     "algorithms": [{"name": "dvo", "params": {"switch_prob": 2.0}}],
                 }
             )
-        assert "dvo parameters: switch_prob" in str(err.value)
+        assert err.value.problems == ["dvo: switch_prob must lie in [0, 1], got 2.0"]
 
     def test_unknown_dvo_keyword(self):
         with pytest.raises(ConfigError) as err:
@@ -231,7 +239,7 @@ class TestConfigParsing:
                     "algorithms": [{"name": "dvo", "params": {"vortexness": 3}}],
                 }
             )
-        assert "dvo parameters" in str(err.value)
+        assert err.value.problems == ["dvo: unknown parameter 'vortexness'"]
 
     @pytest.mark.parametrize(
         "key,replacement",
@@ -251,7 +259,7 @@ class TestConfigParsing:
                     "algorithms": [{"name": "dvo:no_swirl", "params": {key: False}}],
                 }
             )
-        assert err.value.problems == [f"dvo parameters: unknown parameter {key!r}"]
+        assert err.value.problems == [f"dvo:no_swirl: unknown parameter {key!r}"]
         name, value = replacement.split("=")
         config = config_from_dict(
             {
@@ -272,7 +280,7 @@ class TestConfigParsing:
                 }
             )
         assert len(err.value.problems) == 1
-        assert err.value.problems[0].startswith("dvo parameters:")
+        assert err.value.problems[0].startswith("dvo: ")
         assert "forced_splash_replacement" in err.value.problems[0]
 
     @pytest.mark.parametrize("n_elites", [0, -1, 1.5, "two", None])
@@ -311,9 +319,9 @@ class TestConfigParsing:
         [
             ({"name": "pso", "params": {"n_agents": "x"}}, "pso: n_agents must be an integer, got 'x'"),
             ({"name": "pso", "params": {"c1": "x"}}, "pso: c1 must be a number, got 'x'"),
-            ({"name": "dvo", "params": {"n_drains": 2.5}}, "dvo parameters: n_drains must be an integer, got 2.5"),
-            ({"name": "dvo", "params": {"swirl": "no"}}, "dvo parameters: swirl must be true or false, got 'no'"),
-            ({"name": "dvo", "params": {"core_radius": "1"}}, "dvo parameters: core_radius must be a number or null, got '1'"),
+            ({"name": "dvo", "params": {"n_drains": 2.5}}, "dvo: n_drains must be an integer, got 2.5"),
+            ({"name": "dvo", "params": {"swirl": "no"}}, "dvo: swirl must be true or false, got 'no'"),
+            ({"name": "dvo", "params": {"core_radius": "1"}}, "dvo: core_radius must be a number or null, got '1'"),
             ("pso:foo", "unknown algorithm 'pso:foo'"),
             ("dvo:", "unknown dvo variant ''"),
         ],
@@ -328,9 +336,9 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "entry,expected",
         [
-            ({"name": "dvo", "params": {"far_drift": NaN}}, "dvo parameters: far_drift must not be NaN"),
-            ({"name": "dvo", "params": {"near_threshold": NaN}}, "dvo parameters: near_threshold must not be NaN"),
-            ({"name": "dvo", "params": {"core_radius": NaN}}, "dvo parameters: core_radius must not be NaN"),
+            ({"name": "dvo", "params": {"far_drift": NaN}}, "dvo: far_drift must not be NaN"),
+            ({"name": "dvo", "params": {"near_threshold": NaN}}, "dvo: near_threshold must not be NaN"),
+            ({"name": "dvo", "params": {"core_radius": NaN}}, "dvo: core_radius must not be NaN"),
             ({"name": "pso", "params": {"c1": NaN}}, "pso: c1 must not be NaN"),
             ({"name": "sca", "params": {"amplitude": NaN}}, "sca: amplitude must not be NaN"),
         ],
@@ -356,7 +364,7 @@ class TestConfigParsing:
             config_from_dict(
                 {"suite": "classical_fixed", "algorithms": [{"name": "dvo", "params": {"switch_prob": inf}}]}
             )
-        assert err.value.problems == ["dvo parameters: switch_prob must lie in [0, 1], got inf"]
+        assert err.value.problems == ["dvo: switch_prob must lie in [0, 1], got inf"]
 
     def test_parameters_of_their_default_type_are_accepted(self):
         params = {"core_radius": None, "far_drift": 1, "swirl": False, "n_drains": 3}
@@ -478,8 +486,8 @@ class TestOneChecker:
                 assert library == config == [], value
             else:
                 entry = f"{key} must lie in {interval}, got {value!r}"
-                assert library == [entry if owner == "dvo" else f"{owner}: {entry}"]
-                assert config == [f"{'dvo parameters' if owner == 'dvo' else owner}: {entry}"]
+                assert library == [entry]
+                assert config == [f"{owner}: {entry}"]
 
     @pytest.mark.parametrize(
         "key,label",
@@ -510,7 +518,7 @@ class TestOneChecker:
         expected = (lambda name: []) if accepted else (lambda name: [f"{name} {entry}"])
         config = replace(tiny_config(problems=("welded_beam",), dimensions=()), penalty_coeff=value)
         assert validate_config(config) == expected("penalty coefficient")
-        assert library_problems("pso", "c1", value) == expected("pso: c1")
+        assert library_problems("pso", "c1", value) == expected("c1")
         assert library_problems("dvo", "far_drift", value) == expected("far_drift")
         assert library_problems("dvo", "core_radius", value) == expected("core_radius")
         data = {"suite": "classical_fixed", "algorithms": [{"name": "pso", "params": {"c1": value}}]}
@@ -532,9 +540,9 @@ class TestOneChecker:
             (lambda h: DvoParams(stay_limit=-h).validate(), "stay_limit must lie in [0, inf), got {}"),
             (lambda h: DvoParams(swirl=h).validate(), "swirl must be true or false, got {}"),
             (lambda h: DvoParams(n_drains=h).validate(), "n_agents must be >= n_drains, got 30 < {}"),
-            (lambda h: BaselineConfig("pso", n_agents=-h).resolved(), "pso: n_agents must lie in [2, inf), got {}"),
+            (lambda h: BaselineConfig("pso", n_agents=-h).resolved(), "n_agents must lie in [2, inf), got {}"),
             (lambda h: BaselineConfig(h).resolved(), "unknown algorithm {}"),
-            (lambda h: BaselineConfig("pso", params={h: 1.0}).resolved(), "pso: unknown parameter {}"),
+            (lambda h: BaselineConfig("pso", params={h: 1.0}).resolved(), "unknown parameter {}"),
         ],
         ids=["bound", "type", "across", "baseline_size", "algorithm", "name"],
     )
@@ -587,14 +595,24 @@ class TestOneChecker:
         + [(a, k) for a in sorted(DEFAULT_PARAMS) for k in ("n_agents", "iterations", *DEFAULT_PARAMS[a])],
     )
     def test_config_and_library_agree(self, name, key, value):
-        prefix = "dvo parameters: " if name == "dvo" else ""
-        expected = [prefix + entry for entry in library_problems(name, key, value)]
+        expected = [f"{name}: {entry}" for entry in library_problems(name, key, value)]
         assert len(expected) == 1
         with pytest.raises(ConfigError) as err:
             config_from_dict(
                 {"suite": "classical_fixed", "algorithms": [{"name": name, "params": {key: value}}]}
             )
         assert err.value.problems == expected
+
+    def test_each_entry_is_labelled_with_its_grid_name(self):
+        dvo = expand_ablation(tiny_config(algorithms=(AlgorithmSpec("dvo", {"far_drift": -1.0}),)))
+        config = replace(dvo, algorithms=(*dvo.algorithms, AlgorithmSpec("pso", {"c1": "x"})))
+        assert validate_config(config) == [
+            *(f"dvo:{variant}: far_drift must lie in [0, inf], got -1.0" for variant in ABLATION_VARIANTS),
+            "pso: c1 must be a number, got 'x'",
+        ]
+        # the settings types raise bare entries; only the harness labels them
+        assert library_problems("dvo", "far_drift", -1.0) == ["far_drift must lie in [0, inf], got -1.0"]
+        assert library_problems("pso", "c1", "x") == ["c1 must be a number, got 'x'"]
 
     def test_each_algorithm_reports_its_own_sizes_once(self):
         with pytest.raises(ConfigError) as err:
@@ -610,9 +628,9 @@ class TestOneChecker:
             "pso: iterations must lie in [2, inf), got 1",
             "gwo: n_agents must lie in [3, inf), got 1",
             "gwo: iterations must lie in [2, inf), got 1",
-            "dvo parameters: n_agents must lie in [2, inf), got 1",
-            "dvo parameters: iterations must lie in [2, inf), got 1",
-            "dvo parameters: n_agents must be >= n_drains, got 1 < 6",
+            "dvo: n_agents must lie in [2, inf), got 1",
+            "dvo: iterations must lie in [2, inf), got 1",
+            "dvo: n_agents must be >= n_drains, got 1 < 6",
         ]
 
     def test_gwo_needs_three_agents(self):
@@ -784,7 +802,7 @@ class TestAblationExpansion:
         "params,entries",
         [
             ({}, []),
-            ({"n_drains": "x"}, ["dvo parameters: n_drains must be an integer, got 'x'"]),
+            ({"n_drains": "x"}, ["dvo: n_drains must be an integer, got 'x'"]),
         ],
     )
     def test_ablation_suite_is_one_entry(self, params, entries):
@@ -797,6 +815,23 @@ class TestAblationExpansion:
                 }
             )
         assert err.value.problems == [f"unknown suite 'ablation'; expected one of {SUITES}"] + entries
+
+    def test_variant_is_checked_as_the_settings_it_runs(self):
+        # single_vortex runs one drain, so four agents are enough for it
+        config = tiny_config(algorithms=(AlgorithmSpec("dvo:single_vortex"),), n_agents=4)
+        settings = make_ablation_params(DvoParams(n_agents=4, iterations=12), "single_vortex")
+        settings.validate()
+        assert validate_config(config) == []
+        assert harness._resolve_algorithm("dvo:single_vortex", {}, 4, 12) == settings
+        result = run_experiment(config)
+        assert result.failures == [] and len(result.records) == 2
+        # the variant's own value replaces the entry's, so only the others check it
+        config = expand_ablation(tiny_config(algorithms=(AlgorithmSpec("dvo", {"switch_prob": 2.0}),)))
+        assert validate_config(config) == [
+            f"{name}: switch_prob must lie in [0, 1], got 2.0"
+            for name in config.algorithm_names()
+            if name != "dvo:no_switch"
+        ]
 
     def test_idempotent(self):
         config = tiny_config(algorithms=(AlgorithmSpec("dvo", {"n_drains": 2}),))
@@ -847,7 +882,7 @@ class TestRunExperiment:
                 checkpoints=(2, 4),
             )
             # 27 tasks: more than 4 chunks per worker at every degree below
-            assert len(harness._task_grid(config)) > 4 * 3
+            assert len(config.grid_runs()) > 4 * 3
             results = [run_experiment(config, parallel=degree) for degree in (1, 2, 3)]
         finally:
             clear_plugins()
@@ -872,16 +907,17 @@ class TestRunExperiment:
         ],
     )
     def test_chunk_size(self, shape, degree, size):
-        tasks = harness._task_grid(tiny_config(checkpoints=(), **shape))
-        chunk = harness._chunk_size(tasks, degree)
+        config = tiny_config(checkpoints=(), **shape)
+        runs = len(config.grid_runs())
+        chunk = harness._chunk_size(resolved_settings(config), runs, degree)
         assert chunk == size
-        assert math.ceil(len(tasks) / chunk) >= min(len(tasks), 4 * degree)
+        assert math.ceil(runs / chunk) >= min(runs, 4 * degree)
 
     @pytest.mark.parametrize("n_tasks", [1, 2, 7, 8, 9, 33, 196, 1000])
     @pytest.mark.parametrize("degree", [2, 3, 4, 8])
     def test_never_fewer_than_four_chunks_per_worker(self, n_tasks, degree):
-        tasks = harness._task_grid(tiny_config(runs=n_tasks, iterations=2, n_agents=2, checkpoints=()))
-        chunk = harness._chunk_size(tasks, degree)
+        config = tiny_config(runs=n_tasks, iterations=2, n_agents=2, checkpoints=())
+        chunk = harness._chunk_size(resolved_settings(config), n_tasks, degree)
         assert chunk >= 1
         assert math.ceil(n_tasks / chunk) >= min(n_tasks, 4 * degree)
 
