@@ -85,7 +85,7 @@ class Swarm:
         """Take one evaluated batch as the population; returns the sweep's
         report for the driver."""
         self.positions, self.fitness = positions, fitness
-        i = int(np.argmin(fitness))
+        i = int(fitness.argmin())
         if fitness[i] < self.best_value:
             self.best_position, self.best_value = positions[i].copy(), float(fitness[i])
         return fitness.size, self.best_position, self.best_value
@@ -120,8 +120,7 @@ def _sweep_pso(s: _Particles, t, config, problem, rng):
     lo, hi = problem.lower, problem.upper
     v_max = p["v_frac"] * (hi - lo)
     w = linear_ramp(t, config.iterations, p["w_start"], p["w_end"])
-    r1 = rng.random(s.positions.shape)
-    r2 = rng.random(s.positions.shape)
+    r1, r2 = rng.random((2, *s.positions.shape))
     velocity = (
         w * s.velocity
         + p["c1"] * r1 * (s.pbest - s.positions)
@@ -131,8 +130,8 @@ def _sweep_pso(s: _Particles, t, config, problem, rng):
     positions = np.clip(s.positions + s.velocity, lo, hi)
     fitness = benchmarks.evaluate(problem, positions, rng)
     better = fitness < s.pbest_fit
-    s.pbest[better] = positions[better]
-    s.pbest_fit[better] = fitness[better]
+    np.copyto(s.pbest, positions, where=better[:, None])
+    np.copyto(s.pbest_fit, fitness, where=better)
     return s.observe(positions, fitness)
 
 
@@ -144,14 +143,12 @@ def _sweep_gwo(s: Swarm, t, config, problem, rng):
     p = config.params
     n, d = s.positions.shape
     a = linear_ramp(t, config.iterations, p["a_start"], p["a_end"])
-    leaders, _ = k_best(s.positions, s.fitness, 3)
-    pulls = np.empty((3, n, d))
-    for j in range(3):
-        r1 = rng.random((n, d))
-        r2 = rng.random((n, d))
-        coeff_a = 2.0 * a * r1 - a
-        coeff_c = 2.0 * r2
-        pulls[j] = leaders[j] - coeff_a * np.abs(coeff_c * leaders[j] - s.positions)
+    leaders = k_best(s.positions, s.fitness, 3)[0][:, None]
+    # leader j's r1 and r2 blocks, in the order a loop over the leaders drew them
+    r = rng.random((3, 2, n, d))
+    coeff_a = 2.0 * a * r[:, 0] - a
+    coeff_c = 2.0 * r[:, 1]
+    pulls = leaders - coeff_a * np.abs(coeff_c * leaders - s.positions)
     positions = np.clip(pulls.mean(axis=0), problem.lower, problem.upper)
     return s.observe(positions, benchmarks.evaluate(problem, positions, rng))
 
@@ -175,28 +172,29 @@ def _sweep_woa(s: Swarm, t, config, problem, rng):
     n, d = positions.shape
     leader = s.best_position
     a = linear_ramp(t, config.iterations, p["a_start"], p["a_end"])
-    branch = rng.random(n)
-    coeff_a = 2.0 * a * rng.random(n) - a
+    branch, r = rng.random((2, n))
+    coeff_a = 2.0 * a * r - a
     coeff_c = 2.0 * rng.random((n, d))
     ell = rng.uniform(-1.0, 1.0, n)
     partners = (rng.random(n) * n).astype(int)
 
     new_positions = np.empty_like(positions)
-    spiral = branch >= 0.5
-    if spiral.any():
+    is_spiral = branch >= 0.5
+    near = np.abs(coeff_a) < 1.0
+    spiral = is_spiral.nonzero()[0]
+    encircle = (~is_spiral & near).nonzero()[0]
+    search = (~is_spiral & ~near).nonzero()[0]
+    if spiral.size:
         new_positions[spiral] = _woa_spiral(
-            positions[spiral], leader, ell[spiral], p["spiral_pitch"]
+            positions.take(spiral, 0), leader, ell.take(spiral), p["spiral_pitch"]
         )
-    chase = ~spiral
-    encircle = chase & (np.abs(coeff_a) < 1.0)
-    search = chase & ~encircle
-    if encircle.any():
-        gap = np.abs(coeff_c[encircle] * leader - positions[encircle])
-        new_positions[encircle] = leader - coeff_a[encircle, None] * gap
-    if search.any():
-        ref = positions[partners[search]]
-        gap = np.abs(coeff_c[search] * ref - positions[search])
-        new_positions[search] = ref - coeff_a[search, None] * gap
+    if encircle.size:
+        gap = np.abs(coeff_c.take(encircle, 0) * leader - positions.take(encircle, 0))
+        new_positions[encircle] = leader - coeff_a.take(encircle)[:, None] * gap
+    if search.size:
+        ref = positions.take(partners.take(search), 0)
+        gap = np.abs(coeff_c.take(search, 0) * ref - positions.take(search, 0))
+        new_positions[search] = ref - coeff_a.take(search)[:, None] * gap
 
     positions = np.clip(new_positions, problem.lower, problem.upper)
     return s.observe(positions, benchmarks.evaluate(problem, positions, rng))
@@ -212,9 +210,8 @@ def _sweep_sca(s: Swarm, t, config, problem, rng):
     r3 = rng.uniform(0.0, 2.0, shape)
     r4 = rng.random(shape)
     gap = np.abs(r3 * s.best_position - s.positions)
-    sin_move = s.positions + r1 * np.sin(r2) * gap
-    cos_move = s.positions + r1 * np.cos(r2) * gap
-    positions = np.clip(np.where(r4 < 0.5, sin_move, cos_move), problem.lower, problem.upper)
+    wave = np.where(r4 < 0.5, np.sin(r2), np.cos(r2))
+    positions = np.clip(s.positions + r1 * wave * gap, problem.lower, problem.upper)
     return s.observe(positions, benchmarks.evaluate(problem, positions, rng))
 
 
@@ -229,9 +226,7 @@ def _sweep_aoa(s: Swarm, t, config, problem, rng):
     moa = linear_ramp(t, config.iterations, p["moa_start"], p["moa_end"])
     mop = 1.0 - (t / config.iterations) ** (1.0 / p["mop_power"])
     best = s.best_position
-    r1 = rng.random(shape)
-    r2 = rng.random(shape)
-    r3 = rng.random(shape)
+    r1, r2, r3 = rng.random((3, *shape))
     explore = r1 > moa
     div_move = best / (mop + eps) * scaled
     mul_move = best * mop * scaled
@@ -268,12 +263,10 @@ def _sweep_eo(s: _Equilibrium, t, config, problem, rng):
     pool = np.concatenate([s.elites, s.elites.mean(axis=0, keepdims=True)])
     t_relax = (1.0 - t / config.iterations) ** (p["a2"] * t / config.iterations)
     picks = (rng.random(n) * len(pool)).astype(int)
-    ceq = pool[picks]
-    lam = rng.random((n, d))
-    r = rng.random((n, d))
+    ceq = pool.take(picks, 0)
+    lam, r = rng.random((2, n, d))
     mix = p["a1"] * np.sign(r - 0.5) * (np.exp(-lam * t_relax) - 1.0)
-    r1 = rng.random(n)
-    r2 = rng.random(n)
+    r1, r2 = rng.random((2, n))
     gcp = np.where(r2 >= p["gp"], 0.5 * r1, 0.0)[:, None]
     g0 = gcp * (ceq - lam * old_positions)
     positions = ceq + (old_positions - ceq) * mix + (g0 * mix / lam) * (1.0 - mix)
@@ -284,8 +277,8 @@ def _sweep_eo(s: _Equilibrium, t, config, problem, rng):
         np.concatenate([s.elites, positions]), np.concatenate([s.elite_fit, fitness]), 4
     )
     worse = fitness > old_fitness
-    positions[worse] = old_positions[worse]
-    fitness[worse] = old_fitness[worse]
+    np.copyto(positions, old_positions, where=worse[:, None])
+    np.copyto(fitness, old_fitness, where=worse)
     return report
 
 

@@ -6,16 +6,19 @@ Objectives come under one of two contracts, declared by
 
 - per point (the default): the objective takes one point of shape (dim,)
   and returns a float, and `evaluate` calls it once per row;
-- vectorized: the objective and every constraint take a single point or a
+- vectorized: the objective and the constraints take a single point or a
   batch of shape (n, dim), so a batch gives n values in one call and a
   single point still gives its float. `evaluate` and the `penalize`
   wrapper then make one call per batch. Every catalog problem is
   vectorized.
 
-Constraints use the g(x) <= 0 convention. Noisy objectives additionally take
-the run's RngStream so noise stays inside the determinism contract; a
-vectorized one draws its n noise values as one block, which is the same
-stream as n scalar draws.
+A constrained problem's `constraints` is one callable that returns the k
+values of its constraints g(x) <= 0 together: k floats for a point, or k
+rows of n values for a vectorized batch. Any other shape raises ValueError.
+
+Noisy objectives additionally take the run's RngStream so noise stays inside
+the determinism contract; a vectorized one draws its n noise values as one
+block, which is the same stream as n scalar draws.
 
 Non-finite values: `evaluate` maps a NaN objective value to +inf, and is the
 only place that does. A NaN or +inf constraint value counts as the maximal
@@ -53,8 +56,10 @@ DEFAULT_FEASIBILITY_TOL = 1e-8
 class ProblemSpec:
     """A bound-constrained minimization problem, optionally with
     inequality constraints g(x) <= 0 and a known optimum for error
-    reporting. The box's `span` (upper - lower) and `diameter` (the norm of
-    the span) are derived from the bounds."""
+    reporting. `constraints` is one callable returning the k constraint
+    values, k floats for a point or k rows of n values for a batch when
+    `vectorized`. The box's `span` (upper - lower) and `diameter` (the norm
+    of the span) are derived from the bounds."""
 
     name: str
     dim: int
@@ -62,7 +67,8 @@ class ProblemSpec:
     upper: Array
     objective: Callable
     f_true: Optional[float] = None
-    constraints: tuple = ()
+    # None when the problem has no constraints
+    constraints: Optional[Callable] = None
     noisy: bool = False
     # original objective when this spec is a penalty wrap of a constrained one
     raw_objective: Optional[Callable] = None
@@ -92,7 +98,7 @@ class ProblemSpec:
 
     @property
     def constrained(self) -> bool:
-        return len(self.constraints) > 0
+        return self.constraints is not None
 
 
 def evaluate(problem: ProblemSpec, points: Array, rng: RngStream) -> Array:
@@ -384,23 +390,16 @@ def _truss_objective(x):
     return (2.0 * math.sqrt(2.0) * x1 + x2) * 100.0
 
 
-def _truss_constraints():
+def _truss_constraints(x):
     P, sigma = 2.0, 2.0
     rt2 = math.sqrt(2.0)
-
-    def g1(x):
-        x1, x2 = x.T
-        return (rt2 * x1 + x2) / (rt2 * _pow(x1, 2) + 2.0 * x1 * x2) * P - sigma
-
-    def g2(x):
-        x1, x2 = x.T
-        return x2 / (rt2 * _pow(x1, 2) + 2.0 * x1 * x2) * P - sigma
-
-    def g3(x):
-        x1, x2 = x.T
-        return 1.0 / (rt2 * x2 + x1) * P - sigma
-
-    return (g1, g2, g3)
+    x1, x2 = x.T
+    area = rt2 * _pow(x1, 2) + 2.0 * x1 * x2
+    return (
+        (rt2 * x1 + x2) / area * P - sigma,
+        x2 / area * P - sigma,
+        1.0 / (rt2 * x2 + x1) * P - sigma,
+    )
 
 
 def _spring_objective(x):
@@ -408,26 +407,17 @@ def _spring_objective(x):
     return (n + 2.0) * D * d * d
 
 
-def _spring_constraints():
-    def g1(x):
-        d, D, n = x.T
-        return 1.0 - _pow(D, 3) * n / (71785.0 * _pow(d, 4))
-
-    def g2(x):
-        d, D, n = x.T
-        return (4.0 * _pow(D, 2) - d * D) / (12566.0 * (D * _pow(d, 3) - _pow(d, 4))) + 1.0 / (
-            5108.0 * _pow(d, 2)
-        ) - 1.0
-
-    def g3(x):
-        d, D, n = x.T
-        return 1.0 - 140.45 * d / (_pow(D, 2) * n)
-
-    def g4(x):
-        d, D, n = x.T
-        return (D + d) / 1.5 - 1.0
-
-    return (g1, g2, g3, g4)
+def _spring_constraints(x):
+    d, D, n = x.T
+    d_4, D_2 = _pow(d, 4), _pow(D, 2)
+    return (
+        1.0 - _pow(D, 3) * n / (71785.0 * d_4),
+        (4.0 * D_2 - d * D) / (12566.0 * (D * _pow(d, 3) - d_4))
+        + 1.0 / (5108.0 * _pow(d, 2))
+        - 1.0,
+        1.0 - 140.45 * d / (D_2 * n),
+        (D + d) / 1.5 - 1.0,
+    )
 
 
 def _weld_objective(x):
@@ -435,51 +425,33 @@ def _weld_objective(x):
     return 1.10471 * _pow(x1, 2) * x2 + 0.04811 * x3 * x4 * (14.0 + x2)
 
 
-def _weld_constraints():
+def _weld_constraints(x):
     P, L, E, G = 6000.0, 14.0, 30e6, 12e6
     tau_max, sigma_max, delta_max = 13600.0, 30000.0, 0.25
-
-    def tau(x):
-        x1, x2, x3, _ = x.T
-        t1 = P / (math.sqrt(2.0) * x1 * x2)
-        M = P * (L + x2 / 2.0)
-        x2_2, half_2 = _pow(x2, 2), _pow((x1 + x3) / 2.0, 2)
-        R = np.sqrt(x2_2 / 4.0 + half_2)
-        J = 2.0 * math.sqrt(2.0) * x1 * x2 * (x2_2 / 12.0 + half_2)
-        t2 = M * R / J
-        return np.sqrt(_pow(t1, 2) + 2.0 * t1 * t2 * x2 / (2.0 * R) + _pow(t2, 2))
-
-    def g1(x):
-        return tau(x) - tau_max
-
-    def g2(x):
-        x1, x2, x3, x4 = x.T
-        return 6.0 * P * L / (x4 * _pow(x3, 2)) - sigma_max
-
-    def g3(x):
-        x1, x2, x3, x4 = x.T
-        return x1 - x4
-
-    def g4(x):
-        x1, x2, x3, x4 = x.T
-        return 0.10471 * _pow(x1, 2) + 0.04811 * x3 * x4 * (14.0 + x2) - 5.0
-
-    def g5(x):
-        return 0.125 - x[..., 0]
-
-    def g6(x):
-        x1, x2, x3, x4 = x.T
-        return 4.0 * P * L**3 / (E * _pow(x3, 3) * x4) - delta_max
-
-    def g7(x):
-        x3, x4 = x[..., 2], x[..., 3]
-        pc = (
-            4.013 * E * np.sqrt(_pow(x3, 2) * _pow(x4, 6) / 36.0) / L**2
-            * (1.0 - x3 / (2.0 * L) * math.sqrt(E / (4.0 * G)))
-        )
-        return P - pc
-
-    return (g1, g2, g3, g4, g5, g6, g7)
+    x1, x2, x3, x4 = x.T
+    x3_2 = _pow(x3, 2)
+    # shear stress tau from its primary (t1) and torsional (t2) parts
+    t1 = P / (math.sqrt(2.0) * x1 * x2)
+    M = P * (L + x2 / 2.0)
+    x2_2, half_2 = _pow(x2, 2), _pow((x1 + x3) / 2.0, 2)
+    R = np.sqrt(x2_2 / 4.0 + half_2)
+    J = 2.0 * math.sqrt(2.0) * x1 * x2 * (x2_2 / 12.0 + half_2)
+    t2 = M * R / J
+    tau = np.sqrt(_pow(t1, 2) + 2.0 * t1 * t2 * x2 / (2.0 * R) + _pow(t2, 2))
+    # buckling load
+    pc = (
+        4.013 * E * np.sqrt(x3_2 * _pow(x4, 6) / 36.0) / L**2
+        * (1.0 - x3 / (2.0 * L) * math.sqrt(E / (4.0 * G)))
+    )
+    return (
+        tau - tau_max,
+        6.0 * P * L / (x4 * x3_2) - sigma_max,
+        x1 - x4,
+        0.10471 * _pow(x1, 2) + 0.04811 * x3 * x4 * (14.0 + x2) - 5.0,
+        0.125 - x1,
+        4.0 * P * L**3 / (E * _pow(x3, 3) * x4) - delta_max,
+        P - pc,
+    )
 
 
 def _vessel_objective(x):
@@ -493,21 +465,14 @@ def _vessel_objective(x):
     )
 
 
-def _vessel_constraints():
-    def g1(x):
-        return -x[..., 0] + 0.0193 * x[..., 2]
-
-    def g2(x):
-        return -x[..., 1] + 0.00954 * x[..., 2]
-
-    def g3(x):
-        x3, x4 = x[..., 2], x[..., 3]
-        return -math.pi * _pow(x3, 2) * x4 - 4.0 / 3.0 * math.pi * _pow(x3, 3) + 1296000.0
-
-    def g4(x):
-        return x[..., 3] - 240.0
-
-    return (g1, g2, g3, g4)
+def _vessel_constraints(x):
+    x1, x2, x3, x4 = x.T
+    return (
+        -x1 + 0.0193 * x3,
+        -x2 + 0.00954 * x3,
+        -math.pi * _pow(x3, 2) * x4 - 4.0 / 3.0 * math.pi * _pow(x3, 3) + 1296000.0,
+        x4 - 240.0,
+    )
 
 
 def _reducer_objective(x):
@@ -521,58 +486,25 @@ def _reducer_objective(x):
     )
 
 
-def _reducer_constraints():
-    def g1(x):
-        x1, x2, x3 = x[..., :3].T
-        return 27.0 / (x1 * _pow(x2, 2) * x3) - 1.0
-
-    def g2(x):
-        x1, x2, x3 = x[..., :3].T
-        return 397.5 / (x1 * _pow(x2, 2) * _pow(x3, 2)) - 1.0
-
-    def g3(x):
-        _, x2, x3, x4, _, x6, _ = x.T
-        return 1.93 * _pow(x4, 3) / (x2 * x3 * _pow(x6, 4)) - 1.0
-
-    def g4(x):
-        _, x2, x3, _, x5, _, x7 = x.T
-        return 1.93 * _pow(x5, 3) / (x2 * x3 * _pow(x7, 4)) - 1.0
-
-    def g5(x):
-        _, x2, x3, x4, _, x6, _ = x.T
-        return (
-            np.sqrt(_pow(745.0 * x4 / (x2 * x3), 2) + 16.9e6)
-            / (110.0 * _pow(x6, 3))
-            - 1.0
-        )
-
-    def g6(x):
-        _, x2, x3, _, x5, _, x7 = x.T
-        return (
-            np.sqrt(_pow(745.0 * x5 / (x2 * x3), 2) + 157.5e6)
-            / (85.0 * _pow(x7, 3))
-            - 1.0
-        )
-
-    def g7(x):
-        return x[..., 1] * x[..., 2] / 40.0 - 1.0
-
-    def g8(x):
-        return 5.0 * x[..., 1] / x[..., 0] - 1.0
-
-    def g9(x):
-        return x[..., 0] / (12.0 * x[..., 1]) - 1.0
-
-    def g10(x):
-        return (1.5 * x[..., 5] + 1.9) / x[..., 3] - 1.0
-
-    def g11(x):
-        return (1.1 * x[..., 6] + 1.9) / x[..., 4] - 1.0
-
-    return (g1, g2, g3, g4, g5, g6, g7, g8, g9, g10, g11)
+def _reducer_constraints(x):
+    x1, x2, x3, x4, x5, x6, x7 = x.T
+    x1_x2_2, x2_x3 = x1 * _pow(x2, 2), x2 * x3
+    return (
+        27.0 / (x1_x2_2 * x3) - 1.0,
+        397.5 / (x1_x2_2 * _pow(x3, 2)) - 1.0,
+        1.93 * _pow(x4, 3) / (x2_x3 * _pow(x6, 4)) - 1.0,
+        1.93 * _pow(x5, 3) / (x2_x3 * _pow(x7, 4)) - 1.0,
+        np.sqrt(_pow(745.0 * x4 / x2_x3, 2) + 16.9e6) / (110.0 * _pow(x6, 3)) - 1.0,
+        np.sqrt(_pow(745.0 * x5 / x2_x3, 2) + 157.5e6) / (85.0 * _pow(x7, 3)) - 1.0,
+        x2_x3 / 40.0 - 1.0,
+        5.0 * x2 / x1 - 1.0,
+        x1 / (12.0 * x2) - 1.0,
+        (1.5 * x6 + 1.9) / x4 - 1.0,
+        (1.1 * x7 + 1.9) / x5 - 1.0,
+    )
 
 
-# name -> (objective, constraints builder, lower, upper)
+# name -> (objective, constraints, lower, upper)
 _ENGINEERING = {
     "three_bar_truss": (_truss_objective, _truss_constraints, [0.0, 0.0], [1.0, 1.0]),
     "tension_spring": (
@@ -621,7 +553,12 @@ def _violation_amounts(constraints, x):
     boundary singularities cannot poison comparisons. A zero keeps its sign,
     as Python's max(-0.0, 0.0) keeps it (np.maximum would not)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v = np.array([g(x) for g in constraints], dtype=float)
+        v = np.array(constraints(x), dtype=float)
+        if v.size == 0 or v.ndim != np.ndim(x) or v.shape[1:] != np.shape(x)[:-1]:
+            raise ValueError(
+                f"constraints gave shape {v.shape} for points of shape {np.shape(x)}: "
+                "expected k >= 1 values, one row of values per constraint"
+            )
         # fmin maps NaN to the cap
         return np.where(v < 0.0, 0.0, np.fmin(v, _VIOLATION_CAP))
 
@@ -632,21 +569,23 @@ def penalize(spec: ProblemSpec, coefficient: float = DEFAULT_PENALTY_COEFF) -> P
 
     Feasible points keep their raw objective value exactly; each unit of
     violation adds `coefficient`. Constraints stay attached for feasibility
-    reporting. The wrap of a vectorized spec is vectorized too.
+    reporting. The wrap of a vectorized spec is vectorized too. A spec that
+    is already a wrap is refused: its penalty would count twice.
     """
     if not spec.constrained:
         raise ValueError(f"{spec.name}: penalize requires a constrained problem")
+    if spec.raw_objective is not None:
+        raise ValueError(f"{spec.name}: penalize got a spec that is already a penalty wrap")
     if not (coefficient > 0 and math.isfinite(coefficient)):
         raise ValueError("penalty coefficient must be positive finite")
     raw = spec.objective
     constraints = spec.constraints
 
     def penalized(x):
-        # one constraint at a time, left to right, as the per-point float sum
-        # added them: np.sum may add 8 or more terms in another order
-        total = 0.0
-        for v in _violation_amounts(constraints, x):
-            total = total + v
+        # an accumulate adds the constraints left to right, as the per-point
+        # float sum did (np.sum may add 8 or more terms in another order), and
+        # the leading 0.0 turns a sum of -0.0 violations into 0.0, as it did
+        total = 0.0 + np.add.accumulate(_violation_amounts(constraints, x))[-1]
         return raw(x) + coefficient * total
 
     return replace(spec, objective=penalized, raw_objective=raw)
@@ -719,7 +658,7 @@ def get_problem(name: str, dim: Optional[int] = None) -> ProblemSpec:
             lower=np.array(lo),
             upper=np.array(hi),
             objective=fn,
-            constraints=cons(),
+            constraints=cons,
             vectorized=True,
         )
     elif name in _PLUGINS:

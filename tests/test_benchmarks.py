@@ -109,7 +109,7 @@ class TestCatalogShape:
         spec = get_problem(name)
         assert spec.constrained
         assert spec.f_true is None
-        assert len(spec.constraints) >= 3
+        assert len(spec.constraints(spec.upper)) >= 3
 
 
 class TestKnownMinima:
@@ -241,7 +241,7 @@ class TestPenalty:
             lower=np.array([-5.0]),
             upper=np.array([5.0]),
             objective=lambda x: float(x[0] ** 2),
-            constraints=(lambda x: float(x[0] - 1.0), lambda x: float(-x[0] - 2.0)),
+            constraints=lambda x: (float(x[0] - 1.0), float(-x[0] - 2.0)),
         )
 
     def test_requires_constraints(self):
@@ -273,7 +273,7 @@ class TestPenalty:
             lower=np.array([-1.0]),
             upper=np.array([1.0]),
             objective=lambda x: 0.0,
-            constraints=(lambda x: float("nan"),),
+            constraints=lambda x: (float("nan"),),
         )
         wrapped = penalize(spec, 2.0)
         value = wrapped.objective(np.array([0.0]))
@@ -282,6 +282,40 @@ class TestPenalty:
         feasible, worst = feasibility(np.array([0.0]), spec)
         assert not feasible
         assert worst == 1e30
+
+    def test_wrap_of_a_wrap_is_refused(self):
+        # a second wrap would add the penalty twice and report the first
+        # wrap's penalized value as the raw objective
+        wrapped = penalize(get_problem("three_bar_truss"))
+        with pytest.raises(ValueError, match="already a penalty wrap"):
+            penalize(wrapped)
+        with pytest.raises(ValueError, match="already a penalty wrap"):
+            penalize(penalize(self.constrained_toy(), 2.0), 2.0)
+
+    @pytest.mark.parametrize(
+        "constraints,vectorized",
+        [
+            (lambda x: (), False),  # no values
+            (lambda x: float(x[0] - 1.0), False),  # a bare float, not k values
+            # one value for a whole batch would be added to every row's penalty
+            (lambda x: (np.max(x[..., 0]) - 1.0,), True),
+        ],
+    )
+    def test_constraint_values_of_the_wrong_shape_are_refused(self, constraints, vectorized):
+        spec = ProblemSpec(
+            name="toy-misshapen",
+            dim=1,
+            lower=np.array([-5.0]),
+            upper=np.array([5.0]),
+            objective=lambda x: x[..., 0] ** 2,
+            constraints=constraints,
+            vectorized=vectorized,
+        )
+        with pytest.raises(ValueError, match="constraints gave shape"):
+            evaluate(penalize(spec), np.array([[3.0], [0.5]]), RngStream(0))
+        if not vectorized:
+            with pytest.raises(ValueError, match="constraints gave shape"):
+                feasibility(np.array([3.0]), spec)
 
     def test_penalty_spec_validation(self):
         with pytest.raises(ValueError):

@@ -575,13 +575,20 @@ class TestBatchedPenalty:
 
     @pytest.mark.parametrize("name", SUITES["engineering"])
     def test_constraint_batch_equals_per_point_formula(self, name):
-        # raw values, before the clamp hides every satisfied constraint
+        # raw values, before the clamp hides every satisfied constraint: row i
+        # of the design's one call is the reference g_i, for a batch and for
+        # each point alone
         spec = get_problem(name)
+        references = REFERENCE_CONSTRAINTS[name]
         points = np.vstack([sample(spec, seed=29), ZERO_CONSTRAINT_POINTS[name]])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for g, reference in zip(spec.constraints, REFERENCE_CONSTRAINTS[name]):
-                got = np.asarray(g(points), dtype=float)
-                assert got.tobytes() == per_point(reference, points).tobytes()
+            rows = spec.constraints(points)
+            single = np.array([spec.constraints(x) for x in points], dtype=float)
+            assert len(rows) == len(references) == single.shape[1]
+            for i, reference in enumerate(references):
+                want = per_point(reference, points).tobytes()
+                assert np.asarray(rows[i], dtype=float).tobytes() == want
+                assert single[:, i].copy().tobytes() == want
 
     @pytest.mark.parametrize("name", SUITES["engineering"])
     def test_penalized_batch_equals_per_point_penalty(self, name):
@@ -625,13 +632,40 @@ class TestBatchedPenalty:
             lower=np.zeros(2),
             upper=np.ones(2),
             objective=lambda x: x[..., 0] * x[..., 1],
-            constraints=constraints,
+            constraints=lambda x: [g(x) for g in constraints],
             vectorized=True,
         )
         points = np.random.default_rng(4).uniform(0.0, 1.0, (2000, 2))
         got = evaluate(penalize(spec, 7.0), points, RngStream(0))
         want = [_reference_penalized(spec.objective, constraints, 7.0, x) for x in points]
         assert got.tobytes() == np.array(want).tobytes()
+
+    def test_per_point_plugin_adds_eleven_violations_left_to_right(self):
+        # the same eleven constraints under the per-point contract: one call
+        # returns eleven floats, and the penalty adds them along a 1-D array
+        constraints = tuple(
+            (lambda k: lambda x: math.sin(7.0 * k * x[0] + x[1]) * 10.0 ** (k % 4))(k)
+            for k in range(11)
+        )
+        spec = ProblemSpec(
+            name="toy-eleven-per-point",
+            dim=2,
+            lower=np.zeros(2),
+            upper=np.ones(2),
+            objective=lambda x: float(x[0] * x[1]),
+            constraints=lambda x: [g(x) for g in constraints],
+        )
+        # a zero-violation point and a point that violates none, beside random ones
+        points = np.vstack(
+            [np.random.default_rng(5).uniform(0.0, 1.0, (2000, 2)), [[0.0, 0.0], [1.0, 0.0]]]
+        )
+        got = evaluate(penalize(spec, 7.0), points, RngStream(0))
+        want = [_reference_penalized(spec.objective, constraints, 7.0, x) for x in points]
+        assert got.tobytes() == np.array(want).tobytes()
+        for x in points:
+            _, worst = feasibility(x, spec)
+            reference = max(_violation_amounts(constraints, x))
+            assert np.float64(worst).tobytes() == np.float64(reference).tobytes()
 
     @pytest.mark.parametrize("order", [(-1.0, 1.0), (1.0, -1.0)])
     def test_sign_of_zero_in_max_violation(self, order):
@@ -645,7 +679,7 @@ class TestBatchedPenalty:
             lower=np.array([-1.0]),
             upper=np.array([1.0]),
             objective=lambda x: x[..., 0],
-            constraints=constraints,
+            constraints=lambda x: [g(x) for g in constraints],
             vectorized=True,
         )
         x = np.array([0.5])
@@ -655,6 +689,25 @@ class TestBatchedPenalty:
         assert np.float64(worst).tobytes() == np.float64(want).tobytes()
         got = evaluate(penalize(spec, 3.0), np.array([[0.5], [-0.25]]), RngStream(0))
         assert got.tobytes() == np.array([0.5, -0.25]).tobytes()
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_negative_zero_violations_add_to_zero(self, vectorized):
+        # -0.0 violations only: the per-point sum started at 0.0, so the
+        # penalty is 0.0 and a -0.0 objective value becomes 0.0
+        constraints = (lambda x: -0.0 * np.abs(x[..., 0]),) * 3
+        spec = ProblemSpec(
+            name="toy-negative-zero",
+            dim=1,
+            lower=np.array([-1.0]),
+            upper=np.array([1.0]),
+            objective=lambda x: -0.0 * np.abs(x[..., 0]),
+            constraints=lambda x: [g(x) for g in constraints],
+            vectorized=vectorized,
+        )
+        points = np.array([[0.5], [-0.25]])
+        got = evaluate(penalize(spec, 3.0), points, RngStream(0))
+        want = [_reference_penalized(spec.objective, constraints, 3.0, x) for x in points]
+        assert got.tobytes() == np.array(want).tobytes() == np.zeros(2).tobytes()
 
     def test_non_finite_constraints_cost_the_cap(self):
         spec = get_problem("three_bar_truss")

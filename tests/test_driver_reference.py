@@ -429,6 +429,10 @@ PROBLEMS = {
     "F7-d5": lambda: catalog_problem("F7", 5),
     "F9-d6": lambda: catalog_problem("F9", 6),
     "welded_beam": lambda: catalog_problem("welded_beam"),
+    # eleven constraints
+    "speed_reducer": lambda: catalog_problem("speed_reducer"),
+    # a box whose lower bound is 0.0
+    "three_bar_truss": lambda: catalog_problem("three_bar_truss"),
     "nan-half": lambda: benchmarks.ProblemSpec(
         name="nan-half", dim=2, lower=np.zeros(2), upper=np.ones(2), objective=_nan_half
     ),

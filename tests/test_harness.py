@@ -1156,6 +1156,24 @@ class TestPersistence:
         assert loaded.failures[0].problem == "exploding"
         assert "boom" in loaded.failures[0].message
 
+    def test_penalty_wrapped_plugin_fails_each_run(self, tmp_path):
+        # the harness wraps a constrained plugin itself: a wrap registered as
+        # the plugin would be wrapped twice, so each of its runs fails
+        wrapped = benchmarks.penalize(benchmarks.get_problem("three_bar_truss"))
+        register_plugin(replace(wrapped, name="wrapped-truss"))
+        try:
+            config = tiny_config(problems=("wrapped-truss",), dimensions=(), output=str(tmp_path / "out"))
+            out = emit_records(run_experiment(config), config.output)
+        finally:
+            clear_plugins()
+        entries = json.loads((out / "failures.json").read_text())
+        assert [(e["problem"], e["run_index"]) for e in entries] == [("wrapped-truss", 0), ("wrapped-truss", 1)]
+        for entry in entries:
+            assert entry["message"] == (
+                "ValueError: wrapped-truss: penalize got a spec that is already a penalty wrap"
+            )
+        assert record_lines(out) == []
+
 
     def test_rerun_replaces_the_earlier_grid(self, tmp_path):
         def explode(x):
