@@ -20,7 +20,6 @@ from .engine import (
     ABLATION_VARIANTS,
     DvoParams,
     Phase,
-    make_ablation_params,
     run,
 )
 from .errors import ConfigError, DrainVortexError, IncompleteGridError
@@ -93,7 +92,6 @@ __all__ = [
     "levy_step",
     "load_config",
     "load_result_set",
-    "make_ablation_params",
     "mantegna_sigma",
     "mix_seed",
     "penalize",

@@ -48,10 +48,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from itertools import accumulate
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -89,7 +89,7 @@ BOUNDS = {
     "swirl_cap": "(0, inf]",
     "shrink_gain": "[0, 1]",
     "residual_shrink": "[0, 1]",
-    "core_radius": "[0, inf]",
+    "core_fraction": "[0, inf]",
     "switch_prob": "[0, 1]",
     "stay_limit": "[0, inf)",
     "splash_prob": "[0, 1]",
@@ -123,9 +123,9 @@ def parameter_problems(params: Mapping, defaults: Mapping, bounds: Mapping = BOU
     type and fits in a float where a float is meant, without which no rule
     across parameters may be compared. One entry per name with no default,
     per value not of its default's type (a bool for a bool, an int that is
-    not a bool for an int, a number for a float, a number or None for None),
-    per integer too large for a float where a float is meant, per NaN, and
-    per number outside its interval."""
+    not a bool for an int, a number for a float), per integer too large for
+    a float where a float is meant, per NaN, and per number outside its
+    interval."""
     bad, typed = [], True
     for key, value in params.items():
         if key not in defaults:
@@ -137,8 +137,6 @@ def parameter_problems(params: Mapping, defaults: Mapping, bounds: Mapping = BOU
             ok, kind = isinstance(value, bool), "true or false"
         elif isinstance(default, int):
             ok, kind = number and isinstance(value, int), "an integer"
-        elif default is None:
-            ok, kind = number or value is None, "a number or null"
         else:
             ok, kind = number, "a number"
         if not ok:
@@ -149,7 +147,7 @@ def parameter_problems(params: Mapping, defaults: Mapping, bounds: Mapping = BOU
             typed = False
         elif value != value:
             bad.append(f"{key} must not be NaN")
-        elif key in bounds and value is not None and not _within(value, bounds[key]):
+        elif key in bounds and not _within(value, bounds[key]):
             bad.append(f"{key} must lie in {bounds[key]}, got {shown(value)}")
     return bad, typed
 
@@ -159,7 +157,10 @@ class DvoParams:
     """Drain-vortex parameters. Defaults are the published configuration
     plus this library's defaults for the free constants. Components with a
     number are switched off through it (`switch_prob=0`, `splash_prob=0`,
-    `n_drains=1`, `residual_shrink=1.0`); only the others have a toggle."""
+    `n_drains=1`, `residual_shrink=1.0`); only the others have a toggle.
+    Every length is relative to the box (`far_noise` scales the span,
+    `splash_scale` and `core_fraction` the diameter), so one block means
+    the same on every problem."""
 
     n_agents: int = 30
     n_drains: int = 6
@@ -179,8 +180,8 @@ class DvoParams:
     swirl_cap: float = 10.0
     shrink_gain: float = 0.5
     residual_shrink: float = 0.1
-    # core; None means 0.1 * problem.diameter at run time
-    core_radius: Optional[float] = None
+    # core: the cloud's radius as a fraction of the box diameter
+    core_fraction: float = 0.1
     # switching and splash
     switch_prob: float = 0.08
     stay_limit: int = 10
@@ -248,13 +249,6 @@ ABLATION_VARIANTS = {
     "no_adaptive_spiral": {"residual_shrink": 1.0},
     "no_splash": {"splash_prob": 0.0},
 }
-
-
-def make_ablation_params(base: DvoParams, variant: str) -> DvoParams:
-    """Parameter set for one ablation variant of the full algorithm."""
-    if variant not in ABLATION_VARIANTS:
-        raise ConfigError([f"unknown dvo variant {variant!r}"])
-    return replace(base, **ABLATION_VARIANTS[variant])
 
 
 @dataclass
@@ -525,19 +519,17 @@ def clip_bounds(positions, problem):
     return np.clip(positions, problem.lower, problem.upper)
 
 
-def greedy_select(
-    old_positions, old_fitness, new_positions, new_fitness, enabled: bool, splashed=None
-):
+def greedy_select(old_positions, old_fitness, new_positions, new_fitness, enabled: bool, splashed):
     """Per-agent elitist acceptance.
 
     Returns (positions, fitness, improved). With the toggle on, an agent
     keeps its old position unless the new one is strictly better or the
-    agent is marked in `splashed` (a splash is always accepted); with it
-    off, the new position is always accepted.
+    agent is marked in the boolean mask `splashed` (a splash is always
+    accepted); with it off, the new position is always accepted.
     """
     improved = new_fitness < old_fitness
     if enabled:
-        keep_new = improved if splashed is None else improved | splashed
+        keep_new = improved | splashed
     else:
         keep_new = np.ones(np.shape(new_fitness), dtype=bool)
     positions = np.where(keep_new[:, None], new_positions, old_positions)
@@ -624,9 +616,7 @@ def step(state: DvoState, t: int, params: DvoParams, problem, rng: RngStream) ->
     core = (phase == _CORE).nonzero()[0]
     splashed = np.zeros(n, dtype=bool)
     if core.size:
-        sigma0 = (
-            params.core_radius if params.core_radius is not None else 0.1 * problem.diameter
-        )
+        sigma0 = params.core_fraction * problem.diameter
         sample, splash = core, core[:0]
         if params.splash_prob > 0.0:
             eligible = core[state.stagnation.take(core) >= params.stay_limit]

@@ -189,13 +189,14 @@ def validate_config(config: ExperimentConfig) -> list:
             _resolve_algorithm(spec.name, spec.params, config.n_agents, config.iterations)
         except ConfigError as exc:
             problems.extend(exc.problems)
-    # an execution size that every entry overrides reaches no algorithm's check
+    # an execution size that every entry overrides reaches no algorithm's
+    # check, so it is checked against the config's own default
     unused = {
         key: getattr(config, key)
         for key in ("n_agents", "iterations")
         if all(key in spec.params for spec in specs)
     }
-    problems.extend(engine.parameter_problems(unused, unused)[0])
+    problems.extend(engine.parameter_problems(unused, vars(defaults))[0])
 
     names = config.problems
     if not _list_of(names, str):

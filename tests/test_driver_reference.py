@@ -28,13 +28,14 @@ the default it resolved to for every config passed here.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from drainvortex import benchmarks, engine
 from drainvortex.baselines import BASELINES, BaselineConfig, _woa_spiral
-from drainvortex.engine import DvoParams, DvoState, make_ablation_params, step
+from drainvortex.engine import ABLATION_VARIANTS, DvoParams, DvoState, step
 from drainvortex.errors import ConfigError
 from drainvortex.records import DEFAULT_CHECKPOINTS, RunRecord, build_record
 from drainvortex.rng import RngStream
@@ -455,7 +456,7 @@ def assert_same_record(got: RunRecord, want: RunRecord):
 
 def dvo_params(name):
     params = DvoParams(n_agents=12, n_drains=4, iterations=30)
-    return make_ablation_params(params, name.split(":")[1]) if ":" in name else params
+    return replace(params, **ABLATION_VARIANTS[name.split(":")[1]]) if ":" in name else params
 
 
 # ---------------------------------------------------------------------------

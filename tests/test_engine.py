@@ -33,7 +33,6 @@ from drainvortex.engine import (
     initial_population,
     initialize,
     k_best,
-    make_ablation_params,
     run,
     select_phase,
     selection_pressure,
@@ -472,7 +471,7 @@ class TestAcceptanceRules:
         new_pos = np.array([[5.0], [6.0], [7.0]])
         old_fit = np.array([1.0, 4.0, 3.0])
         new_fit = np.array([0.5, 4.0, 9.0])
-        pos, fit, improved = greedy_select(old_pos, old_fit, new_pos, new_fit, True)
+        pos, fit, improved = greedy_select(old_pos, old_fit, new_pos, new_fit, True, np.zeros(3, dtype=bool))
         assert list(improved) == [True, False, False]
         assert np.array_equal(pos[:, 0], [5.0, 1.0, 2.0])
         assert np.array_equal(fit, [0.5, 4.0, 3.0])
@@ -482,7 +481,7 @@ class TestAcceptanceRules:
         new_pos = np.array([[5.0], [6.0]])
         old_fit = np.array([1.0, 1.0])
         new_fit = np.array([9.0, 0.5])
-        pos, fit, improved = greedy_select(old_pos, old_fit, new_pos, new_fit, False)
+        pos, fit, improved = greedy_select(old_pos, old_fit, new_pos, new_fit, False, np.zeros(2, dtype=bool))
         assert list(improved) == [False, True]
         assert np.array_equal(pos, new_pos)
         assert np.array_equal(fit, new_fit)
@@ -531,7 +530,7 @@ class TestParams:
             DvoParams(near_threshold=0.5, far_threshold=0.1).validate()
 
     @pytest.mark.parametrize(
-        "name", [f.name for f in fields(DvoParams) if f.type in ("float", "Optional[float]")]
+        "name", [f.name for f in fields(DvoParams) if f.type == "float"]
     )
     def test_nan_is_one_entry(self, name):
         with pytest.raises(ConfigError) as err:
@@ -580,18 +579,15 @@ class TestParams:
 
     def test_ablation_variants(self):
         base = DvoParams()
-        assert make_ablation_params(base, "full") == base
-        assert make_ablation_params(base, "no_greedy").greedy_update is False
-        assert make_ablation_params(base, "no_switch").switch_prob == 0.0
-        assert make_ablation_params(base, "single_vortex").n_drains == 1
-        assert make_ablation_params(base, "no_swirl").swirl is False
-        assert make_ablation_params(base, "no_adaptive_spiral").residual_shrink == 1.0
-        assert make_ablation_params(base, "no_splash").splash_prob == 0.0
+        variant = {name: replace(base, **overrides) for name, overrides in ABLATION_VARIANTS.items()}
+        assert variant["full"] == base
+        assert variant["no_greedy"].greedy_update is False
+        assert variant["no_switch"].switch_prob == 0.0
+        assert variant["single_vortex"].n_drains == 1
+        assert variant["no_swirl"].swirl is False
+        assert variant["no_adaptive_spiral"].residual_shrink == 1.0
+        assert variant["no_splash"].splash_prob == 0.0
         assert len(ABLATION_VARIANTS) == 7
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ConfigError):
-            make_ablation_params(DvoParams(), "no_such_thing")
 
 
 class TestInitialize:

@@ -18,7 +18,7 @@ from drainvortex import benchmarks, harness, stats
 from drainvortex.baselines import DEFAULT_PARAMS, BaselineConfig
 from drainvortex.benchmarks import ProblemSpec, clear_plugins, register_plugin
 from drainvortex.cli import main
-from drainvortex.engine import ABLATION_VARIANTS, BOUNDS, DvoParams, make_ablation_params
+from drainvortex.engine import ABLATION_VARIANTS, BOUNDS, DvoParams
 from drainvortex.errors import ConfigError, IncompleteGridError
 from drainvortex.harness import (
     SUITES,
@@ -321,7 +321,9 @@ class TestConfigParsing:
             ({"name": "pso", "params": {"c1": "x"}}, "pso: c1 must be a number, got 'x'"),
             ({"name": "dvo", "params": {"n_drains": 2.5}}, "dvo: n_drains must be an integer, got 2.5"),
             ({"name": "dvo", "params": {"swirl": "no"}}, "dvo: swirl must be true or false, got 'no'"),
-            ({"name": "dvo", "params": {"core_radius": "1"}}, "dvo: core_radius must be a number or null, got '1'"),
+            ({"name": "dvo", "params": {"core_fraction": "1"}}, "dvo: core_fraction must be a number, got '1'"),
+            ({"name": "dvo", "params": {"core_fraction": None}}, "dvo: core_fraction must be a number, got None"),
+            ({"name": "dvo", "params": {"core_radius": 0.5}}, "dvo: unknown parameter 'core_radius'"),
             ("pso:foo", "unknown algorithm 'pso:foo'"),
             ("dvo:", "unknown dvo variant ''"),
         ],
@@ -338,7 +340,7 @@ class TestConfigParsing:
         [
             ({"name": "dvo", "params": {"far_drift": NaN}}, "dvo: far_drift must not be NaN"),
             ({"name": "dvo", "params": {"near_threshold": NaN}}, "dvo: near_threshold must not be NaN"),
-            ({"name": "dvo", "params": {"core_radius": NaN}}, "dvo: core_radius must not be NaN"),
+            ({"name": "dvo", "params": {"core_fraction": NaN}}, "dvo: core_fraction must not be NaN"),
             ({"name": "pso", "params": {"c1": NaN}}, "pso: c1 must not be NaN"),
             ({"name": "sca", "params": {"amplitude": NaN}}, "sca: amplitude must not be NaN"),
         ],
@@ -367,7 +369,7 @@ class TestConfigParsing:
         assert err.value.problems == ["dvo: switch_prob must lie in [0, 1], got inf"]
 
     def test_parameters_of_their_default_type_are_accepted(self):
-        params = {"core_radius": None, "far_drift": 1, "swirl": False, "n_drains": 3}
+        params = {"core_fraction": 1, "far_drift": 1, "swirl": False, "n_drains": 3}
         config = config_from_dict(
             {
                 "suite": "classical_fixed",
@@ -520,7 +522,7 @@ class TestOneChecker:
         assert validate_config(config) == expected("penalty coefficient")
         assert library_problems("pso", "c1", value) == expected("c1")
         assert library_problems("dvo", "far_drift", value) == expected("far_drift")
-        assert library_problems("dvo", "core_radius", value) == expected("core_radius")
+        assert library_problems("dvo", "core_fraction", value) == expected("core_fraction")
         data = {"suite": "classical_fixed", "algorithms": [{"name": "pso", "params": {"c1": value}}]}
         if accepted:
             assert config_from_dict(data).algorithms[0].params == {"c1": value}
@@ -642,15 +644,21 @@ class TestOneChecker:
         assert config_from_dict(data).algorithms[1].params == {"n_agents": 3}
 
     def test_execution_size_that_every_entry_overrides_is_checked(self):
-        with pytest.raises(ConfigError) as err:
-            config_from_dict(
-                {
-                    "suite": "classical_fixed",
-                    "algorithms": [{"name": "pso", "params": {"iterations": 5}}],
-                    "execution": {"iterations": 1},
-                }
-            )
-        assert err.value.problems == ["iterations must lie in [2, inf), got 1"]
+        # against ExperimentConfig's default, for its type as for its bound
+        cases = [("iterations", 1, "iterations must lie in [2, inf), got 1")] + [
+            ("n_agents", value, f"n_agents must be an integer, got {value!r}")
+            for value in (None, 2.5, True, "abc")
+        ]
+        for key, value, expected in cases:
+            with pytest.raises(ConfigError) as err:
+                config_from_dict(
+                    {
+                        "suite": "classical_fixed",
+                        "algorithms": [{"name": "pso", "params": {key: 5}}],
+                        "execution": {key: value},
+                    }
+                )
+            assert err.value.problems == [expected]
 
 
 # (field, wrong value, the one entry it gets, where a config file puts it or
@@ -819,7 +827,7 @@ class TestAblationExpansion:
     def test_variant_is_checked_as_the_settings_it_runs(self):
         # single_vortex runs one drain, so four agents are enough for it
         config = tiny_config(algorithms=(AlgorithmSpec("dvo:single_vortex"),), n_agents=4)
-        settings = make_ablation_params(DvoParams(n_agents=4, iterations=12), "single_vortex")
+        settings = replace(DvoParams(n_agents=4, iterations=12), **ABLATION_VARIANTS["single_vortex"])
         settings.validate()
         assert validate_config(config) == []
         assert harness._resolve_algorithm("dvo:single_vortex", {}, 4, 12) == settings

@@ -36,10 +36,14 @@ where it read `state.t`, and no longer increments `state.t`;
 `phase`, which only tests read, so `_reference_step` no longer writes them
 and returns the sweep's `phase` and `splashed` instead of `state`, for
 `test_step_bitwise` to check which branches its inputs reached.
+`DvoParams.core_radius` (an absolute length, `None` meaning 0.1 of the
+diameter) became the fraction `core_fraction`, so `_reference_step` reads
+`params.core_fraction * problem.diameter` where it read that sentinel.
 """
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,7 +64,6 @@ from drainvortex.engine import (
     far_field_update,
     initial_population,
     initialize,
-    make_ablation_params,
     select_phase,
     selection_pressure,
     shrink_factor,
@@ -203,9 +206,7 @@ def _reference_step(state, t, params: DvoParams, problem, rng: RngStream):
     core = np.where(phase == Phase.CORE)[0]
     splashed = np.zeros(n, dtype=bool)
     if core.size:
-        sigma0 = (
-            params.core_radius if params.core_radius is not None else 0.1 * problem.diameter
-        )
+        sigma0 = params.core_fraction * problem.diameter
         if True and params.splash_prob > 0.0:  # was params.splash, always True here
             eligible = core[state.stagnation[core] >= params.stay_limit]
             if eligible.size:
@@ -391,20 +392,25 @@ class TestSwitch:
 
 
 # the full algorithm at every (dimension, drains, switch probability), then
-# each other ablation variant at one of them
-SWEEP_CASES = [
-    pytest.param(d, k, switch_prob, "full", id=f"{d}-{k}-{switch_prob}")
-    for d, k, switch_prob in itertools.product(DIMS, (2, 6), (0.08, 1.0))
-] + [
-    pytest.param(10, 6, 0.08, variant, id=f"{variant}-10-6-0.08")
-    for variant in ABLATION_VARIANTS
-    if variant != "full"
-]
+# each other ablation variant and a core cloud narrower than the default at
+# one of them; the last item of a case is its overrides of DvoParams
+SWEEP_CASES = (
+    [
+        pytest.param(d, k, switch_prob, {}, id=f"{d}-{k}-{switch_prob}")
+        for d, k, switch_prob in itertools.product(DIMS, (2, 6), (0.08, 1.0))
+    ]
+    + [
+        pytest.param(10, 6, 0.08, ABLATION_VARIANTS[variant], id=f"{variant}-10-6-0.08")
+        for variant in ABLATION_VARIANTS
+        if variant != "full"
+    ]
+    + [pytest.param(10, 6, 0.08, {"core_fraction": 0.02}, id="core_fraction_0.02-10-6-0.08")]
+)
 
 
 class TestSweep:
-    @pytest.mark.parametrize("d,k,switch_prob,variant", SWEEP_CASES)
-    def test_step_bitwise(self, d, k, switch_prob, variant):
+    @pytest.mark.parametrize("d,k,switch_prob,overrides", SWEEP_CASES)
+    def test_step_bitwise(self, d, k, switch_prob, overrides):
         # a short schedule drives agents from far field through the spiral
         # into the core, where a low stay limit lets splashes fire
         base = DvoParams(
@@ -415,7 +421,7 @@ class TestSweep:
             stay_limit=1,
             splash_prob=0.5,
         )
-        params = make_ablation_params(base, variant)
+        params = replace(base, **overrides)
         seen, splashes = set(), 0
         for seed in range(50):
             problem = benchmarks.get_problem(("F1", "F7", "F9")[seed % 3], d)
