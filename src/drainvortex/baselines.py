@@ -1,13 +1,22 @@
 """Baseline optimizers sharing the RunRecord contract: PSO, GWO, WOA, SCA,
-AOA (arithmetic), and EO. `run_baseline` runs the one `config.algorithm`
-names through `engine.run_optimizer`, and each supplies only its pair in
-`_OPTIMIZERS`: an init that builds its `Swarm` state and a module-level sweep
-that advances it. All use componentwise clipping, evaluate the full
-population every sweep (N*(T+1) evaluations), and report as best so far the
-first strict minimum over the evaluated batches (`Swarm.observe`), which is
-also the leader of woa and aoa and the destination of sca. Only pso (its
-velocities and personal bests) and eo (its equilibrium pool) keep memory
-arrays, in a `Swarm` subclass."""
+AOA (arithmetic), and EO. `engine.run_optimizer` drives each through its
+pair in `OPTIMIZERS`: an init that builds its `Swarm` state and a
+module-level sweep that advances it; `run_baseline` runs the one
+`config.algorithm` names alone. All use componentwise clipping, evaluate
+the full population every sweep (N*(T+1) evaluations), and report as best
+so far the first strict minimum over the evaluated batches
+(`Swarm.observe`), which is also the leader of woa and aoa and the
+destination of sca. Only pso (its velocities and personal bests) and eo
+(its equilibrium pool) keep memory arrays, in a `Swarm` subclass.
+
+A state holds every run of an `engine.Batch`: the population and every
+memory array are stacked run-major (run r owns rows r*n up to (r+1)*n, and
+eo's pool rows r*4 up to (r+1)*4), and the best so far is one row per run.
+A sweep works on `Batch.stacked` views of them, `(R, n, d)` (a run alone
+keeps its `(n, d)` arrays), against the batch's boxes, and an index that
+starts with `...` skips the run axis where there is one. Each run draws
+from its own stream, site by site, the block it draws alone (`Batch.each`),
+in the order of its sweep's code, and is evaluated on its own problem."""
 
 from __future__ import annotations
 
@@ -16,7 +25,6 @@ from typing import Mapping
 
 import numpy as np
 
-from . import benchmarks
 from .engine import BOUNDS, k_best, parameter_problems, run_optimizer
 from .engine import selection_pressure as linear_ramp
 from .errors import ConfigError, shown
@@ -65,37 +73,44 @@ class BaselineConfig:
 
 @dataclass
 class Swarm:
-    """A baseline's state between sweeps: the population, its fitness and
-    the best so far, which is the first strict minimum over the evaluated
-    batches (the first batch always sets a position, even if every value is
-    inf). An algorithm with memory arrays subclasses it."""
+    """A baseline's state between sweeps: the population and its fitness,
+    the run-major stack of every run of the batch (n rows each), and each
+    run's best so far as a row of `best_position` (R, d) and an entry of
+    `best_value` (R,). A run's best so far is the first strict minimum over
+    its evaluated batches (the first batch always sets a position, even if
+    every value is inf). An algorithm with memory arrays subclasses it."""
 
     positions: np.ndarray
     fitness: np.ndarray
     best_position: np.ndarray
-    best_value: float
+    best_value: np.ndarray
 
     @classmethod
     def init(cls, positions, fitness, config, **memory):
         """State from the evaluated initial population and any memory arrays."""
-        i = int(np.argmin(fitness))
-        return cls(positions, fitness, positions[i].copy(), float(fitness[i]), **memory)
+        n = config.n_agents
+        first = fitness.reshape(-1, n).argmin(axis=1) + np.arange(0, fitness.size, n)
+        return cls(positions, fitness, positions[first], fitness[first], **memory)
 
     def observe(self, positions, fitness):
         """Take one evaluated batch as the population; returns the sweep's
         report for the driver."""
         self.positions, self.fitness = positions, fitness
-        i = int(fitness.argmin())
-        if fitness[i] < self.best_value:
-            self.best_position, self.best_value = positions[i].copy(), float(fitness[i])
-        return fitness.size, self.best_position, self.best_value
+        n = fitness.size // self.best_value.size
+        for run, start in enumerate(range(0, fitness.size, n)):
+            i = start + int(fitness[start : start + n].argmin())
+            if fitness[i] < self.best_value[run]:
+                self.best_position[run] = positions[i]
+                self.best_value[run] = fitness[i]
+        return n, self.best_position, self.best_value
 
 
 def run_baseline(problem, config, seed, checkpoints=DEFAULT_CHECKPOINTS, run_index=0):
     """One seeded run of the baseline `config.algorithm`, as a RunRecord."""
     settings = replace(config, params=config.resolved())
-    init, sweep = _OPTIMIZERS[config.algorithm]
-    return run_optimizer(problem, init, sweep, settings, seed, config.algorithm, checkpoints, run_index)
+    init, sweep = OPTIMIZERS[config.algorithm]
+    runs = [(problem, seed, run_index)]
+    return run_optimizer(runs, init, sweep, settings, config.algorithm, checkpoints)[0]
 
 
 @dataclass
@@ -114,43 +129,47 @@ class _Particles(Swarm):
         return super().init(positions, fitness, config, **memory)
 
 
-def _sweep_pso(s: _Particles, t, config, problem, rng):
+def _sweep_pso(s: _Particles, t, config, batch):
     """Global-best PSO with linear inertia schedule and velocity clamping."""
     p = config.params
-    lo, hi = problem.lower, problem.upper
+    lo, hi = batch.lower, batch.upper
+    n, d = config.n_agents, s.positions.shape[1]
+    positions = batch.stacked(s.positions)
     v_max = p["v_frac"] * (hi - lo)
     w = linear_ramp(t, config.iterations, p["w_start"], p["w_end"])
-    r1, r2 = rng.random((2, *s.positions.shape))
+    r = batch.each("random", (2, n, d))
     velocity = (
-        w * s.velocity
-        + p["c1"] * r1 * (s.pbest - s.positions)
-        + p["c2"] * r2 * (s.best_position - s.positions)
+        w * batch.stacked(s.velocity)
+        + p["c1"] * r[..., 0, :, :] * (batch.stacked(s.pbest) - positions)
+        + p["c2"] * r[..., 1, :, :] * (batch.spread(s.best_position) - positions)
     )
-    s.velocity = np.clip(velocity, -v_max, v_max)
-    positions = np.clip(s.positions + s.velocity, lo, hi)
-    fitness = benchmarks.evaluate(problem, positions, rng)
+    velocity = np.clip(velocity, -v_max, v_max)
+    s.velocity = batch.flat(velocity)
+    positions = batch.flat(np.clip(positions + velocity, lo, hi))
+    fitness = batch.evaluate(positions)
     better = fitness < s.pbest_fit
     np.copyto(s.pbest, positions, where=better[:, None])
     np.copyto(s.pbest_fit, fitness, where=better)
     return s.observe(positions, fitness)
 
 
-def _sweep_gwo(s: Swarm, t, config, problem, rng):
+def _sweep_gwo(s: Swarm, t, config, batch):
     """Grey wolf optimizer: three-leader average with a linear a-schedule.
 
-    Leaders are the three best of the current population each sweep.
+    Leaders are the three best of each run's current population each sweep.
     """
     p = config.params
-    n, d = s.positions.shape
+    n, d = config.n_agents, s.positions.shape[1]
+    positions = batch.stacked(s.positions)
     a = linear_ramp(t, config.iterations, p["a_start"], p["a_end"])
-    leaders = k_best(s.positions, s.fitness, 3)[0][:, None]
+    leaders = k_best(positions, batch.stacked(s.fitness), 3)[0][..., None, :]
     # leader j's r1 and r2 blocks, in the order a loop over the leaders drew them
-    r = rng.random((3, 2, n, d))
-    coeff_a = 2.0 * a * r[:, 0] - a
-    coeff_c = 2.0 * r[:, 1]
-    pulls = leaders - coeff_a * np.abs(coeff_c * leaders - s.positions)
-    positions = np.clip(pulls.mean(axis=0), problem.lower, problem.upper)
-    return s.observe(positions, benchmarks.evaluate(problem, positions, rng))
+    r = batch.each("random", (3, 2, n, d))
+    coeff_a = 2.0 * a * r[..., 0, :, :] - a
+    coeff_c = 2.0 * r[..., 1, :, :]
+    pulls = leaders - coeff_a * np.abs(coeff_c * leaders - positions[..., None, :, :])
+    positions = batch.flat(np.clip(pulls.mean(axis=-3), batch.lower, batch.upper))
+    return s.observe(positions, batch.evaluate(positions))
 
 
 def _woa_spiral(positions, best, ell, pitch):
@@ -160,23 +179,25 @@ def _woa_spiral(positions, best, ell, pitch):
     return gap * shape + best
 
 
-def _sweep_woa(s: Swarm, t, config, problem, rng):
+def _sweep_woa(s: Swarm, t, config, batch):
     """Whale optimization: encircle/spiral alternation at probability 0.5.
 
     Per agent and sweep: branch choice p, scalar A = 2 a r - a deciding
     encircling (|A| < 1, toward the best-so-far) versus search (random
-    agent), per-dimension C, and a scalar spiral parameter l ~ U(-1, 1).
+    agent of its run), per-dimension C, and a scalar spiral parameter
+    l ~ U(-1, 1).
     """
     p = config.params
     positions = s.positions
-    n, d = positions.shape
-    leader = s.best_position
+    n, d = config.n_agents, positions.shape[1]
     a = linear_ramp(t, config.iterations, p["a_start"], p["a_end"])
-    branch, r = rng.random((2, n))
+    # each run's branch and r blocks, as two run-major rows of R*n values
+    branch, r = batch.each("random", (2, n)).swapaxes(0, -2).reshape(2, -1)
     coeff_a = 2.0 * a * r - a
-    coeff_c = 2.0 * rng.random((n, d))
-    ell = rng.uniform(-1.0, 1.0, n)
-    partners = (rng.random(n) * n).astype(int)
+    coeff_c = 2.0 * batch.flat(batch.each("random", (n, d)))
+    ell = batch.flat(batch.each("uniform", -1.0, 1.0, n))
+    partners = (batch.flat(batch.each("random", n)) * n).astype(int)
+    partners = batch.run_rows(partners, n, n)
 
     new_positions = np.empty_like(positions)
     is_spiral = branch >= 0.5
@@ -186,9 +207,13 @@ def _sweep_woa(s: Swarm, t, config, problem, rng):
     search = (~is_spiral & ~near).nonzero()[0]
     if spiral.size:
         new_positions[spiral] = _woa_spiral(
-            positions.take(spiral, 0), leader, ell.take(spiral), p["spiral_pitch"]
+            positions.take(spiral, 0),
+            batch.at(s.best_position, spiral, n),
+            ell.take(spiral),
+            p["spiral_pitch"],
         )
     if encircle.size:
+        leader = batch.at(s.best_position, encircle, n)
         gap = np.abs(coeff_c.take(encircle, 0) * leader - positions.take(encircle, 0))
         new_positions[encircle] = leader - coeff_a.take(encircle)[:, None] * gap
     if search.size:
@@ -196,86 +221,96 @@ def _sweep_woa(s: Swarm, t, config, problem, rng):
         gap = np.abs(coeff_c.take(search, 0) * ref - positions.take(search, 0))
         new_positions[search] = ref - coeff_a.take(search)[:, None] * gap
 
-    positions = np.clip(new_positions, problem.lower, problem.upper)
-    return s.observe(positions, benchmarks.evaluate(problem, positions, rng))
+    positions = batch.flat(np.clip(batch.stacked(new_positions), batch.lower, batch.upper))
+    return s.observe(positions, batch.evaluate(positions))
 
 
-def _sweep_sca(s: Swarm, t, config, problem, rng):
+def _sweep_sca(s: Swarm, t, config, batch):
     """Sine-cosine algorithm: each agent moves by a sine or a cosine step
-    around the destination point, the best so far."""
+    around the destination point, its run's best so far."""
     p = config.params
-    shape = s.positions.shape
+    shape = (config.n_agents, s.positions.shape[1])
+    positions = batch.stacked(s.positions)
     r1 = linear_ramp(t, config.iterations, p["amplitude"], 0.0)
-    r2 = rng.uniform(0.0, 2.0 * np.pi, shape)
-    r3 = rng.uniform(0.0, 2.0, shape)
-    r4 = rng.random(shape)
-    gap = np.abs(r3 * s.best_position - s.positions)
+    r2 = batch.each("uniform", 0.0, 2.0 * np.pi, shape)
+    r3 = batch.each("uniform", 0.0, 2.0, shape)
+    r4 = batch.each("random", shape)
+    gap = np.abs(r3 * batch.spread(s.best_position) - positions)
     wave = np.where(r4 < 0.5, np.sin(r2), np.cos(r2))
-    positions = np.clip(s.positions + r1 * wave * gap, problem.lower, problem.upper)
-    return s.observe(positions, benchmarks.evaluate(problem, positions, rng))
+    positions = batch.flat(np.clip(positions + r1 * wave * gap, batch.lower, batch.upper))
+    return s.observe(positions, batch.evaluate(positions))
 
 
-def _sweep_aoa(s: Swarm, t, config, problem, rng):
+def _sweep_aoa(s: Swarm, t, config, batch):
     """Arithmetic optimization: mul/div exploration, add/sub exploitation,
     gated by an accelerated schedule rising linearly over [0.1, 0.9]."""
     p = config.params
-    lo, hi = problem.lower, problem.upper
-    shape = s.positions.shape
+    lo, hi = batch.lower, batch.upper
+    shape = (config.n_agents, s.positions.shape[1])
     eps = np.finfo(float).eps
     scaled = p["mu"] * (hi - lo) + lo
     moa = linear_ramp(t, config.iterations, p["moa_start"], p["moa_end"])
     mop = 1.0 - (t / config.iterations) ** (1.0 / p["mop_power"])
-    best = s.best_position
-    r1, r2, r3 = rng.random((3, *shape))
-    explore = r1 > moa
+    best = batch.spread(s.best_position)
+    r = batch.each("random", (3, *shape))
+    explore = r[..., 0, :, :] > moa
     div_move = best / (mop + eps) * scaled
     mul_move = best * mop * scaled
     sub_move = best - mop * scaled
     add_move = best + mop * scaled
-    exploring = np.where(r2 < 0.5, div_move, mul_move)
-    exploiting = np.where(r3 < 0.5, sub_move, add_move)
-    positions = np.clip(np.where(explore, exploring, exploiting), lo, hi)
-    return s.observe(positions, benchmarks.evaluate(problem, positions, rng))
+    exploring = np.where(r[..., 1, :, :] < 0.5, div_move, mul_move)
+    exploiting = np.where(r[..., 2, :, :] < 0.5, sub_move, add_move)
+    positions = batch.flat(np.clip(np.where(explore, exploring, exploiting), lo, hi))
+    return s.observe(positions, batch.evaluate(positions))
 
 
 @dataclass
 class _Equilibrium(Swarm):
-    """eo's state: the equilibrium pool, the four best points evaluated so
-    far, best first."""
+    """eo's state: each run's equilibrium pool, the four best points
+    evaluated so far, best first (run-major, four rows per run)."""
 
     elites: np.ndarray
     elite_fit: np.ndarray
 
     @classmethod
     def init(cls, positions, fitness, config):
-        elites, elite_fit = k_best(positions, fitness, 4)
-        return super().init(positions, fitness, config, elites=elites, elite_fit=elite_fit)
+        d, runs = positions.shape[1], fitness.size // config.n_agents
+        elites, elite_fit = k_best(positions.reshape(runs, -1, d), fitness.reshape(runs, -1), 4)
+        memory = dict(elites=elites.reshape(-1, d), elite_fit=elite_fit.reshape(-1))
+        return super().init(positions, fitness, config, **memory)
 
 
-def _sweep_eo(s: _Equilibrium, t, config, problem, rng):
+def _sweep_eo(s: _Equilibrium, t, config, batch):
     """Equilibrium optimizer: four running-best candidates plus their mean
     form the pool; concentrations relax toward a random pool member with
     exponential mixing and an occasionally active generation term. An agent
     that got worse returns to where it was."""
     p = config.params
     old_positions, old_fitness = s.positions, s.fitness
-    n, d = old_positions.shape
-    pool = np.concatenate([s.elites, s.elites.mean(axis=0, keepdims=True)])
+    n, d = config.n_agents, old_positions.shape[1]
+    elites = batch.stacked(s.elites)
+    pool = np.concatenate([elites, elites.mean(axis=-2, keepdims=True)], axis=-2)
     t_relax = (1.0 - t / config.iterations) ** (p["a2"] * t / config.iterations)
-    picks = (rng.random(n) * len(pool)).astype(int)
-    ceq = pool.take(picks, 0)
-    lam, r = rng.random((2, n, d))
-    mix = p["a1"] * np.sign(r - 0.5) * (np.exp(-lam * t_relax) - 1.0)
-    r1, r2 = rng.random((2, n))
-    gcp = np.where(r2 >= p["gp"], 0.5 * r1, 0.0)[:, None]
-    g0 = gcp * (ceq - lam * old_positions)
-    positions = ceq + (old_positions - ceq) * mix + (g0 * mix / lam) * (1.0 - mix)
-    positions = np.clip(positions, problem.lower, problem.upper)
-    fitness = benchmarks.evaluate(problem, positions, rng)
+    picks = (batch.flat(batch.each("random", n)) * pool.shape[-2]).astype(int)
+    ceq = batch.flat(pool).take(batch.run_rows(picks, n, pool.shape[-2]), 0)
+    ceq = batch.stacked(ceq)
+    r = batch.each("random", (2, n, d))
+    lam = r[..., 0, :, :]
+    mix = p["a1"] * np.sign(r[..., 1, :, :] - 0.5) * (np.exp(-lam * t_relax) - 1.0)
+    u = batch.each("random", (2, n))
+    gcp = np.where(u[..., 1, :] >= p["gp"], 0.5 * u[..., 0, :], 0.0)[..., None]
+    old = batch.stacked(old_positions)
+    g0 = gcp * (ceq - lam * old)
+    positions = ceq + (old - ceq) * mix + (g0 * mix / lam) * (1.0 - mix)
+    positions = batch.flat(np.clip(positions, batch.lower, batch.upper))
+    fitness = batch.evaluate(positions)
     report = s.observe(positions, fitness)
-    s.elites, s.elite_fit = k_best(
-        np.concatenate([s.elites, positions]), np.concatenate([s.elite_fit, fitness]), 4
+    elites, elite_fit = k_best(
+        np.concatenate([elites, batch.stacked(positions)], axis=-2),
+        np.concatenate([batch.stacked(s.elite_fit), batch.stacked(fitness)], axis=-1),
+        4,
     )
+    s.elites, s.elite_fit = batch.flat(elites), batch.flat(elite_fit)
     worse = fitness > old_fitness
     np.copyto(positions, old_positions, where=worse[:, None])
     np.copyto(fitness, old_fitness, where=worse)
@@ -283,9 +318,9 @@ def _sweep_eo(s: _Equilibrium, t, config, problem, rng):
 
 
 # each baseline as the pair `run_optimizer` drives: init(positions, fitness,
-# config) -> state, and sweep(state, t, config, problem, rng) -> (evaluated,
-# best position, best value); `config.params` is the resolved block
-_OPTIMIZERS = {
+# config) -> state, and sweep(state, t, config, batch) -> (evaluated per run,
+# best positions, best values); `config.params` is the resolved block
+OPTIMIZERS = {
     "pso": (_Particles.init, _sweep_pso),
     "gwo": (Swarm.init, _sweep_gwo),
     "woa": (Swarm.init, _sweep_woa),
@@ -296,4 +331,4 @@ _OPTIMIZERS = {
 
 # the catalog of baseline names; every entry is the one runner, which runs
 # `config.algorithm` (perfbench/tracing.py wraps each entry on its own)
-BASELINES = dict.fromkeys(_OPTIMIZERS, run_baseline)
+BASELINES = dict.fromkeys(OPTIMIZERS, run_baseline)

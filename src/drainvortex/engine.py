@@ -8,36 +8,47 @@ Gaussian core search. Core agents that stagnate too long are relaunched by a
 heavy-tailed splash around the best drain. Drains are refreshed each sweep
 from the elitist pool (current population, previous population, old drains).
 
-A run's `DvoState` carries only what the next sweep reads (see its
-docstring); the best so far is `drains[0]`, and `run_optimizer` counts the
-sweeps and the evaluations. The sweep reads the box from the `ProblemSpec`
-it is given (`lower`, `upper` and the derived `span` and `diameter`, the
-denominator of rho) and the splash's Levy exponent from
-`DvoParams.levy_exponent`.
+A `DvoState` carries only what the next sweep reads (see its docstring),
+for every run of a batch at once: the population (`(R*n, d)`, run r owning
+rows r*n up to (r+1)*n), its fitness and stagnation counters, and each
+run's k drains (rows r*k up to (r+1)*k, best first). A run's best so far
+is its first drain, and `run_optimizer` counts the sweeps and the
+evaluations. The sweep reads each run's box from the `Batch` (`lower`,
+`upper` and the derived `span` and `diameter`, the denominator of rho, one
+row per run; each enters a formula in the association of a scalar of a run
+alone) and the splash's Levy exponent from `DvoParams.levy_exponent`.
 
-`run_optimizer` is the one run loop of dvo and of every baseline: it owns the
-seeded stream, the timer, the uniform initial population (drawn first, then
-evaluated), the evaluation count, the per-sweep trace and the record. An
-optimizer is a pair over explicit state: `init(positions, fitness, settings)`
-returns the state, a dataclass of arrays, and `sweep(state, t, settings,
-problem, rng)` advances it by one sweep and reports the best so far. dvo's
-pair is `initialize` and `sweep`, which runs `step` and reports the best
-drain after the elitist refresh.
+`run_optimizer` is the one run loop of dvo and of every baseline: it steps
+a batch of runs of one dimension together and owns their seeded streams,
+the timer, the uniform initial populations (each drawn first, then
+evaluated), the evaluation count, the per-sweep traces and the records. A
+batch of one run is a run alone, and every run of a batch gets the record
+it gets alone. An optimizer is a pair over explicit state: `init(positions,
+fitness, settings)` returns the state, a dataclass of arrays, and
+`sweep(state, t, settings, batch)` advances every run by one sweep and
+reports each run's best so far. dvo's pair is `initialize` and `sweep`,
+which runs `step` and reports each run's best drain after the elitist
+refresh.
 
-Random draw order within one sweep is fixed and documented here: switch
-uniforms, switch destinations (one uniform per switching agent, in ascending
-agent index), far-field noise block, spiral tangent normals as one
-(spiral agents x d) block, spiral angles as one uniform block, spiral
-tangent redraws of degenerate rows (ascending agent index), splash-eligibility
-uniforms, core noise block, per-splash levy draws, then per-agent objective
-noise. With the swirl off the spiral draws only its angle block.
+Random draw order within one sweep is fixed and documented here, per run:
+each run draws from its own stream, at each site, what it draws alone
+(`RunDraws` fills each run's rows of a block from its stream). A run's
+order is: switch uniforms, switch destinations (one uniform per switching
+agent, in ascending agent index), far-field noise block, spiral tangent
+normals as one (spiral agents x d) block, spiral angles as one uniform
+block, spiral tangent redraws of degenerate rows (ascending agent index),
+splash-eligibility uniforms, core noise block, per-splash levy draws, then
+per-agent objective noise (one `benchmarks.evaluate` call per run). With
+the swirl off the spiral draws only its angle block.
 
-Every phase moves its agents as one block. A spiral tangent is each normal
-row projected off its radial direction and normalised, every dot product and
-norm being the BLAS `ddot` that `tangent_unit_vector` calls; a row whose
-projection is degenerate (shorter than 1e-12) is redrawn through
-`tangent_unit_vector` after both blocks and keeps its block angle. Only the
-per-splash levy draws and the switch destinations run agent by agent. The
+Every phase moves its agents, those of every run of the batch, as one
+block. A spiral tangent is each normal row projected off its radial
+direction and normalised, every dot product and norm being the BLAS `ddot`
+that `tangent_unit_vector` calls; a row whose projection is degenerate
+(shorter than 1e-12) is redrawn through `tangent_unit_vector` after both
+blocks and keeps its block angle. Only the per-splash levy draws, the
+switch destinations and the objective calls (one per run) do not run on
+the whole block. The
 destinations are worked out per mover in Python floats, with the arithmetic
 a block of movers had in numpy (a running sum, a division by the total, a
 count of the ratios at or below the uniform), so each value is bitwise the
@@ -253,11 +264,12 @@ ABLATION_VARIANTS = {
 
 @dataclass
 class DvoState:
-    """Mutable per-run state; `step` advances it by one sweep.
+    """Mutable state of a batch of runs; `step` advances it by one sweep.
 
-    The population and its fitness, the drains (best first) and their
-    fitness, and the per-agent stagnation counters. The sweep index is not
-    kept here: `run_optimizer` counts the sweeps and hands each its index.
+    The population and its fitness, each run's drains (best first) and
+    their fitness, and the per-agent stagnation counters, every array
+    stacked run-major. The sweep index is not kept here: `run_optimizer`
+    counts the sweeps and hands each its index.
     """
 
     positions: Array
@@ -299,23 +311,26 @@ def drain_probabilities(k: int, pressure: float) -> Array:
 def _normalized_drain_distances(positions, drains, diameter):
     # each agent's row repeated once per drain, so that the subtraction runs
     # over one contiguous (k, d) block per agent
-    n, d = positions.shape
-    diff = positions.repeat(drains.shape[0], axis=0).reshape(n, -1, d)
-    diff -= drains
+    *runs, n, d = positions.shape
+    diff = positions.repeat(drains.shape[-2], axis=-2).reshape(*runs, n, -1, d)
+    diff -= drains[..., None, :, :]
     diff *= diff
-    dist = np.sqrt(diff.sum(axis=2))
+    dist = np.sqrt(diff.sum(axis=-1))
     dist /= diameter
     # distances cannot exceed the diameter inside the box; clamp defensively
     return np.minimum(dist, 1.0, out=dist)
 
 
 def assign_drains(positions, drains, probs, diameter, epsilon):
-    """(drain index, normalized distance) per agent.
+    """(drain index, normalized distance) per agent, flat over the runs.
 
+    `positions` (n, d) and `drains` (k, d) are one run's, or (R, n, d) and
+    (R, k, d) stacks of R runs, each run's agents scored against its own
+    drains, with `diameter` broadcast against the (R, n, k) distances.
     Score = probability / (rho + epsilon); ties resolve to the lowest
     drain index.
     """
-    rho_all = _normalized_drain_distances(positions, drains, diameter)
+    rho_all = _normalized_drain_distances(positions, drains, diameter).reshape(-1, probs.size)
     idx = (probs / (rho_all + epsilon)).argmax(axis=1)
     return idx, rho_all[np.arange(idx.size), idx]
 
@@ -327,7 +342,8 @@ def stochastic_switch(assignment, probs, switch_prob, rng: RngStream):
     Returns the new assignment and the ascending indices of the agents whose
     drain changed. A mover whose remaining weights all underflowed to 0 keeps
     its drain. With a single drain or zero probability this draws nothing
-    and returns the assignment unchanged.
+    and returns the assignment unchanged. `rng` gives the draws of the
+    agents' rows: an `RngStream` for one run, a `RunDraws` for a stack.
 
     The movers come from one uniform block, then one uniform per mover in
     ascending order from a second block. Each destination is worked out per
@@ -345,7 +361,7 @@ def stochastic_switch(assignment, probs, switch_prob, rng: RngStream):
     if not movers.size:
         return assignment, movers
     weights = probs.tolist()
-    uniforms = rng.random(movers.size).tolist()
+    uniforms = rng.rows(movers).random(movers.size).tolist()
     out = assignment.copy()
     moved = []
     for i, drain, u in zip(movers.tolist(), assignment.take(movers).tolist(), uniforms):
@@ -375,18 +391,24 @@ def select_phase(rho, far_threshold, near_threshold):
 def k_best(positions, fitness, k):
     """(rows, fitness) of the k best fitness values, best first; on a tie the
     earlier row comes first. This is the elite rule of dvo and of every
-    baseline that keeps an elite set."""
-    order = fitness.argsort(kind="stable")[:k]
+    baseline that keeps an elite set. For a stack of sets, (R, m, d)
+    positions and (R, m) fitness, each set keeps its own k best."""
+    order = fitness.argsort(axis=-1, kind="stable")[..., :k]
+    if fitness.ndim > 1:
+        # set r's rows in the flattened stack
+        order += np.arange(0, fitness.size, fitness.shape[-1])[:, None]
+        positions, fitness = positions.reshape(-1, positions.shape[-1]), fitness.reshape(-1)
     return positions[order], fitness[order]
 
 
 def elitist_drains(positions, fitness, prev_positions, prev_fitness, drains, drain_fitness, k):
-    """K best of the pool (current, previous, old drains), by `k_best`.
+    """K best of the pool (current, previous, old drains), by `k_best`, per
+    run for (R, ...) stacks of runs.
 
     Duplicates are permitted; the best drain ends up at index 0.
     """
-    pool = np.concatenate([positions, prev_positions, drains], axis=0)
-    pool_fit = np.concatenate([fitness, prev_fitness, drain_fitness])
+    pool = np.concatenate([positions, prev_positions, drains], axis=-2)
+    pool_fit = np.concatenate([fitness, prev_fitness, drain_fitness], axis=-1)
     return k_best(pool, pool_fit, k)
 
 
@@ -395,15 +417,16 @@ def elitist_drains(positions, fitness, prev_positions, prev_fitness, drains, dra
 # ---------------------------------------------------------------------------
 
 
-def far_field_update(positions, targets, scale, params: DvoParams, problem, rng: RngStream):
+def far_field_update(positions, targets, scale, params: DvoParams, span, rng: RngStream):
     """Drift toward the drain plus isotropic noise shaped by the box span.
 
-    positions/targets are (n, d) blocks; one standard normal block is drawn.
+    positions/targets are (n, d) blocks and `span` the box's span, or one
+    span row per agent; one standard normal block is drawn.
     """
     d = positions.shape[1]
     noise = rng.standard_normal(positions.shape)
     drift = params.far_drift * scale * (targets - positions)
-    jitter = params.far_noise * (scale / 2.0) * (problem.span / math.sqrt(d)) * noise
+    jitter = params.far_noise * (scale / 2.0) * (span / math.sqrt(d)) * noise
     return positions + drift + jitter
 
 
@@ -439,7 +462,8 @@ def _draw_tangents(radial, rng: RngStream):
     every dot product and norm being the BLAS `ddot` of
     `tangent_unit_vector`. A row whose projection is shorter than the floor
     is redrawn after both blocks, in ascending row order, by
-    `tangent_unit_vector(radial[i], rng)`, and keeps its block angle.
+    `tangent_unit_vector(radial[i], rng.stream(i))`, and keeps its block
+    angle.
     Dimension below 2 or a zero radial row raises ValueError before any draw.
     """
     m, d = radial.shape
@@ -458,7 +482,7 @@ def _draw_tangents(radial, rng: RngStream):
     kept = norm >= rng_module._TANGENT_FLOOR
     if not kept.all():
         for i in (~kept).nonzero()[0]:
-            tangents[i] = tangent_unit_vector(radial[i], rng)
+            tangents[i] = tangent_unit_vector(radial[i], rng.stream(i))
     return tangents, angles
 
 
@@ -501,10 +525,12 @@ def spiral_update(
 
 
 def core_update(targets, scale, sigma0, rng: RngStream):
-    """Gaussian cloud around the drain with tapering radius sigma0*scale/2."""
+    """Gaussian cloud around the drain with tapering radius sigma0*scale/2;
+    `sigma0` is one radius, or one per agent."""
     d = targets.shape[1]
     sigma_t = sigma0 * scale / 2.0
-    return targets + sigma_t / math.sqrt(d) * rng.standard_normal(targets.shape)
+    # transposed, the noise's columns are the agents, which one radius per agent broadcasts over
+    return targets + (sigma_t / math.sqrt(d) * rng.standard_normal(targets.shape).T).T
 
 
 def splash_out(anchor, params: DvoParams, problem, rng: RngStream):
@@ -514,9 +540,10 @@ def splash_out(anchor, params: DvoParams, problem, rng: RngStream):
     return anchor + params.splash_scale * problem.diameter / math.sqrt(anchor.size) * step_vec
 
 
-def clip_bounds(positions, problem):
-    """Componentwise clamp into the problem's box."""
-    return np.clip(positions, problem.lower, problem.upper)
+def clip_bounds(positions, box):
+    """Componentwise clamp into the box's `lower` and `upper`: a problem's
+    for its (n, d) points, or a `Batch`'s for (R, n, d) stacks of points."""
+    return np.clip(positions, box.lower, box.upper)
 
 
 def greedy_select(old_positions, old_fitness, new_positions, new_fitness, enabled: bool, splashed):
@@ -550,43 +577,56 @@ def stagnation_update(stagnation, phase, improved, splashed):
 
 
 def initialize(positions, fitness, params: DvoParams) -> DvoState:
-    """State from the evaluated initial population; the K best agents are
-    the initial drains."""
-    drains, drain_fitness = k_best(positions, fitness, params.n_drains)
+    """State from the evaluated initial population of one run, or the
+    run-major stack of several (`params.n_agents` rows each); each run's K
+    best agents are its initial drains."""
+    d = positions.shape[1]
+    runs = fitness.size // params.n_agents
+    drains, drain_fitness = k_best(
+        positions.reshape(runs, -1, d), fitness.reshape(runs, -1), params.n_drains
+    )
     return DvoState(
         positions=positions,
         fitness=fitness,
-        drains=drains,
-        drain_fitness=drain_fitness,
+        drains=drains.reshape(-1, d),
+        drain_fitness=drain_fitness.reshape(-1),
         stagnation=np.zeros(fitness.size, dtype=int),
     )
 
 
-def step(state: DvoState, t: int, params: DvoParams, problem, rng: RngStream) -> DvoState:
-    """Sweep `t` (0-based): schedules, assignment, switching, phase moves
-    with splash, clip, evaluate, greedy selection, stagnation, elitist drain
-    refresh. Advances `state` in place and returns it (the span tracer in
+def step(state: DvoState, t: int, params: DvoParams, batch: Batch) -> DvoState:
+    """Sweep `t` (0-based) of every run of `batch`: schedules, assignment,
+    switching, phase moves with splash, clip, evaluate, greedy selection,
+    stagnation, elitist drain refresh. The state is the runs' run-major
+    stack: run r owns agents r*n up to (r+1)*n and drains r*k up to
+    (r+1)*k. Advances `state` in place and returns it (the span tracer in
     perfbench/tracing.py reads the accepted positions from the result)."""
-    n = state.fitness.size
+    n = state.fitness.size // batch.size
     k = params.n_drains
     scale = exploration_scale(t, params.iterations)
     pressure = selection_pressure(t, params.iterations, params.pressure_start, params.pressure_end)
     probs = drain_probabilities(k, pressure)
+    draws = batch.draws(n)
 
     assignment, rho = assign_drains(
-        state.positions, state.drains, probs, problem.diameter, params.epsilon
+        batch.stacked(state.positions),
+        batch.stacked(state.drains),
+        probs,
+        batch.spread(batch.diameter),
+        params.epsilon,
     )
-    assignment, moved = stochastic_switch(assignment, probs, params.switch_prob, rng)
+    assignment, moved = stochastic_switch(assignment, probs, params.switch_prob, draws)
+    # each agent's drain as a row of state.drains
+    drain_rows = batch.run_rows(assignment, n, k)
     # rows are gathered with `take`, which costs less than fancy indexing
     if moved.size:
         dist = _row_norms(
-            state.positions.take(moved, axis=0)
-            - state.drains.take(assignment.take(moved), axis=0)
+            state.positions.take(moved, axis=0) - state.drains.take(drain_rows.take(moved), axis=0)
         )
-        rho[moved] = np.minimum(dist / problem.diameter, 1.0)
+        rho[moved] = np.minimum(dist / batch.at(batch.diameter, moved, n), 1.0)
 
     phase = select_phase(rho, params.far_threshold, params.near_threshold)
-    targets = state.drains.take(assignment, axis=0)
+    targets = state.drains.take(drain_rows, axis=0)
     proposals = state.positions.copy()
 
     far = (phase == _FAR).nonzero()[0]
@@ -596,8 +636,8 @@ def step(state: DvoState, t: int, params: DvoParams, problem, rng: RngStream) ->
             targets.take(far, axis=0),
             scale,
             params,
-            problem,
-            rng,
+            batch.at(batch.span, far, n),
+            draws.rows(far),
         )
 
     spiral = (phase == _SPIRAL).nonzero()[0]
@@ -606,50 +646,144 @@ def step(state: DvoState, t: int, params: DvoParams, problem, rng: RngStream) ->
         proposals[spiral] = spiral_update(
             state.positions.take(spiral, axis=0),
             targets.take(spiral, axis=0),
-            rho_spiral * problem.diameter,
+            rho_spiral * batch.at(batch.diameter, spiral, n),
             rho_spiral,
             scale,
             params,
-            rng,
+            draws.rows(spiral),
         )
 
     core = (phase == _CORE).nonzero()[0]
-    splashed = np.zeros(n, dtype=bool)
+    splashed = np.zeros(state.fitness.size, dtype=bool)
     if core.size:
-        sigma0 = params.core_fraction * problem.diameter
         sample, splash = core, core[:0]
         if params.splash_prob > 0.0:
             eligible = core[state.stagnation.take(core) >= params.stay_limit]
             if eligible.size:
-                splash = eligible[rng.random(eligible.size) < params.splash_prob]
+                uniforms = draws.rows(eligible).random(eligible.size)
+                splash = eligible[uniforms < params.splash_prob]
                 splashed[splash] = True
                 sample = core[~splashed.take(core)]
         if sample.size:
-            proposals[sample] = core_update(targets.take(sample, axis=0), scale, sigma0, rng)
-        for i in splash:
-            proposals[i] = splash_out(state.drains[0], params, problem, rng)
+            sigma0 = params.core_fraction * batch.at(batch.diameter, sample, n)
+            proposals[sample] = core_update(
+                targets.take(sample, axis=0), scale, sigma0, draws.rows(sample)
+            )
+        for i in splash.tolist():
+            run = i // n
+            proposals[i] = splash_out(
+                state.drains[run * k], params, batch.problems[run], batch.streams[run]
+            )
 
-    proposals = clip_bounds(proposals, problem)
-    new_fitness = benchmarks.evaluate(problem, proposals, rng)
+    proposals = batch.flat(clip_bounds(batch.stacked(proposals), batch))
+    new_fitness = batch.evaluate(proposals)
 
     positions, fitness, improved = greedy_select(
         state.positions, state.fitness, proposals, new_fitness, params.greedy_update, splashed
     )
     drains, drain_fitness = elitist_drains(
-        positions, fitness, state.positions, state.fitness, state.drains, state.drain_fitness, k
+        *map(
+            batch.stacked,
+            (positions, fitness, state.positions, state.fitness, state.drains, state.drain_fitness),
+        ),
+        k,
     )
 
     state.stagnation = stagnation_update(state.stagnation, phase, improved, splashed)
     state.positions = positions
     state.fitness = fitness
-    state.drains = drains
-    state.drain_fitness = drain_fitness
+    state.drains = batch.flat(drains)
+    state.drain_fitness = batch.flat(drain_fitness)
     return state
 
 
 # ---------------------------------------------------------------------------
 # the run driver
 # ---------------------------------------------------------------------------
+
+
+class Batch:
+    """R runs of one dimension that sweep together as one run-major stack:
+    run r owns the r-th block of rows of every population array, draws from
+    `streams[r]` and is evaluated on `problems[r]`.
+
+    `stacked` views a population as (R, n, ...) and `flat` undoes it; the
+    boxes `lower` and `upper` broadcast against such a stack, (R, 1, d),
+    and `spread` shapes any per-run values so. `span` (R, d) and `diameter`
+    (R,) hold one row per run, which `at` gathers per agent. A batch of one
+    run is the run alone: its stack is its population, its box is its
+    problem's, a per-run value is its one row, and its draws are its
+    stream, so it makes the numpy calls of a run alone."""
+
+    def __init__(self, problems, streams):
+        if len({problem.dim for problem in problems}) != 1:
+            raise ValueError("the runs of a batch must share one dimension")
+        self.problems = tuple(problems)
+        self.streams = tuple(streams)
+        self.size = len(self.problems)
+        self.span = np.array([problem.span for problem in problems])
+        self.diameter = np.array([problem.diameter for problem in problems])
+        self.lower = self.spread(np.array([problem.lower for problem in problems]))
+        self.upper = self.spread(np.array([problem.upper for problem in problems]))
+
+    def stacked(self, rows) -> Array:
+        """A run-major array of rows as an (R, rows per run, ...) view."""
+        if self.size == 1:
+            return rows
+        return rows.reshape(self.size, -1, *rows.shape[1:])
+
+    def flat(self, stack) -> Array:
+        """An (R, rows per run, ...) stack as one run-major array of rows."""
+        if self.size == 1:
+            return stack
+        return stack.reshape(-1, *stack.shape[2:])
+
+    def spread(self, values) -> Array:
+        """Per-run values (one row per run) shaped to broadcast against a
+        three-dimensional stack, (R, n, ...)."""
+        if self.size == 1:
+            return values[0]
+        return values.reshape(self.size, *(1,) * (3 - values.ndim), *values.shape[1:])
+
+    def at(self, values, agents, n: int):
+        """Per-run values (one row per run) at the runs of `agents`, one row
+        per agent, given `n` agents per run."""
+        if self.size == 1:
+            return values[0]
+        return values.take(agents // n, axis=0)
+
+    def run_rows(self, local, n: int, stride: int) -> Array:
+        """The rows of a run-major array of `stride` rows per run that the
+        R*n agents' own indices `local` (each in [0, stride)) name."""
+        if self.size == 1:
+            return local
+        return local + np.arange(0, self.size * stride, stride).repeat(n)
+
+    def draws(self, n: int):
+        """The draws of a population of `n` agents per run."""
+        if self.size == 1:
+            return self.streams[0]
+        return rng_module.RunDraws(self.streams, list(range(0, self.size * n + 1, n)))
+
+    def each(self, draw: str, *args) -> Array:
+        """Every run's `stream.<draw>(*args)`, stacked on a new leading axis
+        (a run alone's as it is): run r's entry is what its solo sweep draws
+        there."""
+        if self.size == 1:
+            return getattr(self.streams[0], draw)(*args)
+        return np.array([getattr(stream, draw)(*args) for stream in self.streams])
+
+    def evaluate(self, points) -> Array:
+        """Objective values of a run-major stack of points, one
+        `benchmarks.evaluate` call per run on its own rows and stream."""
+        if self.size == 1:
+            return benchmarks.evaluate(self.problems[0], points, self.streams[0])
+        return np.concatenate(
+            [
+                benchmarks.evaluate(problem, rows, stream)
+                for problem, rows, stream in zip(self.problems, self.stacked(points), self.streams)
+            ]
+        )
 
 
 def initial_population(problem, n: int, rng: RngStream):
@@ -660,48 +794,59 @@ def initial_population(problem, n: int, rng: RngStream):
     return positions, benchmarks.evaluate(problem, positions, rng)
 
 
-def run_optimizer(
-    problem, init, sweep, settings, seed, algorithm, checkpoints=DEFAULT_CHECKPOINTS, run_index=0
-) -> RunRecord:
-    """One seeded run of any optimizer, as a RunRecord.
+def run_optimizer(runs, init, sweep, settings, algorithm, checkpoints=DEFAULT_CHECKPOINTS) -> list:
+    """Seeded runs of any optimizer stepped together, as one RunRecord each.
 
+    `runs` holds (problem, seed, run_index) triples of one dimension; each
+    run's record is bitwise the record it gets alone, wall time aside.
     `settings` gives `n_agents` and `iterations`. `init(positions, fitness,
-    settings)` builds the run's state from the evaluated initial population;
-    `sweep(state, t, settings, problem, rng)` advances it by sweep `t` and
-    returns (points it evaluated, best position, best value) so far. The
-    evaluation count sums the evaluated batches and the trace keeps the best
-    value after each sweep.
+    settings)` builds the state from the runs' evaluated initial
+    populations, stacked run-major; `sweep(state, t, settings, batch)`
+    advances every run of the `Batch` by sweep `t` and returns (points it
+    evaluated per run, each run's best position, each run's best value) so
+    far. The evaluation count sums the evaluated batches, the trace keeps
+    the best value after each sweep, and each record's `walltime_ms` is the
+    batch's wall time divided by the number of runs.
     """
-    rng = RngStream(seed)
     started = time.perf_counter()
-    positions, fitness = initial_population(problem, settings.n_agents, rng)
+    problems, seeds, run_indices = zip(*runs)
+    batch = Batch(problems, [RngStream(seed) for seed in seeds])
+    population = [
+        initial_population(problem, settings.n_agents, stream)
+        for problem, stream in zip(batch.problems, batch.streams)
+    ]
+    positions, fitness = (np.concatenate(blocks) for blocks in zip(*population))
     state = init(positions, fitness, settings)
-    evaluations = fitness.size
-    trace = np.empty(settings.iterations)
+    evaluations = settings.n_agents
+    trace = np.empty((batch.size, settings.iterations))
     for t in range(settings.iterations):
-        evaluated, best_position, best_value = sweep(state, t, settings, problem, rng)
+        evaluated, best_positions, best_values = sweep(state, t, settings, batch)
         evaluations += evaluated
-        trace[t] = best_value
-    walltime_ms = (time.perf_counter() - started) * 1e3
-    return build_record(
-        algorithm=algorithm,
-        problem=problem,
-        run_index=run_index,
-        seed=seed,
-        best_position=best_position,
-        best_value=best_value,
-        trace=trace,
-        evaluations=evaluations,
-        walltime_ms=walltime_ms,
-        checkpoint_iters=checkpoints,
-    )
+        trace[:, t] = best_values
+    walltime_ms = (time.perf_counter() - started) * 1e3 / batch.size
+    return [
+        build_record(
+            algorithm=algorithm,
+            problem=problem,
+            run_index=run_index,
+            seed=seed,
+            best_position=best_positions[r],
+            best_value=best_values[r],
+            trace=trace[r],
+            evaluations=evaluations,
+            walltime_ms=walltime_ms,
+            checkpoint_iters=checkpoints,
+        )
+        for r, (problem, seed, run_index) in enumerate(zip(problems, seeds, run_indices))
+    ]
 
 
-def sweep(state: DvoState, t: int, params: DvoParams, problem, rng: RngStream):
+def sweep(state: DvoState, t: int, params: DvoParams, batch: Batch):
     """dvo's sweep for `run_optimizer`: one `step` at the driver's sweep
-    index `t`, reporting the best drain."""
-    step(state, t, params, problem, rng)
-    return state.fitness.size, state.drains[0], float(state.drain_fitness[0])
+    index `t`, reporting each run's best drain."""
+    step(state, t, params, batch)
+    k = params.n_drains
+    return params.n_agents, state.drains[::k], state.drain_fitness[::k]
 
 
 def run(
@@ -714,6 +859,5 @@ def run(
 ) -> RunRecord:
     """Full drain-vortex run through `run_optimizer`; N*(T+1) objective evaluations."""
     params.validate()
-    return run_optimizer(
-        problem, initialize, sweep, params, seed, algorithm, checkpoints, run_index
-    )
+    runs = [(problem, seed, run_index)]
+    return run_optimizer(runs, initialize, sweep, params, algorithm, checkpoints)[0]

@@ -4,8 +4,9 @@ statistics, and convergence emitters.
 
 Determinism contract: a ResultSet is a pure function of its config. Run
 seeds mix the master seed with the cell coordinates, so adding or removing
-grid cells never perturbs the seeds of other cells, and the worker count
-only changes scheduling, never results (wall times excepted).
+grid cells never perturbs the seeds of other cells, and neither the worker
+count nor the batches that runs share change results, only scheduling
+(wall times excepted).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmarks, engine, stats
-from .baselines import BASELINES, BaselineConfig
+from .baselines import BASELINES, OPTIMIZERS, BaselineConfig
 from .errors import ConfigError, shown
 from .records import DEFAULT_CHECKPOINTS, SCHEMA_VERSION, RunRecord, floored_log10
 from .rng import mix_seed
@@ -97,11 +98,11 @@ EXECUTION_KEYS = ("runs", "iterations", "n_agents", "master_seed", "workers")
 
 
 def _resolve_algorithm(name: str, params: dict, n_agents: int, iterations: int):
-    """The DvoParams or BaselineConfig that grid algorithm `name` runs at the
-    execution sizes. A `dvo:<variant>` block takes its variant's overrides
-    before the check, so it is checked as it runs. Raises ConfigError for an
-    unknown name or variant, or with the entries of the settings' own
-    checks, each labelled with `name`."""
+    """The DvoParams or BaselineConfig (its parameter block resolved) that
+    grid algorithm `name` runs at the execution sizes. A `dvo:<variant>`
+    block takes its variant's overrides before the check, so it is checked
+    as it runs. Raises ConfigError for an unknown name or variant, or with
+    the entries of the settings' own checks, each labelled with `name`."""
     base, colon, variant = name.partition(":")
     if base == "dvo" and colon and variant not in engine.ABLATION_VARIANTS:
         raise ConfigError([f"unknown dvo variant {variant!r}"])
@@ -115,8 +116,7 @@ def _resolve_algorithm(name: str, params: dict, n_agents: int, iterations: int):
             )
         overrides = {**sizes, **params}
         config = BaselineConfig(name, overrides.pop("n_agents"), overrides.pop("iterations"), overrides)
-        config.resolved()
-        return config
+        return replace(config, params=config.resolved())
     except ConfigError as exc:
         raise ConfigError([f"{name}: {entry}" for entry in exc.problems]) from exc
 
@@ -365,63 +365,91 @@ class ResultSet:
     failures: list = field(default_factory=list)
 
 
-def _run_single(config: ExperimentConfig, settings, run: tuple, seed: int) -> RunRecord:
-    algorithm, name, dim, run_index = run
-    problem = benchmarks.get_problem(name, dim)
-    if problem.constrained:
-        problem = benchmarks.penalize(problem, config.penalty_coeff)
-    # perfbench/tracing.py patches engine.run and the BASELINES entries: call each by name
-    if isinstance(settings, engine.DvoParams):
-        record = engine.run(
-            problem,
-            settings,
-            seed=seed,
-            checkpoints=config.checkpoints,
-            algorithm=algorithm,
-            run_index=run_index,
-        )
-    else:
-        record = BASELINES[algorithm](
-            problem, settings, seed, checkpoints=config.checkpoints, run_index=run_index
-        )
-    if problem.constrained:
-        record.feasible = record.max_violation <= config.feasibility_tol
-    return record
+def _optimizer(name: str) -> tuple:
+    """The (init, sweep) pair that `engine.run_optimizer` drives for grid
+    algorithm `name`."""
+    if name.partition(":")[0] == "dvo":
+        return engine.initialize, engine.sweep
+    return OPTIMIZERS[name]
 
 
-def _execute_task(config: ExperimentConfig, settings: dict, run: tuple) -> RunRecord | FailureRecord:
-    """Grid run `run`, an (algorithm, problem, dim, run_index) key of
-    `config.grid_runs()`, with its algorithm's `settings`; a run that raises
-    gives its FailureRecord."""
+def _problem(config: ExperimentConfig, name: str, dim: int, built: dict):
+    """The problem that grid case (name, dim) runs on, penalized if it is
+    constrained; `built` keeps each case's problem, so it is built once."""
+    if (name, dim) not in built:
+        problem = benchmarks.get_problem(name, dim)
+        if problem.constrained:
+            problem = benchmarks.penalize(problem, config.penalty_coeff)
+        built[name, dim] = problem
+    return built[name, dim]
+
+
+def _run_batch(config: ExperimentConfig, settings, built: dict, runs: list) -> list:
+    """The records of grid runs `runs`, of one algorithm at one dimension,
+    stepped together by `engine.run_optimizer`."""
+    algorithm = runs[0][0]
+    triples = [
+        (_problem(config, run[1], run[2], built), mix_seed(config.master_seed, *run), run[3])
+        for run in runs
+    ]
+    records = engine.run_optimizer(
+        triples, *_optimizer(algorithm), settings, algorithm, config.checkpoints
+    )
+    for record in records:
+        if record.max_violation is not None:
+            record.feasible = record.max_violation <= config.feasibility_tol
+    return records
+
+
+def _execute_batch(config: ExperimentConfig, settings: dict, built: dict, runs: list) -> list:
+    """The record or the FailureRecord of each grid run of `runs`, a batch of
+    `config.grid_runs()` keys, with its algorithm's `settings` and the
+    problems `built` so far. A batch that raises runs again one run at a
+    time, so that only a run that raises alone fails, with its own message,
+    and its batch-mates keep their records."""
     try:
-        return _run_single(config, settings[run[0]], run, mix_seed(config.master_seed, *run))
+        return _run_batch(config, settings[runs[0][0]], built, runs)
     except Exception as exc:  # noqa: BLE001 - failures become grid diagnostics
-        return FailureRecord(*run, message=f"{type(exc).__name__}: {exc}")
+        if len(runs) > 1:
+            return [o for run in runs for o in _execute_batch(config, settings, built, [run])]
+        return [FailureRecord(*runs[0], message=f"{type(exc).__name__}: {exc}")]
 
 
-# evaluations one chunk of runs may hold; a larger run goes alone
-CHUNK_EVALUATIONS = 2000
+# runs one batch may hold: per run, a 30-agent dvo sweep on F9 at d30 cost 347,
+# 281, 215, 175, 156 and 147 us in batches of 1, 2, 4, 8, 16 and 32 runs (a 2-vCPU
+# Xeon host), so a batch past 16 runs saves little more
+BATCH_RUNS = 16
 
 
-def _chunk_size(settings: dict, n_runs: int, degree: int) -> int:
-    """Runs per chunk sent to a pool of `degree` workers: as many as fit in
-    CHUNK_EVALUATIONS (a run costs n_agents * (iterations + 1) evaluations,
-    the largest over the grid's `settings`), and no more than leave 4
-    chunks per worker."""
-    cost = max(s.n_agents * (s.iterations + 1) for s in settings.values())
-    return max(1, min(CHUNK_EVALUATIONS // cost, n_runs // (4 * degree)))
+def _batch_size(n_runs: int, degree: int) -> int:
+    """Runs per batch of a grid of `n_runs` runs on `degree` workers: at most
+    BATCH_RUNS, and on a pool no more than leave 4 batches per worker."""
+    if degree <= 1:
+        return BATCH_RUNS
+    return max(1, min(BATCH_RUNS, n_runs // (4 * degree)))
+
+
+def _batches(runs: list, size: int) -> list:
+    """The grid runs `runs` as batches: the runs of one algorithm at one
+    dimension in grid order, cut into batches of at most `size` runs."""
+    groups: dict = {}
+    for run in runs:
+        groups.setdefault((run[0], run[2]), []).append(run)
+    return [group[i : i + size] for group in groups.values() for i in range(0, len(group), size)]
 
 
 def run_experiment(config: ExperimentConfig, parallel: int | None = None) -> ResultSet:
     """Execute the full grid; failures are collected, not raised.
 
-    The pool has at most one worker per run, and a single worker is no pool.
-    Each algorithm is resolved once, and a worker gets the config and those
-    settings once per chunk plus each run's `grid_runs()` key. With more
-    than one worker, runs are sent in contiguous chunks of the grid
-    (`_chunk_size`). Results are identical for any parallelism degree and
-    any chunking: seeds are derived per cell, and grid order (not
-    completion order) fixes the record order.
+    Each algorithm is resolved once, and the runs of one algorithm at one
+    dimension step together in batches (`_batches`, `_batch_size`): a
+    worker gets the config and those settings once per batch plus each
+    run's `grid_runs()` key, and builds each case's problem once per batch
+    (once per grid without a pool). The pool has at most one worker per batch, and
+    a single worker is no pool. Results are identical for any parallelism
+    degree and any batching: seeds are derived per cell, each run's record
+    is the record it gets alone, and grid order (not completion order)
+    fixes the record order.
     """
     # a --parallel degree is checked by the workers rule
     checked = config if parallel is None else replace(config, workers=parallel)
@@ -433,17 +461,22 @@ def run_experiment(config: ExperimentConfig, parallel: int | None = None) -> Res
         for spec in config.algorithms
     }
     runs = config.grid_runs()
-    task = partial(_execute_task, config, settings)
-    workers = min(checked.workers, len(runs))
+    batches = _batches(runs, _batch_size(len(runs), checked.workers))
+    # each case's problem, built once in this process (a worker's task gets a copy)
+    task = partial(_execute_batch, config, settings, {})
+    workers = min(checked.workers, len(batches))
     if workers <= 1:
-        outcomes = list(map(task, runs))
+        outcomes = map(task, batches)
     else:
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            size = _chunk_size(settings, len(runs), workers)
-            outcomes = list(pool.map(task, runs, chunksize=size))
-    records = [outcome for outcome in outcomes if isinstance(outcome, RunRecord)]
-    failures = [outcome for outcome in outcomes if isinstance(outcome, FailureRecord)]
+            outcomes = list(pool.map(task, batches, chunksize=1))
+    by_run = {
+        (o.algorithm, o.problem, o.dim, o.run_index): o for batch in outcomes for o in batch
+    }
+    ordered = [by_run[run] for run in runs]
+    records = [outcome for outcome in ordered if isinstance(outcome, RunRecord)]
+    failures = [outcome for outcome in ordered if isinstance(outcome, FailureRecord)]
     return ResultSet(config=config, records=records, failures=failures)
 
 

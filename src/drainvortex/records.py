@@ -34,7 +34,10 @@ class RunRecord:
     `objective_value` is the raw constrained objective at the final point.
     `trace` holds the best-so-far value after each sweep (length T).
     `checkpoints` maps sweep number -> best-so-far error at that sweep
-    (raw best value when no optimum is known).
+    (raw best value when no optimum is known). `walltime_ms` is the wall
+    time of the batch of runs that `engine.run_optimizer` stepped together
+    divided by their number, the same for each of them (a run alone is a
+    batch of one).
     """
 
     algorithm: str

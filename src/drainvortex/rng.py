@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -42,11 +43,50 @@ class RngStream(np.random.Generator):
     the low 64 bits of `seed`.
 
     Identical seeds produce identical sequences on the same build; distinct
-    seeds give statistically independent streams.
+    seeds give statistically independent streams. A stream is also the
+    draws of one run's rows (see `RunDraws`): every row is its own.
     """
 
     def __init__(self, seed: int):
         super().__init__(np.random.PCG64(int(seed) & _SEED_MASK))
+
+    def rows(self, rows) -> RngStream:
+        return self
+
+    def stream(self, row: int) -> RngStream:
+        return self
+
+
+class RunDraws:
+    """The draws of a block of rows that several runs own, run-major: rows
+    `bounds[r]` up to `bounds[r + 1]` belong to run r, and a block drawn
+    here takes them from `streams[r]`, as run r's solo sweep draws a block
+    of its own rows. A row's own draws come from `stream(row)`."""
+
+    def __init__(self, streams, bounds):
+        self.streams = streams
+        self.bounds = bounds
+
+    def rows(self, rows) -> RunDraws:
+        """The draws of the block's rows `rows`, given in ascending order."""
+        return RunDraws(self.streams, np.searchsorted(rows, self.bounds).tolist())
+
+    def stream(self, row: int) -> RngStream:
+        """The stream of the run that owns `row`."""
+        return self.streams[bisect_right(self.bounds, row) - 1]
+
+    def _fill(self, draw: str, size) -> Array:
+        out = np.empty(size)
+        for stream, lo, hi in zip(self.streams, self.bounds, self.bounds[1:]):
+            if hi > lo:
+                getattr(stream, draw)(out=out[lo:hi])
+        return out
+
+    def random(self, size) -> Array:
+        return self._fill("random", size)
+
+    def standard_normal(self, size) -> Array:
+        return self._fill("standard_normal", size)
 
 
 def tangent_unit_vector(radial: Array, rng: RngStream) -> Array:

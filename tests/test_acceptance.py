@@ -27,6 +27,7 @@ from drainvortex.baselines import BASELINES, BaselineConfig
 from drainvortex.benchmarks import get_problem
 from drainvortex.engine import (
     ABLATION_VARIANTS,
+    Batch,
     DvoParams,
     Phase,
     drain_probabilities,
@@ -170,7 +171,7 @@ class TestSearchInvariants:
             rng = RngStream(seed)
             state = initialize(*initial_population(problem, params.n_agents, rng), params)
             for t in range(params.iterations):
-                step(state, t, params, problem, rng)
+                step(state, t, params, Batch((problem,), (rng,)))
                 assert np.all(state.positions >= problem.lower)
                 assert np.all(state.positions <= problem.upper)
 
@@ -381,11 +382,14 @@ class TestUnconstrainedQuality:
     def test_high_dimensional_quadratic(self):
         problem = get_problem("F1", dim=30)
         params = DvoParams()  # 30 agents, 1000 sweeps
-        logs = []
-        for run_index in range(30):
-            seed = mix_seed(PROTOCOL_SEED, "dvo", "F1", 30, run_index)
-            record = engine.run(problem, params, seed=seed, run_index=run_index)
-            logs.append(record.log10_error)
+        # the 30 runs step together as one batch; each record is its solo run's
+        runs = [
+            (problem, mix_seed(PROTOCOL_SEED, "dvo", "F1", 30, run_index), run_index)
+            for run_index in range(30)
+        ]
+        records = engine.run_optimizer(runs, engine.initialize, engine.sweep, params, "dvo")
+        logs = [record.log10_error for record in records]
+        assert len(logs) == 30
         assert float(np.mean(logs)) <= 1.2
 
     def test_baselines_solve_trivial_case(self):

@@ -23,7 +23,9 @@ builds `Bounds.of(problem)` nor passes it to `_reference_initialize` and
 `step`. `DvoState` no longer counts its sweeps, so `_reference_initialize`
 builds no `t` and `_reference_run` passes its sweep index `s` to `step`.
 sca no longer takes `n_elites`, so `_reference_run_sca` reads `n_elites = 2`,
-the default it resolved to for every config passed here.
+the default it resolved to for every config passed here. `step` sweeps an
+`engine.Batch` of runs, so `_reference_run` passes it the batch of its one
+run, `Batch((problem,), (rng,))`, where it passed `problem, rng`.
 """
 
 import math
@@ -35,7 +37,7 @@ import pytest
 
 from drainvortex import benchmarks, engine
 from drainvortex.baselines import BASELINES, BaselineConfig, _woa_spiral
-from drainvortex.engine import ABLATION_VARIANTS, DvoParams, DvoState, step
+from drainvortex.engine import ABLATION_VARIANTS, Batch, DvoParams, DvoState, step
 from drainvortex.errors import ConfigError
 from drainvortex.records import DEFAULT_CHECKPOINTS, RunRecord, build_record
 from drainvortex.rng import RngStream
@@ -78,7 +80,7 @@ def _reference_run(
     state = _reference_initialize(problem, params, rng)
     trace = np.empty(params.iterations)
     for s in range(params.iterations):
-        step(state, s, params, problem, rng)
+        step(state, s, params, Batch((problem,), (rng,)))
         trace[s] = float(state.drain_fitness[0])  # was state.best_value
     walltime_ms = (time.perf_counter() - started) * 1e3
     return build_record(

@@ -19,6 +19,7 @@ from drainvortex import benchmarks
 from drainvortex import rng as rng_module
 from drainvortex.engine import (
     ABLATION_VARIANTS,
+    Batch,
     DvoParams,
     DvoState,
     Phase,
@@ -297,7 +298,7 @@ class TestFarField:
         problem = sphere_problem(2, 10.0)
         positions = np.array([[8.0, -6.0]])
         targets = np.array([[0.0, 2.0]])
-        out = far_field_update(positions, targets, 1.0, params, problem, RngStream(3))
+        out = far_field_update(positions, targets, 1.0, params, problem.span, RngStream(3))
         assert np.allclose(out, [[4.0, -2.0]], rtol=0, atol=1e-15)
 
     def test_noise_replay(self):
@@ -306,7 +307,7 @@ class TestFarField:
         positions = np.array([[1.0, 2.0, 3.0], [-4.0, 0.0, 4.0]])
         targets = np.zeros((2, 3))
         scale = 1.2
-        out = far_field_update(positions, targets, scale, params, problem, RngStream(4))
+        out = far_field_update(positions, targets, scale, params, problem.span, RngStream(4))
 
         noise = RngStream(4).standard_normal((2, 3))
         drift = params.far_drift * scale * (targets - positions)
@@ -742,7 +743,7 @@ class TestOracleSweep:
             evaluated.append(x.copy())
             return problem.objective(x)
 
-        step(state, 1, params, replace(problem, objective=recorded), RngStream(seed))
+        step(state, 1, params, Batch((replace(problem, objective=recorded),), (RngStream(seed),)))
         assert np.array_equal(np.array(evaluated), proposals)
 
         improved = new_fit < entry_fit
@@ -816,7 +817,7 @@ class TestRun:
         rng = RngStream(55)
         state = initialize(*initial_population(problem, params.n_agents, rng), params)
         for t in range(12):
-            step(state, t, params, problem, rng)
+            step(state, t, params, Batch((problem,), (rng,)))
             assert (state.positions >= problem.lower).all()
             assert (state.positions <= problem.upper).all()
 

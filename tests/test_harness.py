@@ -44,8 +44,6 @@ from drainvortex.rng import mix_seed
 
 
 NaN = float("nan")
-SEVEN = tuple(AlgorithmSpec(name) for name in ("dvo", "pso", "gwo", "woa", "sca", "aoa", "eo"))
-CATALOG = tuple(benchmarks.catalog_names())
 # a failures.json entry of tiny_config's grid, less its run index
 FAILURE = {"algorithm": "pso", "problem": "F1", "dim": 2, "message": "RuntimeError: boom"}
 
@@ -80,14 +78,6 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
-
-
-def resolved_settings(config):
-    """Each grid algorithm's settings by name, as run_experiment resolves them."""
-    return {
-        spec.name: harness._resolve_algorithm(spec.name, spec.params, config.n_agents, config.iterations)
-        for spec in config.algorithms
-    }
 
 
 class TestConfigParsing:
@@ -903,31 +893,13 @@ class TestRunExperiment:
             assert masked_records(got) == masked_records(want)
             assert got.failures == want.failures
 
-    @pytest.mark.parametrize(
-        "shape,degree,size",
-        [
-            # a paper-length run evaluates far more than the budget: one per chunk
-            (dict(algorithms=SEVEN, runs=100, iterations=1000, n_agents=30), 2, 1),
-            (dict(algorithms=SEVEN, runs=100, iterations=1000, n_agents=30), 4, 1),
-            # a short catalog grid: 196 runs of 5 sweeps, 30 agents, 180 evaluations each
-            (dict(algorithms=SEVEN, problems=CATALOG, dimensions=(10,), runs=1, iterations=5, n_agents=30), 2, 11),
-            (dict(runs=4), 2, 1),
-        ],
-    )
-    def test_chunk_size(self, shape, degree, size):
-        config = tiny_config(checkpoints=(), **shape)
-        runs = len(config.grid_runs())
-        chunk = harness._chunk_size(resolved_settings(config), runs, degree)
-        assert chunk == size
-        assert math.ceil(runs / chunk) >= min(runs, 4 * degree)
-
     @pytest.mark.parametrize("n_tasks", [1, 2, 7, 8, 9, 33, 196, 1000])
     @pytest.mark.parametrize("degree", [2, 3, 4, 8])
     def test_never_fewer_than_four_chunks_per_worker(self, n_tasks, degree):
         config = tiny_config(runs=n_tasks, iterations=2, n_agents=2, checkpoints=())
-        chunk = harness._chunk_size(resolved_settings(config), n_tasks, degree)
-        assert chunk >= 1
-        assert math.ceil(n_tasks / chunk) >= min(n_tasks, 4 * degree)
+        batches = harness._batches(config.grid_runs(), harness._batch_size(n_tasks, degree))
+        assert 1 <= max(map(len, batches)) <= harness.BATCH_RUNS
+        assert len(batches) >= min(n_tasks, 4 * degree)
 
     @pytest.mark.parametrize("runs,parallel,pool", [(4, 8, [4]), (3, 2, [2]), (1, 8, [])])
     def test_pool_is_no_larger_than_the_grid(self, monkeypatch, runs, parallel, pool):

@@ -1,25 +1,24 @@
 """Runs advanced in turn give the records of runs made alone.
 
 `engine.run_optimizer` drives dvo and every baseline as a pair over explicit
-state: `init(positions, fitness, settings)` builds the state and
-`sweep(state, t, settings, problem, rng)` advances it. Nothing of one run may
-live outside its state and its stream, so two runs whose sweeps alternate
-must each give, byte for byte with wall time masked, the record that
+state: `init(positions, fitness, settings)` builds the state of the runs'
+stacked populations and `sweep(state, t, settings, batch)` advances every
+run of an `engine.Batch`. Nothing of one run may live outside its state and
+its stream, so two runs, each its own batch, whose sweeps alternate must
+each give, byte for byte with wall time masked, the record that
 `engine.run` or `BASELINES[name]` gives for it alone. Stacking runs depends
-on this.
+on this; `test_batch_reference.py` checks the stacked runs themselves.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from drainvortex import benchmarks, engine, harness
-from drainvortex.baselines import _OPTIMIZERS, BASELINES
+from drainvortex.baselines import BASELINES, OPTIMIZERS
 from drainvortex.records import RunRecord, build_record
 from drainvortex.rng import RngStream
 
-PAIRS = {"dvo": (engine.initialize, engine.sweep), **_OPTIMIZERS}
+PAIRS = {"dvo": (engine.initialize, engine.sweep), **OPTIMIZERS}
 NAMES = ("dvo", *(f"dvo:{v}" for v in engine.ABLATION_VARIANTS), *BASELINES)
 PROBLEMS = {
     # F6 has plateaus, so agents often tie
@@ -53,19 +52,19 @@ def alone(name, problem, settings, seed):
 def interleaved(name, problem, settings, seeds):
     """One record per seed, from runs whose sweeps alternate."""
     init, sweep = PAIRS[name.partition(":")[0]]
-    if not name.startswith("dvo"):
-        settings = replace(settings, params=settings.resolved())
     runs = []
     for seed in seeds:
         rng = RngStream(seed)
         positions, fitness = engine.initial_population(problem, settings.n_agents, rng)
         state = init(positions, fitness, settings)
-        runs.append({"rng": rng, "state": state, "evaluations": fitness.size, "trace": []})
+        batch = engine.Batch((problem,), (rng,))
+        runs.append({"batch": batch, "state": state, "evaluations": fitness.size, "trace": []})
     for t in range(settings.iterations):
         for run in runs:
-            evaluated, run["position"], value = sweep(run["state"], t, settings, problem, run["rng"])
+            evaluated, positions, values = sweep(run["state"], t, settings, run["batch"])
             run["evaluations"] += evaluated
-            run["trace"].append(value)
+            run["position"] = positions[0]
+            run["trace"].append(values[0])
     return [
         build_record(
             algorithm=name,

@@ -39,6 +39,10 @@ and returns the sweep's `phase` and `splashed` instead of `state`, for
 `DvoParams.core_radius` (an absolute length, `None` meaning 0.1 of the
 diameter) became the fraction `core_fraction`, so `_reference_step` reads
 `params.core_fraction * problem.diameter` where it read that sentinel.
+`far_field_update` takes the box's span (one row per agent in a batch of
+runs) where it took the problem, so `_reference_step` passes `problem.span`;
+`step` sweeps an `engine.Batch`, so `test_step_bitwise` hands it the batch
+of its one run.
 """
 
 import itertools
@@ -52,6 +56,7 @@ from drainvortex import benchmarks, engine
 from drainvortex import rng as rng_module
 from drainvortex.engine import (
     ABLATION_VARIANTS,
+    Batch,
     DvoParams,
     Phase,
     _draw_tangents,
@@ -193,7 +198,7 @@ def _reference_step(state, t, params: DvoParams, problem, rng: RngStream):
     far = np.where(phase == Phase.FAR)[0]
     if far.size:
         proposals[far] = far_field_update(
-            state.positions[far], targets[far], scale, params, problem, rng
+            state.positions[far], targets[far], scale, params, problem.span, rng
         )
 
     spiral = np.where(phase == Phase.SPIRAL)[0]
@@ -429,7 +434,7 @@ class TestSweep:
             got = initialize(*initial_population(problem, params.n_agents, ours), params)
             want = initialize(*initial_population(problem, params.n_agents, theirs), params)
             for t in range(params.iterations):
-                step(got, t, params, problem, ours)
+                step(got, t, params, Batch((problem,), (ours,)))
                 phase, splashed = _reference_step(want, t, params, problem, theirs)
                 assert_same_state(got, want)
                 seen.update(int(p) for p in phase)
