@@ -2,10 +2,12 @@
 AOA (arithmetic), and EO. `engine.run_optimizer` drives each through its
 pair in `OPTIMIZERS`: an init that builds its `Swarm` state and a
 module-level sweep that advances it; `run_baseline` runs the one
-`config.algorithm` names alone. All use componentwise clipping, evaluate
-the full population every sweep (N*(T+1) evaluations), and report as best
-so far the first strict minimum over the evaluated batches
-(`Swarm.observe`), which is also the leader of woa and aoa and the
+`config.algorithm` names alone. A sweep is a generator: it yields its
+clipped run-major population once, where it needs the objective values,
+receives them from the driver and returns its report. All use componentwise
+clipping, evaluate the full population every sweep (N*(T+1) evaluations),
+and report as best so far the first strict minimum over the evaluated
+batches (`Swarm.observe`), which is also the leader of woa and aoa and the
 destination of sca. Only pso (its velocities and personal bests) and eo
 (its equilibrium pool) keep memory arrays, in a `Swarm` subclass.
 
@@ -16,7 +18,7 @@ A sweep works on `Batch.stacked` views of them, `(R, n, d)` (a run alone
 keeps its `(n, d)` arrays), against the batch's boxes, and an index that
 starts with `...` skips the run axis where there is one. Each run draws
 from its own stream, site by site, the block it draws alone (`Batch.each`),
-in the order of its sweep's code, and is evaluated on its own problem."""
+in the order of its sweep's code, and gets its own problem's values."""
 
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .engine import BOUNDS, k_best, parameter_problems, run_optimizer
+from .engine import BOUNDS, Group, k_best, parameter_problems, run_optimizer
 from .engine import selection_pressure as linear_ramp
 from .errors import ConfigError, shown
 
@@ -108,9 +110,9 @@ class Swarm:
 def run_baseline(problem, config, seed, checkpoints=DEFAULT_CHECKPOINTS, run_index=0):
     """One seeded run of the baseline `config.algorithm`, as a RunRecord."""
     settings = replace(config, params=config.resolved())
-    init, sweep = OPTIMIZERS[config.algorithm]
     runs = [(problem, seed, run_index)]
-    return run_optimizer(runs, init, sweep, settings, config.algorithm, checkpoints)[0]
+    group = Group(config.algorithm, *OPTIMIZERS[config.algorithm], settings, runs)
+    return run_optimizer([group], checkpoints)[0]
 
 
 @dataclass
@@ -146,7 +148,7 @@ def _sweep_pso(s: _Particles, t, config, batch):
     velocity = np.clip(velocity, -v_max, v_max)
     s.velocity = batch.flat(velocity)
     positions = batch.flat(np.clip(positions + velocity, lo, hi))
-    fitness = batch.evaluate(positions)
+    fitness = yield positions
     better = fitness < s.pbest_fit
     np.copyto(s.pbest, positions, where=better[:, None])
     np.copyto(s.pbest_fit, fitness, where=better)
@@ -169,7 +171,7 @@ def _sweep_gwo(s: Swarm, t, config, batch):
     coeff_c = 2.0 * r[..., 1, :, :]
     pulls = leaders - coeff_a * np.abs(coeff_c * leaders - positions[..., None, :, :])
     positions = batch.flat(np.clip(pulls.mean(axis=-3), batch.lower, batch.upper))
-    return s.observe(positions, batch.evaluate(positions))
+    return s.observe(positions, (yield positions))
 
 
 def _woa_spiral(positions, best, ell, pitch):
@@ -222,7 +224,7 @@ def _sweep_woa(s: Swarm, t, config, batch):
         new_positions[search] = ref - coeff_a.take(search)[:, None] * gap
 
     positions = batch.flat(np.clip(batch.stacked(new_positions), batch.lower, batch.upper))
-    return s.observe(positions, batch.evaluate(positions))
+    return s.observe(positions, (yield positions))
 
 
 def _sweep_sca(s: Swarm, t, config, batch):
@@ -238,7 +240,7 @@ def _sweep_sca(s: Swarm, t, config, batch):
     gap = np.abs(r3 * batch.spread(s.best_position) - positions)
     wave = np.where(r4 < 0.5, np.sin(r2), np.cos(r2))
     positions = batch.flat(np.clip(positions + r1 * wave * gap, batch.lower, batch.upper))
-    return s.observe(positions, batch.evaluate(positions))
+    return s.observe(positions, (yield positions))
 
 
 def _sweep_aoa(s: Swarm, t, config, batch):
@@ -261,7 +263,7 @@ def _sweep_aoa(s: Swarm, t, config, batch):
     exploring = np.where(r[..., 1, :, :] < 0.5, div_move, mul_move)
     exploiting = np.where(r[..., 2, :, :] < 0.5, sub_move, add_move)
     positions = batch.flat(np.clip(np.where(explore, exploring, exploiting), lo, hi))
-    return s.observe(positions, batch.evaluate(positions))
+    return s.observe(positions, (yield positions))
 
 
 @dataclass
@@ -303,7 +305,7 @@ def _sweep_eo(s: _Equilibrium, t, config, batch):
     g0 = gcp * (ceq - lam * old)
     positions = ceq + (old - ceq) * mix + (g0 * mix / lam) * (1.0 - mix)
     positions = batch.flat(np.clip(positions, batch.lower, batch.upper))
-    fitness = batch.evaluate(positions)
+    fitness = yield positions
     report = s.observe(positions, fitness)
     elites, elite_fit = k_best(
         np.concatenate([elites, batch.stacked(positions)], axis=-2),
@@ -318,7 +320,8 @@ def _sweep_eo(s: _Equilibrium, t, config, batch):
 
 
 # each baseline as the pair `run_optimizer` drives: init(positions, fitness,
-# config) -> state, and sweep(state, t, config, batch) -> (evaluated per run,
+# config) -> state, and the generator sweep(state, t, config, batch), which
+# yields its points, receives their values and returns (evaluated per run,
 # best positions, best values); `config.params` is the resolved block
 OPTIMIZERS = {
     "pso": (_Particles.init, _sweep_pso),

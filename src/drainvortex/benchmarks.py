@@ -8,9 +8,11 @@ Objectives come under one of two contracts, declared by
   and returns a float, and `evaluate` calls it once per row;
 - vectorized: the objective and the constraints take a single point or a
   batch of shape (n, dim), so a batch gives n values in one call and a
-  single point still gives its float. `evaluate` and the `penalize`
-  wrapper then make one call per batch. Every catalog problem is
-  vectorized.
+  single point still gives its float. Row i's value depends on row i
+  alone: it has the bits the point gives alone, whatever the other rows
+  of the batch, so the runs that share a problem may share its calls.
+  `evaluate` and the `penalize` wrapper then make one call per batch.
+  Every catalog problem is vectorized.
 
 A constrained problem's `constraints` is one callable that returns the k
 values of its constraints g(x) <= 0 together: k floats for a point, or k
@@ -58,8 +60,9 @@ class ProblemSpec:
     inequality constraints g(x) <= 0 and a known optimum for error
     reporting. `constraints` is one callable returning the k constraint
     values, k floats for a point or k rows of n values for a batch when
-    `vectorized`. The box's `span` (upper - lower) and `diameter` (the norm
-    of the span) are derived from the bounds."""
+    `vectorized`; a vectorized spec promises that each row's values depend
+    on that row alone, bit for bit. The box's `span` (upper - lower) and
+    `diameter` (the norm of the span) are derived from the bounds."""
 
     name: str
     dim: int
@@ -72,7 +75,8 @@ class ProblemSpec:
     noisy: bool = False
     # original objective when this spec is a penalty wrap of a constrained one
     raw_objective: Optional[Callable] = None
-    # objective and constraints also take (n, dim) batches, one row per point
+    # objective and constraints also take (n, dim) batches, one row per point,
+    # each row's values depending on that row alone
     vectorized: bool = False
     span: Array = field(init=False)
     diameter: float = field(init=False)

@@ -19,16 +19,22 @@ row per run; each enters a formula in the association of a scalar of a run
 alone) and the splash's Levy exponent from `DvoParams.levy_exponent`.
 
 `run_optimizer` is the one run loop of dvo and of every baseline: it steps
-a batch of runs of one dimension together and owns their seeded streams,
-the timer, the uniform initial populations (each drawn first, then
-evaluated), the evaluation count, the per-sweep traces and the records. A
-batch of one run is a run alone, and every run of a batch gets the record
-it gets alone. An optimizer is a pair over explicit state: `init(positions,
-fitness, settings)` returns the state, a dataclass of arrays, and
-`sweep(state, t, settings, batch)` advances every run by one sweep and
-reports each run's best so far. dvo's pair is `initialize` and `sweep`,
-which runs `step` and reports each run's best drain after the elitist
-refresh.
+groups of runs of one dimension together, one `Group` (one optimizer's
+runs, as one `Batch`) per algorithm, and owns their seeded streams, the
+timers, the uniform initial populations (each drawn first, then
+evaluated), the objective calls, the evaluation counts, the per-sweep
+traces and the records. A group of one run is a run alone, and every run of
+a batch gets the record it gets alone. An optimizer is a pair over explicit
+state: `init(positions, fitness, settings)` returns the state, a dataclass
+of arrays, and `sweep(state, t, settings, batch)` is a generator that
+advances every run by one sweep: it yields the run-major block of points it
+needs evaluated, receives their objective values and returns each run's
+best so far. The driver evaluates the blocks of every group of a round
+together: the runs that share a problem object, if it is vectorized and not
+noisy, share one `benchmarks.evaluate` call, and every other run gets its
+own call on its own stream. dvo's pair is `initialize` and `sweep`, which
+yields the proposals of `propose`, runs `step` (the acceptance half) on
+their values and reports each run's best drain after the elitist refresh.
 
 Random draw order within one sweep is fixed and documented here, per run:
 each run draws from its own stream, at each site, what it draws alone
@@ -38,21 +44,20 @@ agent, in ascending agent index), far-field noise block, spiral tangent
 normals as one (spiral agents x d) block, spiral angles as one uniform
 block, spiral tangent redraws of degenerate rows (ascending agent index),
 splash-eligibility uniforms, core noise block, per-splash levy draws, then
-per-agent objective noise (one `benchmarks.evaluate` call per run). With
-the swirl off the spiral draws only its angle block.
+per-agent objective noise (a noisy problem gets one `benchmarks.evaluate`
+call per run). With the swirl off the spiral draws only its angle block.
 
 Every phase moves its agents, those of every run of the batch, as one
 block. A spiral tangent is each normal row projected off its radial
 direction and normalised, every dot product and norm being the BLAS `ddot`
 that `tangent_unit_vector` calls; a row whose projection is degenerate
 (shorter than 1e-12) is redrawn through `tangent_unit_vector` after both
-blocks and keeps its block angle. Only the per-splash levy draws, the
-switch destinations and the objective calls (one per run) do not run on
-the whole block. The
-destinations are worked out per mover in Python floats, with the arithmetic
-a block of movers had in numpy (a running sum, a division by the total, a
-count of the ratios at or below the uniform), so each value is bitwise the
-same; with a few movers per sweep that costs less than the array calls.
+blocks and keeps its block angle. Only the per-splash levy draws and the
+switch destinations do not run on the whole block. The destinations are
+worked out per mover in Python floats, with the arithmetic a block of
+movers had in numpy (a running sum, a division by the total, a count of the
+ratios at or below the uniform), so each value is bitwise the same; with a
+few movers per sweep that costs less than the array calls.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ import time
 from dataclasses import dataclass, fields
 from enum import IntEnum
 from itertools import accumulate
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -594,13 +599,13 @@ def initialize(positions, fitness, params: DvoParams) -> DvoState:
     )
 
 
-def step(state: DvoState, t: int, params: DvoParams, batch: Batch) -> DvoState:
-    """Sweep `t` (0-based) of every run of `batch`: schedules, assignment,
-    switching, phase moves with splash, clip, evaluate, greedy selection,
-    stagnation, elitist drain refresh. The state is the runs' run-major
-    stack: run r owns agents r*n up to (r+1)*n and drains r*k up to
-    (r+1)*k. Advances `state` in place and returns it (the span tracer in
-    perfbench/tracing.py reads the accepted positions from the result)."""
+def propose(state: DvoState, t: int, params: DvoParams, batch: Batch):
+    """The proposal half of sweep `t` (0-based) of every run of `batch`:
+    schedules, assignment, switching, phase moves with splash, clip. The
+    state is the runs' run-major stack: run r owns agents r*n up to (r+1)*n
+    and drains r*k up to (r+1)*k. Returns (proposals, phase, splashed): the
+    clipped run-major proposals, each agent's phase and the mask of the
+    agents that splashed."""
     n = state.fitness.size // batch.size
     k = params.n_drains
     scale = exploration_scale(t, params.iterations)
@@ -675,9 +680,18 @@ def step(state: DvoState, t: int, params: DvoParams, batch: Batch) -> DvoState:
                 state.drains[run * k], params, batch.problems[run], batch.streams[run]
             )
 
-    proposals = batch.flat(clip_bounds(batch.stacked(proposals), batch))
-    new_fitness = batch.evaluate(proposals)
+    return batch.flat(clip_bounds(batch.stacked(proposals), batch)), phase, splashed
 
+
+def step(
+    state: DvoState, proposals, new_fitness, phase, splashed, params: DvoParams, batch: Batch
+) -> DvoState:
+    """The acceptance half of a sweep: greedy selection of the evaluated
+    `proposals` (`new_fitness` holds their values), stagnation and the
+    elitist drain refresh, per run of `batch`, with the `phase` and
+    `splashed` mask of `propose`. Advances `state` in place and returns it
+    (the span tracer in perfbench/tracing.py reads the accepted positions
+    from the result)."""
     positions, fitness, improved = greedy_select(
         state.positions, state.fitness, proposals, new_fitness, params.greedy_update, splashed
     )
@@ -686,7 +700,7 @@ def step(state: DvoState, t: int, params: DvoParams, batch: Batch) -> DvoState:
             batch.stacked,
             (positions, fitness, state.positions, state.fitness, state.drains, state.drain_fitness),
         ),
-        k,
+        params.n_drains,
     )
 
     state.stagnation = stagnation_update(state.stagnation, phase, improved, splashed)
@@ -773,78 +787,181 @@ class Batch:
             return getattr(self.streams[0], draw)(*args)
         return np.array([getattr(stream, draw)(*args) for stream in self.streams])
 
-    def evaluate(self, points) -> Array:
-        """Objective values of a run-major stack of points, one
-        `benchmarks.evaluate` call per run on its own rows and stream."""
-        if self.size == 1:
-            return benchmarks.evaluate(self.problems[0], points, self.streams[0])
-        return np.concatenate(
-            [
-                benchmarks.evaluate(problem, rows, stream)
-                for problem, rows, stream in zip(self.problems, self.stacked(points), self.streams)
-            ]
-        )
+
+class Group(NamedTuple):
+    """Runs of one optimizer that `run_optimizer` steps as one `Batch`: the
+    name their records carry, the optimizer's (init, sweep) pair, its
+    settings (they give `n_agents` and `iterations`) and the runs as
+    (problem, seed, run_index) triples of one dimension."""
+
+    algorithm: str
+    init: Callable
+    sweep: Callable
+    settings: object
+    runs: Sequence
 
 
-def initial_population(problem, n: int, rng: RngStream):
-    """(positions, fitness) of n points drawn uniformly in the box: the first
-    batch of every run."""
-    lower = problem.lower
-    positions = lower + rng.random((n, lower.size)) * (problem.upper - lower)
-    return positions, benchmarks.evaluate(problem, positions, rng)
+def initial_population(batch: Batch, n: int):
+    """Each run's initial population: n points per run of `batch` drawn
+    uniformly in its box, yielded run-major for evaluation; returns
+    (positions, fitness)."""
+    draws = batch.each("random", (n, batch.problems[0].dim))
+    positions = batch.flat(batch.lower + draws * batch.spread(batch.span))
+    fitness = yield positions
+    return positions, fitness
 
 
-def run_optimizer(runs, init, sweep, settings, algorithm, checkpoints=DEFAULT_CHECKPOINTS) -> list:
-    """Seeded runs of any optimizer stepped together, as one RunRecord each.
-
-    `runs` holds (problem, seed, run_index) triples of one dimension; each
-    run's record is bitwise the record it gets alone, wall time aside.
-    `settings` gives `n_agents` and `iterations`. `init(positions, fitness,
-    settings)` builds the state from the runs' evaluated initial
-    populations, stacked run-major; `sweep(state, t, settings, batch)`
-    advances every run of the `Batch` by sweep `t` and returns (points it
-    evaluated per run, each run's best position, each run's best value) so
-    far. The evaluation count sums the evaluated batches, the trace keeps
-    the best value after each sweep, and each record's `walltime_ms` is the
-    batch's wall time divided by the number of runs.
-    """
-    started = time.perf_counter()
-    problems, seeds, run_indices = zip(*runs)
-    batch = Batch(problems, [RngStream(seed) for seed in seeds])
-    population = [
-        initial_population(problem, settings.n_agents, stream)
-        for problem, stream in zip(batch.problems, batch.streams)
-    ]
-    positions, fitness = (np.concatenate(blocks) for blocks in zip(*population))
-    state = init(positions, fitness, settings)
+def _lifetime(group: Group, batch: Batch):
+    """A group's runs from start to end as one generator: it yields each
+    run-major block of points to evaluate and returns (evaluations per run,
+    best positions, best values, traces)."""
+    settings = group.settings
+    state = group.init(*(yield from initial_population(batch, settings.n_agents)), settings)
     evaluations = settings.n_agents
     trace = np.empty((batch.size, settings.iterations))
     for t in range(settings.iterations):
-        evaluated, best_positions, best_values = sweep(state, t, settings, batch)
+        evaluated, best_positions, best_values = yield from group.sweep(state, t, settings, batch)
         evaluations += evaluated
         trace[:, t] = best_values
-    walltime_ms = (time.perf_counter() - started) * 1e3 / batch.size
-    return [
-        build_record(
-            algorithm=algorithm,
-            problem=problem,
-            run_index=run_index,
-            seed=seed,
-            best_position=best_positions[r],
-            best_value=best_values[r],
-            trace=trace[r],
-            evaluations=evaluations,
-            walltime_ms=walltime_ms,
-            checkpoint_iters=checkpoints,
+    return evaluations, best_positions, best_values, trace
+
+
+def _calls(points: dict, batches: list) -> list:
+    """The objective calls of one round of the groups in `points` (group
+    index -> its run-major block of points), as (problem, stream, parts)
+    triples, each part a [group, first row, end row] block of a group's
+    points. The runs that share a problem object make one call if it is
+    vectorized and not noisy; every other run makes its own, with its own
+    stream."""
+    calls = {}
+    for g, rows in points.items():
+        batch = batches[g]
+        n = len(rows) // batch.size
+        for r, (problem, stream) in enumerate(zip(batch.problems, batch.streams)):
+            key = problem if problem.vectorized and not problem.noisy else stream
+            parts = calls.setdefault(key, (problem, stream, []))[2]
+            if parts and parts[-1][0] == g and parts[-1][2] == r * n:
+                parts[-1][2] += n
+            else:
+                parts.append([g, r * n, (r + 1) * n])
+    return list(calls.values())
+
+
+def _evaluate(points: dict, calls: list, seconds: list) -> dict:
+    """Each group's objective values of its points, from one
+    `benchmarks.evaluate` call per entry of `calls` (see `_calls`); each
+    call's time is shared out among the groups by their rows."""
+    clock = time.perf_counter
+    fitness = {}
+    last = clock()
+    for problem, stream, parts in calls:
+        if len(parts) == 1:
+            g, lo, hi = parts[0]
+            values = benchmarks.evaluate(problem, points[g][lo:hi], stream)
+            if hi - lo == len(points[g]):  # the group's whole block
+                fitness[g] = values
+            else:
+                if g not in fitness:
+                    fitness[g] = np.empty(len(points[g]))
+                fitness[g][lo:hi] = values
+            now = clock()
+            seconds[g] += now - last
+            last = now
+            continue
+        values = benchmarks.evaluate(
+            problem, np.concatenate([points[g][lo:hi] for g, lo, hi in parts]), stream
         )
-        for r, (problem, seed, run_index) in enumerate(zip(problems, seeds, run_indices))
-    ]
+        offset = 0
+        for g, lo, hi in parts:
+            if g not in fitness:
+                fitness[g] = np.empty(len(points[g]))
+            fitness[g][lo:hi] = values[offset : offset + hi - lo]
+            offset += hi - lo
+        now = clock()
+        share = (now - last) / offset
+        last = now
+        for g, lo, hi in parts:
+            seconds[g] += share * (hi - lo)
+    return fitness
+
+
+def run_optimizer(groups, checkpoints=DEFAULT_CHECKPOINTS) -> list:
+    """Seeded runs of any optimizers stepped together, one RunRecord per run.
+
+    Each `Group` steps as one `Batch`, and the groups step in lockstep,
+    each sweeping until its own `iterations`: every run's record is bitwise
+    the record it gets alone, wall time aside. An optimizer is a pair:
+    `init(positions, fitness, settings)` builds the state from the runs'
+    evaluated initial populations, stacked run-major, and `sweep(state, t,
+    settings, batch)` is a generator that advances every run of the batch
+    by sweep `t`. It yields the run-major block of points it needs
+    evaluated, receives their values and returns (points it evaluated per
+    run, each run's best position, each run's best value) so far. Each
+    round the driver takes the blocks of every group still running and
+    evaluates them together (see `_calls`), so the runs of the groups
+    that share a problem object share its calls. The evaluation count sums
+    the evaluated batches and the trace keeps the best value after each
+    sweep. A record's `walltime_ms` is its group's time, the group's own
+    steps plus its row share of each objective call, divided by the
+    group's runs. The records come group by group, each in run order.
+    """
+    clock = time.perf_counter
+    batches, lifetimes, seconds = [], [], []
+    for group in groups:
+        started = clock()
+        problems, seeds, _ = zip(*group.runs)
+        batch = Batch(problems, [RngStream(seed) for seed in seeds])
+        batches.append(batch)
+        lifetimes.append(_lifetime(group, batch))
+        seconds.append(clock() - started)
+    results = [None] * len(batches)
+    # each running group's values of its last block (None to start it)
+    replies = dict.fromkeys(range(len(batches)))
+    calls = None
+    while replies:
+        points = {}
+        last = clock()
+        for g, values in replies.items():
+            try:
+                points[g] = lifetimes[g].send(values)
+            except StopIteration as done:
+                results[g] = done.value
+            now = clock()
+            seconds[g] += now - last
+            last = now
+        # the calls change only when a group ends
+        if calls is None or len(points) < len(replies):
+            calls = _calls(points, batches)
+        replies = _evaluate(points, calls, seconds)
+    records = []
+    for group, batch, spent, result in zip(groups, batches, seconds, results):
+        evaluations, best_positions, best_values, trace = result
+        walltime_ms = spent * 1e3 / batch.size
+        records.extend(
+            build_record(
+                algorithm=group.algorithm,
+                problem=problem,
+                run_index=run_index,
+                seed=seed,
+                best_position=best_positions[r],
+                best_value=best_values[r],
+                trace=trace[r],
+                evaluations=evaluations,
+                walltime_ms=walltime_ms,
+                checkpoint_iters=checkpoints,
+            )
+            for r, (problem, seed, run_index) in enumerate(group.runs)
+        )
+    return records
 
 
 def sweep(state: DvoState, t: int, params: DvoParams, batch: Batch):
-    """dvo's sweep for `run_optimizer`: one `step` at the driver's sweep
-    index `t`, reporting each run's best drain."""
-    step(state, t, params, batch)
+    """dvo's sweep for `run_optimizer`: `propose` at the driver's sweep
+    index `t`, yield the proposals, `step` on their values, and report each
+    run's best drain."""
+    proposals, phase, splashed = propose(state, t, params, batch)
+    fitness = yield proposals
+    step(state, proposals, fitness, phase, splashed, params, batch)
     k = params.n_drains
     return params.n_agents, state.drains[::k], state.drain_fitness[::k]
 
@@ -859,5 +976,5 @@ def run(
 ) -> RunRecord:
     """Full drain-vortex run through `run_optimizer`; N*(T+1) objective evaluations."""
     params.validate()
-    runs = [(problem, seed, run_index)]
-    return run_optimizer(runs, initialize, sweep, params, algorithm, checkpoints)[0]
+    group = Group(algorithm, initialize, sweep, params, [(problem, seed, run_index)])
+    return run_optimizer([group], checkpoints)[0]

@@ -384,16 +384,19 @@ def _problem(config: ExperimentConfig, name: str, dim: int, built: dict):
     return built[name, dim]
 
 
-def _run_batch(config: ExperimentConfig, settings, built: dict, runs: list) -> list:
-    """The records of grid runs `runs`, of one algorithm at one dimension,
-    stepped together by `engine.run_optimizer`."""
-    algorithm = runs[0][0]
-    triples = [
-        (_problem(config, run[1], run[2], built), mix_seed(config.master_seed, *run), run[3])
-        for run in runs
-    ]
+def _run_batch(config: ExperimentConfig, settings: dict, built: dict, runs: list) -> list:
+    """The records of grid runs `runs`, of one dimension, stepped together by
+    `engine.run_optimizer` as one group per algorithm."""
+    groups: dict = {}
+    for run in runs:
+        problem = _problem(config, run[1], run[2], built)
+        groups.setdefault(run[0], []).append((problem, mix_seed(config.master_seed, *run), run[3]))
     records = engine.run_optimizer(
-        triples, *_optimizer(algorithm), settings, algorithm, config.checkpoints
+        [
+            engine.Group(name, *_optimizer(name), settings[name], triples)
+            for name, triples in groups.items()
+        ],
+        config.checkpoints,
     )
     for record in records:
         if record.max_violation is not None:
@@ -403,53 +406,78 @@ def _run_batch(config: ExperimentConfig, settings, built: dict, runs: list) -> l
 
 def _execute_batch(config: ExperimentConfig, settings: dict, built: dict, runs: list) -> list:
     """The record or the FailureRecord of each grid run of `runs`, a batch of
-    `config.grid_runs()` keys, with its algorithm's `settings` and the
+    `config.grid_runs()` keys, with each algorithm's `settings` and the
     problems `built` so far. A batch that raises runs again one run at a
     time, so that only a run that raises alone fails, with its own message,
     and its batch-mates keep their records."""
     try:
-        return _run_batch(config, settings[runs[0][0]], built, runs)
+        return _run_batch(config, settings, built, runs)
     except Exception as exc:  # noqa: BLE001 - failures become grid diagnostics
         if len(runs) > 1:
             return [o for run in runs for o in _execute_batch(config, settings, built, [run])]
         return [FailureRecord(*runs[0], message=f"{type(exc).__name__}: {exc}")]
 
 
-# runs one batch may hold: per run, a 30-agent dvo sweep on F9 at d30 cost 347,
-# 281, 215, 175, 156 and 147 us in batches of 1, 2, 4, 8, 16 and 32 runs (a 2-vCPU
-# Xeon host), so a batch past 16 runs saves little more
+# runs of one algorithm one batch may hold: per run, a 30-agent dvo sweep on F9
+# at d30 cost 347, 281, 215, 175, 156 and 147 us in batches of 1, 2, 4, 8, 16 and
+# 32 runs (a 2-vCPU Xeon host), so a batch past 16 runs saves little more
 BATCH_RUNS = 16
 
 
-def _batch_size(n_runs: int, degree: int) -> int:
-    """Runs per batch of a grid of `n_runs` runs on `degree` workers: at most
-    BATCH_RUNS, and on a pool no more than leave 4 batches per worker."""
+def _batch_size(config: ExperimentConfig, degree: int) -> int:
+    """Runs of one algorithm per batch of `config`'s grid on `degree`
+    workers: BATCH_RUNS without a pool, and on a pool the largest size, at
+    most BATCH_RUNS, that still cuts the grid into 4 batches per worker (1
+    if none does)."""
     if degree <= 1:
         return BATCH_RUNS
-    return max(1, min(BATCH_RUNS, n_runs // (4 * degree)))
+    sizes = range(BATCH_RUNS, 1, -1)
+    return next((size for size in sizes if len(_case_batches(config, size)) >= 4 * degree), 1)
 
 
-def _batches(runs: list, size: int) -> list:
-    """The grid runs `runs` as batches: the runs of one algorithm at one
-    dimension in grid order, cut into batches of at most `size` runs."""
-    groups: dict = {}
-    for run in runs:
-        groups.setdefault((run[0], run[2]), []).append(run)
-    return [group[i : i + size] for group in groups.values() for i in range(0, len(group), size)]
+def _case_batches(config: ExperimentConfig, size: int) -> list:
+    """The grid's batches as lists of (problem, dim, run indices) pieces:
+    consecutive cases of one dimension, whole, with at most `size` runs in
+    all; a case of more than `size` runs is cut into pieces of `size` runs
+    (the last may be shorter)."""
+    by_dim: dict = {}
+    for problem, dim in config.case_list():
+        batches = by_dim.setdefault(dim, [[]])
+        for lo in range(0, config.runs, size):
+            piece = (problem, dim, range(lo, min(lo + size, config.runs)))
+            if sum(len(indices) for *_, indices in batches[-1]) + len(piece[2]) > size:
+                batches.append([])
+            batches[-1].append(piece)
+    return [batch for batches in by_dim.values() for batch in batches]
+
+
+def _batches(config: ExperimentConfig, size: int) -> list:
+    """The grid's runs as batches of `config.grid_runs()` keys, each in grid
+    order: every algorithm's runs of the pieces of one of `_case_batches`,
+    so that the runs of a case share their batch."""
+    names = config.algorithm_names()
+    return [
+        [(name, problem, dim, i) for name in names for problem, dim, indices in batch for i in indices]
+        for batch in _case_batches(config, size)
+    ]
 
 
 def run_experiment(config: ExperimentConfig, parallel: int | None = None) -> ResultSet:
     """Execute the full grid; failures are collected, not raised.
 
-    Each algorithm is resolved once, and the runs of one algorithm at one
-    dimension step together in batches (`_batches`, `_batch_size`): a
-    worker gets the config and those settings once per batch plus each
-    run's `grid_runs()` key, and builds each case's problem once per batch
-    (once per grid without a pool). The pool has at most one worker per batch, and
-    a single worker is no pool. Results are identical for any parallelism
-    degree and any batching: seeds are derived per cell, each run's record
-    is the record it gets alone, and grid order (not completion order)
-    fixes the record order.
+    Each algorithm is resolved once, and the runs of whole cases of one
+    dimension, every algorithm's, step together in batches (`_batches`,
+    `_batch_size`): a worker gets the config and those settings once per
+    batch plus each run's `grid_runs()` key, and builds each case's problem
+    once per batch (once per grid without a pool). `engine.run_optimizer`
+    steps a batch as one group per algorithm: each group's sweep yields its
+    proposals, and the driver evaluates every group's together, so the runs
+    of a case, which share its problem object, share each objective call of
+    a sweep when the problem is vectorized and not noisy. The pool has at most one worker
+    per batch, and a single worker is no pool. Results are identical for
+    any parallelism degree and any batching: seeds are derived per cell,
+    each run's record is the record it gets alone, and grid order (not
+    completion order) fixes the record order.
     """
     # a --parallel degree is checked by the workers rule
     checked = config if parallel is None else replace(config, workers=parallel)
@@ -461,7 +489,7 @@ def run_experiment(config: ExperimentConfig, parallel: int | None = None) -> Res
         for spec in config.algorithms
     }
     runs = config.grid_runs()
-    batches = _batches(runs, _batch_size(len(runs), checked.workers))
+    batches = _batches(config, _batch_size(config, checked.workers))
     # each case's problem, built once in this process (a worker's task gets a copy)
     task = partial(_execute_batch, config, settings, {})
     workers = min(checked.workers, len(batches))

@@ -35,9 +35,11 @@ class RunRecord:
     `trace` holds the best-so-far value after each sweep (length T).
     `checkpoints` maps sweep number -> best-so-far error at that sweep
     (raw best value when no optimum is known). `walltime_ms` is the wall
-    time of the batch of runs that `engine.run_optimizer` stepped together
-    divided by their number, the same for each of them (a run alone is a
-    batch of one).
+    time of the run's group, the runs of its algorithm that
+    `engine.run_optimizer` stepped together, divided by their number: the
+    group's own steps plus its row share of each objective call it shared
+    with other groups, the same for each run of the group (a run alone is a
+    group of one).
     """
 
     algorithm: str

@@ -4,6 +4,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, settings
 
 import drainvortex
+from drainvortex import benchmarks
 
 settings.register_profile(
     "default",
@@ -27,3 +28,17 @@ def child_env():
     if inherited:
         entries += [os.path.abspath(entry) for entry in inherited.split(os.pathsep)]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(entries)}
+
+
+def drive(generator, batch):
+    """Run a sweep generator (or `engine.initial_population`) of a batch of
+    one run to its end, and return what it returns: each block of points it
+    yields gets the values `benchmarks.evaluate` gives on the run's problem
+    and stream, as `engine.run_optimizer` gives a run alone."""
+    problem, stream = batch.problems[0], batch.streams[0]
+    try:
+        points = next(generator)
+        while True:
+            points = generator.send(benchmarks.evaluate(problem, points, stream))
+    except StopIteration as done:
+        return done.value

@@ -19,7 +19,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from conftest import child_env
+from conftest import child_env, drive
 from scipy.stats import rankdata
 
 from drainvortex import engine
@@ -37,7 +37,6 @@ from drainvortex.engine import (
     select_phase,
     shrink_factor,
     spiral_update,
-    step,
     swirl_speed,
 )
 from drainvortex.harness import (
@@ -168,10 +167,10 @@ class TestSearchInvariants:
         problem = get_problem("F5", dim=4)
         params = DvoParams(n_agents=8, iterations=30, splash_prob=0.5, stay_limit=2)
         for seed in (0, 1, 2):
-            rng = RngStream(seed)
-            state = initialize(*initial_population(problem, params.n_agents, rng), params)
+            batch = Batch((problem,), (RngStream(seed),))
+            state = initialize(*drive(initial_population(batch, params.n_agents), batch), params)
             for t in range(params.iterations):
-                step(state, t, params, Batch((problem,), (rng,)))
+                drive(engine.sweep(state, t, params, batch), batch)
                 assert np.all(state.positions >= problem.lower)
                 assert np.all(state.positions <= problem.upper)
 
@@ -387,7 +386,8 @@ class TestUnconstrainedQuality:
             (problem, mix_seed(PROTOCOL_SEED, "dvo", "F1", 30, run_index), run_index)
             for run_index in range(30)
         ]
-        records = engine.run_optimizer(runs, engine.initialize, engine.sweep, params, "dvo")
+        group = engine.Group("dvo", engine.initialize, engine.sweep, params, runs)
+        records = engine.run_optimizer([group])
         logs = [record.log10_error for record in records]
         assert len(logs) == 30
         assert float(np.mean(logs)) <= 1.2

@@ -233,6 +233,44 @@ class TestEvaluate:
             evaluate(spec, np.zeros((3, 2)), RngStream(0))
 
 
+def _pooled_problems():
+    """Every catalog problem a sweep's pooled call may evaluate, as the harness
+    runs it (penalized if constrained): the scalable ones at d2, d10 and d30,
+    every problem but the noisy F7."""
+    for name in catalog_names():
+        dims = (2, 10, 30) if name in SUITES["classical_scalable"] else (None,)
+        for dim in dims:
+            spec = get_problem(name, dim)
+            if not spec.noisy:
+                label = name if dim is None else f"{name}-d{dim}"
+                yield pytest.param(penalize(spec) if spec.constrained else spec, id=label)
+
+
+class TestRowIndependence:
+    """A vectorized catalog objective gives each row the bits it gets alone,
+    whatever the batch around it, so runs may share one call."""
+
+    @pytest.mark.parametrize("spec", _pooled_problems())
+    def test_each_row_keeps_its_bits_in_any_batch(self, spec):
+        rng = np.random.default_rng(17)
+        d = spec.dim
+        # the box's corners first: its two extremes, then alternating and
+        # random mixes of lower and upper bounds
+        alternating = np.where(np.arange(d) % 2 == 0, spec.lower, spec.upper)
+        mixes = np.where(rng.random((6, d)) < 0.5, spec.lower, spec.upper)
+        corners = np.vstack([spec.lower, spec.upper, alternating, mixes])
+        inside = rng.uniform(spec.lower, spec.upper, (631 - len(corners), d))
+        points = np.vstack([corners, inside])
+        alone = np.array([evaluate(spec, row, RngStream(0))[0] for row in points])
+        outside = rng.uniform(spec.lower, spec.upper, (40, d))
+        for n in (1, 7, 30, 210, 631):
+            assert evaluate(spec, points[:n], RngStream(0)).tobytes() == alone[:n].tobytes()
+            # the same rows at an offset inside a larger batch
+            larger = np.vstack([outside[:13], points[:n], outside[13:]])
+            inner = evaluate(spec, larger, RngStream(0))[13 : 13 + n]
+            assert inner.tobytes() == alone[:n].tobytes()
+
+
 class TestPenalty:
     def constrained_toy(self):
         return ProblemSpec(

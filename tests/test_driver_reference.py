@@ -23,9 +23,11 @@ builds `Bounds.of(problem)` nor passes it to `_reference_initialize` and
 `step`. `DvoState` no longer counts its sweeps, so `_reference_initialize`
 builds no `t` and `_reference_run` passes its sweep index `s` to `step`.
 sca no longer takes `n_elites`, so `_reference_run_sca` reads `n_elites = 2`,
-the default it resolved to for every config passed here. `step` sweeps an
-`engine.Batch` of runs, so `_reference_run` passes it the batch of its one
-run, `Batch((problem,), (rng,))`, where it passed `problem, rng`.
+the default it resolved to for every config passed here. A dvo sweep is
+the generator `engine.sweep` over an `engine.Batch` of runs, which yields
+its proposals for evaluation, so `_reference_run` drives it for the batch
+of its one run with `benchmarks.evaluate` (conftest's `drive`), where it
+called `step(state, s, params, problem, rng)`.
 """
 
 import math
@@ -34,10 +36,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import drive
 
 from drainvortex import benchmarks, engine
 from drainvortex.baselines import BASELINES, BaselineConfig, _woa_spiral
-from drainvortex.engine import ABLATION_VARIANTS, Batch, DvoParams, DvoState, step
+from drainvortex.engine import ABLATION_VARIANTS, Batch, DvoParams, DvoState
 from drainvortex.errors import ConfigError
 from drainvortex.records import DEFAULT_CHECKPOINTS, RunRecord, build_record
 from drainvortex.rng import RngStream
@@ -80,7 +83,8 @@ def _reference_run(
     state = _reference_initialize(problem, params, rng)
     trace = np.empty(params.iterations)
     for s in range(params.iterations):
-        step(state, s, params, Batch((problem,), (rng,)))
+        batch = Batch((problem,), (rng,))
+        drive(engine.sweep(state, s, params, batch), batch)
         trace[s] = float(state.drain_fitness[0])  # was state.best_value
     walltime_ms = (time.perf_counter() - started) * 1e3
     return build_record(

@@ -13,6 +13,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from conftest import drive
 from hypothesis import given, strategies as st
 
 from drainvortex import benchmarks
@@ -41,8 +42,8 @@ from drainvortex.engine import (
     spiral_update,
     splash_out,
     stagnation_update,
-    step,
     stochastic_switch,
+    sweep,
     swirl_speed,
 )
 from drainvortex.errors import ConfigError
@@ -595,7 +596,8 @@ class TestInitialize:
     def test_population_and_drains(self):
         problem = sphere_problem(3, 5.0)
         params = DvoParams(n_agents=12, n_drains=4, iterations=10)
-        state = initialize(*initial_population(problem, 12, RngStream(30)), params)
+        batch = Batch((problem,), (RngStream(30),))
+        state = initialize(*drive(initial_population(batch, 12), batch), params)
 
         assert state.positions.shape == (12, 3)
         assert (state.positions >= -5.0).all() and (state.positions <= 5.0).all()
@@ -610,7 +612,8 @@ class TestInitialize:
     def test_single_vortex_keeps_one_drain(self):
         problem = sphere_problem(2)
         params = DvoParams(n_agents=8, n_drains=1, iterations=10)
-        state = initialize(*initial_population(problem, 8, RngStream(31)), params)
+        batch = Batch((problem,), (RngStream(31),))
+        state = initialize(*drive(initial_population(batch, 8), batch), params)
         assert state.drains.shape == (1, 2)
 
 
@@ -743,7 +746,8 @@ class TestOracleSweep:
             evaluated.append(x.copy())
             return problem.objective(x)
 
-        step(state, 1, params, Batch((replace(problem, objective=recorded),), (RngStream(seed),)))
+        batch = Batch((replace(problem, objective=recorded),), (RngStream(seed),))
+        drive(sweep(state, 1, params, batch), batch)
         assert np.array_equal(np.array(evaluated), proposals)
 
         improved = new_fit < entry_fit
@@ -814,10 +818,10 @@ class TestRun:
     def test_population_stays_inside_bounds_each_sweep(self):
         problem = sphere_problem(2, 3.0)
         params = DvoParams(n_agents=6, n_drains=2, iterations=12, splash_prob=1.0, stay_limit=0)
-        rng = RngStream(55)
-        state = initialize(*initial_population(problem, params.n_agents, rng), params)
+        batch = Batch((problem,), (RngStream(55),))
+        state = initialize(*drive(initial_population(batch, params.n_agents), batch), params)
         for t in range(12):
-            step(state, t, params, Batch((problem,), (rng,)))
+            drive(sweep(state, t, params, batch), batch)
             assert (state.positions >= problem.lower).all()
             assert (state.positions <= problem.upper).all()
 

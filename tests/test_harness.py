@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -879,8 +880,9 @@ class TestRunExperiment:
                 iterations=4,
                 checkpoints=(2, 4),
             )
-            # 27 tasks: more than 4 chunks per worker at every degree below
-            assert len(config.grid_runs()) > 4 * 3
+            # 9 runs of each algorithm, in one batch without a pool and in
+            # 9 batches of one run of each algorithm with one
+            assert len(config.case_list()) * config.runs == 9
             results = [run_experiment(config, parallel=degree) for degree in (1, 2, 3)]
         finally:
             clear_plugins()
@@ -896,10 +898,24 @@ class TestRunExperiment:
     @pytest.mark.parametrize("n_tasks", [1, 2, 7, 8, 9, 33, 196, 1000])
     @pytest.mark.parametrize("degree", [2, 3, 4, 8])
     def test_never_fewer_than_four_chunks_per_worker(self, n_tasks, degree):
-        config = tiny_config(runs=n_tasks, iterations=2, n_agents=2, checkpoints=())
-        batches = harness._batches(config.grid_runs(), harness._batch_size(n_tasks, degree))
-        assert 1 <= max(map(len, batches)) <= harness.BATCH_RUNS
-        assert len(batches) >= min(n_tasks, 4 * degree)
+        # a chunk is a batch: every algorithm's runs of whole cases (or of a
+        # piece of one), at most BATCH_RUNS of each algorithm, and at least
+        # 4 batches per worker where the grid's cases and runs allow
+        algorithms = (AlgorithmSpec("pso"), AlgorithmSpec("gwo"))
+        config = tiny_config(
+            problems=("F1", "F5"), algorithms=algorithms, runs=n_tasks, iterations=2, n_agents=2
+        )
+        size = harness._batch_size(config, degree)
+        batches = harness._batches(config, size)
+        for batch in batches:
+            counts = Counter(run[0] for run in batch)
+            assert counts["pso"] == counts["gwo"] == len(batch) // 2
+            assert 1 <= counts["pso"] <= size <= harness.BATCH_RUNS
+        per_algorithm = len(config.case_list()) * config.runs
+        assert len(batches) >= min(per_algorithm, 4 * degree)
+        # as few batches as that allows: one run more per batch would leave too few
+        if size < harness.BATCH_RUNS:
+            assert len(harness._batches(config, size + 1)) < 4 * degree
 
     @pytest.mark.parametrize("runs,parallel,pool", [(4, 8, [4]), (3, 2, [2]), (1, 8, [])])
     def test_pool_is_no_larger_than_the_grid(self, monkeypatch, runs, parallel, pool):

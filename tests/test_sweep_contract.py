@@ -2,16 +2,19 @@
 
 `engine.run_optimizer` drives dvo and every baseline as a pair over explicit
 state: `init(positions, fitness, settings)` builds the state of the runs'
-stacked populations and `sweep(state, t, settings, batch)` advances every
-run of an `engine.Batch`. Nothing of one run may live outside its state and
-its stream, so two runs, each its own batch, whose sweeps alternate must
-each give, byte for byte with wall time masked, the record that
-`engine.run` or `BASELINES[name]` gives for it alone. Stacking runs depends
-on this; `test_batch_reference.py` checks the stacked runs themselves.
+stacked populations and the generator `sweep(state, t, settings, batch)`
+advances every run of an `engine.Batch`, yielding the points it needs
+evaluated (conftest's `drive` evaluates them here). Nothing of one run may
+live outside its state and its stream, so two runs, each its own batch,
+whose sweeps alternate must each give, byte for byte with wall time masked,
+the record that `engine.run` or `BASELINES[name]` gives for it alone.
+Stacking runs depends on this; `test_batch_reference.py` checks the stacked
+runs themselves.
 """
 
 import numpy as np
 import pytest
+from conftest import drive
 
 from drainvortex import benchmarks, engine, harness
 from drainvortex.baselines import BASELINES, OPTIMIZERS
@@ -54,14 +57,14 @@ def interleaved(name, problem, settings, seeds):
     init, sweep = PAIRS[name.partition(":")[0]]
     runs = []
     for seed in seeds:
-        rng = RngStream(seed)
-        positions, fitness = engine.initial_population(problem, settings.n_agents, rng)
+        batch = engine.Batch((problem,), (RngStream(seed),))
+        positions, fitness = drive(engine.initial_population(batch, settings.n_agents), batch)
         state = init(positions, fitness, settings)
-        batch = engine.Batch((problem,), (rng,))
         runs.append({"batch": batch, "state": state, "evaluations": fitness.size, "trace": []})
     for t in range(settings.iterations):
         for run in runs:
-            evaluated, positions, values = sweep(run["state"], t, settings, run["batch"])
+            batch = run["batch"]
+            evaluated, positions, values = drive(sweep(run["state"], t, settings, batch), batch)
             run["evaluations"] += evaluated
             run["position"] = positions[0]
             run["trace"].append(values[0])

@@ -31,7 +31,7 @@ no longer takes `bounds`, reads `problem.diameter` where it read
 `far_field_update`, `splash_out` and `clip_bounds`. `DvoState` no longer
 counts its sweeps, so `_reference_step` takes the sweep index `t` and reads it
 where it read `state.t`, and no longer increments `state.t`;
-`test_step_bitwise` hands each sweep's index to it and to `step`.
+`test_step_bitwise` hands each sweep's index to it and to `engine.sweep`.
 `DvoState` no longer carries the last sweep's `assignment`, `rho` and
 `phase`, which only tests read, so `_reference_step` no longer writes them
 and returns the sweep's `phase` and `splashed` instead of `state`, for
@@ -40,9 +40,10 @@ and returns the sweep's `phase` and `splashed` instead of `state`, for
 diameter) became the fraction `core_fraction`, so `_reference_step` reads
 `params.core_fraction * problem.diameter` where it read that sentinel.
 `far_field_update` takes the box's span (one row per agent in a batch of
-runs) where it took the problem, so `_reference_step` passes `problem.span`;
-`step` sweeps an `engine.Batch`, so `test_step_bitwise` hands it the batch
-of its one run.
+runs) where it took the problem, so `_reference_step` passes `problem.span`.
+A dvo sweep is the generator `engine.sweep` over an `engine.Batch`, which
+yields its proposals for evaluation, so `test_step_bitwise` drives it for
+the batch of its one run with `benchmarks.evaluate` (conftest's `drive`).
 """
 
 import itertools
@@ -51,6 +52,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import drive
 
 from drainvortex import benchmarks, engine
 from drainvortex import rng as rng_module
@@ -75,7 +77,6 @@ from drainvortex.engine import (
     spiral_update,
     splash_out,
     stagnation_update,
-    step,
     stochastic_switch,
     swirl_speed,
 )
@@ -431,10 +432,16 @@ class TestSweep:
         for seed in range(50):
             problem = benchmarks.get_problem(("F1", "F7", "F9")[seed % 3], d)
             ours, theirs = RngStream(seed), RngStream(seed)
-            got = initialize(*initial_population(problem, params.n_agents, ours), params)
-            want = initialize(*initial_population(problem, params.n_agents, theirs), params)
+            ours_batch = Batch((problem,), (ours,))
+            theirs_batch = Batch((problem,), (theirs,))
+            got = initialize(
+                *drive(initial_population(ours_batch, params.n_agents), ours_batch), params
+            )
+            want = initialize(
+                *drive(initial_population(theirs_batch, params.n_agents), theirs_batch), params
+            )
             for t in range(params.iterations):
-                step(got, t, params, Batch((problem,), (ours,)))
+                drive(engine.sweep(got, t, params, ours_batch), ours_batch)
                 phase, splashed = _reference_step(want, t, params, problem, theirs)
                 assert_same_state(got, want)
                 seen.update(int(p) for p in phase)
