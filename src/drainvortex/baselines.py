@@ -3,22 +3,20 @@ AOA (arithmetic), and EO. `engine.run_optimizer` drives each through its
 pair in `OPTIMIZERS`: an init that builds its `Swarm` state and a
 module-level sweep that advances it; `run_baseline` runs the one
 `config.algorithm` names alone. A sweep is a generator: it yields its
-clipped run-major population once, where it needs the objective values,
-receives them from the driver and returns its report. All use componentwise
-clipping, evaluate the full population every sweep (N*(T+1) evaluations),
-and report as best so far the first strict minimum over the evaluated
-batches (`Swarm.observe`), which is also the leader of woa and aoa and the
+clipped population once, where it needs the objective values, receives them
+from the driver and returns its report. All use componentwise clipping,
+evaluate the full population every sweep (N*(T+1) evaluations), and report
+as best so far the first strict minimum over the evaluated batches
+(`Swarm.observe`), which is also the leader of woa and aoa and the
 destination of sca. Only pso (its velocities and personal bests) and eo
 (its equilibrium pool) keep memory arrays, in a `Swarm` subclass.
 
-A state holds every run of an `engine.Batch`: the population and every
-memory array are stacked run-major (run r owns rows r*n up to (r+1)*n, and
-eo's pool rows r*4 up to (r+1)*4), and the best so far is one row per run.
-A sweep works on `Batch.stacked` views of them, `(R, n, d)` (a run alone
-keeps its `(n, d)` arrays), against the batch's boxes, and an index that
-starts with `...` skips the run axis where there is one. Each run draws
-from its own stream, site by site, the block it draws alone (`Batch.each`),
-in the order of its sweep's code, and gets its own problem's values."""
+A state holds every run of an `engine.Batch` in the batch's stacked shape,
+`(R, n, d)` for R runs and `(n, d)` for a run alone (eo's pool has 4 rows
+per run), so every formula is written once, against the batch's boxes.
+Each run draws from its own stream, site by site, the block it draws alone
+(`Batch.each`), in the order of its sweep's code, and gets its own
+problem's values."""
 
 from __future__ import annotations
 
@@ -75,12 +73,14 @@ class BaselineConfig:
 
 @dataclass
 class Swarm:
-    """A baseline's state between sweeps: the population and its fitness,
-    the run-major stack of every run of the batch (n rows each), and each
-    run's best so far as a row of `best_position` (R, d) and an entry of
-    `best_value` (R,). A run's best so far is the first strict minimum over
-    its evaluated batches (the first batch always sets a position, even if
-    every value is inf). An algorithm with memory arrays subclasses it."""
+    """A baseline's state between sweeps, in the batch's stacked shape
+    (`(R, n, d)` for R runs, `(n, d)` for a run alone): the population and
+    its fitness, each run's best so far as a one-agent population
+    `best_position` (`(R, 1, d)` or `(1, d)`), which broadcasts against the
+    population, and its value, one entry per run of `best_value` `(R,)`. A
+    run's best so far is the first strict minimum over its evaluated
+    batches (the first batch always sets a position, even if every value is
+    inf). An algorithm with memory arrays subclasses it."""
 
     positions: np.ndarray
     fitness: np.ndarray
@@ -90,20 +90,23 @@ class Swarm:
     @classmethod
     def init(cls, positions, fitness, config, **memory):
         """State from the evaluated initial population and any memory arrays."""
-        n = config.n_agents
+        n, d = positions.shape[-2:]
         first = fitness.reshape(-1, n).argmin(axis=1) + np.arange(0, fitness.size, n)
-        return cls(positions, fitness, positions[first], fitness[first], **memory)
+        best = positions.reshape(-1, d)[first].reshape(*fitness.shape[:-1], 1, d)
+        return cls(positions, fitness, best, fitness.reshape(-1)[first], **memory)
 
     def observe(self, positions, fitness):
         """Take one evaluated batch as the population; returns the sweep's
         report for the driver."""
         self.positions, self.fitness = positions, fitness
-        n = fitness.size // self.best_value.size
-        for run, start in enumerate(range(0, fitness.size, n)):
-            i = start + int(fitness[start : start + n].argmin())
-            if fitness[i] < self.best_value[run]:
-                self.best_position[run] = positions[i]
-                self.best_value[run] = fitness[i]
+        n, d = positions.shape[-2:]
+        # each run's agents are a slice of the flat values, read with no gather
+        values = fitness.reshape(-1)
+        for run, start in enumerate(range(0, values.size, n)):
+            i = start + int(values[start : start + n].argmin())
+            if values[i] < self.best_value[run]:
+                self.best_position.reshape(-1, d)[run] = positions.reshape(-1, d)[i]
+                self.best_value[run] = values[i]
         return n, self.best_position, self.best_value
 
 
@@ -135,22 +138,20 @@ def _sweep_pso(s: _Particles, t, config, batch):
     """Global-best PSO with linear inertia schedule and velocity clamping."""
     p = config.params
     lo, hi = batch.lower, batch.upper
-    n, d = config.n_agents, s.positions.shape[1]
-    positions = batch.stacked(s.positions)
+    positions = s.positions
     v_max = p["v_frac"] * (hi - lo)
     w = linear_ramp(t, config.iterations, p["w_start"], p["w_end"])
-    r = batch.each("random", (2, n, d))
+    r = batch.each("random", (2, *positions.shape[-2:]))
     velocity = (
-        w * batch.stacked(s.velocity)
-        + p["c1"] * r[..., 0, :, :] * (batch.stacked(s.pbest) - positions)
-        + p["c2"] * r[..., 1, :, :] * (batch.spread(s.best_position) - positions)
+        w * s.velocity
+        + p["c1"] * r[..., 0, :, :] * (s.pbest - positions)
+        + p["c2"] * r[..., 1, :, :] * (s.best_position - positions)
     )
-    velocity = np.clip(velocity, -v_max, v_max)
-    s.velocity = batch.flat(velocity)
-    positions = batch.flat(np.clip(positions + velocity, lo, hi))
+    s.velocity = np.clip(velocity, -v_max, v_max)
+    positions = np.clip(positions + s.velocity, lo, hi)
     fitness = yield positions
     better = fitness < s.pbest_fit
-    np.copyto(s.pbest, positions, where=better[:, None])
+    np.copyto(s.pbest, positions, where=better[..., None])
     np.copyto(s.pbest_fit, fitness, where=better)
     return s.observe(positions, fitness)
 
@@ -161,23 +162,22 @@ def _sweep_gwo(s: Swarm, t, config, batch):
     Leaders are the three best of each run's current population each sweep.
     """
     p = config.params
-    n, d = config.n_agents, s.positions.shape[1]
-    positions = batch.stacked(s.positions)
+    positions = s.positions
     a = linear_ramp(t, config.iterations, p["a_start"], p["a_end"])
-    leaders = k_best(positions, batch.stacked(s.fitness), 3)[0][..., None, :]
+    leaders = k_best(positions, s.fitness, 3)[0][..., None, :]
     # leader j's r1 and r2 blocks, in the order a loop over the leaders drew them
-    r = batch.each("random", (3, 2, n, d))
+    r = batch.each("random", (3, 2, *positions.shape[-2:]))
     coeff_a = 2.0 * a * r[..., 0, :, :] - a
     coeff_c = 2.0 * r[..., 1, :, :]
     pulls = leaders - coeff_a * np.abs(coeff_c * leaders - positions[..., None, :, :])
-    positions = batch.flat(np.clip(pulls.mean(axis=-3), batch.lower, batch.upper))
+    positions = np.clip(pulls.mean(axis=-3), batch.lower, batch.upper)
     return s.observe(positions, (yield positions))
 
 
 def _woa_spiral(positions, best, ell, pitch):
     """Logarithmic spiral toward the leader: |best-x| e^(b l) cos(2 pi l) + best."""
     gap = np.abs(best - positions)
-    shape = (np.exp(pitch * ell) * np.cos(2.0 * np.pi * ell))[:, None]
+    shape = (np.exp(pitch * ell) * np.cos(2.0 * np.pi * ell))[..., None]
     return gap * shape + best
 
 
@@ -187,43 +187,27 @@ def _sweep_woa(s: Swarm, t, config, batch):
     Per agent and sweep: branch choice p, scalar A = 2 a r - a deciding
     encircling (|A| < 1, toward the best-so-far) versus search (random
     agent of its run), per-dimension C, and a scalar spiral parameter
-    l ~ U(-1, 1).
+    l ~ U(-1, 1). Every agent's three moves are worked out and its branch
+    picks one.
     """
     p = config.params
     positions = s.positions
-    n, d = config.n_agents, positions.shape[1]
+    n, d = positions.shape[-2:]
     a = linear_ramp(t, config.iterations, p["a_start"], p["a_end"])
-    # each run's branch and r blocks, as two run-major rows of R*n values
-    branch, r = batch.each("random", (2, n)).swapaxes(0, -2).reshape(2, -1)
-    coeff_a = 2.0 * a * r - a
-    coeff_c = 2.0 * batch.flat(batch.each("random", (n, d)))
-    ell = batch.flat(batch.each("uniform", -1.0, 1.0, n))
-    partners = (batch.flat(batch.each("random", n)) * n).astype(int)
-    partners = batch.run_rows(partners, n, n)
+    draws = batch.each("random", (2, n))
+    branch, r = draws[..., 0, :], draws[..., 1, :]
+    coeff_a = (2.0 * a * r - a)[..., None]
+    coeff_c = 2.0 * batch.each("random", (n, d))
+    ell = batch.each("uniform", -1.0, 1.0, n)
+    partners = (batch.each("random", n) * n).astype(int)
 
-    new_positions = np.empty_like(positions)
-    is_spiral = branch >= 0.5
-    near = np.abs(coeff_a) < 1.0
-    spiral = is_spiral.nonzero()[0]
-    encircle = (~is_spiral & near).nonzero()[0]
-    search = (~is_spiral & ~near).nonzero()[0]
-    if spiral.size:
-        new_positions[spiral] = _woa_spiral(
-            positions.take(spiral, 0),
-            batch.at(s.best_position, spiral, n),
-            ell.take(spiral),
-            p["spiral_pitch"],
-        )
-    if encircle.size:
-        leader = batch.at(s.best_position, encircle, n)
-        gap = np.abs(coeff_c.take(encircle, 0) * leader - positions.take(encircle, 0))
-        new_positions[encircle] = leader - coeff_a.take(encircle)[:, None] * gap
-    if search.size:
-        ref = positions.take(partners.take(search), 0)
-        gap = np.abs(coeff_c.take(search, 0) * ref - positions.take(search, 0))
-        new_positions[search] = ref - coeff_a.take(search)[:, None] * gap
-
-    positions = batch.flat(np.clip(batch.stacked(new_positions), batch.lower, batch.upper))
+    # encircling pulls toward the leader and search toward the partner, by one formula
+    leader = s.best_position
+    target = np.where(np.abs(coeff_a) < 1.0, leader, batch.pick(positions, partners))
+    pulled = target - coeff_a * np.abs(coeff_c * target - positions)
+    spiral = _woa_spiral(positions, leader, ell, p["spiral_pitch"])
+    positions = np.where(branch[..., None] >= 0.5, spiral, pulled)
+    positions = np.clip(positions, batch.lower, batch.upper)
     return s.observe(positions, (yield positions))
 
 
@@ -231,15 +215,15 @@ def _sweep_sca(s: Swarm, t, config, batch):
     """Sine-cosine algorithm: each agent moves by a sine or a cosine step
     around the destination point, its run's best so far."""
     p = config.params
-    shape = (config.n_agents, s.positions.shape[1])
-    positions = batch.stacked(s.positions)
+    positions = s.positions
+    shape = positions.shape[-2:]
     r1 = linear_ramp(t, config.iterations, p["amplitude"], 0.0)
     r2 = batch.each("uniform", 0.0, 2.0 * np.pi, shape)
     r3 = batch.each("uniform", 0.0, 2.0, shape)
     r4 = batch.each("random", shape)
-    gap = np.abs(r3 * batch.spread(s.best_position) - positions)
+    gap = np.abs(r3 * s.best_position - positions)
     wave = np.where(r4 < 0.5, np.sin(r2), np.cos(r2))
-    positions = batch.flat(np.clip(positions + r1 * wave * gap, batch.lower, batch.upper))
+    positions = np.clip(positions + r1 * wave * gap, batch.lower, batch.upper)
     return s.observe(positions, (yield positions))
 
 
@@ -248,13 +232,12 @@ def _sweep_aoa(s: Swarm, t, config, batch):
     gated by an accelerated schedule rising linearly over [0.1, 0.9]."""
     p = config.params
     lo, hi = batch.lower, batch.upper
-    shape = (config.n_agents, s.positions.shape[1])
     eps = np.finfo(float).eps
     scaled = p["mu"] * (hi - lo) + lo
     moa = linear_ramp(t, config.iterations, p["moa_start"], p["moa_end"])
     mop = 1.0 - (t / config.iterations) ** (1.0 / p["mop_power"])
-    best = batch.spread(s.best_position)
-    r = batch.each("random", (3, *shape))
+    best = s.best_position
+    r = batch.each("random", (3, *s.positions.shape[-2:]))
     explore = r[..., 0, :, :] > moa
     div_move = best / (mop + eps) * scaled
     mul_move = best * mop * scaled
@@ -262,24 +245,22 @@ def _sweep_aoa(s: Swarm, t, config, batch):
     add_move = best + mop * scaled
     exploring = np.where(r[..., 1, :, :] < 0.5, div_move, mul_move)
     exploiting = np.where(r[..., 2, :, :] < 0.5, sub_move, add_move)
-    positions = batch.flat(np.clip(np.where(explore, exploring, exploiting), lo, hi))
+    positions = np.clip(np.where(explore, exploring, exploiting), lo, hi)
     return s.observe(positions, (yield positions))
 
 
 @dataclass
 class _Equilibrium(Swarm):
     """eo's state: each run's equilibrium pool, the four best points
-    evaluated so far, best first (run-major, four rows per run)."""
+    evaluated so far, best first (`(R, 4, d)` for R runs, `(4, d)` alone)."""
 
     elites: np.ndarray
     elite_fit: np.ndarray
 
     @classmethod
     def init(cls, positions, fitness, config):
-        d, runs = positions.shape[1], fitness.size // config.n_agents
-        elites, elite_fit = k_best(positions.reshape(runs, -1, d), fitness.reshape(runs, -1), 4)
-        memory = dict(elites=elites.reshape(-1, d), elite_fit=elite_fit.reshape(-1))
-        return super().init(positions, fitness, config, **memory)
+        elites, elite_fit = k_best(positions, fitness, 4)
+        return super().init(positions, fitness, config, elites=elites, elite_fit=elite_fit)
 
 
 def _sweep_eo(s: _Equilibrium, t, config, batch):
@@ -289,40 +270,38 @@ def _sweep_eo(s: _Equilibrium, t, config, batch):
     that got worse returns to where it was."""
     p = config.params
     old_positions, old_fitness = s.positions, s.fitness
-    n, d = config.n_agents, old_positions.shape[1]
-    elites = batch.stacked(s.elites)
+    n, d = old_positions.shape[-2:]
+    elites = s.elites
     pool = np.concatenate([elites, elites.mean(axis=-2, keepdims=True)], axis=-2)
     t_relax = (1.0 - t / config.iterations) ** (p["a2"] * t / config.iterations)
-    picks = (batch.flat(batch.each("random", n)) * pool.shape[-2]).astype(int)
-    ceq = batch.flat(pool).take(batch.run_rows(picks, n, pool.shape[-2]), 0)
-    ceq = batch.stacked(ceq)
+    picks = (batch.each("random", n) * pool.shape[-2]).astype(int)
+    ceq = batch.pick(pool, picks)
     r = batch.each("random", (2, n, d))
     lam = r[..., 0, :, :]
     mix = p["a1"] * np.sign(r[..., 1, :, :] - 0.5) * (np.exp(-lam * t_relax) - 1.0)
     u = batch.each("random", (2, n))
     gcp = np.where(u[..., 1, :] >= p["gp"], 0.5 * u[..., 0, :], 0.0)[..., None]
-    old = batch.stacked(old_positions)
-    g0 = gcp * (ceq - lam * old)
-    positions = ceq + (old - ceq) * mix + (g0 * mix / lam) * (1.0 - mix)
-    positions = batch.flat(np.clip(positions, batch.lower, batch.upper))
+    g0 = gcp * (ceq - lam * old_positions)
+    positions = ceq + (old_positions - ceq) * mix + (g0 * mix / lam) * (1.0 - mix)
+    positions = np.clip(positions, batch.lower, batch.upper)
     fitness = yield positions
     report = s.observe(positions, fitness)
-    elites, elite_fit = k_best(
-        np.concatenate([elites, batch.stacked(positions)], axis=-2),
-        np.concatenate([batch.stacked(s.elite_fit), batch.stacked(fitness)], axis=-1),
+    s.elites, s.elite_fit = k_best(
+        np.concatenate([elites, positions], axis=-2),
+        np.concatenate([s.elite_fit, fitness], axis=-1),
         4,
     )
-    s.elites, s.elite_fit = batch.flat(elites), batch.flat(elite_fit)
     worse = fitness > old_fitness
-    np.copyto(positions, old_positions, where=worse[:, None])
+    np.copyto(positions, old_positions, where=worse[..., None])
     np.copyto(fitness, old_fitness, where=worse)
     return report
 
 
 # each baseline as the pair `run_optimizer` drives: init(positions, fitness,
 # config) -> state, and the generator sweep(state, t, config, batch), which
-# yields its points, receives their values and returns (evaluated per run,
-# best positions, best values); `config.params` is the resolved block
+# yields its points, receives their values (both in the batch's stacked
+# shape) and returns (evaluated per run, best positions, best values);
+# `config.params` is the resolved block
 OPTIMIZERS = {
     "pso": (_Particles.init, _sweep_pso),
     "gwo": (Swarm.init, _sweep_gwo),

@@ -27,14 +27,18 @@ traces and the records. A group of one run is a run alone, and every run of
 a batch gets the record it gets alone. An optimizer is a pair over explicit
 state: `init(positions, fitness, settings)` returns the state, a dataclass
 of arrays, and `sweep(state, t, settings, batch)` is a generator that
-advances every run by one sweep: it yields the run-major block of points it
-needs evaluated, receives their objective values and returns each run's
-best so far. The driver evaluates the blocks of every group of a round
-together: the runs that share a problem object, if it is vectorized and not
-noisy, share one `benchmarks.evaluate` call, and every other run gets its
-own call on its own stream. dvo's pair is `initialize` and `sweep`, which
-yields the proposals of `propose`, runs `step` (the acceptance half) on
-their values and reports each run's best drain after the elitist refresh.
+advances every run by one sweep: it yields the block of points it needs
+evaluated, receives their objective values and returns each run's best so
+far. Blocks, values and the initial pair have the batch's stacked shape,
+`(R, n, ...)` for R runs and `(n, ...)` for a run alone; for the objective
+calls the driver turns each block into run-major rows and the values back
+into the block's shape. It evaluates the blocks of every group of a
+round together: the runs that share a problem object, if it is vectorized
+and not noisy, share one `benchmarks.evaluate` call, and every other run
+gets its own call on its own stream. dvo's pair is `initialize` and
+`sweep`, which yields the proposals of `propose`, runs `step` (the
+acceptance half) on their values and reports each run's best drain after
+the elitist refresh.
 
 Random draw order within one sweep is fixed and documented here, per run:
 each run draws from its own stream, at each site, what it draws alone
@@ -582,17 +586,14 @@ def stagnation_update(stagnation, phase, improved, splashed):
 
 
 def initialize(positions, fitness, params: DvoParams) -> DvoState:
-    """State from the evaluated initial population of one run, or the
-    run-major stack of several (`params.n_agents` rows each); each run's K
-    best agents are its initial drains."""
-    d = positions.shape[1]
-    runs = fitness.size // params.n_agents
-    drains, drain_fitness = k_best(
-        positions.reshape(runs, -1, d), fitness.reshape(runs, -1), params.n_drains
-    )
+    """State from the evaluated initial population in the batch's stacked
+    shape, `(n, d)` for one run or `(R, n, d)` for R runs; each run's K best
+    agents are its initial drains. The state keeps every array run-major."""
+    d = positions.shape[-1]
+    drains, drain_fitness = k_best(positions, fitness, params.n_drains)
     return DvoState(
-        positions=positions,
-        fitness=fitness,
+        positions=positions.reshape(-1, d),
+        fitness=fitness.reshape(-1),
         drains=drains.reshape(-1, d),
         drain_fitness=drain_fitness.reshape(-1),
         stagnation=np.zeros(fitness.size, dtype=int),
@@ -604,8 +605,8 @@ def propose(state: DvoState, t: int, params: DvoParams, batch: Batch):
     schedules, assignment, switching, phase moves with splash, clip. The
     state is the runs' run-major stack: run r owns agents r*n up to (r+1)*n
     and drains r*k up to (r+1)*k. Returns (proposals, phase, splashed): the
-    clipped run-major proposals, each agent's phase and the mask of the
-    agents that splashed."""
+    clipped proposals in the batch's stacked shape, each agent's phase and
+    the mask of the agents that splashed, run-major."""
     n = state.fitness.size // batch.size
     k = params.n_drains
     scale = exploration_scale(t, params.iterations)
@@ -680,7 +681,7 @@ def propose(state: DvoState, t: int, params: DvoParams, batch: Batch):
                 state.drains[run * k], params, batch.problems[run], batch.streams[run]
             )
 
-    return batch.flat(clip_bounds(batch.stacked(proposals), batch)), phase, splashed
+    return clip_bounds(batch.stacked(proposals), batch), phase, splashed
 
 
 def step(
@@ -717,17 +718,20 @@ def step(
 
 
 class Batch:
-    """R runs of one dimension that sweep together as one run-major stack:
-    run r owns the r-th block of rows of every population array, draws from
+    """R runs of one dimension that sweep together: run r draws from
     `streams[r]` and is evaluated on `problems[r]`.
 
-    `stacked` views a population as (R, n, ...) and `flat` undoes it; the
-    boxes `lower` and `upper` broadcast against such a stack, (R, 1, d),
-    and `spread` shapes any per-run values so. `span` (R, d) and `diameter`
-    (R,) hold one row per run, which `at` gathers per agent. A batch of one
-    run is the run alone: its stack is its population, its box is its
-    problem's, a per-run value is its one row, and its draws are its
-    stream, so it makes the numpy calls of a run alone."""
+    A population of the batch has its stacked shape: (R, n, ...), run r's
+    agents at index r, and for a run alone (n, ...), its own arrays. The
+    boxes `lower` and `upper` broadcast against it, (R, 1, d), `spread`
+    shapes any per-run values so, `each` draws a block in it and `pick`
+    gathers each run's rows by index. dvo keeps its state as run-major rows
+    (run r owns the r-th block of rows), which `stacked` views in the
+    stacked shape and `flat` restores; `span` (R, d) and `diameter` (R,)
+    hold one row per run, which `at` gathers per agent. A batch of one run
+    is the run alone: its box is its problem's, a per-run value is its one
+    row, and its draws are its stream, so it makes the numpy calls of a run
+    alone."""
 
     def __init__(self, problems, streams):
         if len({problem.dim for problem in problems}) != 1:
@@ -766,6 +770,16 @@ class Batch:
             return values[0]
         return values.take(agents // n, axis=0)
 
+    def pick(self, stack, local) -> Array:
+        """Each run's rows of `stack`, of m rows per run, at its agents'
+        indices `local`, each in [0, m): stacked (R, n, ...) for (R, n)
+        indices."""
+        if self.size == 1:
+            return stack.take(local, axis=0)
+        m = stack.shape[1]
+        rows = local + np.arange(0, self.size * m, m)[:, None]
+        return stack.reshape(-1, *stack.shape[2:]).take(rows, axis=0)
+
     def run_rows(self, local, n: int, stride: int) -> Array:
         """The rows of a run-major array of `stride` rows per run that the
         R*n agents' own indices `local` (each in [0, stride)) name."""
@@ -803,18 +817,19 @@ class Group(NamedTuple):
 
 def initial_population(batch: Batch, n: int):
     """Each run's initial population: n points per run of `batch` drawn
-    uniformly in its box, yielded run-major for evaluation; returns
-    (positions, fitness)."""
+    uniformly in its box, yielded for evaluation in the batch's stacked
+    shape; returns (positions, fitness) in that shape."""
     draws = batch.each("random", (n, batch.problems[0].dim))
-    positions = batch.flat(batch.lower + draws * batch.spread(batch.span))
+    positions = batch.lower + draws * batch.spread(batch.span)
     fitness = yield positions
     return positions, fitness
 
 
 def _lifetime(group: Group, batch: Batch):
     """A group's runs from start to end as one generator: it yields each
-    run-major block of points to evaluate and returns (evaluations per run,
-    best positions, best values, traces)."""
+    block of points to evaluate, in the batch's stacked shape, and returns
+    (evaluations per run, best positions one row per run, best values,
+    traces)."""
     settings = group.settings
     state = group.init(*(yield from initial_population(batch, settings.n_agents)), settings)
     evaluations = settings.n_agents
@@ -823,20 +838,19 @@ def _lifetime(group: Group, batch: Batch):
         evaluated, best_positions, best_values = yield from group.sweep(state, t, settings, batch)
         evaluations += evaluated
         trace[:, t] = best_values
-    return evaluations, best_positions, best_values, trace
+    return evaluations, best_positions.reshape(batch.size, -1), best_values, trace
 
 
-def _calls(points: dict, batches: list) -> list:
-    """The objective calls of one round of the groups in `points` (group
-    index -> its run-major block of points), as (problem, stream, parts)
-    triples, each part a [group, first row, end row] block of a group's
-    points. The runs that share a problem object make one call if it is
-    vectorized and not noisy; every other run makes its own, with its own
-    stream."""
+def _calls(blocks: dict, batches: list) -> list:
+    """The objective calls of one round of the groups in `blocks` (group
+    index -> its block of points), as (problem, stream, parts) triples, each
+    part a [group, first row, end row] range of a block's run-major rows.
+    The runs that share a problem object make one call if it is vectorized
+    and not noisy; every other run makes its own, with its own stream."""
     calls = {}
-    for g, rows in points.items():
+    for g, block in blocks.items():
         batch = batches[g]
-        n = len(rows) // batch.size
+        n = block.shape[-2]
         for r, (problem, stream) in enumerate(zip(batch.problems, batch.streams)):
             key = problem if problem.vectorized and not problem.noisy else stream
             parts = calls.setdefault(key, (problem, stream, []))[2]
@@ -847,35 +861,27 @@ def _calls(points: dict, batches: list) -> list:
     return list(calls.values())
 
 
-def _evaluate(points: dict, calls: list, seconds: list) -> dict:
-    """Each group's objective values of its points, from one
-    `benchmarks.evaluate` call per entry of `calls` (see `_calls`); each
-    call's time is shared out among the groups by their rows."""
+def _evaluate(blocks: dict, calls: list, seconds: list) -> dict:
+    """Each group's objective values of its block of points, in the block's
+    stacked shape, from one `benchmarks.evaluate` call per entry of `calls`
+    (see `_calls`) on the parts' rows, in order; each call's time is shared
+    out among the groups by their rows."""
     clock = time.perf_counter
     fitness = {}
     last = clock()
     for problem, stream, parts in calls:
-        if len(parts) == 1:
-            g, lo, hi = parts[0]
-            values = benchmarks.evaluate(problem, points[g][lo:hi], stream)
-            if hi - lo == len(points[g]):  # the group's whole block
-                fitness[g] = values
-            else:
-                if g not in fitness:
-                    fitness[g] = np.empty(len(points[g]))
-                fitness[g][lo:hi] = values
-            now = clock()
-            seconds[g] += now - last
-            last = now
-            continue
-        values = benchmarks.evaluate(
-            problem, np.concatenate([points[g][lo:hi] for g, lo, hi in parts]), stream
-        )
+        rows = []
+        for g, lo, hi in parts:
+            block = blocks[g]
+            rows.append(block.reshape(-1, block.shape[-1])[lo:hi])
+            if g not in fitness:
+                fitness[g] = np.empty(block.shape[:-1])
+        # the rows of one part are evaluated where they are, with no copy
+        points = rows[0] if len(rows) == 1 else np.concatenate(rows)
+        values = benchmarks.evaluate(problem, points, stream)
         offset = 0
         for g, lo, hi in parts:
-            if g not in fitness:
-                fitness[g] = np.empty(len(points[g]))
-            fitness[g][lo:hi] = values[offset : offset + hi - lo]
+            fitness[g].reshape(-1)[lo:hi] = values[offset : offset + hi - lo]
             offset += hi - lo
         now = clock()
         share = (now - last) / offset
@@ -892,13 +898,16 @@ def run_optimizer(groups, checkpoints=DEFAULT_CHECKPOINTS) -> list:
     each sweeping until its own `iterations`: every run's record is bitwise
     the record it gets alone, wall time aside. An optimizer is a pair:
     `init(positions, fitness, settings)` builds the state from the runs'
-    evaluated initial populations, stacked run-major, and `sweep(state, t,
-    settings, batch)` is a generator that advances every run of the batch
-    by sweep `t`. It yields the run-major block of points it needs
-    evaluated, receives their values and returns (points it evaluated per
-    run, each run's best position, each run's best value) so far. Each
-    round the driver takes the blocks of every group still running and
-    evaluates them together (see `_calls`), so the runs of the groups
+    evaluated initial populations, and `sweep(state, t, settings, batch)`
+    is a generator that advances every run of the batch by sweep `t`. It
+    yields the block of points it needs evaluated, receives their values
+    and returns (points it evaluated per run, each run's best position, as
+    one row or a one-agent population per run, each run's best value) so
+    far. Points and values have the batch's stacked shape (see `Batch`);
+    the driver turns each block into run-major rows for the objective
+    calls and each group's values back into its block's shape (`_evaluate`).
+    Each round the driver takes the blocks of every group still running
+    and evaluates them together (see `_calls`), so the runs of the groups
     that share a problem object share its calls. The evaluation count sums
     the evaluated batches and the trace keeps the best value after each
     sweep. A record's `walltime_ms` is its group's time, the group's own
@@ -919,20 +928,20 @@ def run_optimizer(groups, checkpoints=DEFAULT_CHECKPOINTS) -> list:
     replies = dict.fromkeys(range(len(batches)))
     calls = None
     while replies:
-        points = {}
+        blocks = {}
         last = clock()
         for g, values in replies.items():
             try:
-                points[g] = lifetimes[g].send(values)
+                blocks[g] = lifetimes[g].send(values)
             except StopIteration as done:
                 results[g] = done.value
             now = clock()
             seconds[g] += now - last
             last = now
         # the calls change only when a group ends
-        if calls is None or len(points) < len(replies):
-            calls = _calls(points, batches)
-        replies = _evaluate(points, calls, seconds)
+        if calls is None or len(blocks) < len(replies):
+            calls = _calls(blocks, batches)
+        replies = _evaluate(blocks, calls, seconds)
     records = []
     for group, batch, spent, result in zip(groups, batches, seconds, results):
         evaluations, best_positions, best_values, trace = result
@@ -958,10 +967,11 @@ def run_optimizer(groups, checkpoints=DEFAULT_CHECKPOINTS) -> list:
 def sweep(state: DvoState, t: int, params: DvoParams, batch: Batch):
     """dvo's sweep for `run_optimizer`: `propose` at the driver's sweep
     index `t`, yield the proposals, `step` on their values, and report each
-    run's best drain."""
+    run's best drain. The proposals cross the yield in the batch's stacked
+    shape, and `step` gets them back as the state's run-major rows."""
     proposals, phase, splashed = propose(state, t, params, batch)
     fitness = yield proposals
-    step(state, proposals, fitness, phase, splashed, params, batch)
+    step(state, batch.flat(proposals), batch.flat(fitness), phase, splashed, params, batch)
     k = params.n_drains
     return params.n_agents, state.drains[::k], state.drain_fitness[::k]
 

@@ -407,15 +407,21 @@ def _run_batch(config: ExperimentConfig, settings: dict, built: dict, runs: list
 def _execute_batch(config: ExperimentConfig, settings: dict, built: dict, runs: list) -> list:
     """The record or the FailureRecord of each grid run of `runs`, a batch of
     `config.grid_runs()` keys, with each algorithm's `settings` and the
-    problems `built` so far. A batch that raises runs again one run at a
-    time, so that only a run that raises alone fails, with its own message,
-    and its batch-mates keep their records."""
+    problems `built` so far. A batch of several cases that raises runs again
+    case by case, every algorithm's runs of one (problem, dim) together, and
+    a case that raises runs again one run at a time, so that only a run
+    that raises alone fails, with its own message, and the healthy cases
+    keep their pooled calls."""
     try:
         return _run_batch(config, settings, built, runs)
     except Exception as exc:  # noqa: BLE001 - failures become grid diagnostics
-        if len(runs) > 1:
-            return [o for run in runs for o in _execute_batch(config, settings, built, [run])]
-        return [FailureRecord(*runs[0], message=f"{type(exc).__name__}: {exc}")]
+        if len(runs) == 1:
+            return [FailureRecord(*runs[0], message=f"{type(exc).__name__}: {exc}")]
+        cases: dict = {}
+        for run in runs:
+            cases.setdefault(run[1:3], []).append(run)
+        parts = cases.values() if len(cases) > 1 else [[run] for run in runs]
+        return [o for part in parts for o in _execute_batch(config, settings, built, part)]
 
 
 # runs of one algorithm one batch may hold: per run, a 30-agent dvo sweep on F9

@@ -895,6 +895,59 @@ class TestRunExperiment:
             assert masked_records(got) == masked_records(want)
             assert got.failures == want.failures
 
+    def test_a_failed_batch_reruns_case_by_case(self, monkeypatch):
+        def explode(x):
+            raise RuntimeError("boom")
+
+        register_plugin(
+            ProblemSpec(
+                name="exploding",
+                dim=2,
+                lower=np.array([-1.0, -1.0]),
+                upper=np.array([1.0, 1.0]),
+                objective=explode,
+            )
+        )
+        calls = []
+        real = harness._run_batch
+
+        def counting(config, settings, built, runs):
+            calls.append(sorted({(run[1], len(runs)) for run in runs}))
+            return real(config, settings, built, runs)
+
+        try:
+            config = tiny_config(
+                problems=("F1", "exploding", "F16"),
+                algorithms=(AlgorithmSpec("pso"), AlgorithmSpec("dvo"), AlgorithmSpec("gwo")),
+                runs=3,
+                iterations=4,
+                checkpoints=(2, 4),
+            )
+            settings = {
+                spec.name: harness._resolve_algorithm(spec.name, {}, config.n_agents, config.iterations)
+                for spec in config.algorithms
+            }
+            # the records of the healthy runs, each made alone
+            healthy = [run for run in config.grid_runs() if run[1] != "exploding"]
+            alone = [o for run in healthy for o in real(config, settings, {}, [run])]
+            monkeypatch.setattr(harness, "_run_batch", counting)
+            result = run_experiment(config, parallel=1)
+        finally:
+            clear_plugins()
+        # the 27-run batch, then each case's 9 runs, then the raising case's runs one at a time
+        assert calls == [
+            [("F1", 27), ("F16", 27), ("exploding", 27)],
+            [("F1", 9)],
+            [("exploding", 9)],
+            *[[("exploding", 1)]] * 9,
+            [("F16", 9)],
+        ]
+        assert masked_records(result) == masked_records(ResultSet(config, alone, []))
+        assert [(f.algorithm, f.problem, f.run_index) for f in result.failures] == [
+            (name, "exploding", i) for name in ("pso", "dvo", "gwo") for i in range(3)
+        ]
+        assert all(f.message == "RuntimeError: boom" for f in result.failures)
+
     @pytest.mark.parametrize("n_tasks", [1, 2, 7, 8, 9, 33, 196, 1000])
     @pytest.mark.parametrize("degree", [2, 3, 4, 8])
     def test_never_fewer_than_four_chunks_per_worker(self, n_tasks, degree):

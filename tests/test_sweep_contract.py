@@ -10,7 +10,15 @@ whose sweeps alternate must each give, byte for byte with wall time masked,
 the record that `engine.run` or `BASELINES[name]` gives for it alone.
 Stacking runs depends on this; `test_batch_reference.py` checks the stacked
 runs themselves.
+
+The layout contract: every block a sweep yields, the reply it receives and
+the initial pair its init receives have the batch's stacked shape, `(R, n,
+...)` for R runs and `(n, ...)` for a run alone; a baseline's state keeps
+that shape (its best position with a one-agent axis), and dvo's state keeps
+its run-major rows.
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -94,3 +102,78 @@ def test_interleaved_runs_match_runs_alone(name, case):
     for seed, record in zip(SEEDS, records):
         assert masked(record) == masked(alone(name, problem, settings, seed))
     assert masked(records[0]) != masked(records[1])
+
+
+def watched(sweep, seen):
+    """`sweep` with the shape of each block it yields and each reply it
+    receives appended to `seen`, and its state after the sweep."""
+
+    def watched_sweep(state, t, settings, batch):
+        generator = sweep(state, t, settings, batch)
+        block = next(generator)
+        try:
+            while True:
+                seen.append(("block", block.shape))
+                values = yield block
+                seen.append(("reply", values.shape))
+                block = generator.send(values)
+        except StopIteration as done:
+            seen.append(("state", state))
+            return done.value
+
+    return watched_sweep
+
+
+def stacked(runs, *shape):
+    """A per-run shape in the stacked shape of a batch of `runs` runs."""
+    return (runs, *shape) if runs > 1 else shape
+
+
+def expected_state(name, runs, n, d, k):
+    if name.startswith("dvo"):
+        return {
+            "positions": (runs * n, d),
+            "fitness": (runs * n,),
+            "drains": (runs * k, d),
+            "drain_fitness": (runs * k,),
+            "stagnation": (runs * n,),
+        }
+    return {
+        "positions": stacked(runs, n, d),
+        "fitness": stacked(runs, n),
+        "best_position": stacked(runs, 1, d),
+        "best_value": (runs,),
+        "velocity": stacked(runs, n, d),
+        "pbest": stacked(runs, n, d),
+        "pbest_fit": stacked(runs, n),
+        "elites": stacked(runs, 4, d),
+        "elite_fit": stacked(runs, 4),
+    }
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("name", NAMES)
+def test_blocks_replies_and_states_keep_the_stacked_shape(name, runs):
+    problem = benchmarks.get_problem("F6", 10)
+    settings = harness._resolve_algorithm(name, {}, n_agents=10, iterations=4)
+    n, d, k = settings.n_agents, problem.dim, getattr(settings, "n_drains", 0)
+    init, sweep = PAIRS[name.partition(":")[0]]
+    seen, initial = [], []
+
+    def watched_init(positions, fitness, settings):
+        initial.append((positions.shape, fitness.shape))
+        return init(positions, fitness, settings)
+
+    triples = [(problem, seed, 0) for seed in range(runs)]
+    group = engine.Group(name, watched_init, watched(sweep, seen), settings, triples)
+    records = engine.run_optimizer([group])
+    assert initial == [(stacked(runs, n, d), stacked(runs, n))]
+    blocks = [shape for kind, shape in seen if kind == "block"]
+    replies = [shape for kind, shape in seen if kind == "reply"]
+    assert blocks == [stacked(runs, n, d)] * settings.iterations
+    assert replies == [stacked(runs, n)] * settings.iterations
+    want = expected_state(name, runs, n, d, k)
+    for state in [value for kind, value in seen if kind == "state"]:
+        shapes = {f.name: getattr(state, f.name).shape for f in fields(state)}
+        assert shapes == {field: want[field] for field in shapes}
+    assert [record.best_position.shape for record in records] == [(d,)] * runs
