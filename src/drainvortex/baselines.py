@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .engine import BOUNDS, Group, k_best, parameter_problems, run_optimizer
+from .engine import BOUNDS, Group, clamp, k_best, parameter_problems, run_optimizer
 from .engine import selection_pressure as linear_ramp
 from .errors import ConfigError, shown
 
@@ -147,8 +147,8 @@ def _sweep_pso(s: _Particles, t, config, batch):
         + p["c1"] * r[..., 0, :, :] * (s.pbest - positions)
         + p["c2"] * r[..., 1, :, :] * (s.best_position - positions)
     )
-    s.velocity = np.clip(velocity, -v_max, v_max)
-    positions = np.clip(positions + s.velocity, lo, hi)
+    s.velocity = clamp(velocity, -v_max, v_max)
+    positions = clamp(positions + s.velocity, lo, hi)
     fitness = yield positions
     better = fitness < s.pbest_fit
     np.copyto(s.pbest, positions, where=better[..., None])
@@ -170,7 +170,7 @@ def _sweep_gwo(s: Swarm, t, config, batch):
     coeff_a = 2.0 * a * r[..., 0, :, :] - a
     coeff_c = 2.0 * r[..., 1, :, :]
     pulls = leaders - coeff_a * np.abs(coeff_c * leaders - positions[..., None, :, :])
-    positions = np.clip(pulls.mean(axis=-3), batch.lower, batch.upper)
+    positions = clamp(pulls.mean(axis=-3), batch.lower, batch.upper)
     return s.observe(positions, (yield positions))
 
 
@@ -207,7 +207,7 @@ def _sweep_woa(s: Swarm, t, config, batch):
     pulled = target - coeff_a * np.abs(coeff_c * target - positions)
     spiral = _woa_spiral(positions, leader, ell, p["spiral_pitch"])
     positions = np.where(branch[..., None] >= 0.5, spiral, pulled)
-    positions = np.clip(positions, batch.lower, batch.upper)
+    positions = clamp(positions, batch.lower, batch.upper)
     return s.observe(positions, (yield positions))
 
 
@@ -223,7 +223,7 @@ def _sweep_sca(s: Swarm, t, config, batch):
     r4 = batch.each("random", shape)
     gap = np.abs(r3 * s.best_position - positions)
     wave = np.where(r4 < 0.5, np.sin(r2), np.cos(r2))
-    positions = np.clip(positions + r1 * wave * gap, batch.lower, batch.upper)
+    positions = clamp(positions + r1 * wave * gap, batch.lower, batch.upper)
     return s.observe(positions, (yield positions))
 
 
@@ -245,7 +245,7 @@ def _sweep_aoa(s: Swarm, t, config, batch):
     add_move = best + mop * scaled
     exploring = np.where(r[..., 1, :, :] < 0.5, div_move, mul_move)
     exploiting = np.where(r[..., 2, :, :] < 0.5, sub_move, add_move)
-    positions = np.clip(np.where(explore, exploring, exploiting), lo, hi)
+    positions = clamp(np.where(explore, exploring, exploiting), lo, hi)
     return s.observe(positions, (yield positions))
 
 
@@ -283,7 +283,7 @@ def _sweep_eo(s: _Equilibrium, t, config, batch):
     gcp = np.where(u[..., 1, :] >= p["gp"], 0.5 * u[..., 0, :], 0.0)[..., None]
     g0 = gcp * (ceq - lam * old_positions)
     positions = ceq + (old_positions - ceq) * mix + (g0 * mix / lam) * (1.0 - mix)
-    positions = np.clip(positions, batch.lower, batch.upper)
+    positions = clamp(positions, batch.lower, batch.upper)
     fitness = yield positions
     report = s.observe(positions, fitness)
     s.elites, s.elite_fit = k_best(

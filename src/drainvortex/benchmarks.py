@@ -624,10 +624,27 @@ def clear_plugins() -> None:
     _PLUGINS.clear()
 
 
+def fixed_dimension(name: str) -> Optional[int]:
+    """The dimension of problem `name`, read from the table `get_problem`
+    builds it from (a plugin's from its registered spec), so it builds
+    nothing; None for a scalable id, which takes any dimension from 2 up.
+    An unknown name raises KeyError."""
+    if name in _SCALABLE:
+        return None
+    if name in _FIXED:
+        return len(_FIXED[name][1])
+    if name in _ENGINEERING:
+        return len(_ENGINEERING[name][2])
+    if name in _PLUGINS:
+        return _PLUGINS[name].dim
+    raise KeyError(f"unknown problem {name!r}")
+
+
 def get_problem(name: str, dim: Optional[int] = None) -> ProblemSpec:
     """The problem of a catalog or plugin name, and the one constructor of
     the catalog problems; scalable ids require `dim`."""
-    if name in _SCALABLE:
+    fixed = fixed_dimension(name)
+    if fixed is None:
         if dim is None:
             raise ValueError(f"{name} is scalable: a dimension is required")
         if dim < 2:
@@ -643,35 +660,26 @@ def get_problem(name: str, dim: Optional[int] = None) -> ProblemSpec:
             noisy=noisy,
             vectorized=True,
         )
+    if dim is not None and dim != fixed:
+        raise ValueError(f"{name} has fixed dimension {fixed}, got {dim}")
+    if name in _PLUGINS:
+        return _PLUGINS[name]
     if name in _FIXED:
         fn, lo, hi, f_true = _FIXED[name]
-        spec = ProblemSpec(
-            name=name,
-            dim=len(lo),
-            lower=np.array(lo),
-            upper=np.array(hi),
-            objective=fn,
-            f_true=f_true,
-            vectorized=True,
-        )
-    elif name in _ENGINEERING:
-        fn, cons, lo, hi = _ENGINEERING[name]
-        spec = ProblemSpec(
-            name=name,
-            dim=len(lo),
-            lower=np.array(lo),
-            upper=np.array(hi),
-            objective=fn,
-            constraints=cons,
-            vectorized=True,
-        )
-    elif name in _PLUGINS:
-        spec = _PLUGINS[name]
+        constraints = None
     else:
-        raise KeyError(f"unknown problem {name!r}")
-    if dim is not None and dim != spec.dim:
-        raise ValueError(f"{name} has fixed dimension {spec.dim}, got {dim}")
-    return spec
+        fn, constraints, lo, hi = _ENGINEERING[name]
+        f_true = None
+    return ProblemSpec(
+        name=name,
+        dim=fixed,
+        lower=np.array(lo),
+        upper=np.array(hi),
+        objective=fn,
+        f_true=f_true,
+        constraints=constraints,
+        vectorized=True,
+    )
 
 
 def catalog_names() -> list:

@@ -73,13 +73,18 @@ class ExperimentConfig:
         return [spec.name for spec in self.algorithms]
 
     def case_list(self) -> list:
-        """Grid cases as (problem, dim) pairs in suite order."""
+        """Grid cases as (problem, dim) pairs in suite order: a scalable
+        problem at each of `dimensions`, any other at its fixed dimension.
+        The dimensions are read from the catalog tables
+        (`benchmarks.fixed_dimension`), so listing a grid builds no problem;
+        an unknown name raises KeyError."""
         cases = []
         for name in benchmarks.SUITES.get(self.suite, self.problems):
-            if name in benchmarks.SUITES["classical_scalable"]:
+            dim = benchmarks.fixed_dimension(name)
+            if dim is None:
                 cases.extend((name, int(d)) for d in self.dimensions)
             else:
-                cases.append((name, benchmarks.get_problem(name).dim))
+                cases.append((name, dim))
         return cases
 
     def grid_runs(self) -> list:
@@ -434,23 +439,25 @@ def _batch_size(config: ExperimentConfig, degree: int) -> int:
     """Runs of one algorithm per batch of `config`'s grid on `degree`
     workers: BATCH_RUNS without a pool, and on a pool the largest size, at
     most BATCH_RUNS, that still cuts the grid into 4 batches per worker (1
-    if none does)."""
+    if none does). The search lists the grid's cases once and cuts that
+    one list at each size it tries."""
     if degree <= 1:
         return BATCH_RUNS
+    cases = config.case_list()
     sizes = range(BATCH_RUNS, 1, -1)
-    return next((size for size in sizes if len(_case_batches(config, size)) >= 4 * degree), 1)
+    return next((size for size in sizes if len(_case_batches(cases, config.runs, size)) >= 4 * degree), 1)
 
 
-def _case_batches(config: ExperimentConfig, size: int) -> list:
-    """The grid's batches as lists of (problem, dim, run indices) pieces:
-    consecutive cases of one dimension, whole, with at most `size` runs in
-    all; a case of more than `size` runs is cut into pieces of `size` runs
-    (the last may be shorter)."""
+def _case_batches(cases: list, runs: int, size: int) -> list:
+    """The batches of a grid of `cases` with `runs` runs each, as lists of
+    (problem, dim, run indices) pieces: consecutive cases of one dimension,
+    whole, with at most `size` runs in all; a case of more than `size` runs
+    is cut into pieces of `size` runs (the last may be shorter)."""
     by_dim: dict = {}
-    for problem, dim in config.case_list():
+    for problem, dim in cases:
         batches = by_dim.setdefault(dim, [[]])
-        for lo in range(0, config.runs, size):
-            piece = (problem, dim, range(lo, min(lo + size, config.runs)))
+        for lo in range(0, runs, size):
+            piece = (problem, dim, range(lo, min(lo + size, runs)))
             if sum(len(indices) for *_, indices in batches[-1]) + len(piece[2]) > size:
                 batches.append([])
             batches[-1].append(piece)
@@ -464,7 +471,7 @@ def _batches(config: ExperimentConfig, size: int) -> list:
     names = config.algorithm_names()
     return [
         [(name, problem, dim, i) for name in names for problem, dim, indices in batch for i in indices]
-        for batch in _case_batches(config, size)
+        for batch in _case_batches(config.case_list(), config.runs, size)
     ]
 
 
@@ -522,12 +529,15 @@ def run_experiment(config: ExperimentConfig, parallel: int | None = None) -> Res
 # one line per run, each `json.dumps(_record_to_dict(record))`, in grid order
 RECORDS_FILE = "records.jsonl"
 
+# the fields of each dataclass that a file stores, in declaration order
+_STORED_FIELDS = {kind: fields(kind) for kind in (RunRecord, FailureRecord)}
+
 
 def _record_to_dict(record: RunRecord) -> dict:
     """The schema version, then RunRecord's fields in declaration order
     (json writes the integer checkpoint keys as text)."""
     data = {"schema_version": SCHEMA_VERSION}
-    data.update((f.name, getattr(record, f.name)) for f in fields(RunRecord))
+    data.update((f.name, getattr(record, f.name)) for f in _STORED_FIELDS[RunRecord])
     data["best_position"] = np.asarray(record.best_position, dtype=float).tolist()
     data["trace"] = np.asarray(record.trace, dtype=float).tolist()
     return data
@@ -558,18 +568,19 @@ def _field_values(kind, data, source: str, label: str) -> dict:
     type (`_JSON_VALUES`) is a ConfigError naming the file."""
     if not isinstance(data, dict):
         raise ConfigError([f"{source}: a {label} must be a mapping, got {type(data).__name__}"])
-    missing = [f.name for f in fields(kind) if f.name not in data]
+    kind_fields = _STORED_FIELDS[kind]
+    missing = [f.name for f in kind_fields if f.name not in data]
     if missing:
         raise ConfigError([f"{source}: missing {label} field {name!r}" for name in missing])
     bad = [
         f"{source}: {label} field {f.name!r} must be {_JSON_VALUES[f.type][0]}, "
         f"got {type(data[f.name]).__name__}"
-        for f in fields(kind)
+        for f in kind_fields
         if not _JSON_VALUES[f.type][1](data[f.name])
     ]
     if bad:
         raise ConfigError(bad)
-    return {f.name: data[f.name] for f in fields(kind)}
+    return {f.name: data[f.name] for f in kind_fields}
 
 
 def _record_from_dict(data: dict, source: str) -> RunRecord:

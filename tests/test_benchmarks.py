@@ -22,6 +22,7 @@ from drainvortex.benchmarks import (
     clear_plugins,
     evaluate,
     feasibility,
+    fixed_dimension,
     get_problem,
     penalize,
     register_plugin,
@@ -430,6 +431,24 @@ class TestGetProblem:
             get_problem("F99")
         with pytest.raises(KeyError):
             get_problem("f1", 2)
+
+    def test_fixed_dimension_is_the_built_dimension(self):
+        register_plugin(
+            ProblemSpec(name="cube", dim=3, lower=np.zeros(3), upper=np.ones(3), objective=np.sum)
+        )
+        try:
+            for name in catalog_names():
+                if name in SUITES["classical_scalable"]:
+                    assert fixed_dimension(name) is None
+                else:
+                    assert fixed_dimension(name) == get_problem(name).dim
+                    with pytest.raises(ValueError, match=f"fixed dimension {fixed_dimension(name)}, got 9"):
+                        get_problem(name, 9)
+            assert fixed_dimension("cube") == 3
+        finally:
+            clear_plugins()
+        with pytest.raises(KeyError):
+            fixed_dimension("F99")
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from drainvortex.engine import (
     DvoState,
     Phase,
     assign_drains,
+    clamp,
     clip_bounds,
     core_update,
     drain_probabilities,
@@ -832,3 +833,32 @@ class TestRun:
         )
         out = clip_bounds(np.array([[-5.0, 5.0], [0.5, 1.0]]), problem)
         assert np.array_equal(out, [[-1.0, 2.0], [0.5, 1.0]])
+
+    # one value per coordinate: signed zeros, NaN, infinities, a subnormal,
+    # and finite values inside, below and above each box
+    CLAMP_EDGES = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, -1.5, 0.5, 2.0, 1e308, -1e-320])
+
+    @pytest.mark.parametrize(
+        "lower,upper",
+        [
+            (np.zeros(10), np.ones(10)),
+            (np.linspace(-2.0, 0.0, 10), np.linspace(0.0, 3.0, 10)),
+            # pso's velocity clamp at v_frac 0: the bounds are -0.0 and 0.0
+            (-(0.0 * np.ones(10)), 0.0 * np.ones(10)),
+            # pso's velocity clamp +-v_max at v_frac 0.2 of a box's span
+            (-0.2 * np.full(10, 200.0), 0.2 * np.full(10, 200.0)),
+        ],
+    )
+    def test_clamp_gives_the_bits_of_np_clip(self, lower, upper):
+        rows = np.stack([self.CLAMP_EDGES, np.roll(self.CLAMP_EDGES, 3)])
+        # the shapes the optimizers pass: (d,) points, (n, d) against (d,)
+        # bounds, and (R, n, d) stacks against a batch's (R, 1, d) bounds
+        cases = [
+            (self.CLAMP_EDGES, lower, upper),
+            (rows, lower, upper),
+            (np.stack([rows, rows[::-1], -rows]), np.stack([lower] * 3)[:, None], np.stack([upper] * 3)[:, None]),
+        ]
+        for x, lo, hi in cases:
+            got, want = clamp(x, lo, hi), np.clip(x, lo, hi)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()

@@ -771,6 +771,71 @@ class TestCaseList:
         config = tiny_config(problems=("F1", "F16"), dimensions=(2, 5))
         assert config.case_list() == [("F1", 2), ("F1", 5), ("F16", 2)]
 
+    @staticmethod
+    def built_cases(config):
+        """The cases as listed through each fixed problem's built spec."""
+        cases = []
+        for name in benchmarks.SUITES.get(config.suite, config.problems):
+            if name in benchmarks.SUITES["classical_scalable"]:
+                cases.extend((name, int(d)) for d in config.dimensions)
+            else:
+                cases.append((name, benchmarks.get_problem(name).dim))
+        return cases
+
+    @staticmethod
+    def configs():
+        """Every suite at d2 and d10, every committed config, and the whole
+        catalog (with any plugins) at d10."""
+        algorithms = (AlgorithmSpec("pso"),)
+        yield from (
+            ExperimentConfig(suite=suite, dimensions=(2, 10), algorithms=algorithms)
+            for suite in benchmarks.SUITES
+        )
+        paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+        assert paths
+        yield from map(load_config, paths)
+        yield tiny_config(problems=tuple(benchmarks.catalog_names()), dimensions=(10,))
+
+    def test_listing_builds_no_problem(self, monkeypatch):
+        register_plugin(
+            ProblemSpec(name="cube", dim=3, lower=np.zeros(3), upper=np.ones(3), objective=np.sum)
+        )
+        try:
+            configs = list(self.configs())
+            expected = [self.built_cases(config) for config in configs]
+            built = []
+            post_init = ProblemSpec.__post_init__
+            monkeypatch.setattr(
+                ProblemSpec, "__post_init__", lambda spec: (built.append(spec.name), post_init(spec))
+            )
+            listed = [config.case_list() for config in configs]
+        finally:
+            clear_plugins()
+        assert built == []
+        assert listed == expected
+        assert ("cube", 3) in listed[-1] and ("F19", 3) in listed[-1] and ("F1", 10) in listed[-1]
+
+    def test_an_unknown_problem_raises_as_get_problem_does(self):
+        with pytest.raises(KeyError) as built:
+            benchmarks.get_problem("nope")
+        with pytest.raises(KeyError) as listed:
+            tiny_config(problems=("F1", "nope")).case_list()
+        assert str(listed.value) == str(built.value)
+
+    def test_a_grid_is_listed_batched_and_reloaded_without_get_problem(self, monkeypatch, tmp_path):
+        config = tiny_config(problems=("F1", "F19", "three_bar_truss"), dimensions=(3,), runs=3)
+        out = emit_records(run_experiment(config), tmp_path / "out")
+
+        def refuse(*args):
+            raise AssertionError(f"get_problem{args}")
+
+        monkeypatch.setattr(benchmarks, "get_problem", refuse)
+        assert config.case_list() == [("F1", 3), ("F19", 3), ("three_bar_truss", 2)]
+        for degree in (1, 2, 8):
+            batches = harness._batches(config, harness._batch_size(config, degree))
+            assert sorted(run for batch in batches for run in batch) == sorted(config.grid_runs())
+        assert load_result_set(out).config == config
+
 
 class TestAblationExpansion:
     def test_expands_to_every_variant(self):
@@ -950,10 +1015,10 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("n_tasks", [1, 2, 7, 8, 9, 33, 196, 1000])
     @pytest.mark.parametrize("degree", [2, 3, 4, 8])
-    def test_never_fewer_than_four_chunks_per_worker(self, n_tasks, degree):
-        # a chunk is a batch: every algorithm's runs of whole cases (or of a
-        # piece of one), at most BATCH_RUNS of each algorithm, and at least
-        # 4 batches per worker where the grid's cases and runs allow
+    def test_never_fewer_than_four_batches_per_worker(self, n_tasks, degree):
+        # a batch: every algorithm's runs of whole cases (or of a piece of
+        # one), at most BATCH_RUNS of each algorithm, and at least 4 batches
+        # per worker where the grid's cases and runs allow
         algorithms = (AlgorithmSpec("pso"), AlgorithmSpec("gwo"))
         config = tiny_config(
             problems=("F1", "F5"), algorithms=algorithms, runs=n_tasks, iterations=2, n_agents=2
