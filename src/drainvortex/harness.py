@@ -15,17 +15,16 @@ import csv
 import io
 import json
 import multiprocessing
+import signal
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import benchmarks, engine, stats
 from .baselines import BASELINES, OPTIMIZERS, BaselineConfig
-from .errors import ConfigError, shown
+from .errors import ConfigError, DrainVortexError, shown
 from .records import DEFAULT_CHECKPOINTS, SCHEMA_VERSION, RunRecord, floored_log10
 from .rng import mix_seed
 
@@ -437,7 +436,7 @@ BATCH_RUNS = 16
 
 def _batch_size(config: ExperimentConfig, degree: int) -> int:
     """Runs of one algorithm per batch of `config`'s grid on `degree`
-    workers: BATCH_RUNS without a pool, and on a pool the largest size, at
+    workers: BATCH_RUNS on one worker, and on more the largest size, at
     most BATCH_RUNS, that still cuts the grid into 4 batches per worker (1
     if none does). The search lists the grid's cases once and cuts that
     one list at each size it tries."""
@@ -475,22 +474,54 @@ def _batches(config: ExperimentConfig, size: int) -> list:
     ]
 
 
+def _claimed(counter, count: int):
+    """Batch indices below `count`, taken in turn from the shared `counter`
+    (a `multiprocessing.Value`), each by one of the processes that share it."""
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value = index + 1
+        if index >= count:
+            return
+        yield index
+
+
+def _run_batches(config: ExperimentConfig, settings: dict, batches: list, indices) -> list:
+    """The outcomes of `batches[i]` for each i of `indices`, with problems
+    this process builds and never sends (a penalized objective is a local
+    function, which cannot be pickled)."""
+    built: dict = {}
+    return [o for i in indices for o in _execute_batch(config, settings, built, batches[i])]
+
+
+def _child(sender, config: ExperimentConfig, settings: dict, batches: list, counter) -> None:
+    """A forked worker: it sends its outcomes once, after its last batch, so
+    that it never waits on a full pipe mid-grid. It ignores Ctrl-C, which
+    reaches its parent too: the parent terminates its children."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    sender.send(_run_batches(config, settings, batches, _claimed(counter, len(batches))))
+
+
 def run_experiment(config: ExperimentConfig, parallel: int | None = None) -> ResultSet:
     """Execute the full grid; failures are collected, not raised.
 
     Each algorithm is resolved once, and the runs of whole cases of one
     dimension, every algorithm's, step together in batches (`_batches`,
-    `_batch_size`): a worker gets the config and those settings once per
-    batch plus each run's `grid_runs()` key, and builds each case's problem
-    once per batch (once per grid without a pool). `engine.run_optimizer`
-    steps a batch as one group per algorithm: each group's sweep yields its
-    proposals, and the driver evaluates every group's together, so the runs
-    of a case, which share its problem object, share each objective call of
-    a sweep when the problem is vectorized and not noisy. The pool has at most one worker
-    per batch, and a single worker is no pool. Results are identical for
-    any parallelism degree and any batching: seeds are derived per cell,
-    each run's record is the record it gets alone, and grid order (not
-    completion order) fixes the record order.
+    `_batch_size`). N workers are this process and N - 1 children forked
+    before it claims a batch, at most one process per batch: each process
+    claims the next batch, in grid order, from one shared counter as it
+    frees up, and builds each case's problem once. A child inherits the
+    config, the settings, the batches and any plugins by fork and sends its
+    outcomes once, at the end. `engine.run_optimizer` steps a batch as one
+    group per algorithm: each group's sweep yields its proposals, and the
+    driver evaluates every group's together, so the runs of a case, which
+    share its problem object, share each objective call of a sweep when the
+    problem is vectorized and not noisy. Results are identical for any
+    parallelism degree and any batching: seeds are derived per cell, each
+    run's record is the record it gets alone, and grid order (not
+    completion order) fixes the record order. A child that exits without
+    sending raises DrainVortexError, and any exception that leaves this
+    process's batches, an interrupt too, first terminates every child.
     """
     # a --parallel degree is checked by the workers rule
     checked = config if parallel is None else replace(config, workers=parallel)
@@ -503,18 +534,38 @@ def run_experiment(config: ExperimentConfig, parallel: int | None = None) -> Res
     }
     runs = config.grid_runs()
     batches = _batches(config, _batch_size(config, checked.workers))
-    # each case's problem, built once in this process (a worker's task gets a copy)
-    task = partial(_execute_batch, config, settings, {})
     workers = min(checked.workers, len(batches))
-    if workers <= 1:
-        outcomes = map(task, batches)
-    else:
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            outcomes = list(pool.map(task, batches, chunksize=1))
-    by_run = {
-        (o.algorithm, o.problem, o.dim, o.run_index): o for batch in outcomes for o in batch
-    }
+    indices = range(len(batches))
+    children = []
+    try:
+        if workers > 1:
+            context = multiprocessing.get_context("fork")
+            counter = context.Value("q", 0)
+            indices = _claimed(counter, len(batches))
+            for _ in range(workers - 1):
+                receiver, sender = context.Pipe(duplex=False)
+                child = context.Process(target=_child, args=(sender, config, settings, batches, counter))
+                child.start()
+                children.append((child, receiver))
+                # the child holds the only write end, so its exit ends the pipe
+                sender.close()
+        outcomes = _run_batches(config, settings, batches, indices)
+        for child, receiver in children:
+            try:
+                outcomes += receiver.recv()
+            except EOFError:
+                child.join()
+                raise DrainVortexError(
+                    f"a worker process exited with code {child.exitcode} before it sent its runs"
+                ) from None
+            child.join()
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            if child.exitcode is None:
+                child.terminate()
+                child.join()
+    by_run = {(o.algorithm, o.problem, o.dim, o.run_index): o for o in outcomes}
     ordered = [by_run[run] for run in runs]
     records = [outcome for outcome in ordered if isinstance(outcome, RunRecord)]
     failures = [outcome for outcome in ordered if isinstance(outcome, FailureRecord)]

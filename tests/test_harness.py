@@ -5,8 +5,11 @@ import csv
 import io
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -20,7 +23,7 @@ from drainvortex.baselines import DEFAULT_PARAMS, BaselineConfig
 from drainvortex.benchmarks import ProblemSpec, clear_plugins, register_plugin
 from drainvortex.cli import main
 from drainvortex.engine import ABLATION_VARIANTS, BOUNDS, DvoParams
-from drainvortex.errors import ConfigError, IncompleteGridError
+from drainvortex.errors import ConfigError, DrainVortexError, IncompleteGridError
 from drainvortex.harness import (
     SUITES,
     SUMMARY_COLUMNS,
@@ -945,8 +948,8 @@ class TestRunExperiment:
                 iterations=4,
                 checkpoints=(2, 4),
             )
-            # 9 runs of each algorithm, in one batch without a pool and in
-            # 9 batches of one run of each algorithm with one
+            # 9 runs of each algorithm, in one batch on one worker and in
+            # 9 batches of one run of each algorithm on more
             assert len(config.case_list()) * config.runs == 9
             results = [run_experiment(config, parallel=degree) for degree in (1, 2, 3)]
         finally:
@@ -1035,29 +1038,81 @@ class TestRunExperiment:
         if size < harness.BATCH_RUNS:
             assert len(harness._batches(config, size + 1)) < 4 * degree
 
-    @pytest.mark.parametrize("runs,parallel,pool", [(4, 8, [4]), (3, 2, [2]), (1, 8, [])])
-    def test_pool_is_no_larger_than_the_grid(self, monkeypatch, runs, parallel, pool):
+    @pytest.mark.parametrize("runs,parallel,children", [(4, 8, 3), (3, 2, 1), (1, 8, 0)])
+    def test_starts_one_child_fewer_than_the_workers_it_uses(self, monkeypatch, runs, parallel, children):
+        # this process is one of the workers, and there are no more workers than batches
         started = []
+        real = multiprocessing.context.ForkProcess.start
 
-        class InlinePool:
-            """Records its size and runs every task in this process."""
+        def counting(process):
+            started.append(process)
+            real(process)
 
-            def __init__(self, max_workers, mp_context):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting)
         result = run_experiment(tiny_config(runs=runs), parallel=parallel)
         assert len(result.records) == runs
-        assert started == pool
+        assert len(started) == children
+        assert all(process.exitcode == 0 for process in started)
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_that_dies_raises_a_clear_error(self):
+        parent = os.getpid()
+        slept = []
+
+        def dying(x):
+            if os.getpid() != parent:
+                os._exit(3)
+            if not slept:
+                # hold this process's first batch so that the child claims the other
+                slept.append(True)
+                time.sleep(1.0)
+            return float(np.sum(x**2))
+
+        register_plugin(
+            ProblemSpec(
+                name="dying",
+                dim=2,
+                lower=np.array([-1.0, -1.0]),
+                upper=np.array([1.0, 1.0]),
+                objective=dying,
+            )
+        )
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(DrainVortexError, match="exited with code 3"):
+                run_experiment(tiny_config(problems=("dying",)), parallel=2)
+            assert time.perf_counter() - t0 < 30.0
+        finally:
+            clear_plugins()
+        assert multiprocessing.active_children() == []
+
+    def test_an_interrupt_leaves_no_child_running(self):
+        parent = os.getpid()
+
+        def interrupted(x):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            # the child is still busy with its batch when this process is interrupted
+            time.sleep(0.05)
+            return float(np.sum(x**2))
+
+        register_plugin(
+            ProblemSpec(
+                name="interrupted",
+                dim=2,
+                lower=np.array([-1.0, -1.0]),
+                upper=np.array([1.0, 1.0]),
+                objective=interrupted,
+            )
+        )
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(KeyboardInterrupt):
+                run_experiment(tiny_config(problems=("interrupted",)), parallel=2)
+            assert time.perf_counter() - t0 < 30.0
+        finally:
+            clear_plugins()
+        assert multiprocessing.active_children() == []
 
     def test_invalid_config_raises(self):
         with pytest.raises(ConfigError):
