@@ -32,7 +32,6 @@ from .harness import (
     emit_records,
     emit_result_table,
     emit_stat_tables,
-    expand_ablation,
     load_config,
     load_result_set,
     run_experiment,
@@ -84,7 +83,6 @@ __all__ = [
     "emit_records",
     "emit_result_table",
     "emit_stat_tables",
-    "expand_ablation",
     "feasibility",
     "friedman",
     "get_problem",

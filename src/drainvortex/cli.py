@@ -21,16 +21,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute an experiment config")
-    ablation = sub.add_parser(
-        "ablation",
-        help="execute a config with the algorithm list expanded to the "
-        f"{len(engine.ABLATION_VARIANTS)} dvo variants",
-    )
-    for p in (run, ablation):
-        p.add_argument("--config", required=True, help="path to a JSON experiment config")
-        p.add_argument("--out", help="output directory (overrides the config)")
-        p.add_argument("--parallel", type=int, help="worker processes (overrides the config)")
-        p.add_argument("--seed", type=int, help="master seed (overrides the config)")
+    run.add_argument("--config", required=True, help="path to a JSON experiment config")
+    run.add_argument("--out", help="output directory (overrides the config)")
+    run.add_argument("--parallel", type=int, help="worker processes (overrides the config)")
+    run.add_argument("--seed", type=int, help="master seed (overrides the config)")
 
     tables = sub.add_parser("tables", help="print the per-case result table")
     tables.add_argument("--in", dest="in_dir", required=True, help="stored result directory")
@@ -56,10 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args, expand: bool) -> int:
+def _cmd_run(args) -> int:
     config = harness.load_config(args.config)
-    if expand:
-        config = harness.expand_ablation(config)
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
     if args.out is not None:
@@ -97,8 +89,8 @@ def _cmd_list(catalog: str) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command in ("run", "ablation"):
-            return _cmd_run(args, expand=args.command == "ablation")
+        if args.command == "run":
+            return _cmd_run(args)
         if args.command == "tables":
             result_set = harness.load_result_set(args.in_dir)
             print(harness.emit_result_table(result_set, fmt=args.format), end="")
@@ -123,6 +115,9 @@ def main(argv=None) -> int:
     except (DrainVortexError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -739,7 +739,10 @@ class Batch:
     hold one row per run, which `at` gathers per agent. A batch of one run
     is the run alone: its box is its problem's, a per-run value is its one
     row, and its draws are its stream, so it makes the numpy calls of a run
-    alone."""
+    alone. Its eight `size == 1` branches are for speed, not bits: without
+    them the records are the same, but a solo dvo sweep (three_bar_truss, 30
+    agents) took ~20% longer and six baselines on the engineering problems
+    made 5% fewer evaluations per second (numpy 2.4.6, an AVX-512 Xeon)."""
 
     def __init__(self, problems, streams):
         if len({problem.dim for problem in problems}) != 1:
@@ -899,7 +902,9 @@ def _evaluate(blocks: dict, calls: list, seconds: list) -> dict:
     return fitness
 
 
-def run_optimizer(groups, checkpoints=DEFAULT_CHECKPOINTS) -> list:
+def run_optimizer(
+    groups, checkpoints=DEFAULT_CHECKPOINTS, feasibility_tol=benchmarks.DEFAULT_FEASIBILITY_TOL
+) -> list:
     """Seeded runs of any optimizers stepped together, one RunRecord per run.
 
     Each `Group` steps as one `Batch`, and the groups step in lockstep,
@@ -920,7 +925,8 @@ def run_optimizer(groups, checkpoints=DEFAULT_CHECKPOINTS) -> list:
     the evaluated batches and the trace keeps the best value after each
     sweep. A record's `walltime_ms` is its group's time, the group's own
     steps plus its row share of each objective call, divided by the
-    group's runs. The records come group by group, each in run order.
+    group's runs. A record is feasible at `feasibility_tol`. The records come
+    group by group, each in run order.
     """
     clock = time.perf_counter
     batches, lifetimes, seconds = [], [], []
@@ -966,6 +972,7 @@ def run_optimizer(groups, checkpoints=DEFAULT_CHECKPOINTS) -> list:
                 evaluations=evaluations,
                 walltime_ms=walltime_ms,
                 checkpoint_iters=checkpoints,
+                feasibility_tol=feasibility_tol,
             )
             for r, (problem, seed, run_index) in enumerate(group.runs)
         )

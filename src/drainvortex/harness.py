@@ -234,24 +234,6 @@ def validate_config(config: ExperimentConfig) -> list:
     return problems
 
 
-def expand_ablation(config: ExperimentConfig) -> ExperimentConfig:
-    """Replace the algorithm list with the seven dvo ablation variants.
-
-    The base parameter block is taken from the first dvo entry (if any);
-    re-expansion of an already expanded config is a no-op.
-    """
-    base_params: dict = {}
-    for spec in config.algorithms:
-        if spec.name == "dvo" or spec.name.startswith("dvo:"):
-            base_params = dict(spec.params)
-            break
-    variants = tuple(
-        AlgorithmSpec(name=f"dvo:{variant}", params=dict(base_params))
-        for variant in engine.ABLATION_VARIANTS
-    )
-    return replace(config, algorithms=variants)
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build and validate a config from parsed structured data. This checks
     only the file's shape (its sections, keys and algorithm entries);
@@ -395,17 +377,14 @@ def _run_batch(config: ExperimentConfig, settings: dict, built: dict, runs: list
     for run in runs:
         problem = _problem(config, run[1], run[2], built)
         groups.setdefault(run[0], []).append((problem, mix_seed(config.master_seed, *run), run[3]))
-    records = engine.run_optimizer(
+    return engine.run_optimizer(
         [
             engine.Group(name, *_optimizer(name), settings[name], triples)
             for name, triples in groups.items()
         ],
         config.checkpoints,
+        config.feasibility_tol,
     )
-    for record in records:
-        if record.max_violation is not None:
-            record.feasible = record.max_violation <= config.feasibility_tol
-    return records
 
 
 def _execute_batch(config: ExperimentConfig, settings: dict, built: dict, runs: list) -> list:

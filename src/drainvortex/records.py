@@ -72,9 +72,10 @@ def build_record(
     evaluations: int,
     walltime_ms: float,
     checkpoint_iters=DEFAULT_CHECKPOINTS,
+    feasibility_tol=benchmarks.DEFAULT_FEASIBILITY_TOL,
 ) -> RunRecord:
     """Assemble a RunRecord, deriving error and feasibility fields
-    (`feasible` at the default tolerance)."""
+    (`feasible` at `feasibility_tol`)."""
     trace = np.asarray(trace, dtype=float)
     f_true = problem.f_true
     error = log_err = None
@@ -86,7 +87,7 @@ def build_record(
     if problem.constrained:
         raw = problem.raw_objective or problem.objective
         objective_value = float(raw(np.asarray(best_position, dtype=float)))
-        feasible, max_violation = benchmarks.feasibility(best_position, problem)
+        feasible, max_violation = benchmarks.feasibility(best_position, problem, feasibility_tol)
 
     # checkpoint c reads the best-so-far after sweep c (1-based); the in-range
     # sweeps are kept once each, in ascending order

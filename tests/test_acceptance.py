@@ -478,13 +478,13 @@ class TestComponentToggles:
                 {
                     "suite": "custom",
                     "problems": ["F16"],
-                    "algorithms": ["dvo"],
+                    "algorithms": [f"dvo:{variant}" for variant in ABLATION_VARIANTS],
                     "execution": {"runs": 2, "iterations": 40, "n_agents": 8},
                 }
             )
         )
         out = tmp_path / "out"
-        proc = _cli(["ablation", "--config", str(config_path), "--out", str(out)])
+        proc = _cli(["run", "--config", str(config_path), "--out", str(out)])
         assert proc.returncode == 0, proc.stderr
         loaded = load_result_set(out)
         assert len(loaded.records) == 14

@@ -1,11 +1,10 @@
 """The committed study configs under `configs/`, each run end to end on a
 tiny grid.
 
-Each file is the full protocol of one study. `drainvortex run` (or
-`drainvortex ablation` for the toggle study) runs it, and `drainvortex
-report` then prints what `tables` and `stats` print for the output
-directory, each followed by a blank line, and then the best feasible
-design of each problem that has one.
+Each file is the full protocol of one study. `drainvortex run` runs it,
+and `drainvortex report` then prints what `tables` and `stats` print for
+the output directory, each followed by a blank line, and then the best
+feasible design of each problem that has one.
 """
 
 import re
@@ -17,6 +16,7 @@ import pytest
 
 from drainvortex.benchmarks import SUITES
 from drainvortex.cli import main
+from drainvortex.engine import ABLATION_VARIANTS
 from drainvortex.harness import (
     AlgorithmSpec,
     ExperimentConfig,
@@ -46,7 +46,7 @@ STUDIES = {
     "ablation": ExperimentConfig(
         problems=("F1", "F5", "F9", "F10", "F16", "F18"),
         dimensions=(30,),
-        algorithms=(AlgorithmSpec("dvo"),),
+        algorithms=tuple(AlgorithmSpec(f"dvo:{variant}") for variant in ABLATION_VARIANTS),
         output="results/ablation",
         **PROTOCOL,
     ),
@@ -69,7 +69,7 @@ def run_shrunk(study, tmp_path, capsys) -> str:
         small = replace(small, dimensions=(2,))
     path = tmp_path / "config.json"
     save_config(small, path)
-    printed(["ablation" if study == "ablation" else "run", "--config", str(path)], capsys)
+    printed(["run", "--config", str(path)], capsys)
     return out
 
 

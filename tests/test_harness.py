@@ -36,7 +36,6 @@ from drainvortex.harness import (
     emit_records,
     emit_result_table,
     emit_stat_tables,
-    expand_ablation,
     load_config,
     load_result_set,
     run_experiment,
@@ -600,8 +599,8 @@ class TestOneChecker:
         assert err.value.problems == expected
 
     def test_each_entry_is_labelled_with_its_grid_name(self):
-        dvo = expand_ablation(tiny_config(algorithms=(AlgorithmSpec("dvo", {"far_drift": -1.0}),)))
-        config = replace(dvo, algorithms=(*dvo.algorithms, AlgorithmSpec("pso", {"c1": "x"})))
+        dvo = tuple(AlgorithmSpec(f"dvo:{variant}", {"far_drift": -1.0}) for variant in ABLATION_VARIANTS)
+        config = tiny_config(algorithms=(*dvo, AlgorithmSpec("pso", {"c1": "x"})))
         assert validate_config(config) == [
             *(f"dvo:{variant}: far_drift must lie in [0, inf], got -1.0" for variant in ABLATION_VARIANTS),
             "pso: c1 must be a number, got 'x'",
@@ -840,31 +839,7 @@ class TestCaseList:
         assert load_result_set(out).config == config
 
 
-class TestAblationExpansion:
-    def test_expands_to_every_variant(self):
-        config = expand_ablation(
-            config_from_dict(
-                {
-                    "suite": "custom",
-                    "problems": ["F14"],
-                    "algorithms": [{"name": "dvo", "params": {"n_drains": 4}}],
-                }
-            )
-        )
-        names = config.algorithm_names()
-        assert len(names) == 7
-        assert names[0] == "dvo:full"
-        assert set(names) == {
-            "dvo:full",
-            "dvo:no_greedy",
-            "dvo:no_switch",
-            "dvo:single_vortex",
-            "dvo:no_swirl",
-            "dvo:no_adaptive_spiral",
-            "dvo:no_splash",
-        }
-        assert all(spec.params == {"n_drains": 4} for spec in config.algorithms)
-
+class TestAblationVariants:
     @pytest.mark.parametrize(
         "params,entries",
         [
@@ -893,19 +868,16 @@ class TestAblationExpansion:
         result = run_experiment(config)
         assert result.failures == [] and len(result.records) == 2
         # the variant's own value replaces the entry's, so only the others check it
-        config = expand_ablation(tiny_config(algorithms=(AlgorithmSpec("dvo", {"switch_prob": 2.0}),)))
+        config = tiny_config(
+            algorithms=tuple(
+                AlgorithmSpec(f"dvo:{variant}", {"switch_prob": 2.0}) for variant in ABLATION_VARIANTS
+            )
+        )
         assert validate_config(config) == [
             f"{name}: switch_prob must lie in [0, 1], got 2.0"
             for name in config.algorithm_names()
             if name != "dvo:no_switch"
         ]
-
-    def test_idempotent(self):
-        config = tiny_config(algorithms=(AlgorithmSpec("dvo", {"n_drains": 2}),))
-        once = expand_ablation(config)
-        twice = expand_ablation(once)
-        assert once.algorithm_names() == twice.algorithm_names()
-        assert once.algorithms[3].params == {"n_drains": 2}
 
 
 class TestRunExperiment:
@@ -1181,8 +1153,8 @@ class TestRunExperiment:
 
         calls.clear()
         loose = run_experiment(replace(config, feasibility_tol=0.5)).records
-        # the tolerance is applied to the recorded max_violation
-        assert calls == [benchmarks.DEFAULT_FEASIBILITY_TOL] * 2
+        # build_record checks at the grid's tolerance
+        assert calls == [0.5] * 2
         assert [r.feasible for r in loose] == [True, False]
         assert [r.max_violation for r in loose] == violations
         spring = benchmarks.get_problem("tension_spring")
@@ -1618,13 +1590,16 @@ class TestCli:
         snapshot = json.loads((out / "config.json").read_text())
         assert snapshot["execution"]["master_seed"] == 99
 
-    def test_ablation_command_expands(self, tmp_path, capsys):
-        config = self.write_config(tmp_path, algorithms=["dvo"], problems=["F16"], dimensions=[])
-        out = tmp_path / "out"
-        assert main(["ablation", "--config", str(config), "--out", str(out)]) == 0
-        assert "wrote 14 records" in capsys.readouterr().out
-        loaded = load_result_set(out)
-        assert len(set(r.algorithm for r in loaded.records)) == 7
+    def test_an_interrupt_is_a_message(self, tmp_path, capsys, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "run_experiment", interrupted)
+        config = self.write_config(tmp_path)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 130
+        captured = capsys.readouterr()
+        assert captured.err == "error: interrupted\n"
+        assert "Traceback" not in captured.out + captured.err
 
     def test_missing_input_dir(self, tmp_path, capsys):
         assert main(["tables", "--in", str(tmp_path / "absent")]) == 1
@@ -1649,10 +1624,25 @@ class TestCli:
     def test_list_algorithms(self, capsys):
         assert main(["list", "algorithms"]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert "dvo" in out
-        assert "pso" in out
-        assert "dvo:no_swirl" in out
-        assert len(out) == 14
+        assert out == [
+            "dvo",
+            "aoa",
+            "eo",
+            "gwo",
+            "pso",
+            "sca",
+            "woa",
+            "dvo:full",
+            "dvo:no_greedy",
+            "dvo:no_switch",
+            "dvo:single_vortex",
+            "dvo:no_swirl",
+            "dvo:no_adaptive_spiral",
+            "dvo:no_splash",
+        ]
+        # each printed name is a grid algorithm, so a config may list it as printed
+        for name in out:
+            assert validate_config(tiny_config(algorithms=(AlgorithmSpec(name),))) == [], name
 
     def test_usage_errors_exit_two(self):
         with pytest.raises(SystemExit) as err:
@@ -1660,6 +1650,10 @@ class TestCli:
         assert err.value.code == 2
         with pytest.raises(SystemExit) as err:
             main(["run"])
+        assert err.value.code == 2
+        # the seven dvo variants are listed by name in a config that `run` takes
+        with pytest.raises(SystemExit) as err:
+            main(["ablation", "--config", "config.json"])
         assert err.value.code == 2
 
     def test_module_entry_point(self):
