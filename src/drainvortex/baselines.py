@@ -1,15 +1,16 @@
 """Baseline optimizers sharing the RunRecord contract: PSO, GWO, WOA, SCA,
-AOA (arithmetic), and EO. `engine.run_optimizer` drives each through its
-pair in `OPTIMIZERS`: an init that builds its `Swarm` state and a
-module-level sweep that advances it; `run_baseline` runs the one
-`config.algorithm` names alone. A sweep is a generator: it yields its
-clipped population once, where it needs the objective values, receives them
-from the driver and returns its report. All use componentwise clipping,
-evaluate the full population every sweep (N*(T+1) evaluations), and report
-as best so far the first strict minimum over the evaluated batches
-(`Swarm.observe`), which is also the leader of woa and aoa and the
-destination of sca. Only pso (its velocities and personal bests) and eo
-(its equilibrium pool) keep memory arrays, in a `Swarm` subclass.
+AOA (arithmetic), and EO. `OPTIMIZERS` is their one table: each name's
+parameter defaults and the pair `engine.run_optimizer` drives, an init that
+builds its `Swarm` state and a module-level sweep that advances it;
+`run_baseline` runs the one `config.algorithm` names alone. A sweep is a
+generator: it yields its clipped population once, where it needs the
+objective values, receives them from the driver and returns its report.
+All use componentwise clipping, evaluate the full population every sweep
+(N*(T+1) evaluations), and report as best so far the first strict minimum
+over the evaluated batches (`Swarm.observe`), which is also the leader of
+woa and aoa and the destination of sca. Only pso (its velocities and
+personal bests) and eo (its equilibrium pool) keep memory arrays, in a
+`Swarm` subclass.
 
 A state holds every run of an `engine.Batch` in the batch's stacked shape,
 `(R, n, d)` for R runs and `(n, d)` for a run alone (eo's pool has 4 rows
@@ -33,16 +34,6 @@ from .errors import ConfigError, shown
 # because the span tracer in perfbench/tracing.py patches `baselines.build_record`
 from .records import DEFAULT_CHECKPOINTS, build_record  # noqa: F401
 
-DEFAULT_PARAMS = {
-    "pso": dict(w_start=0.9, w_end=0.4, c1=2.0, c2=2.0, v_frac=0.2),
-    "gwo": dict(a_start=2.0, a_end=0.0),
-    "woa": dict(a_start=2.0, a_end=0.0, spiral_pitch=1.0),
-    "sca": dict(amplitude=2.0),
-    "aoa": dict(moa_start=0.1, moa_end=0.9, mop_power=5.0, mu=0.499),
-    "eo": dict(a1=2.0, a2=1.0, gp=0.5),
-}
-
-
 @dataclass(frozen=True)
 class BaselineConfig:
     """Population size, sweep count, and the algorithm's parameter block
@@ -56,9 +47,9 @@ class BaselineConfig:
     def resolved(self) -> dict:
         """The full parameter block, defaults overridden by `params`. Raises
         ConfigError listing every problem of the sizes and of the block."""
-        defaults = DEFAULT_PARAMS.get(self.algorithm)
-        if defaults is None:
+        if self.algorithm not in OPTIMIZERS:
             raise ConfigError([f"unknown algorithm {shown(self.algorithm)}"])
+        defaults = OPTIMIZERS[self.algorithm][0]
         sizes = {"n_agents": self.n_agents, "iterations": self.iterations}
         # gwo pulls every agent toward the three best agents
         bounds = {**BOUNDS, "n_agents": "[3, inf)"} if self.algorithm == "gwo" else BOUNDS
@@ -69,6 +60,10 @@ class BaselineConfig:
         if bad:
             raise ConfigError(bad)
         return {**defaults, **self.params}
+
+    def settings(self) -> BaselineConfig:
+        """This config with its parameter block resolved, as a sweep reads it."""
+        return replace(self, params=self.resolved())
 
 
 @dataclass
@@ -112,9 +107,9 @@ class Swarm:
 
 def run_baseline(problem, config, seed, checkpoints=DEFAULT_CHECKPOINTS, run_index=0):
     """One seeded run of the baseline `config.algorithm`, as a RunRecord."""
-    settings = replace(config, params=config.resolved())
-    runs = [(problem, seed, run_index)]
-    group = Group(config.algorithm, *OPTIMIZERS[config.algorithm], settings, runs)
+    settings = config.settings()
+    _, init, sweep = OPTIMIZERS[config.algorithm]
+    group = Group(config.algorithm, init, sweep, settings, [(problem, seed, run_index)])
     return run_optimizer([group], checkpoints)[0]
 
 
@@ -297,20 +292,20 @@ def _sweep_eo(s: _Equilibrium, t, config, batch):
     return report
 
 
-# each baseline as the pair `run_optimizer` drives: init(positions, fitness,
-# config) -> state, and the generator sweep(state, t, config, batch), which
-# yields its points, receives their values (both in the batch's stacked
-# shape) and returns (evaluated per run, best positions, best values);
-# `config.params` is the resolved block
+# each baseline's parameter defaults and the pair `run_optimizer` drives:
+# init(positions, fitness, config) -> state, and the generator sweep(state,
+# t, config, batch), which yields its points, receives their values (both in
+# the batch's stacked shape) and returns (evaluated per run, best positions,
+# best values); `config.params` is the resolved block
 OPTIMIZERS = {
-    "pso": (_Particles.init, _sweep_pso),
-    "gwo": (Swarm.init, _sweep_gwo),
-    "woa": (Swarm.init, _sweep_woa),
-    "sca": (Swarm.init, _sweep_sca),
-    "aoa": (Swarm.init, _sweep_aoa),
-    "eo": (_Equilibrium.init, _sweep_eo),
+    "pso": (dict(w_start=0.9, w_end=0.4, c1=2.0, c2=2.0, v_frac=0.2), _Particles.init, _sweep_pso),
+    "gwo": (dict(a_start=2.0, a_end=0.0), Swarm.init, _sweep_gwo),
+    "woa": (dict(a_start=2.0, a_end=0.0, spiral_pitch=1.0), Swarm.init, _sweep_woa),
+    "sca": (dict(amplitude=2.0), Swarm.init, _sweep_sca),
+    "aoa": (dict(moa_start=0.1, moa_end=0.9, mop_power=5.0, mu=0.499), Swarm.init, _sweep_aoa),
+    "eo": (dict(a1=2.0, a2=1.0, gp=0.5), _Equilibrium.init, _sweep_eo),
 }
 
-# the catalog of baseline names; every entry is the one runner, which runs
-# `config.algorithm` (perfbench/tracing.py wraps each entry on its own)
+# the baseline names in the order perfbench's grids list them, each mapped to
+# the one runner (perfbench/tracing.py wraps each entry on its own)
 BASELINES = dict.fromkeys(OPTIMIZERS, run_baseline)

@@ -8,8 +8,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from . import benchmarks, engine, harness
-from .baselines import BASELINES
+from . import benchmarks, harness
 from .errors import DrainVortexError
 
 
@@ -74,18 +73,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_list(catalog: str) -> int:
-    if catalog == "problems":
-        names = benchmarks.catalog_names()
-    else:
-        names = ["dvo"] + sorted(BASELINES) + [
-            f"dvo:{variant}" for variant in engine.ABLATION_VARIANTS
-        ]
-    for name in names:
-        print(name)
-    return 0
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -108,10 +95,12 @@ def main(argv=None) -> int:
             return 0
         if args.command == "convergence":
             result_set = harness.load_result_set(args.in_dir)
-            problems = args.problems.split(",") if args.problems else None
+            problems = None if args.problems is None else args.problems.split(",")
             print(harness.emit_convergence(result_set, problems=problems), end="")
             return 0
-        return _cmd_list(args.catalog)
+        names = benchmarks.catalog_names() if args.catalog == "problems" else harness.ALGORITHMS
+        print(*names, sep="\n")
+        return 0
     except (DrainVortexError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,14 +16,16 @@ import io
 import json
 import multiprocessing
 import signal
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import benchmarks, engine, stats
-from .baselines import BASELINES, OPTIMIZERS, BaselineConfig
+from .baselines import OPTIMIZERS, BaselineConfig
 from .errors import ConfigError, DrainVortexError, shown
 from .records import DEFAULT_CHECKPOINTS, SCHEMA_VERSION, RunRecord, floored_log10
 from .rng import mix_seed
@@ -101,26 +103,47 @@ class ExperimentConfig:
 EXECUTION_KEYS = ("runs", "iterations", "n_agents", "master_seed", "workers")
 
 
-def _resolve_algorithm(name: str, params: dict, n_agents: int, iterations: int):
-    """The DvoParams or BaselineConfig (its parameter block resolved) that
-    grid algorithm `name` runs at the execution sizes. A `dvo:<variant>`
-    block takes its variant's overrides before the check, so it is checked
-    as it runs. Raises ConfigError for an unknown name or variant, or with
-    the entries of the settings' own checks, each labelled with `name`."""
-    base, colon, variant = name.partition(":")
-    if base == "dvo" and colon and variant not in engine.ABLATION_VARIANTS:
-        raise ConfigError([f"unknown dvo variant {variant!r}"])
-    if base != "dvo" and name not in BASELINES:
-        raise ConfigError([f"unknown algorithm {shown(name)}"])
+def _dvo_settings(overrides: dict, params: Mapping, n_agents: int, iterations: int):
+    """dvo's settings; a variant's `overrides` go last, so its block is checked as it runs."""
     sizes = {"n_agents": n_agents, "iterations": iterations}
+    return engine.DvoParams.from_mapping({**sizes, **params, **overrides})
+
+
+def _baseline_settings(name: str, params: Mapping, n_agents: int, iterations: int):
+    """Baseline `name`'s settings; its block may override the execution sizes."""
+    block = {"n_agents": n_agents, "iterations": iterations, **params}
+    return BaselineConfig(name, block.pop("n_agents"), block.pop("iterations"), block).settings()
+
+
+# every grid name, in the order `drainvortex list algorithms` prints: its
+# settings builder `(params, n_agents, iterations)` and the (init, sweep)
+# pair that `engine.run_optimizer` drives with those settings
+Algorithm = namedtuple("Algorithm", "settings init sweep")
+ALGORITHMS = {
+    "dvo": Algorithm(partial(_dvo_settings, {}), engine.initialize, engine.sweep),
+    **{
+        name: Algorithm(partial(_baseline_settings, name), init, sweep)
+        for name, (_, init, sweep) in sorted(OPTIMIZERS.items())
+    },
+    **{
+        f"dvo:{variant}": Algorithm(partial(_dvo_settings, overrides), engine.initialize, engine.sweep)
+        for variant, overrides in engine.ABLATION_VARIANTS.items()
+    },
+}
+
+
+def _resolve_algorithm(name: str, params: dict, n_agents: int, iterations: int):
+    """The settings grid algorithm `name` runs at the execution sizes, from
+    its `ALGORITHMS` entry. Raises ConfigError for a name not in the table
+    (naming an unknown `dvo:<variant>` as a variant), or with the entries of
+    the settings' own checks, each labelled with `name`."""
+    if name not in ALGORITHMS:
+        base, _, variant = name.partition(":")
+        raise ConfigError(
+            [f"unknown dvo variant {variant!r}" if base == "dvo" else f"unknown algorithm {shown(name)}"]
+        )
     try:
-        if base == "dvo":
-            return engine.DvoParams.from_mapping(
-                {**sizes, **params, **engine.ABLATION_VARIANTS.get(variant, {})}
-            )
-        overrides = {**sizes, **params}
-        config = BaselineConfig(name, overrides.pop("n_agents"), overrides.pop("iterations"), overrides)
-        return replace(config, params=config.resolved())
+        return ALGORITHMS[name].settings(params, n_agents, iterations)
     except ConfigError as exc:
         raise ConfigError([f"{name}: {entry}" for entry in exc.problems]) from exc
 
@@ -351,14 +374,6 @@ class ResultSet:
     failures: list = field(default_factory=list)
 
 
-def _optimizer(name: str) -> tuple:
-    """The (init, sweep) pair that `engine.run_optimizer` drives for grid
-    algorithm `name`."""
-    if name.partition(":")[0] == "dvo":
-        return engine.initialize, engine.sweep
-    return OPTIMIZERS[name]
-
-
 def _problem(config: ExperimentConfig, name: str, dim: int, built: dict):
     """The problem that grid case (name, dim) runs on, penalized if it is
     constrained; `built` keeps each case's problem, so it is built once."""
@@ -379,7 +394,7 @@ def _run_batch(config: ExperimentConfig, settings: dict, built: dict, runs: list
         groups.setdefault(run[0], []).append((problem, mix_seed(config.master_seed, *run), run[3]))
     return engine.run_optimizer(
         [
-            engine.Group(name, *_optimizer(name), settings[name], triples)
+            engine.Group(name, ALGORITHMS[name].init, ALGORITHMS[name].sweep, settings[name], triples)
             for name, triples in groups.items()
         ],
         config.checkpoints,
@@ -876,7 +891,7 @@ def emit_convergence(result_set: ResultSet, problems=None) -> str:
     if problems is not None:
         unknown = sorted(set(problems) - known)
         if unknown:
-            raise ValueError(f"unknown problems requested: {', '.join(unknown)}")
+            raise ValueError(f"unknown problems requested: {', '.join(map(repr, unknown))}")
         table_cases = [case for case in table_cases if case[0] in set(problems)]
 
     cells: dict = {}

@@ -10,8 +10,8 @@ import pytest
 from drainvortex import benchmarks, harness
 from drainvortex.baselines import (
     BASELINES,
+    OPTIMIZERS,
     BaselineConfig,
-    DEFAULT_PARAMS,
     _woa_spiral,
     run_baseline,
 )
@@ -21,6 +21,8 @@ from drainvortex.errors import ConfigError
 from drainvortex.harness import config_from_dict
 
 ALGORITHMS = sorted(BASELINES)
+# each baseline's parameter defaults, from its OPTIMIZERS entry
+DEFAULTS = {name: defaults for name, (defaults, _, _) in OPTIMIZERS.items()}
 
 
 def small_config(algorithm, **params):
@@ -30,13 +32,17 @@ def small_config(algorithm, **params):
 class TestRegistry:
     def test_expected_algorithms(self):
         assert ALGORITHMS == ["aoa", "eo", "gwo", "pso", "sca", "woa"]
-        assert set(DEFAULT_PARAMS) == set(BASELINES)
+
+    def test_baselines_order_and_entries(self):
+        # the benchmark grids take their algorithm order from BASELINES
+        assert tuple(BASELINES) == ("pso", "gwo", "woa", "sca", "aoa", "eo")
+        assert all(entry is run_baseline for entry in BASELINES.values())
 
 
 class TestConfig:
     def test_defaults_fill_in(self):
         merged = BaselineConfig(algorithm="pso").resolved()
-        assert merged == DEFAULT_PARAMS["pso"]
+        assert merged == DEFAULTS["pso"]
 
     def test_overrides_apply(self):
         merged = BaselineConfig(algorithm="pso", params={"c1": 1.5}).resolved()
@@ -60,7 +66,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "algorithm,key",
-        [(a, k) for a in ALGORITHMS for k in ("n_agents", "iterations", *DEFAULT_PARAMS[a])],
+        [(a, k) for a in ALGORITHMS for k in ("n_agents", "iterations", *DEFAULTS[a])],
     )
     def test_nan_is_one_entry(self, algorithm, key):
         nan = float("nan")
@@ -71,7 +77,7 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             config.resolved()
         # a NaN is a float, so in an integer it is a value of the wrong type
-        if key in ("n_agents", "iterations") or type(DEFAULT_PARAMS[algorithm][key]) is int:
+        if key in ("n_agents", "iterations") or type(DEFAULTS[algorithm][key]) is int:
             expected = f"{key} must be an integer, got nan"
         else:
             expected = f"{key} must not be NaN"

@@ -34,7 +34,7 @@ from drainvortex.baselines import BASELINES, OPTIMIZERS
 from drainvortex.benchmarks import ProblemSpec, clear_plugins, register_plugin
 from drainvortex.harness import AlgorithmSpec, ExperimentConfig, FailureRecord, run_experiment
 
-NAMES = ("dvo", *(f"dvo:{v}" for v in engine.ABLATION_VARIANTS), *BASELINES)
+NAMES = tuple(harness.ALGORITHMS)
 N_AGENTS, ITERATIONS = 8, 12
 CHECKPOINTS = (1, 6, 12)
 
@@ -102,7 +102,8 @@ def settings_of(name, iterations=ITERATIONS):
 
 
 def group(name, runs, iterations=ITERATIONS):
-    return engine.Group(name, *harness._optimizer(name), settings_of(name, iterations), runs)
+    _, init, sweep = harness.ALGORITHMS[name]
+    return engine.Group(name, init, sweep, settings_of(name, iterations), runs)
 
 
 def batched(name, runs):
@@ -169,7 +170,9 @@ def test_a_batch_holds_one_dimension():
 
 
 def test_every_optimizer_is_covered():
-    assert set(NAMES) == {"dvo", *(f"dvo:{v}" for v in engine.ABLATION_VARIANTS), *OPTIMIZERS}
+    # the table runs dvo's pair and every baseline's pair
+    pairs = {(init, sweep) for _, init, sweep in harness.ALGORITHMS.values()}
+    assert pairs == {(engine.initialize, engine.sweep), *((i, s) for _, i, s in OPTIMIZERS.values())}
 
 
 # ---------------------------------------------------------------------------

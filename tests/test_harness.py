@@ -19,7 +19,7 @@ import pytest
 from conftest import child_env
 
 from drainvortex import benchmarks, harness, stats
-from drainvortex.baselines import DEFAULT_PARAMS, BaselineConfig
+from drainvortex.baselines import OPTIMIZERS, BaselineConfig
 from drainvortex.benchmarks import ProblemSpec, clear_plugins, register_plugin
 from drainvortex.cli import main
 from drainvortex.engine import ABLATION_VARIANTS, BOUNDS, DvoParams
@@ -451,11 +451,13 @@ def bound_cases(interval, integer):
 
 
 DVO_DEFAULTS = {f.name: f.default for f in fields(DvoParams)}
+# each baseline's parameter defaults, from its OPTIMIZERS entry
+BASELINE_DEFAULTS = {name: defaults for name, (defaults, _, _) in OPTIMIZERS.items()}
 # the algorithm whose block takes each BOUNDS entry, and the default of the entry
 BOUND_OWNERS = {
     key: next(
         (name, block[key])
-        for name, block in [("dvo", DVO_DEFAULTS), *sorted(DEFAULT_PARAMS.items())]
+        for name, block in [("dvo", DVO_DEFAULTS), *sorted(BASELINE_DEFAULTS.items())]
         if key in block
     )
     for key in BOUNDS
@@ -587,7 +589,7 @@ class TestOneChecker:
     @pytest.mark.parametrize(
         "name,key",
         [("dvo", f.name) for f in fields(DvoParams)]
-        + [(a, k) for a in sorted(DEFAULT_PARAMS) for k in ("n_agents", "iterations", *DEFAULT_PARAMS[a])],
+        + [(a, k) for a, block in sorted(BASELINE_DEFAULTS.items()) for k in ("n_agents", "iterations", *block)],
     )
     def test_config_and_library_agree(self, name, key, value):
         expected = [f"{name}: {entry}" for entry in library_problems(name, key, value)]
@@ -1536,6 +1538,19 @@ class TestCli:
 
         assert main(["convergence", "--in", str(out), "--problems", "F1"]) == 0
         assert "mean_log10_error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "problems,unknown", [("", "''"), ("F1,", "''"), ("F99,F1", "'F99'")], ids=["empty", "trailing", "F99"]
+    )
+    def test_convergence_names_each_unknown_problem(self, tmp_path, capsys, problems, unknown):
+        # an empty name is a name no case has, never "no filter"
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(self.write_config(tmp_path)), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["convergence", "--in", str(out), "--problems", problems]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown problems requested: {unknown}\n"
 
     def test_stats_with_an_infinite_log_error_case(self, tmp_path, capsys):
         # evaluate maps NaN to +inf, so every run of this case logs an infinite error

@@ -25,12 +25,11 @@ import pytest
 from conftest import drive
 
 from drainvortex import benchmarks, engine, harness
-from drainvortex.baselines import BASELINES, OPTIMIZERS
+from drainvortex.baselines import BASELINES
 from drainvortex.records import RunRecord, build_record
 from drainvortex.rng import RngStream
 
-PAIRS = {"dvo": (engine.initialize, engine.sweep), **OPTIMIZERS}
-NAMES = ("dvo", *(f"dvo:{v}" for v in engine.ABLATION_VARIANTS), *BASELINES)
+NAMES = tuple(harness.ALGORITHMS)
 PROBLEMS = {
     # F6 has plateaus, so agents often tie
     "F6-d10": lambda: benchmarks.get_problem("F6", 10),
@@ -62,7 +61,7 @@ def alone(name, problem, settings, seed):
 
 def interleaved(name, problem, settings, seeds):
     """One record per seed, from runs whose sweeps alternate."""
-    init, sweep = PAIRS[name.partition(":")[0]]
+    _, init, sweep = harness.ALGORITHMS[name]
     runs = []
     for seed in seeds:
         batch = engine.Batch((problem,), (RngStream(seed),))
@@ -157,7 +156,7 @@ def test_blocks_replies_and_states_keep_the_stacked_shape(name, runs):
     problem = benchmarks.get_problem("F6", 10)
     settings = harness._resolve_algorithm(name, {}, n_agents=10, iterations=4)
     n, d, k = settings.n_agents, problem.dim, getattr(settings, "n_drains", 0)
-    init, sweep = PAIRS[name.partition(":")[0]]
+    _, init, sweep = harness.ALGORITHMS[name]
     seen, initial = [], []
 
     def watched_init(positions, fitness, settings):
