@@ -3,14 +3,14 @@ AOA (arithmetic), and EO. `OPTIMIZERS` is their one table: each name's
 parameter defaults and the pair `engine.run_optimizer` drives, an init that
 builds its `Swarm` state and a module-level sweep that advances it;
 `run_baseline` runs the one `config.algorithm` names alone. A sweep is a
-generator: it yields its clipped population once, where it needs the
-objective values, receives them from the driver and returns its report.
-All use componentwise clipping, evaluate the full population every sweep
-(N*(T+1) evaluations), and report as best so far the first strict minimum
-over the evaluated batches (`Swarm.observe`), which is also the leader of
-woa and aoa and the destination of sca. Only pso (its velocities and
-personal bests) and eo (its equilibrium pool) keep memory arrays, in a
-`Swarm` subclass.
+generator that states only its algorithm: it yields its new population
+once, unclipped (the driver clips it in place and counts its rows),
+receives the objective values and returns each run's best so far. All
+evaluate the full population every sweep (N*(T+1) evaluations), and
+report as best so far the first strict minimum over the evaluated batches
+(`Swarm.observe`), which is also the leader of woa and aoa and the
+destination of sca. Only pso (its velocities and personal bests) and eo
+(its equilibrium pool) keep memory arrays, in a `Swarm` subclass.
 
 A state holds every run of an `engine.Batch` in the batch's stacked shape,
 `(R, n, d)` for R runs and `(n, d)` for a run alone (eo's pool has 4 rows
@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .engine import BOUNDS, Group, clamp, k_best, parameter_problems, run_optimizer
+from .engine import BOUNDS, Group, clamp, k_best, parameter_problems, pick, run_optimizer
 from .engine import selection_pressure as linear_ramp
 from .errors import ConfigError, shown
 
@@ -74,8 +74,8 @@ class Swarm:
     `best_position` (`(R, 1, d)` or `(1, d)`), which broadcasts against the
     population, and its value, one entry per run of `best_value` `(R,)`. A
     run's best so far is the first strict minimum over its evaluated
-    batches (the first batch always sets a position, even if every value is
-    inf). An algorithm with memory arrays subclasses it."""
+    batches (`k_best` of the initial one, its first agent even if every
+    value is inf). An algorithm with memory arrays subclasses it."""
 
     positions: np.ndarray
     fitness: np.ndarray
@@ -85,10 +85,8 @@ class Swarm:
     @classmethod
     def init(cls, positions, fitness, config, **memory):
         """State from the evaluated initial population and any memory arrays."""
-        n, d = positions.shape[-2:]
-        first = fitness.reshape(-1, n).argmin(axis=1) + np.arange(0, fitness.size, n)
-        best = positions.reshape(-1, d)[first].reshape(*fitness.shape[:-1], 1, d)
-        return cls(positions, fitness, best, fitness.reshape(-1)[first], **memory)
+        best, value = k_best(positions, fitness, 1)
+        return cls(positions, fitness, best, value.reshape(-1), **memory)
 
     def observe(self, positions, fitness):
         """Take one evaluated batch as the population; returns the sweep's
@@ -102,7 +100,7 @@ class Swarm:
             if values[i] < self.best_value[run]:
                 self.best_position.reshape(-1, d)[run] = positions.reshape(-1, d)[i]
                 self.best_value[run] = values[i]
-        return n, self.best_position, self.best_value
+        return self.best_position, self.best_value
 
 
 def run_baseline(problem, config, seed, checkpoints=DEFAULT_CHECKPOINTS, run_index=0):
@@ -132,9 +130,8 @@ class _Particles(Swarm):
 def _sweep_pso(s: _Particles, t, config, batch):
     """Global-best PSO with linear inertia schedule and velocity clamping."""
     p = config.params
-    lo, hi = batch.lower, batch.upper
     positions = s.positions
-    v_max = p["v_frac"] * (hi - lo)
+    v_max = p["v_frac"] * (batch.upper - batch.lower)
     w = linear_ramp(t, config.iterations, p["w_start"], p["w_end"])
     r = batch.each("random", (2, *positions.shape[-2:]))
     velocity = (
@@ -143,7 +140,7 @@ def _sweep_pso(s: _Particles, t, config, batch):
         + p["c2"] * r[..., 1, :, :] * (s.best_position - positions)
     )
     s.velocity = clamp(velocity, -v_max, v_max)
-    positions = clamp(positions + s.velocity, lo, hi)
+    positions = positions + s.velocity
     fitness = yield positions
     better = fitness < s.pbest_fit
     np.copyto(s.pbest, positions, where=better[..., None])
@@ -165,7 +162,7 @@ def _sweep_gwo(s: Swarm, t, config, batch):
     coeff_a = 2.0 * a * r[..., 0, :, :] - a
     coeff_c = 2.0 * r[..., 1, :, :]
     pulls = leaders - coeff_a * np.abs(coeff_c * leaders - positions[..., None, :, :])
-    positions = clamp(pulls.mean(axis=-3), batch.lower, batch.upper)
+    positions = pulls.mean(axis=-3)
     return s.observe(positions, (yield positions))
 
 
@@ -198,11 +195,10 @@ def _sweep_woa(s: Swarm, t, config, batch):
 
     # encircling pulls toward the leader and search toward the partner, by one formula
     leader = s.best_position
-    target = np.where(np.abs(coeff_a) < 1.0, leader, batch.pick(positions, partners))
+    target = np.where(np.abs(coeff_a) < 1.0, leader, pick(positions, partners))
     pulled = target - coeff_a * np.abs(coeff_c * target - positions)
     spiral = _woa_spiral(positions, leader, ell, p["spiral_pitch"])
     positions = np.where(branch[..., None] >= 0.5, spiral, pulled)
-    positions = clamp(positions, batch.lower, batch.upper)
     return s.observe(positions, (yield positions))
 
 
@@ -218,7 +214,7 @@ def _sweep_sca(s: Swarm, t, config, batch):
     r4 = batch.each("random", shape)
     gap = np.abs(r3 * s.best_position - positions)
     wave = np.where(r4 < 0.5, np.sin(r2), np.cos(r2))
-    positions = clamp(positions + r1 * wave * gap, batch.lower, batch.upper)
+    positions = positions + r1 * wave * gap
     return s.observe(positions, (yield positions))
 
 
@@ -240,7 +236,7 @@ def _sweep_aoa(s: Swarm, t, config, batch):
     add_move = best + mop * scaled
     exploring = np.where(r[..., 1, :, :] < 0.5, div_move, mul_move)
     exploiting = np.where(r[..., 2, :, :] < 0.5, sub_move, add_move)
-    positions = clamp(np.where(explore, exploring, exploiting), lo, hi)
+    positions = np.where(explore, exploring, exploiting)
     return s.observe(positions, (yield positions))
 
 
@@ -270,7 +266,7 @@ def _sweep_eo(s: _Equilibrium, t, config, batch):
     pool = np.concatenate([elites, elites.mean(axis=-2, keepdims=True)], axis=-2)
     t_relax = (1.0 - t / config.iterations) ** (p["a2"] * t / config.iterations)
     picks = (batch.each("random", n) * pool.shape[-2]).astype(int)
-    ceq = batch.pick(pool, picks)
+    ceq = pick(pool, picks)
     r = batch.each("random", (2, n, d))
     lam = r[..., 0, :, :]
     mix = p["a1"] * np.sign(r[..., 1, :, :] - 0.5) * (np.exp(-lam * t_relax) - 1.0)
@@ -278,7 +274,6 @@ def _sweep_eo(s: _Equilibrium, t, config, batch):
     gcp = np.where(u[..., 1, :] >= p["gp"], 0.5 * u[..., 0, :], 0.0)[..., None]
     g0 = gcp * (ceq - lam * old_positions)
     positions = ceq + (old_positions - ceq) * mix + (g0 * mix / lam) * (1.0 - mix)
-    positions = clamp(positions, batch.lower, batch.upper)
     fitness = yield positions
     report = s.observe(positions, fitness)
     s.elites, s.elite_fit = k_best(
@@ -295,8 +290,8 @@ def _sweep_eo(s: _Equilibrium, t, config, batch):
 # each baseline's parameter defaults and the pair `run_optimizer` drives:
 # init(positions, fitness, config) -> state, and the generator sweep(state,
 # t, config, batch), which yields its points, receives their values (both in
-# the batch's stacked shape) and returns (evaluated per run, best positions,
-# best values); `config.params` is the resolved block
+# the batch's stacked shape) and returns (best positions, best values); the
+# driver clips and counts the points; `config.params` is the resolved block
 OPTIMIZERS = {
     "pso": (dict(w_start=0.9, w_end=0.4, c1=2.0, c2=2.0, v_frac=0.2), _Particles.init, _sweep_pso),
     "gwo": (dict(a_start=2.0, a_end=0.0), Swarm.init, _sweep_gwo),

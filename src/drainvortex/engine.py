@@ -22,11 +22,12 @@ alone) and the splash's Levy exponent from `DvoParams.levy_exponent`.
 groups of runs of one dimension together, one `Group` (one optimizer's
 runs, as one `Batch`) per algorithm, and owns their seeded streams, the
 timers, the uniform initial populations (each drawn first, then
-evaluated), the objective calls, the evaluation counts, the per-sweep
-traces and the records. A group of one run is a run alone, and every run of
-a batch gets the record it gets alone. An optimizer is a pair over explicit
-state: `init(positions, fitness, settings)` returns the state, a dataclass
-of arrays, and `sweep(state, t, settings, batch)` is a generator that
+evaluated), the in-place box clip of every block (`clip_bounds`), the
+objective calls, the evaluation counts, the per-sweep traces and the
+records. A group of one run is a run alone, and every run of a batch gets
+the record it gets alone. An optimizer is a pair over explicit state:
+`init(positions, fitness, settings)` returns the state, a dataclass of
+arrays, and `sweep(state, t, settings, batch)` is a generator that
 advances every run by one sweep: it yields the block of points it needs
 evaluated, receives their objective values and returns each run's best so
 far. Blocks, values and the initial pair have the batch's stacked shape,
@@ -397,17 +398,25 @@ def select_phase(rho, far_threshold, near_threshold):
     return phase
 
 
+def pick(stack, local) -> Array:
+    """Each set's rows of `stack` at its own indices `local`: a lone set's
+    (m, ...) rows at (n,) indices, or, for (R, n) indices, set r's rows of
+    an (R, m, ...) stack at `local[r]`, stacked (R, n, ...). Rows are
+    gathered with `take`, which costs less than fancy indexing."""
+    if local.ndim == 1:
+        return stack.take(local, axis=0)
+    m = stack.shape[1]
+    rows = local + np.arange(0, stack.shape[0] * m, m)[:, None]
+    return stack.reshape(-1, *stack.shape[2:]).take(rows, axis=0)
+
+
 def k_best(positions, fitness, k):
     """(rows, fitness) of the k best fitness values, best first; on a tie the
     earlier row comes first. This is the elite rule of dvo and of every
-    baseline that keeps an elite set. For a stack of sets, (R, m, d)
-    positions and (R, m) fitness, each set keeps its own k best."""
+    baseline (its elites and its first best so far). For a stack of sets,
+    (R, m, d) positions and (R, m) fitness, each set keeps its own k best."""
     order = fitness.argsort(axis=-1, kind="stable")[..., :k]
-    if fitness.ndim > 1:
-        # set r's rows in the flattened stack
-        order += np.arange(0, fitness.size, fitness.shape[-1])[:, None]
-        positions, fitness = positions.reshape(-1, positions.shape[-1]), fitness.reshape(-1)
-    return positions[order], fitness[order]
+    return pick(positions, order), pick(fitness, order)
 
 
 def elitist_drains(positions, fitness, prev_positions, prev_fitness, drains, drain_fitness, k):
@@ -558,9 +567,11 @@ def clamp(x, lower, upper):
 
 
 def clip_bounds(positions, box):
-    """Componentwise clamp into the box's `lower` and `upper`: a problem's
-    for its (n, d) points, or a `Batch`'s for (R, n, d) stacks of points."""
-    return clamp(positions, box.lower, box.upper)
+    """Componentwise clamp, in place, into the box's `lower` and `upper`: a
+    problem's for its (n, d) points, or a `Batch`'s for (R, n, d) stacks of
+    points. `run_optimizer` calls it on every block an optimizer yields."""
+    np.maximum(positions, box.lower, out=positions)
+    return np.minimum(positions, box.upper, out=positions)
 
 
 def greedy_select(old_positions, old_fitness, new_positions, new_fitness, enabled: bool, splashed):
@@ -610,11 +621,11 @@ def initialize(positions, fitness, params: DvoParams) -> DvoState:
 
 def propose(state: DvoState, t: int, params: DvoParams, batch: Batch):
     """The proposal half of sweep `t` (0-based) of every run of `batch`:
-    schedules, assignment, switching, phase moves with splash, clip. The
-    state is the runs' run-major stack: run r owns agents r*n up to (r+1)*n
-    and drains r*k up to (r+1)*k. Returns (proposals, phase, splashed): the
-    clipped proposals in the batch's stacked shape, each agent's phase and
-    the mask of the agents that splashed, run-major."""
+    schedules, assignment, switching, phase moves with splash. The state is
+    the runs' run-major stack: run r owns agents r*n up to (r+1)*n and
+    drains r*k up to (r+1)*k. Returns (proposals, phase, splashed): the
+    proposals in the batch's stacked shape, unclipped (the driver clips),
+    each agent's phase and the mask of the agents that splashed, run-major."""
     n = state.fitness.size // batch.size
     k = params.n_drains
     scale = exploration_scale(t, params.iterations)
@@ -630,17 +641,13 @@ def propose(state: DvoState, t: int, params: DvoParams, batch: Batch):
         params.epsilon,
     )
     assignment, moved = stochastic_switch(assignment, probs, params.switch_prob, draws)
-    # each agent's drain as a row of state.drains
-    drain_rows = batch.run_rows(assignment, n, k)
-    # rows are gathered with `take`, which costs less than fancy indexing
+    # each agent's drain, run-major
+    targets = batch.flat(pick(batch.stacked(state.drains), batch.stacked(assignment)))
     if moved.size:
-        dist = _row_norms(
-            state.positions.take(moved, axis=0) - state.drains.take(drain_rows.take(moved), axis=0)
-        )
+        dist = _row_norms(state.positions.take(moved, axis=0) - targets.take(moved, axis=0))
         rho[moved] = np.minimum(dist / batch.at(batch.diameter, moved, n), 1.0)
 
     phase = select_phase(rho, params.far_threshold, params.near_threshold)
-    targets = state.drains.take(drain_rows, axis=0)
     proposals = state.positions.copy()
 
     far = (phase == _FAR).nonzero()[0]
@@ -689,7 +696,7 @@ def propose(state: DvoState, t: int, params: DvoParams, batch: Batch):
                 state.drains[run * k], params, batch.problems[run], batch.streams[run]
             )
 
-    return clip_bounds(batch.stacked(proposals), batch), phase, splashed
+    return batch.stacked(proposals), phase, splashed
 
 
 def step(
@@ -732,14 +739,14 @@ class Batch:
     A population of the batch has its stacked shape: (R, n, ...), run r's
     agents at index r, and for a run alone (n, ...), its own arrays. The
     boxes `lower` and `upper` broadcast against it, (R, 1, d), `spread`
-    shapes any per-run values so, `each` draws a block in it and `pick`
-    gathers each run's rows by index. dvo keeps its state as run-major rows
-    (run r owns the r-th block of rows), which `stacked` views in the
-    stacked shape and `flat` restores; `span` (R, d) and `diameter` (R,)
-    hold one row per run, which `at` gathers per agent. A batch of one run
+    shapes any per-run values so, `each` draws a block in it and the
+    module's `pick` gathers each run's rows by index. dvo keeps its state
+    as run-major rows (run r owns the r-th block of rows), which `stacked`
+    views in the stacked shape and `flat` restores; `span` (R, d) and
+    `diameter` (R,) hold one row per run, which `at` gathers per agent. A batch of one run
     is the run alone: its box is its problem's, a per-run value is its one
     row, and its draws are its stream, so it makes the numpy calls of a run
-    alone. Its eight `size == 1` branches are for speed, not bits: without
+    alone. Its six `size == 1` branches are for speed, not bits: without
     them the records are the same, but a solo dvo sweep (three_bar_truss, 30
     agents) took ~20% longer and six baselines on the engineering problems
     made 5% fewer evaluations per second (numpy 2.4.6, an AVX-512 Xeon)."""
@@ -780,23 +787,6 @@ class Batch:
         if self.size == 1:
             return values[0]
         return values.take(agents // n, axis=0)
-
-    def pick(self, stack, local) -> Array:
-        """Each run's rows of `stack`, of m rows per run, at its agents'
-        indices `local`, each in [0, m): stacked (R, n, ...) for (R, n)
-        indices."""
-        if self.size == 1:
-            return stack.take(local, axis=0)
-        m = stack.shape[1]
-        rows = local + np.arange(0, self.size * m, m)[:, None]
-        return stack.reshape(-1, *stack.shape[2:]).take(rows, axis=0)
-
-    def run_rows(self, local, n: int, stride: int) -> Array:
-        """The rows of a run-major array of `stride` rows per run that the
-        R*n agents' own indices `local` (each in [0, stride)) name."""
-        if self.size == 1:
-            return local
-        return local + np.arange(0, self.size * stride, stride).repeat(n)
 
     def draws(self, n: int):
         """The draws of a population of `n` agents per run."""
@@ -839,17 +829,14 @@ def initial_population(batch: Batch, n: int):
 def _lifetime(group: Group, batch: Batch):
     """A group's runs from start to end as one generator: it yields each
     block of points to evaluate, in the batch's stacked shape, and returns
-    (evaluations per run, best positions one row per run, best values,
-    traces)."""
+    (best positions one row per run, best values, traces)."""
     settings = group.settings
     state = group.init(*(yield from initial_population(batch, settings.n_agents)), settings)
-    evaluations = settings.n_agents
     trace = np.empty((batch.size, settings.iterations))
     for t in range(settings.iterations):
-        evaluated, best_positions, best_values = yield from group.sweep(state, t, settings, batch)
-        evaluations += evaluated
+        best_positions, best_values = yield from group.sweep(state, t, settings, batch)
         trace[:, t] = best_values
-    return evaluations, best_positions.reshape(batch.size, -1), best_values, trace
+    return best_positions.reshape(batch.size, -1), best_values, trace
 
 
 def _calls(blocks: dict, batches: list) -> list:
@@ -914,19 +901,20 @@ def run_optimizer(
     evaluated initial populations, and `sweep(state, t, settings, batch)`
     is a generator that advances every run of the batch by sweep `t`. It
     yields the block of points it needs evaluated, receives their values
-    and returns (points it evaluated per run, each run's best position, as
-    one row or a one-agent population per run, each run's best value) so
-    far. Points and values have the batch's stacked shape (see `Batch`);
-    the driver turns each block into run-major rows for the objective
-    calls and each group's values back into its block's shape (`_evaluate`).
-    Each round the driver takes the blocks of every group still running
-    and evaluates them together (see `_calls`), so the runs of the groups
-    that share a problem object share its calls. The evaluation count sums
-    the evaluated batches and the trace keeps the best value after each
-    sweep. A record's `walltime_ms` is its group's time, the group's own
-    steps plus its row share of each objective call, divided by the
-    group's runs. A record is feasible at `feasibility_tol`. The records come
-    group by group, each in run order.
+    and returns (each run's best position, as one row or a one-agent
+    population per run, each run's best value) so far. Points and values
+    have the batch's stacked shape (see `Batch`); the driver clips each
+    block in place (`clip_bounds`), turns it into run-major rows for the
+    objective calls and each group's values back into its block's shape
+    (`_evaluate`). Each round the driver takes the blocks of every group
+    still running and evaluates them together (see `_calls`), so the runs
+    of the groups that share a problem object share its calls. The
+    evaluation count sums the rows per run of the evaluated blocks and the
+    trace keeps the best value after each sweep. A record's `walltime_ms`
+    is its group's time, the group's own steps (its clips among them) plus
+    its row share of each objective call, divided by the group's runs. A
+    record is feasible at `feasibility_tol`. The records come group by
+    group, each in run order.
     """
     clock = time.perf_counter
     batches, lifetimes, seconds = [], [], []
@@ -937,7 +925,7 @@ def run_optimizer(
         batches.append(batch)
         lifetimes.append(_lifetime(group, batch))
         seconds.append(clock() - started)
-    results = [None] * len(batches)
+    results, evaluations = [None] * len(batches), [0] * len(batches)
     # each running group's values of its last block (None to start it)
     replies = dict.fromkeys(range(len(batches)))
     calls = None
@@ -946,9 +934,12 @@ def run_optimizer(
         last = clock()
         for g, values in replies.items():
             try:
-                blocks[g] = lifetimes[g].send(values)
+                block = lifetimes[g].send(values)
             except StopIteration as done:
                 results[g] = done.value
+            else:
+                blocks[g] = clip_bounds(block, batches[g])
+                evaluations[g] += block.shape[-2]
             now = clock()
             seconds[g] += now - last
             last = now
@@ -957,8 +948,8 @@ def run_optimizer(
             calls = _calls(blocks, batches)
         replies = _evaluate(blocks, calls, seconds)
     records = []
-    for group, batch, spent, result in zip(groups, batches, seconds, results):
-        evaluations, best_positions, best_values, trace = result
+    for group, batch, spent, count, result in zip(groups, batches, seconds, evaluations, results):
+        best_positions, best_values, trace = result
         walltime_ms = spent * 1e3 / batch.size
         records.extend(
             build_record(
@@ -969,7 +960,7 @@ def run_optimizer(
                 best_position=best_positions[r],
                 best_value=best_values[r],
                 trace=trace[r],
-                evaluations=evaluations,
+                evaluations=count,
                 walltime_ms=walltime_ms,
                 checkpoint_iters=checkpoints,
                 feasibility_tol=feasibility_tol,
@@ -988,7 +979,7 @@ def sweep(state: DvoState, t: int, params: DvoParams, batch: Batch):
     fitness = yield proposals
     step(state, batch.flat(proposals), batch.flat(fitness), phase, splashed, params, batch)
     k = params.n_drains
-    return params.n_agents, state.drains[::k], state.drain_fitness[::k]
+    return state.drains[::k], state.drain_fitness[::k]
 
 
 def run(

@@ -4,7 +4,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, settings
 
 import drainvortex
-from drainvortex import benchmarks
+from drainvortex import benchmarks, engine
 
 settings.register_profile(
     "default",
@@ -33,12 +33,14 @@ def child_env():
 def drive(generator, batch):
     """Run a sweep generator (or `engine.initial_population`) of a batch of
     one run to its end, and return what it returns: each block of points it
-    yields gets the values `benchmarks.evaluate` gives on the run's problem
-    and stream, as `engine.run_optimizer` gives a run alone."""
+    yields is clipped to the box in place and gets the values
+    `benchmarks.evaluate` gives on the run's problem and stream, as
+    `engine.run_optimizer` treats a run alone."""
     problem, stream = batch.problems[0], batch.streams[0]
     try:
         points = next(generator)
         while True:
+            engine.clip_bounds(points, batch)
             points = generator.send(benchmarks.evaluate(problem, points, stream))
     except StopIteration as done:
         return done.value

@@ -15,10 +15,11 @@ from drainvortex.baselines import (
     _woa_spiral,
     run_baseline,
 )
-from drainvortex.engine import DvoParams
+from drainvortex.engine import DvoParams, Group, run_optimizer
 from drainvortex.engine import run as run_dvo
 from drainvortex.errors import ConfigError
 from drainvortex.harness import config_from_dict
+from drainvortex.rng import RngStream
 
 ALGORITHMS = sorted(BASELINES)
 # each baseline's parameter defaults, from its OPTIMIZERS entry
@@ -309,6 +310,25 @@ class TestObjectiveContracts:
         assert (record.best_position >= problem.lower).all()
         assert (record.best_position <= problem.upper).all()
         assert record.best_position[0] <= 0.5
+
+    @pytest.mark.parametrize("value", [1.0, math.nan], ids=["constant", "nan"])
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_flat_objective_keeps_the_first_initial_agent_as_best(self, algorithm, runs, value):
+        # no batch has a strictly lower value than the initial one, so each
+        # run's best so far stays its initial population's first agent, for
+        # a run alone and for each run of a stacked batch
+        problem = per_point_spec("flat", lambda x: value)
+        settings = small_config(algorithm).settings()
+        _, init, sweep = OPTIMIZERS[algorithm]
+        seeds = range(40, 40 + runs)
+        triples = [(problem, seed, r) for r, seed in enumerate(seeds)]
+        records = run_optimizer([Group(algorithm, init, sweep, settings, triples)])
+        for seed, record in zip(seeds, records):
+            draws = RngStream(seed).random((settings.n_agents, problem.dim))
+            first = problem.lower + draws[0] * problem.span
+            assert record.best_position.tobytes() == first.tobytes()
+            assert record.best_value == (value if math.isfinite(value) else math.inf)
 
     @pytest.mark.parametrize("algorithm", ["dvo", "pso"])
     def test_per_point_objective_gets_one_point_per_call(self, algorithm):

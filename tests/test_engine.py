@@ -36,6 +36,7 @@ from drainvortex.engine import (
     initial_population,
     initialize,
     k_best,
+    pick,
     run,
     select_phase,
     selection_pressure,
@@ -256,6 +257,21 @@ class TestKBest:
         rows, values = k_best(positions, fitness, 20)
         assert np.array_equal(values, [0.5] * 8 + [1.0] * 12)
         assert np.array_equal(rows[:, 0], [*range(4, 40, 5), 1, 3, 6, 8, 11, 13, 16, 18, 21, 23, 26, 28])
+        # a stack of three such sets, rolled so that their ties fall on other
+        # rows, with (R, m) or (R, m, d) positions: each set's k best, and
+        # each set's rows at its own indices, are bit for bit its own call's
+        fitness = np.stack([np.roll(fitness, shift) for shift in (0, 1, 7)])
+        local = np.random.default_rng(4).integers(0, 40, (3, 15))
+        for point in [(), (3,)]:
+            positions = np.random.default_rng(3).random((3, 40, *point))
+            rows, values = k_best(positions, fitness, 20)
+            picked = pick(positions, local)
+            assert rows.shape == (3, 20, *point) and picked.shape == (3, 15, *point)
+            for r in range(3):
+                rows_alone, values_alone = k_best(positions[r], fitness[r], 20)
+                assert rows[r].tobytes() == rows_alone.tobytes()
+                assert values[r].tobytes() == values_alone.tobytes()
+                assert picked[r].tobytes() == pick(positions[r], local[r]).tobytes()
 
 
 class TestElitistDrains:

@@ -4,10 +4,11 @@
 state: `init(positions, fitness, settings)` builds the state of the runs'
 stacked populations and the generator `sweep(state, t, settings, batch)`
 advances every run of an `engine.Batch`, yielding the points it needs
-evaluated (conftest's `drive` evaluates them here). Nothing of one run may
-live outside its state and its stream, so two runs, each its own batch,
-whose sweeps alternate must each give, byte for byte with wall time masked,
-the record that `engine.run` or `BASELINES[name]` gives for it alone.
+evaluated (conftest's `drive` clips and evaluates them here). Nothing of
+one run may live outside its state and its stream, so two runs, each its
+own batch, whose sweeps alternate must each give, byte for byte with wall
+time masked, the record that `engine.run` or `BASELINES[name]` gives for
+it alone.
 Stacking runs depends on this; `test_batch_reference.py` checks the stacked
 runs themselves.
 
@@ -18,7 +19,8 @@ that shape (its best position with a one-agent axis), and dvo's state keeps
 its run-major rows.
 """
 
-from dataclasses import fields
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -67,12 +69,13 @@ def interleaved(name, problem, settings, seeds):
         batch = engine.Batch((problem,), (RngStream(seed),))
         positions, fitness = drive(engine.initial_population(batch, settings.n_agents), batch)
         state = init(positions, fitness, settings)
-        runs.append({"batch": batch, "state": state, "evaluations": fitness.size, "trace": []})
+        runs.append({"batch": batch, "state": state, "evaluations": len(positions), "trace": []})
     for t in range(settings.iterations):
         for run in runs:
             batch = run["batch"]
-            evaluated, positions, values = drive(sweep(run["state"], t, settings, batch), batch)
-            run["evaluations"] += evaluated
+            blocks = []
+            positions, values = drive(watched(sweep, blocks)(run["state"], t, settings, batch), batch)
+            run["evaluations"] += sum(shape[-2] for kind, shape in blocks if kind == "block")
             run["position"] = positions[0]
             run["trace"].append(values[0])
     return [
@@ -176,3 +179,49 @@ def test_blocks_replies_and_states_keep_the_stacked_shape(name, runs):
         shapes = {f.name: getattr(state, f.name).shape for f in fields(state)}
         assert shapes == {field: want[field] for field in shapes}
     assert [record.best_position.shape for record in records] == [(d,)] * runs
+
+
+def outside_sweep(rows, seen):
+    """A sweep that yields `rows` points per run far outside the box,
+    alternately above and below it, and appends to `seen` what its own
+    block holds after the yield; it reports each run's first point."""
+
+    def sweep(state, t, settings, batch):
+        block = np.full(stacked(batch.size, rows, batch.problems[0].dim), 1e6)
+        block[..., ::2, :] = -1e6
+        fitness = yield block
+        seen.append(block.copy())
+        return block[..., :1, :], fitness.reshape(batch.size, -1)[:, 0]
+
+    return sweep
+
+
+@pytest.mark.parametrize("rows", [5, 3])
+@pytest.mark.parametrize("runs", [1, 2])
+def test_the_driver_clips_and_counts_every_block(runs, rows):
+    # the sweep neither clips nor counts: the objective sees only points in
+    # the box, the sweep finds its own block clipped, and the evaluations
+    # are the rows of the blocks it yielded, whatever their number
+    f1 = benchmarks.get_problem("F1", 2)
+    points = []
+
+    def recording(x):
+        points.append(x.copy())
+        return f1.objective(x)
+
+    problem = replace(f1, objective=recording)
+    settings = SimpleNamespace(n_agents=5, iterations=4)
+    seen = []
+    triples = [(problem, seed, 0) for seed in range(runs)]
+    group = engine.Group("outside", lambda *_: None, outside_sweep(rows, seen), settings, triples)
+    records = engine.run_optimizer([group])
+    inside = np.concatenate([x.reshape(-1, 2) for x in points])
+    assert len(inside) == runs * (settings.n_agents + settings.iterations * rows)
+    assert ((inside >= f1.lower) & (inside <= f1.upper)).all()
+    corners = np.where(np.arange(rows)[:, None] % 2, f1.upper, f1.lower)
+    assert [block.tobytes() for block in seen] == [
+        np.broadcast_to(corners, stacked(runs, rows, 2)).tobytes()
+    ] * settings.iterations
+    assert [record.evaluations for record in records] == [
+        settings.n_agents + settings.iterations * rows
+    ] * runs
