@@ -1,6 +1,6 @@
 """Experiment orchestration: configuration loading and validation, grid
-execution (optionally across processes), result persistence, and the table,
-statistics, and convergence emitters.
+execution (optionally across processes), the result directory, and the
+table, statistics, and convergence emitters.
 
 Determinism contract: a ResultSet is a pure function of its config. Run
 seeds mix the master seed with the cell coordinates, so adding or removing
@@ -18,7 +18,7 @@ import multiprocessing
 import signal
 from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -27,23 +27,19 @@ import numpy as np
 from . import benchmarks, engine, stats
 from .baselines import OPTIMIZERS, BaselineConfig
 from .errors import ConfigError, DrainVortexError, shown
-from .records import DEFAULT_CHECKPOINTS, SCHEMA_VERSION, RunRecord, floored_log10
+from .records import DEFAULT_CHECKPOINTS, LABELS, FailureRecord, RunRecord, floored_log10
+from .records import decode, encode, encode_failures
 from .rng import mix_seed
 
 SUITES = (*benchmarks.SUITES, "custom")
 
-SUMMARY_COLUMNS = (
-    "algorithm",
-    "problem",
-    "dim",
-    "seed",
-    "best",
-    "error",
-    "log10_error",
-    "feasible",
-    "max_violation",
-    "walltime_ms",
-)
+# each summary.csv column and the RunRecord field it holds; the seed column
+# holds the run index within the run's cell
+SUMMARY_COLUMNS = {
+    "algorithm": "algorithm", "problem": "problem", "dim": "dim", "seed": "run_index",
+    "best": "best_value", "error": "error", "log10_error": "log10_error", "feasible": "feasible",
+    "max_violation": "max_violation", "walltime_ms": "walltime_ms",
+}
 
 
 @dataclass(frozen=True)
@@ -358,15 +354,6 @@ def save_config(config: ExperimentConfig, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FailureRecord:
-    algorithm: str
-    problem: str
-    dim: int
-    run_index: int
-    message: str
-
-
 @dataclass
 class ResultSet:
     config: ExperimentConfig
@@ -571,81 +558,29 @@ def run_experiment(config: ExperimentConfig, parallel: int | None = None) -> Res
 # ---------------------------------------------------------------------------
 
 
-# one line per run, each `json.dumps(_record_to_dict(record))`, in grid order
+# one line per run, each `records.encode(record)`, in grid order
 RECORDS_FILE = "records.jsonl"
 
-# the fields of each dataclass that a file stores, in declaration order
-_STORED_FIELDS = {kind: fields(kind) for kind in (RunRecord, FailureRecord)}
 
-
-def _record_to_dict(record: RunRecord) -> dict:
-    """The schema version, then RunRecord's fields in declaration order
-    (json writes the integer checkpoint keys as text)."""
-    data = {"schema_version": SCHEMA_VERSION}
-    data.update((f.name, getattr(record, f.name)) for f in _STORED_FIELDS[RunRecord])
-    data["best_position"] = np.asarray(record.best_position, dtype=float).tolist()
-    data["trace"] = np.asarray(record.trace, dtype=float).tolist()
-    return data
-
-
-def _numbers(values) -> bool:
-    return set(map(type, values)) <= {int, float}
-
-
-# the JSON value a stored RunRecord or FailureRecord field takes, by its annotation
-_JSON_VALUES = {
-    "str": ("a string", lambda v: type(v) is str),
-    "int": ("an integer", lambda v: type(v) is int),
-    "float": ("a number", lambda v: _numbers((v,))),
-    "Optional[float]": ("a number or null", lambda v: v is None or _numbers((v,))),
-    "Optional[bool]": ("true, false or null", lambda v: v is None or type(v) is bool),
-    "Array": ("a list of numbers", lambda v: type(v) is list and _numbers(v)),
-    "dict": (
-        "a mapping of sweep numbers to numbers",
-        lambda v: type(v) is dict and all(k.isdecimal() for k in v) and _numbers(v.values()),
-    ),
-}
-
-
-def _field_values(kind, data, source: str, label: str) -> dict:
-    """The values of dataclass `kind`'s fields in one entry of a file; an entry
-    that is not a mapping, misses a field or holds a field of the wrong JSON
-    type (`_JSON_VALUES`) is a ConfigError naming the file."""
-    if not isinstance(data, dict):
-        raise ConfigError([f"{source}: a {label} must be a mapping, got {type(data).__name__}"])
-    kind_fields = _STORED_FIELDS[kind]
-    missing = [f.name for f in kind_fields if f.name not in data]
-    if missing:
-        raise ConfigError([f"{source}: missing {label} field {name!r}" for name in missing])
-    bad = [
-        f"{source}: {label} field {f.name!r} must be {_JSON_VALUES[f.type][0]}, "
-        f"got {type(data[f.name]).__name__}"
-        for f in kind_fields
-        if not _JSON_VALUES[f.type][1](data[f.name])
-    ]
-    if bad:
-        raise ConfigError(bad)
-    return {f.name: data[f.name] for f in kind_fields}
-
-
-def _record_from_dict(data: dict, source: str) -> RunRecord:
-    if isinstance(data, dict) and data.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError([f"{source}: unsupported schema version {data.get('schema_version')!r}"])
-    values = _field_values(RunRecord, data, source, "record")
-    values["best_position"] = np.asarray(values["best_position"], dtype=float)
-    values["trace"] = np.asarray(values["trace"], dtype=float)
-    values["checkpoints"] = {int(k): v for k, v in values["checkpoints"].items()}
-    return RunRecord(**values)
-
-
-def _grid_run(entry: RunRecord | FailureRecord, grid: dict, source: str) -> tuple:
-    """The (algorithm, problem, dim, run_index) key of a stored entry and its
-    text; a run that is not in `grid` is a ConfigError naming `source`."""
-    key = (entry.algorithm, entry.problem, entry.dim, entry.run_index)
-    run = "{} {} d{} run {}".format(*key)
-    if key not in grid:
-        raise ConfigError([f"{source}: {run} is not a run of the stored config"])
-    return key, run
+def _by_run(kind, entries, grid: dict, unit: str, recorded=()) -> dict:
+    """The `kind` entries of a file, its (number of its `unit`, source,
+    parsed JSON) triples, by run key in file order; an entry that `decode`
+    refuses, whose run is not in `grid` or is in `recorded`, or that repeats
+    an earlier entry's run is a ConfigError naming its source."""
+    found, first = {}, {}
+    for number, source, data in entries:
+        entry = decode(kind, data, source)
+        key = (entry.algorithm, entry.problem, entry.dim, entry.run_index)
+        run = "{} {} d{} run {}".format(*key)
+        if key not in grid:
+            raise ConfigError([f"{source}: {run} is not a run of the stored config"])
+        if key in recorded:
+            raise ConfigError([f"{source}: a failure of {run}, which has a record"])
+        if key in first:
+            raise ConfigError([f"{source}: a second {LABELS[kind]} of {run}, first at {unit} {first[key]}"])
+        first[key] = number
+        found[key] = entry
+    return found
 
 
 def _read_records(path: Path, grid: dict) -> dict:
@@ -655,39 +590,22 @@ def _read_records(path: Path, grid: dict) -> dict:
     (algorithm, problem, dim, run_index) key of each run of the stored config."""
     if not path.exists():
         raise ConfigError([f"{path}: no records file found"])
-    records, line_of = {}, {}
     with path.open() as stream:
-        for number, line in enumerate(stream, start=1):
-            source = f"{path}:{number}"
-            record = _record_from_dict(_parse_json(line, source), source)
-            key, run = _grid_run(record, grid, source)
-            if key in line_of:
-                raise ConfigError([f"{source}: a second record of {run}, first at line {line_of[key]}"])
-            line_of[key] = number
-            records[key] = record
-    return records
+        sources = ((number, f"{path}:{number}", line) for number, line in enumerate(stream, start=1))
+        lines = ((number, source, _parse_json(line, source)) for number, source, line in sources)
+        return _by_run(RunRecord, lines, grid, "line")
 
 
 def _read_failures(path: Path, grid: dict, recorded) -> list:
-    """The entries of failures.json (none without the file); an entry that is
-    not a failure, not a run of `grid`, a run in `recorded` or a second
-    failure of the same run is a ConfigError naming the file."""
+    """The entries of failures.json (none without the file), none of a run
+    in `recorded`; a bad entry is a ConfigError naming the file."""
     if not path.exists():
         return []
     items = _parse_json(path.read_text(), str(path))
     if not isinstance(items, list):
         raise ConfigError([f"{path}: must be a list, got {type(items).__name__}"])
-    failures, entry_of = [], {}
-    for number, item in enumerate(items, start=1):
-        failure = FailureRecord(**_field_values(FailureRecord, item, str(path), "failure"))
-        key, run = _grid_run(failure, grid, str(path))
-        if key in recorded:
-            raise ConfigError([f"{path}: a failure of {run}, which has a record"])
-        if key in entry_of:
-            raise ConfigError([f"{path}: a second failure of {run}, first at entry {entry_of[key]}"])
-        entry_of[key] = number
-        failures.append(failure)
-    return failures
+    entries = ((number, str(path), item) for number, item in enumerate(items, start=1))
+    return list(_by_run(FailureRecord, entries, grid, "entry", recorded).values())
 
 
 def _csv_cell(value) -> str:
@@ -700,27 +618,6 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def summary_rows(result_set: ResultSet) -> list:
-    """Flat per-run rows; the seed column is the run index within the cell."""
-    rows = []
-    for r in result_set.records:
-        rows.append(
-            [
-                r.algorithm,
-                r.problem,
-                str(r.dim),
-                str(r.run_index),
-                _csv_cell(r.best_value),
-                _csv_cell(r.error),
-                _csv_cell(r.log10_error),
-                _csv_cell(r.feasible),
-                _csv_cell(r.max_violation),
-                _csv_cell(r.walltime_ms),
-            ]
-        )
-    return rows
-
-
 def emit_records(result_set: ResultSet, out_dir) -> Path:
     """Write the config snapshot, records.jsonl (one record per line, in grid
     order) and summary.csv; an earlier grid's records.jsonl is overwritten
@@ -731,15 +628,16 @@ def emit_records(result_set: ResultSet, out_dir) -> Path:
     save_config(result_set.config, out / "config.json")
     with (out / RECORDS_FILE).open("w") as stream:
         for record in result_set.records:
-            stream.write(json.dumps(_record_to_dict(record)) + "\n")
+            stream.write(encode(record) + "\n")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SUMMARY_COLUMNS)
-    writer.writerows(summary_rows(result_set))
+    writer.writerows(
+        [_csv_cell(getattr(r, name)) for name in SUMMARY_COLUMNS.values()] for r in result_set.records
+    )
     (out / "summary.csv").write_text(buffer.getvalue())
     if result_set.failures:
-        payload = [asdict(f) for f in result_set.failures]
-        (out / "failures.json").write_text(json.dumps(payload, indent=2) + "\n")
+        (out / "failures.json").write_text(encode_failures(result_set.failures))
     return out
 
 

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import HealthCheck, settings
@@ -28,6 +29,11 @@ def child_env():
     if inherited:
         entries += [os.path.abspath(entry) for entry in inherited.split(os.pathsep)]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(entries)}
+
+
+def masked(records):
+    """Each record's line of records.jsonl, wall time masked."""
+    return [drainvortex.records.encode(replace(r, walltime_ms=None)) for r in records]
 
 
 def drive(generator, batch):

@@ -1,13 +1,13 @@
 """Baseline optimizer tests: shared record contract, config validation,
 determinism, and a couple of formula spot checks."""
 
-import json
 import math
 
 import numpy as np
 import pytest
+from conftest import masked
 
-from drainvortex import benchmarks, harness
+from drainvortex import benchmarks
 from drainvortex.baselines import (
     BASELINES,
     OPTIMIZERS,
@@ -145,11 +145,6 @@ class TestConfig:
         assert BASELINES[algorithm](problem, config, seed=1).evaluations == 2 * 5
 
 
-def masked(record):
-    """A record's serialized text, wall time masked."""
-    return json.dumps({**harness._record_to_dict(record), "walltime_ms": None})
-
-
 class TestOneRunner:
     """Every BASELINES entry is `run_baseline`: the config alone names the
     algorithm that runs and the name its record carries."""
@@ -161,8 +156,8 @@ class TestOneRunner:
         config = small_config(algorithm)
         record = BASELINES[entry](problem, config, 5, checkpoints=(5, 25), run_index=2)
         assert record.algorithm == algorithm
-        assert masked(record) == masked(
-            run_baseline(problem, config, 5, checkpoints=(5, 25), run_index=2)
+        assert masked([record]) == masked(
+            [run_baseline(problem, config, 5, checkpoints=(5, 25), run_index=2)]
         )
 
     @pytest.mark.parametrize(
@@ -181,7 +176,7 @@ class TestOneRunner:
         record = BASELINES[entry](problem, config, seed=1)
         assert record.algorithm == config.algorithm
         assert record.evaluations == config.n_agents * 5
-        assert masked(record) == masked(run_baseline(problem, config, seed=1))
+        assert masked([record]) == masked([run_baseline(problem, config, seed=1)])
         named = BASELINES[entry](problem, BaselineConfig(entry, iterations=4), seed=1)
         assert not np.array_equal(record.trace, named.trace)
 

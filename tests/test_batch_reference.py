@@ -27,6 +27,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import masked
 from test_driver_reference import REFERENCE_BASELINES, _reference_run, assert_same_record
 
 from drainvortex import benchmarks, engine, harness
@@ -263,10 +264,6 @@ def test_wall_time_is_each_groups_time_shared_out():
 # ---------------------------------------------------------------------------
 # the harness's batches
 # ---------------------------------------------------------------------------
-
-
-def masked(records):
-    return [{**harness._record_to_dict(r), "walltime_ms": None} for r in records]
 
 
 def grid(problems, **overrides):

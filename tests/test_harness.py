@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import child_env
+from conftest import child_env, masked
 
 from drainvortex import benchmarks, harness, stats
 from drainvortex.baselines import OPTIMIZERS, BaselineConfig
@@ -42,20 +42,13 @@ from drainvortex.harness import (
     save_config,
     validate_config,
 )
-from drainvortex.records import RunRecord, floored_log10
+from drainvortex.records import SCHEMA_VERSION, RunRecord, encode, floored_log10
 from drainvortex.rng import mix_seed
 
 
 NaN = float("nan")
 # a failures.json entry of tiny_config's grid, less its run index
 FAILURE = {"algorithm": "pso", "problem": "F1", "dim": 2, "message": "RuntimeError: boom"}
-
-
-def masked_records(result_set):
-    """Each record as its serialized text, wall time masked."""
-    return [
-        json.dumps({**harness._record_to_dict(r), "walltime_ms": None}) for r in result_set.records
-    ]
 
 
 def record_lines(out):
@@ -899,7 +892,7 @@ class TestRunExperiment:
         seq = run_experiment(config, parallel=1)
         par = run_experiment(config, parallel=2)
         assert len(seq.records) == len(par.records) == 4
-        assert masked_records(par) == masked_records(seq)
+        assert masked(par.records) == masked(seq.records)
 
     def test_dispatch_order_is_grid_order_at_any_degree(self):
         def explode(x):
@@ -934,7 +927,7 @@ class TestRunExperiment:
             (name, i) for name in ("pso", "dvo", "gwo") for i in range(3)
         ]
         for got in results[1:]:
-            assert masked_records(got) == masked_records(want)
+            assert masked(got.records) == masked(want.records)
             assert got.failures == want.failures
 
     def test_a_failed_batch_reruns_case_by_case(self, monkeypatch):
@@ -984,7 +977,7 @@ class TestRunExperiment:
             *[[("exploding", 1)]] * 9,
             [("F16", 9)],
         ]
-        assert masked_records(result) == masked_records(ResultSet(config, alone, []))
+        assert masked(result.records) == masked(alone)
         assert [(f.algorithm, f.problem, f.run_index) for f in result.failures] == [
             (name, "exploding", i) for name in ("pso", "dvo", "gwo") for i in range(3)
         ]
@@ -1190,7 +1183,7 @@ class TestPersistence:
             ("dvo", "F1", 2, 0),
             ("dvo", "F1", 2, 1),
         ]
-        assert lines == [json.dumps(harness._record_to_dict(r)) for r in result.records]
+        assert lines == [encode(r) for r in result.records]
         loaded = load_result_set(out)
         assert loaded.config == result.config
         assert len(loaded.records) == 4
@@ -1241,7 +1234,7 @@ class TestPersistence:
         ]
         loaded = load_result_set(out)
         assert [r.algorithm for r in loaded.records] == ["dvo:no_swirl"] * 2
-        assert masked_records(loaded) == masked_records(result)
+        assert masked(loaded.records) == masked(result.records)
 
     def test_summary_csv_shape(self, tmp_path):
         config = tiny_config(output=str(tmp_path / "out"))
@@ -1299,6 +1292,39 @@ class TestPersistence:
         assert loaded.failures[0].problem == "exploding"
         assert "boom" in loaded.failures[0].message
 
+    def test_result_directory_reads_back_and_writes_again_byte_for_byte(self, tmp_path):
+        # every field's text: F1 and F8 (whose optimum is negative) have known
+        # optima, welded_beam has none and records feasibility, each run of
+        # the plugin fails, and the checkpoints are given out of order
+        def explode(x):
+            raise RuntimeError("boom")
+
+        register_plugin(
+            ProblemSpec(
+                name="exploding",
+                dim=2,
+                lower=np.array([-1.0, -1.0]),
+                upper=np.array([1.0, 1.0]),
+                objective=explode,
+            )
+        )
+        try:
+            config = tiny_config(
+                problems=("F1", "F8", "welded_beam", "exploding"),
+                algorithms=(AlgorithmSpec("dvo:no_swirl"), AlgorithmSpec("pso")),
+                n_agents=7,
+                checkpoints=(12, 3, 1, 6),
+            )
+            first = emit_records(run_experiment(config), tmp_path / "first")
+            again = emit_records(load_result_set(first), tmp_path / "again")
+        finally:
+            clear_plugins()
+        names = ["config.json", "failures.json", "records.jsonl", "summary.csv"]
+        assert sorted(p.name for p in first.iterdir()) == names
+        assert len(record_lines(first)) == 2 * 3 * 2
+        for name in names:
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
     def test_penalty_wrapped_plugin_fails_each_run(self, tmp_path):
         # the harness wraps a constrained plugin itself: a wrap registered as
         # the plugin would be wrapped twice, so each of its runs fails
@@ -1341,7 +1367,7 @@ class TestPersistence:
         second = run_experiment(tiny_config(runs=1))
         emit_records(second, out)
         # exactly the new grid's one line is left of the earlier three
-        assert record_lines(out) == [json.dumps(harness._record_to_dict(r)) for r in second.records]
+        assert record_lines(out) == [encode(r) for r in second.records]
         loaded = load_result_set(out)
         assert len(loaded.records) == 1
         assert loaded.failures == []
@@ -1797,13 +1823,26 @@ class TestRecordFiles:
         [
             ("checkpoints", [1, 2], "must be a mapping of sweep numbers to numbers, got list"),
             ("checkpoints", {"last": 0.5}, "must be a mapping of sweep numbers to numbers, got dict"),
+            # a key json would not write for an int: a leading zero, a non-ASCII digit
+            ("checkpoints", {"02": 0.5}, "must be a mapping of sweep numbers to numbers, got dict"),
+            ("checkpoints", {"\u0664": 0.5}, "must be a mapping of sweep numbers to numbers, got dict"),
             ("trace", "0.5", "must be a list of numbers, got str"),
             ("best_position", [0.5, None], "must be a list of numbers, got list"),
             ("dim", "2", "must be an integer, got str"),
             ("best_value", True, "must be a number, got bool"),
             ("feasible", 1, "must be true, false or null, got int"),
         ],
-        ids=["checkpoints-list", "checkpoints-key", "trace-str", "position-null", "dim-str", "value-bool", "feasible-int"],
+        ids=[
+            "checkpoints-list",
+            "checkpoints-key",
+            "checkpoints-leading-zero",
+            "checkpoints-non-ascii-digit",
+            "trace-str",
+            "position-null",
+            "dim-str",
+            "value-bool",
+            "feasible-int",
+        ],
     )
     def test_mistyped_field_names_the_line(self, tmp_path, capsys, name, value, entry):
         out = emit_records(run_experiment(tiny_config()), tmp_path / "out")
@@ -1832,11 +1871,11 @@ class TestRecordFiles:
         # one float() per entry: signed zeros, subnormals and infinities too
         (record,) = run_experiment(tiny_config(runs=1)).records
         record = replace(record, best_position=values, trace=values[::-1])
-        old = {"schema_version": harness.SCHEMA_VERSION}
+        old = {"schema_version": SCHEMA_VERSION}
         old.update((f.name, getattr(record, f.name)) for f in fields(RunRecord))
         old["best_position"] = [float(v) for v in record.best_position]
         old["trace"] = [float(v) for v in record.trace]
-        assert json.dumps(harness._record_to_dict(record)) == json.dumps(old)
+        assert encode(record) == json.dumps(old)
 
     def test_missing_records_file_is_named(self, tmp_path):
         out = emit_records(run_experiment(tiny_config()), tmp_path / "out")
@@ -1904,4 +1943,4 @@ class TestRecordFiles:
         (out / "records.jsonl").write_text("\n".join(reversed(lines)) + "\n")
         loaded = load_result_set(out)
         assert [run_key(line) for line in lines] == config.grid_runs()
-        assert masked_records(loaded) == masked_records(result)
+        assert masked(loaded.records) == masked(result.records)
